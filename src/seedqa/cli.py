@@ -22,12 +22,13 @@ from .client import (
     ChatClient,
     ClientConfig,
     ClientError,
+    DEFAULT_API_KEY_ENV,
     DEFAULT_BASE_URL,
     DEFAULT_MODEL,
     RetryPolicy,
     TransportError,
 )
-from .corpus import DatasetFormatError, load_dataset, split_sample
+from .corpus import DatasetFormatError, data_path, load_dataset, split_sample
 from .entities import (
     AnnotationError,
     LexiconExtractor,
@@ -72,22 +73,44 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# Built-in option values; an option missing here defaults to None.
+_DEFAULTS: dict[str, Any] = {
+    "seed": 0, "mode": "standard_qa", "shots": "zero", "k": DEFAULT_K, "group_by": (),
+    "extractor": "lexicon", "on_error": "raise", "workers": 1,
+    "backend": ClientConfig.backend, "model": DEFAULT_MODEL, "base_url": DEFAULT_BASE_URL,
+    "api_key_env": DEFAULT_API_KEY_ENV, "temperature": ClientConfig.temperature,
+    "max_attempts": RetryPolicy.max_attempts, "backoff_base": RetryPolicy.backoff_base,
+    "max_in_flight": ClientConfig.max_in_flight, "timeout": ClientConfig.timeout,
+    "context_tokens": DEFAULT_CONTEXT_TOKENS,
+    "reserved_tokens": DEFAULT_RESERVED_RESPONSE_TOKENS,
+}
+
+# namespace entries that are not pipeline options
+_NOT_OPTIONS = ("command", "config", "verbose", "func")
+
+
 class _Resolver:
-    """Precedence: explicit flag, then config file entry, then default."""
+    """Precedence: explicit flag, then config file entry, then _DEFAULTS."""
 
     def __init__(self, args: argparse.Namespace, config: dict[str, Any]):
         self._args = args
         self._config = config
 
-    def get(self, key: str, default: Any = None, required: bool = False) -> Any:
+    def get(self, key: str, required: bool = False) -> Any:
         value = getattr(self._args, key, None)
         if value is None:
             value = self._config.get(key)
         if value is None:
-            value = default
+            value = _DEFAULTS.get(key)
         if value is None and required:
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
         return value
+
+    def effective(self) -> dict[str, Any]:
+        """Every option of the subcommand with its resolved value."""
+        return {
+            key: self.get(key) for key in vars(self._args) if key not in _NOT_OPTIONS
+        }
 
 
 def _load_config_file(path: str | None) -> dict[str, Any]:
@@ -106,17 +129,17 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
 def _client_from(res: _Resolver) -> ChatClient:
     try:
         config = ClientConfig(
-            backend=res.get("backend", "replay"),
-            model=res.get("model", DEFAULT_MODEL),
-            base_url=res.get("base_url", DEFAULT_BASE_URL),
-            api_key_env=res.get("api_key_env", "SEEDQA_API_KEY"),
-            temperature=float(res.get("temperature", 0.0)),
+            backend=res.get("backend"),
+            model=res.get("model"),
+            base_url=res.get("base_url"),
+            api_key_env=res.get("api_key_env"),
+            temperature=float(res.get("temperature")),
             retry=RetryPolicy(
-                max_attempts=int(res.get("max_attempts", 3)),
-                backoff_base=float(res.get("backoff_base", 1.0)),
+                max_attempts=int(res.get("max_attempts")),
+                backoff_base=float(res.get("backoff_base")),
             ),
-            max_in_flight=int(res.get("max_in_flight", 4)),
-            timeout=float(res.get("timeout", 60.0)),
+            max_in_flight=int(res.get("max_in_flight")),
+            timeout=float(res.get("timeout")),
             cache_dir=res.get("cache_dir"),
             fixture_path=res.get("fixture"),
         )
@@ -126,26 +149,14 @@ def _client_from(res: _Resolver) -> ChatClient:
 
 
 def _extractor_from(res: _Resolver, client: ChatClient | None = None):
-    kind = res.get("extractor", "lexicon")
+    kind = res.get("extractor")
     if kind == "lexicon":
         lexicon_path = res.get("lexicon", required=True)
         return LexiconExtractor(load_lexicon(lexicon_path))
     if kind == "llm":
-        exemplar_path = res.get("extraction_exemplars")
-        if exemplar_path:
-            exemplars = load_extraction_exemplars(exemplar_path)
-        else:
-            from importlib import resources
-
-            text = (
-                resources.files("seedqa")
-                .joinpath("data/extraction_exemplars.jsonl")
-                .read_text(encoding="utf-8")
-            )
-            exemplars = [
-                (rec["text"], tuple(rec["entities"]))
-                for rec in map(json.loads, filter(str.strip, text.splitlines()))
-            ]
+        exemplars = load_extraction_exemplars(
+            res.get("extraction_exemplars") or data_path("extraction_exemplars.jsonl")
+        )
         return LlmExtractor(client or _client_from(res), exemplars)
     raise ConfigError(f"unknown extractor {kind!r}")
 
@@ -153,16 +164,16 @@ def _extractor_from(res: _Resolver, client: ChatClient | None = None):
 # --- subcommands ----------------------------------------------------------
 
 def cmd_annotate(res: _Resolver) -> int:
-    dataset = load_dataset(res.get("dataset", required=True), res.get("schema", "jsonl"))
+    dataset = load_dataset(res.get("dataset", required=True))
     out_path = res.get("out", required=True)
-    include_analysis = not res.get("no_analysis", False)
+    include_analysis = not res.get("no_analysis")
     extractor = _extractor_from(res)
     annotated = annotate_dataset(
         dataset,
         extractor,
         include_analysis=include_analysis,
-        on_error=res.get("on_error", "raise"),
-        workers=int(res.get("workers", 1)),
+        on_error=res.get("on_error"),
+        workers=int(res.get("workers")),
     )
     save_annotated(annotated, out_path)
     log.info("annotated %d/%d instances -> %s", len(annotated), dataset.n, out_path)
@@ -189,7 +200,7 @@ def cmd_build_graph(res: _Resolver) -> int:
 def cmd_mine_seeds(res: _Resolver) -> int:
     annotated = load_annotated(res.get("annotated", required=True))
     graph = load_graph(res.get("graph", required=True))
-    k = int(res.get("k", DEFAULT_K))
+    k = int(res.get("k"))
     records = []
     for ann in annotated:
         result = mine_seeds(graph, SeedQuery(ann.qo_entities), k)
@@ -200,31 +211,10 @@ def cmd_mine_seeds(res: _Resolver) -> int:
     return 0
 
 
-def _effective_run_config(res: _Resolver) -> dict[str, Any]:
-    keys_with_defaults = {
-        "dataset": None, "schema": "jsonl", "test_size": None, "seed": 0,
-        "stratify_by": None, "mode": "standard_qa", "shots": "zero",
-        "k": DEFAULT_K, "group_by": [], "graph": None, "lexicon": None,
-        "extractor": "lexicon", "extraction_exemplars": None,
-        "seeds": None, "exemplars": None,
-        "template": None, "backend": "replay", "model": DEFAULT_MODEL,
-        "base_url": DEFAULT_BASE_URL, "api_key_env": "SEEDQA_API_KEY",
-        "temperature": 0.0, "fixture": None, "cache_dir": None,
-        "workers": 1, "max_attempts": 3, "backoff_base": 1.0,
-        "max_in_flight": 4, "timeout": 60.0,
-        "context_tokens": DEFAULT_CONTEXT_TOKENS,
-        "reserved_tokens": DEFAULT_RESERVED_RESPONSE_TOKENS,
-        "out_dir": None,
-    }
-    return {key: res.get(key, default) for key, default in keys_with_defaults.items()}
-
-
 def cmd_run(res: _Resolver) -> int:
-    effective = _effective_run_config(res)
+    effective = res.effective()
     out_dir = res.get("out_dir", required=True)
-    dataset = load_dataset(
-        res.get("dataset", required=True), effective["schema"], split_tag="test"
-    )
+    dataset = load_dataset(res.get("dataset", required=True), split_tag="test")
     test_size = effective["test_size"]
     if test_size is not None:
         dataset, _ = split_sample(
@@ -269,7 +259,7 @@ def cmd_run(res: _Resolver) -> int:
             for rec in load_seed_records(effective["seeds"]).values()
         }
 
-    group_by = effective["group_by"] or []
+    group_by = effective["group_by"]
     os.makedirs(out_dir, exist_ok=True)
     effective["out_dir"] = out_dir
     effective["version"] = __version__
@@ -308,7 +298,7 @@ def cmd_run(res: _Resolver) -> int:
 
 def cmd_report(res: _Resolver) -> int:
     records = load_records(res.get("records", required=True))
-    group_by = res.get("group_by") or []
+    group_by = res.get("group_by")
     report = build_report(records, group_by)
     out_path = res.get("out", required=True)
     save_report(report, out_path)
@@ -344,7 +334,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("annotate", parents=[common, client_opts],
                        help="extract entity sets for every instance")
     p.add_argument("--dataset")
-    p.add_argument("--schema")
     p.add_argument("--out")
     p.add_argument("--lexicon")
     p.add_argument("--extractor", choices=("lexicon", "llm"))
@@ -372,7 +361,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", parents=[common, client_opts],
                        help="evaluate a dataset end to end")
     p.add_argument("--dataset")
-    p.add_argument("--schema")
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--mode", choices=("standard_qa", "cot", "icp"))
     p.add_argument("--shots", choices=("zero", "few"))

@@ -18,6 +18,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from .corpus import read_jsonl
+
 log = logging.getLogger(__name__)
 
 BACKENDS = ("live", "cached-live", "replay")
@@ -97,7 +99,6 @@ class ClientConfig:
     timeout: float = 60.0
     cache_dir: str | None = None
     fixture_path: str | None = None
-    log_prompts: bool = False
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -138,25 +139,26 @@ def _default_transport(url: str, headers: dict, payload: dict, timeout: float) -
 
 class _ReplayBackend:
     def __init__(self, fixture_path: str):
-        self._responses: dict[str, dict] = {}
-        with open(fixture_path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                self._responses[rec["digest"]] = rec
+        self._responses: dict[str, CompletionResponse] = {}
+        read_jsonl(fixture_path, self._add)
 
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
-        digest = request_digest(request)
-        rec = self._responses.get(digest)
-        if rec is None:
-            raise ReplayMissError(digest)
-        return CompletionResponse(
+    def _add(self, rec: dict) -> None:
+        digest = rec["digest"]
+        response = CompletionResponse(
             text=rec["text"],
             finish_reason=rec.get("finish_reason", "stop"),
             prompt_tokens=rec.get("prompt_tokens"),
             response_tokens=rec.get("response_tokens"),
         )
+        if self._responses.setdefault(digest, response) != response:
+            raise ValueError(f"digest {digest} repeats with a different response")
+
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
+        digest = request_digest(request)
+        response = self._responses.get(digest)
+        if response is None:
+            raise ReplayMissError(digest)
+        return response
 
 
 class _LiveBackend:
@@ -316,10 +318,7 @@ class ChatClient:
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         digest = request_digest(request)
-        if self.config.log_prompts:
-            log.debug("request %s prompt: %r", digest[:12], request.prompt)
-        else:
-            log.debug("request %s (%d chars)", digest[:12], len(request.prompt))
+        log.debug("request %s (%d chars)", digest[:12], len(request.prompt))
         if self._cache is None:
             with self._semaphore:
                 return self._backend.complete(request)

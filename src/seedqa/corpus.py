@@ -6,7 +6,8 @@ import json
 import random
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from importlib import resources
+from typing import Callable, Iterator, TypeVar
 
 from .textseg import count_words
 
@@ -14,8 +15,45 @@ OPTION_LABELS = ("A", "B", "C", "D", "E")
 SPLIT_TAGS = ("train", "test")
 
 
+T = TypeVar("T")
+
+
 class DatasetFormatError(ValueError):
-    """A dataset file or record violates the line-delimited JSON format."""
+    """An input file violates its format; the message starts with the file's
+    path, and with ``path:line`` for line-delimited JSON."""
+
+
+def read_jsonl(path: str, parse: Callable[[dict], T]) -> list[T]:
+    """Parse every non-blank line of a line-delimited JSON file.
+
+    Each line must hold a JSON object, which ``parse`` turns into a value.
+    Invalid JSON, a non-object line, or a KeyError, TypeError or ValueError
+    raised by ``parse`` becomes DatasetFormatError naming ``path:line``.
+    """
+    out: list[T] = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetFormatError(f"{where}: invalid JSON ({exc})") from exc
+            if not isinstance(rec, dict):
+                raise DatasetFormatError(f"{where}: record is not a JSON object")
+            try:
+                out.append(parse(rec))
+            except KeyError as exc:
+                raise DatasetFormatError(f"{where}: missing field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise DatasetFormatError(f"{where}: {exc}") from exc
+    return out
+
+
+def data_path(name: str) -> str:
+    """Path of a file shipped in the package's ``data`` directory."""
+    return str(resources.files(__package__).joinpath(f"data/{name}"))
 
 
 def canonical_label(raw: object) -> str:
@@ -91,41 +129,29 @@ class Dataset:
         return self.instances[i]
 
 
-_REQUIRED_FIELDS = ("id", "question", "options", "answer", "analysis")
-
-
-def _parse_record(rec: dict, where: str) -> Instance:
-    if not isinstance(rec, dict):
-        raise DatasetFormatError(f"{where}: record is not a JSON object")
-    for name in _REQUIRED_FIELDS:
-        if name not in rec:
-            raise DatasetFormatError(f"{where}: missing field {name!r}")
+def parse_record(rec: dict) -> Instance:
+    """Build an Instance from one dataset record; raises KeyError for a
+    missing field and ValueError for an invalid one."""
     options_raw = rec["options"]
     if not isinstance(options_raw, dict):
-        raise DatasetFormatError(f"{where}: field 'options' must be an object")
+        raise ValueError("field 'options' must be an object")
     options = {canonical_label(k): str(v) for k, v in options_raw.items()}
     if len(options) != len(options_raw):
-        raise DatasetFormatError(f"{where}: option labels collide after normalization")
+        raise ValueError("option labels collide after normalization")
     metadata = rec.get("metadata") or {}
     if not isinstance(metadata, dict):
-        raise DatasetFormatError(f"{where}: field 'metadata' must be an object")
-    try:
-        return Instance(
-            id=str(rec["id"]),
-            question=str(rec["question"]),
-            options=options,
-            answer=canonical_label(rec["answer"]),
-            analysis=str(rec["analysis"]),
-            metadata={str(k): str(v) for k, v in metadata.items()},
-        )
-    except ValueError as exc:
-        raise DatasetFormatError(f"{where}: {exc}") from exc
+        raise ValueError("field 'metadata' must be an object")
+    return Instance(
+        id=str(rec["id"]),
+        question=str(rec["question"]),
+        options=options,
+        answer=canonical_label(rec["answer"]),
+        analysis=str(rec["analysis"]),
+        metadata={str(k): str(v) for k, v in metadata.items()},
+    )
 
 
-_SCHEMAS = {"jsonl": _parse_record}
-
-
-def load_dataset(path: str, schema: str = "jsonl", split_tag: str = "train") -> Dataset:
+def load_dataset(path: str, split_tag: str = "train") -> Dataset:
     """Read a line-delimited JSON dataset.
 
     Each non-blank line is one record: ``{id, question, options, answer,
@@ -133,20 +159,7 @@ def load_dataset(path: str, schema: str = "jsonl", split_tag: str = "train") -> 
     uppercase A..E.  Malformed lines raise DatasetFormatError naming the
     line number and field.
     """
-    if schema not in _SCHEMAS:
-        raise DatasetFormatError(f"unknown dataset schema {schema!r}")
-    parse = _SCHEMAS[schema]
-    instances: list[Instance] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"{where}: invalid JSON ({exc})") from exc
-            instances.append(parse(rec, where))
+    instances = read_jsonl(path, parse_record)
     try:
         return Dataset(tuple(instances), split_tag)
     except ValueError as exc:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .client import ChatClient, CompletionRequest
-from .corpus import Dataset, Instance, instance_to_record, qo_text
+from .corpus import Dataset, Instance, instance_to_record, parse_record, qo_text, read_jsonl
 
 Extractor = Callable[[str], "set[str] | frozenset[str]"]
 
@@ -261,14 +261,10 @@ class LlmExtractor:
 
 
 def load_extraction_exemplars(path: str) -> list[tuple[str, tuple[str, ...]]]:
-    out: list[tuple[str, tuple[str, ...]]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out.append((str(rec["text"]), tuple(str(e) for e in rec["entities"])))
-    return out
+    """Read ``{"text", "entities"}`` lines into (text, entities) pairs."""
+    return read_jsonl(
+        path, lambda rec: (str(rec["text"]), tuple(str(e) for e in rec["entities"]))
+    )
 
 
 @dataclass(frozen=True)
@@ -346,30 +342,9 @@ def save_annotated(annotated: Sequence[AnnotatedInstance], path: str) -> None:
 
 
 def load_annotated(path: str) -> list[AnnotatedInstance]:
-    from .corpus import DatasetFormatError, _parse_record
-
-    out: list[AnnotatedInstance] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"{where}: invalid JSON ({exc})") from exc
-            for name in ("qo_entities", "r_entities"):
-                if name not in rec:
-                    raise DatasetFormatError(f"{where}: missing field {name!r}")
-            inst = _parse_record(
-                {k: v for k, v in rec.items() if k not in ("qo_entities", "r_entities")},
-                where,
-            )
-            out.append(
-                AnnotatedInstance(
-                    inst,
-                    frozenset(rec["qo_entities"]),
-                    frozenset(rec["r_entities"]),
-                )
-            )
-    return out
+    return read_jsonl(
+        path,
+        lambda rec: AnnotatedInstance(
+            parse_record(rec), frozenset(rec["qo_entities"]), frozenset(rec["r_entities"])
+        ),
+    )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .client import ChatClient, CompletionRequest, TransportError, request_digest
-from .corpus import Dataset, Instance, qo_text
+from .corpus import Dataset, Instance, qo_text, read_jsonl
 from .graph import KnowledgeGraph
 from .prompts import (
     DEFAULT_CONTEXT_TOKENS,
@@ -261,14 +261,9 @@ def save_records(records: Sequence[EvalRecord], path: str) -> None:
 
 
 def load_records(path: str) -> list[EvalRecord]:
-    out: list[EvalRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            data = json.loads(line)
-            out.append(EvalRecord(**{k: data[k] for k in _RECORD_FIELDS if k in data}))
-    return out
+    return read_jsonl(
+        path, lambda rec: EvalRecord(**{k: rec[k] for k in _RECORD_FIELDS if k in rec})
+    )
 
 
 # --- aggregate report ----------------------------------------------------

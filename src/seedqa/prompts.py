@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import Sequence
 
-from .corpus import OPTION_LABELS
+from .corpus import OPTION_LABELS, DatasetFormatError, data_path, read_jsonl
 from .textseg import estimate_tokens
 
 MODES = ("standard_qa", "cot", "icp")
@@ -65,13 +64,20 @@ class PromptTemplate:
 
 
 def load_template(path: str) -> PromptTemplate:
+    """Read a template JSON object; any defect raises DatasetFormatError
+    naming ``path``."""
     with open(path, encoding="utf-8") as fh:
-        return PromptTemplate.from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError("template is not a JSON object")
+            return PromptTemplate.from_dict(data)
+        except (TypeError, ValueError) as exc:
+            raise DatasetFormatError(f"{path}: {exc}") from exc
 
 
 def default_template() -> PromptTemplate:
-    data = resources.files(__package__).joinpath("data/prompt_template.json")
-    return PromptTemplate.from_dict(json.loads(data.read_text(encoding="utf-8")))
+    return load_template(data_path("prompt_template.json"))
 
 
 @dataclass(frozen=True)
@@ -94,44 +100,24 @@ class Exemplar:
             raise ValueError(f"exemplar answer {self.answer!r} is not an option label")
 
 
+def _parse_exemplar(rec: dict) -> Exemplar:
+    seeds = rec.get("seeds")
+    return Exemplar(
+        question=str(rec["question"]),
+        options={str(k): str(v) for k, v in dict(rec["options"]).items()},
+        answer=str(rec["answer"]),
+        analysis=str(rec.get("analysis", "")),
+        seeds=tuple(str(s) for s in seeds) if seeds is not None else None,
+    )
+
+
 def load_exemplars(path: str) -> tuple[Exemplar, ...]:
     """Read exemplars from JSONL: dataset record fields plus a "seeds" list."""
-    out: list[Exemplar] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            seeds = rec.get("seeds")
-            out.append(
-                Exemplar(
-                    question=str(rec["question"]),
-                    options={str(k): str(v) for k, v in rec["options"].items()},
-                    answer=str(rec["answer"]),
-                    analysis=str(rec.get("analysis", "")),
-                    seeds=tuple(str(s) for s in seeds) if seeds is not None else None,
-                )
-            )
-    return tuple(out)
+    return tuple(read_jsonl(path, _parse_exemplar))
 
 
 def default_exemplars() -> tuple[Exemplar, ...]:
-    data = resources.files(__package__).joinpath("data/exemplars.jsonl")
-    out: list[Exemplar] = []
-    for line in data.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        out.append(
-            Exemplar(
-                question=rec["question"],
-                options=rec["options"],
-                answer=rec["answer"],
-                analysis=rec["analysis"],
-                seeds=tuple(rec["seeds"]),
-            )
-        )
-    return tuple(out)
+    return load_exemplars(data_path("exemplars.jsonl"))
 
 
 @dataclass(frozen=True)

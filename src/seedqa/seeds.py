@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .corpus import read_jsonl
 from .entities import normalize_entity
 from .graph import KnowledgeGraph
 
@@ -146,17 +147,12 @@ def save_seed_records(records: Sequence[SeedRecord], path: str) -> None:
             fh.write("\n")
 
 
+def _parse_seed_record(rec: dict) -> SeedRecord:
+    seeds = tuple(zip(rec["seeds"], rec["scores"]))
+    return SeedRecord(
+        rec["id"], SeedResult(seeds, rec.get("k", DEFAULT_K)), tuple(rec.get("query", ()))
+    )
+
+
 def load_seed_records(path: str) -> dict[str, SeedRecord]:
-    out: dict[str, SeedRecord] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            seeds = tuple(zip(rec["seeds"], rec["scores"]))
-            out[rec["id"]] = SeedRecord(
-                rec["id"],
-                SeedResult(seeds, rec.get("k", DEFAULT_K)),
-                tuple(rec.get("query", ())),
-            )
-    return out
+    return {rec.instance_id: rec for rec in read_jsonl(path, _parse_seed_record)}

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from seedqa.cli import main
-from seedqa.corpus import load_dataset, save_dataset
+from seedqa.corpus import data_path, instance_to_record, load_dataset, save_dataset
 from seedqa.entities import (
     LexiconExtractor,
     annotate_dataset,
@@ -14,6 +14,7 @@ from seedqa.entities import (
     load_lexicon,
 )
 from seedqa.client import CompletionRequest, request_digest
+from seedqa.evaluation import EvalRecord, record_to_dict
 from seedqa.graph import build_graph, load_graph
 from seedqa.prompts import PromptSpec
 from seedqa.seeds import load_seed_records
@@ -263,6 +264,86 @@ def test_exit_1_on_malformed_dataset(tmp_path, corpus):
     bad.write_text('{"id": "x"}\n', encoding="utf-8")
     assert main(["annotate", "--dataset", str(bad),
                  "--lexicon", corpus["lexicon"], "--out", "o.jsonl"]) == 1
+
+
+def _packaged_records(name):
+    with open(data_path(name), encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def _input_case(kind, corpus):
+    """Valid records of one input kind, a field each record requires, and
+    the argv of a command that reads the file with ``BAD`` as its path."""
+    d = corpus["dir"]
+    empty = d / "empty_fixture.jsonl"
+    empty.write_text("", encoding="utf-8")
+    replay = ["--backend", "replay", "--fixture", str(empty)]
+    run = ["run", "--dataset", corpus["test"], "--out-dir", str(d / "out"), *replay]
+    test_records = [instance_to_record(inst) for inst in load_dataset(corpus["test"])]
+    if kind == "dataset":
+        argv = ["annotate", "--dataset", "BAD", "--lexicon", corpus["lexicon"],
+                "--out", str(d / "o.jsonl")]
+        return test_records, "question", argv
+    if kind == "annotated":
+        records = [r | {"qo_entities": [], "r_entities": []} for r in test_records]
+        return records, "qo_entities", ["build-graph", "--annotated", "BAD",
+                                         "--out", str(d / "g.kg")]
+    if kind == "seeds":
+        records = [{"id": r["id"], "query": [], "seeds": [], "scores": [], "k": 10}
+                   for r in test_records]
+        return records, "scores", [*run, "--seeds", "BAD"]
+    if kind == "records":
+        records = [
+            record_to_dict(EvalRecord(r["id"], "cot", "zero", "d", "答案是A", "A", "A", True))
+            for r in test_records
+        ]
+        return records, "mode", ["report", "--records", "BAD", "--out", str(d / "r.json")]
+    if kind == "fixture":
+        records = [{"digest": f"d{i}", "text": "答案是A"} for i in range(3)]
+        return records, "text", [*run, "--fixture", "BAD"]  # the last --fixture wins
+    if kind == "exemplars":
+        records = _packaged_records("exemplars.jsonl")
+        return records, "question", [*run, "--shots", "few", "--exemplars", "BAD"]
+    if kind == "extraction_exemplars":
+        records = _packaged_records("extraction_exemplars.jsonl")
+        argv = ["annotate", "--dataset", corpus["test"], "--extractor", "llm",
+                "--extraction-exemplars", "BAD", *replay, "--out", str(d / "o.jsonl")]
+        return records, "text", argv
+    if kind == "template":
+        with open(data_path("prompt_template.json"), encoding="utf-8") as fh:
+            return [json.load(fh)], "question_block", [*run, "--template", "BAD"]
+    raise AssertionError(kind)
+
+
+@pytest.mark.parametrize("breakage", ("invalid_json", "not_object", "missing_field"))
+@pytest.mark.parametrize("kind", ("dataset", "annotated", "seeds", "records", "fixture",
+                                  "exemplars", "extraction_exemplars", "template"))
+def test_malformed_input_exits_1_with_location(corpus, capsys, kind, breakage):
+    records, field, argv = _input_case(kind, corpus)
+    rec = records[0] if kind == "template" else records[1]
+    broken = {
+        "not_object": list(rec),
+        "missing_field": {k: v for k, v in rec.items() if k != field},
+    }
+    bad = corpus["dir"] / f"bad_{kind}.json"
+    if kind == "template":
+        # one JSON object spread over lines; errors name the path only
+        text = json.dumps(broken.get(breakage, rec), ensure_ascii=False, indent=2)
+        if breakage == "invalid_json":
+            text = text.replace("\n", "\noops\n", 1)
+        location = str(bad)
+    else:
+        lines = [json.dumps(r, ensure_ascii=False) for r in records]
+        lines[1] = (lines[1][:-1] if breakage == "invalid_json"
+                    else json.dumps(broken[breakage], ensure_ascii=False))
+        text = "\n".join(lines)
+        location = f"{bad}:2"
+    bad.write_text(text + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([str(bad) if a == "BAD" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert location in err
+    assert "Traceback" not in err
 
 
 def test_exit_2_on_transport_exhaustion(corpus, tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ from seedqa.client import (
     TransportError,
     request_digest,
 )
+from seedqa.corpus import DatasetFormatError
 
 REQ = CompletionRequest(model="m1", prompt="hello", temperature=0.0, max_tokens=64)
 
@@ -99,6 +100,22 @@ def test_replay_hit_and_miss(tmp_path):
     with pytest.raises(ReplayMissError) as err:
         client.complete(other)
     assert err.value.digest == request_digest(other)
+
+
+def test_replay_duplicate_digests(tmp_path):
+    line = {"digest": request_digest(REQ), "text": "答案：B"}
+    fixture = tmp_path / "fix.jsonl"
+    fixture.write_text(
+        "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in (line, line)),
+        encoding="utf-8",
+    )
+    client = ChatClient(ClientConfig(backend="replay", fixture_path=str(fixture)))
+    assert client.complete(REQ).text == "答案：B"
+
+    with open(fixture, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(line | {"text": "答案：C"}, ensure_ascii=False) + "\n")
+    with pytest.raises(DatasetFormatError, match=rf"fix\.jsonl:3: digest {line['digest']}"):
+        ChatClient(ClientConfig(backend="replay", fixture_path=str(fixture)))
 
 
 def test_replay_requires_fixture():

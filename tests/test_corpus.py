@@ -98,11 +98,6 @@ def test_load_rejects_bad_label(tmp_path):
         load_dataset(write_jsonl(tmp_path / "d.jsonl", [rec]))
 
 
-def test_unknown_schema(tmp_path):
-    with pytest.raises(DatasetFormatError, match="schema"):
-        load_dataset("whatever.jsonl", schema="csv")
-
-
 def test_instance_rejects_unknown_answer():
     with pytest.raises(ValueError):
         Instance("x", "q", {"A": "a"}, "B", "why")

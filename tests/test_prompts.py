@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from seedqa.corpus import Instance
+from seedqa.corpus import DatasetFormatError, Instance, data_path
 from seedqa.prompts import (
     DEFAULT_CONTEXT_TOKENS,
     DEFAULT_RESERVED_RESPONSE_TOKENS,
@@ -262,6 +264,18 @@ def test_template_version_check(tmp_path):
         load_template(str(path))
 
 
+@pytest.mark.parametrize("payload", (
+    {"version": 1, "instructions": {}},
+    {**json.loads(Path(data_path("prompt_template.json")).read_text(encoding="utf-8")),
+     "unknown_key": "x"},
+))
+def test_template_defect_names_path(tmp_path, payload):
+    path = tmp_path / "tpl.json"
+    path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=re.escape(str(path))):
+        load_template(str(path))
+
+
 def test_load_exemplars_file(tmp_path):
     recs = [
         {"question": "问", "options": {"A": "x", "B": "y"}, "answer": "A",
@@ -278,6 +292,11 @@ def test_load_exemplars_file(tmp_path):
     assert loaded[0].seeds == ("p", "q")
     assert loaded[1].seeds is None
     assert loaded[1].answer == "B"
+
+
+def test_default_exemplars_are_the_packaged_file():
+    packaged = load_exemplars(data_path("exemplars.jsonl"))
+    assert packaged and default_exemplars() == packaged
 
 
 def test_exemplar_validation():
