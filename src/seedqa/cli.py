@@ -254,10 +254,11 @@ def cmd_run(res: _Resolver) -> int:
 
     precomputed = None
     if effective["seeds"]:
-        precomputed = {
-            rec.instance_id: rec.result
-            for rec in load_seed_records(effective["seeds"]).values()
-        }
+        precomputed = {i: rec.result for i, rec in load_seed_records(effective["seeds"]).items()}
+        for result in precomputed.values():
+            if result.k != int(effective["k"]):
+                raise ConfigError(f"{effective['seeds']}: seeds were mined with "
+                                  f"k={result.k}, but this run uses k={effective['k']}")
 
     group_by = effective["group_by"]
     os.makedirs(out_dir, exist_ok=True)

@@ -109,14 +109,17 @@ def rouge_n(candidate: "str | Sequence[str]", reference: "str | Sequence[str]", 
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    # two-row dynamic program; O(len(a) * len(b)) time, O(len(b)) space
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, 1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[len(b)]
+    # bit-parallel LCS (Allison & Dix 1986; Hyyro 2004): each zero bit of v
+    # is a step up of the DP column over a, so their count is the LCS length
+    masks: dict[str, int] = {}
+    for i, x in enumerate(a):
+        masks[x] = masks.get(x, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
+    for y in b:
+        u = v & masks.get(y, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge_l(candidate: "str | Sequence[str]", reference: "str | Sequence[str]") -> float:
@@ -124,8 +127,6 @@ def rouge_l(candidate: "str | Sequence[str]", reference: "str | Sequence[str]") 
     tokenized first."""
     candidate = _as_tokens(candidate)
     reference = _as_tokens(reference)
-    if not candidate or not reference:
-        return 0.0
     lcs = _lcs_length(candidate, reference)
     if not lcs:
         return 0.0

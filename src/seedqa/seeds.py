@@ -5,10 +5,14 @@ rank per member x: its 1-based position in x's weight-sorted neighbor
 list, or |neighbors(x)| + 1 when x does not point at it.  Candidates are
 ordered by the sum of those ranks (lower is better); the finite penalty
 keeps sums comparable when some member has no edge to the candidate.
+
+The miner reads each member's neighbor list once and keeps the top k in a
+bounded heap; tie-break weights are summed in sorted member order.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -90,33 +94,26 @@ def mine_seeds(graph: KnowledgeGraph, query: SeedQuery, k: int = DEFAULT_K) -> S
     minus the query itself.  Ties break by descending total incoming edge
     weight from the query, then ascending entity string, so results are
     fully deterministic.  An empty query or pool gives an empty result.
+
+    One pass over the members' neighbor lists adds, per candidate, its rank
+    minus that member's penalty to the sum of all penalties; weights are
+    added in sorted member order so float tie-breaks do not move.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    members = sorted(query.entities)
-    rank_maps: dict[str, dict[str, int]] = {}
-    list_sizes: dict[str, int] = {}
-    pool: set[str] = set()
-    for x in members:
-        neighbors = graph.neighbors(x)
-        rank_maps[x] = {tgt: pos for pos, (tgt, _) in enumerate(neighbors.targets, 1)}
-        list_sizes[x] = len(neighbors)
-        pool.update(rank_maps[x])
-    pool -= query.entities
-
-    def score(entity: str) -> int:
-        return sum(
-            rank_maps[x].get(entity, list_sizes[x] + 1) for x in members
-        )
-
-    def incoming_weight(entity: str) -> float:
-        return sum(
-            graph.weights.get((x, entity), 0.0) for x in members
-        )
-
-    ordered = sorted(pool, key=lambda e: (score(e), -incoming_weight(e), e))
-    top = ordered[:k]
-    return SeedResult(tuple((e, score(e)) for e in top), k)
+    base = 0
+    delta: dict[str, int] = {}
+    wsum: dict[str, float] = {}
+    for x in sorted(query.entities):
+        targets = graph.neighbors(x).targets
+        penalty = len(targets) + 1
+        base += penalty
+        for rank, (tgt, w) in enumerate(targets, 1):
+            delta[tgt] = delta.get(tgt, 0) + rank - penalty
+            wsum[tgt] = wsum.get(tgt, 0.0) + w
+    pool = [e for e in delta if e not in query.entities]
+    top = heapq.nsmallest(k, pool, key=lambda e: (delta[e], -wsum[e], e))
+    return SeedResult(tuple((e, base + delta[e]) for e in top), k)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ segmentation implemented here.
 from __future__ import annotations
 
 import math
+import re
 
 # Unicode blocks treated as CJK.  Fullwidth forms and CJK punctuation are
 # included on purpose: one visible glyph, one unit.
@@ -22,6 +23,11 @@ _CJK_RANGES = (
     (0xFF00, 0xFFEF),    # fullwidth and halfwidth forms
     (0x20000, 0x2FFFF),  # CJK extensions B and beyond
 )
+
+# The same blocks as one character class, so each maximal run is one regex
+# match: group 1 for a CJK run, group 2 for any other.
+_CJK_CLASS = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES)
+_SCRIPT_RUN = re.compile(f"([{_CJK_CLASS}]+)|([^{_CJK_CLASS}]+)")
 
 # Characters of a non-CJK run are grouped roughly four to a token, matching
 # the coarse subword cost of Latin text in chat-model tokenizers.
@@ -40,15 +46,7 @@ def script_runs(text: str) -> list[tuple[bool, str]]:
     Returns ``(run_is_cjk, run_text)`` pairs in order; concatenating the
     run texts reproduces the input exactly.
     """
-    runs: list[tuple[bool, str]] = []
-    start = 0
-    for i in range(1, len(text)):
-        if is_cjk(text[i]) != is_cjk(text[start]):
-            runs.append((is_cjk(text[start]), text[start:i]))
-            start = i
-    if text:
-        runs.append((is_cjk(text[start]), text[start:]))
-    return runs
+    return [(m.lastindex == 1, m.group()) for m in _SCRIPT_RUN.finditer(text)]
 
 
 def count_words(text: str) -> int:

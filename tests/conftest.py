@@ -16,6 +16,7 @@ from seedqa.entities import AnnotatedInstance
 from seedqa.graph import KnowledgeGraph, build_graph
 from seedqa.prompts import PromptSpec, compose, max_response_tokens
 from seedqa.seeds import SeedQuery, mine_seeds
+from seedqa.textseg import is_cjk
 
 ENTITY_POOL = (
     "高血压", "糖尿病", "头痛", "发热", "咳嗽", "肺炎", "贫血",
@@ -106,6 +107,55 @@ def oracle_seed_ranking(nodes, weights, query: set, k: int):
     return [(ent, score) for score, _, ent in scored[:k]]
 
 
+def sorted_pool_mine_seeds(graph: KnowledgeGraph, query: SeedQuery, k: int):
+    """The miner before its one-pass form: per-member rank maps, every
+    candidate scored member by member, and a full sort of the pool."""
+    members = sorted(query.entities)
+    rank_maps: dict[str, dict[str, int]] = {}
+    list_sizes: dict[str, int] = {}
+    pool: set[str] = set()
+    for x in members:
+        neighbors = graph.neighbors(x)
+        rank_maps[x] = {tgt: pos for pos, (tgt, _) in enumerate(neighbors.targets, 1)}
+        list_sizes[x] = len(neighbors)
+        pool.update(rank_maps[x])
+    pool -= query.entities
+
+    def score(entity: str) -> int:
+        return sum(rank_maps[x].get(entity, list_sizes[x] + 1) for x in members)
+
+    def incoming_weight(entity: str) -> float:
+        return sum(graph.weights.get((x, entity), 0.0) for x in members)
+
+    ordered = sorted(pool, key=lambda e: (score(e), -incoming_weight(e), e))
+    return [(e, score(e)) for e in ordered[:k]]
+
+
+def per_char_script_runs(text: str) -> list[tuple[bool, str]]:
+    """Script runs found one character at a time with ``is_cjk``, the way
+    segmentation worked before it became one regex."""
+    runs: list[tuple[bool, str]] = []
+    start = 0
+    for i in range(1, len(text)):
+        if is_cjk(text[i]) != is_cjk(text[start]):
+            runs.append((is_cjk(text[start]), text[start:i]))
+            start = i
+    if text:
+        runs.append((is_cjk(text[start]), text[start:]))
+    return runs
+
+
+def dp_lcs_length(a, b) -> int:
+    # two-row dynamic program; O(len(a) * len(b)) time, O(len(b)) space
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, 1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[len(b)]
+
+
 def brute_ngrams(tokens, n):
     out = {}
     for i in range(len(tokens) - n + 1):
@@ -147,7 +197,7 @@ def brute_rouge_n(candidate, reference, n):
 
 def brute_rouge_l(candidate, reference):
     # recursive LCS with memoization, structurally unlike the library's
-    # iterative table
+    # bit-parallel form
     @lru_cache(maxsize=None)
     def lcs(i, j):
         if i == 0 or j == 0:

@@ -242,6 +242,24 @@ def test_run_with_precomputed_seeds(corpus):
     assert report["accuracy_pct"] == 100.0
 
 
+def test_run_rejects_sidecar_mined_with_other_k(corpus, capsys):
+    ann_path, graph_path = pipeline_to_graph(corpus)
+    seeds_path = corpus["dir"] / "k3.seeds.jsonl"
+    assert main([
+        "mine-seeds", "--annotated", ann_path, "--graph", graph_path,
+        "--k", "3", "--out", str(seeds_path),
+    ]) == 0
+    capsys.readouterr()
+    fixture = prepare_replay(corpus, graph_path)
+    code, out_dir = run_icp(
+        corpus, graph_path, fixture, "k_out", extra=("--seeds", str(seeds_path))
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(seeds_path) in err and "k=3" in err and "k=10" in err
+    assert not (out_dir / "config.json").exists()
+
+
 def test_exit_1_on_config_errors(corpus, capsys):
     assert main(["run", "--out-dir", "x"]) == 1          # no dataset
     assert "dataset" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from seedqa.entities import LexiconExtractor, Lexicon
 from seedqa.evaluation import (
     ApiExhaustionError,
     EvalRecord,
+    _lcs_length,
     bleu_n,
     build_report,
     extract_answer,
@@ -31,6 +32,7 @@ from conftest import (
     brute_bleu,
     brute_rouge_l,
     brute_rouge_n,
+    dp_lcs_length,
     pipeline_requests,
     synth_dataset,
     write_replay_fixture,
@@ -132,6 +134,20 @@ def test_rouge_matches_brute_force_fuzz():
         )
         assert rouge_l(cand, ref) == pytest.approx(brute_rouge_l(cand, ref), abs=1e-9)
         assert 0.0 <= rouge_l(cand, ref) <= 100.0
+
+
+def test_lcs_length_matches_dp_across_word_boundaries():
+    # bit vectors of up to 300 bits span many machine words and Python's
+    # 30-bit int digits, where a lost carry or an unmasked high bit shows
+    rng = random.Random(64)
+    edges = (0, 1, 63, 64, 65, 127, 128, 129, 300)
+    lengths = [(la, lb) for la in edges for lb in edges]
+    lengths += [(rng.randint(0, 300), rng.randint(0, 300)) for _ in range(40)]
+    for la, lb in lengths:
+        vocab = [f"t{i}" for i in range(rng.randint(1, 30))]
+        a = [rng.choice(vocab) for _ in range(la)]
+        b = [rng.choice(vocab) for _ in range(lb)]
+        assert _lcs_length(a, b) == dp_lcs_length(a, b), (la, lb, len(vocab))
 
 
 # --- seed quality ----------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from seedqa.graph import build_graph
+from seedqa.graph import NeighborList, build_graph
 from seedqa.seeds import (
     SeedQuery,
     SeedRecord,
@@ -16,7 +16,7 @@ from seedqa.seeds import (
     save_seed_records,
 )
 
-from conftest import make_annotated, oracle_seed_ranking, random_annotated
+from conftest import make_annotated, oracle_seed_ranking, random_annotated, sorted_pool_mine_seeds
 
 
 def test_rank_of_present_edges(toy_graph):
@@ -80,6 +80,30 @@ def test_mine_seeds_tie_breaks_by_incoming_weight():
     w_q = g.weights[("u", "q")] + g.weights[("v", "q")]
     assert w_q > w_p
     assert result.entities == ("q", "p")
+
+
+class _FixedLists:
+    """Graph stand-in whose neighbor lists carry hand-picked weights."""
+
+    def __init__(self, lists):
+        self.lists = lists
+        self.weights = {(x, t): w for x, lst in lists.items() for t, w in lst}
+
+    def neighbors(self, entity):
+        return NeighborList(entity, self.lists.get(entity, ()))
+
+
+def test_mine_seeds_sums_tie_weights_in_sorted_member_order():
+    # p and q both rank-sum to 6.  Summed in member order a, b, c, d their
+    # incoming weights are the same float, so p wins on the entity string;
+    # summed in reverse order q's total is larger and q would come first.
+    graph = _FixedLists({
+        "a": (("q", 0.1), ("p", 0.05)),
+        "b": (("p", 0.1), ("q", 0.05)),
+        "c": (("p", 0.05),),
+        "d": (("q", 0.15), ("p", 0.1)),
+    })
+    assert mine_seeds(graph, SeedQuery(frozenset("abcd")), k=2).seeds == (("p", 6), ("q", 6))
 
 
 def test_mine_seeds_excludes_query_members(toy_graph):
@@ -164,3 +188,38 @@ def test_sidecar_round_trip(tmp_path, toy_graph):
     assert loaded["q1"].result.seeds == result.seeds
     assert loaded["q1"].result.k == result.k
     assert loaded["q1"].query == ("a", "b")
+
+
+def test_mine_seeds_matches_sorted_pool_miner_on_zipf_graph():
+    # Zipf draws give long neighbor lists with many equal counts, so rank
+    # sums tie often and the float tie-break decides
+    rng = random.Random(4096)
+    vocab = [f"e{i:03d}" for i in range(300)]
+    zipf = [1 / (i + 1) for i in range(len(vocab))]
+    analysis_only = [f"r{i:02d}" for i in range(20)]
+
+    def draw(pool, weights, n):
+        return set(rng.choices(pool, weights, k=n))
+
+    train = [
+        make_annotated(
+            f"z{i}",
+            draw(vocab, zipf, rng.randint(1, 6)),
+            draw(vocab + analysis_only, zipf + [0.05] * 20, rng.randint(1, 6)),
+        )
+        for i in range(400)
+    ]
+    g = build_graph(train)
+    assert g.edge_count > 2500
+    sinks = [n for n in g.nodes if not g.neighbors(n).targets]
+    assert sinks
+    for trial in range(60):
+        query = set(rng.sample(g.nodes, rng.randint(1, 6)))
+        if trial % 3 == 0:
+            query.add(f"ghost{trial}")
+        if trial % 4 == 0:
+            query.add(rng.choice(sinks))
+        q = SeedQuery(frozenset(query))
+        for k in (0, 1, 10, 50):
+            got = list(mine_seeds(g, q, k).seeds)
+            assert got == sorted_pool_mine_seeds(g, q, k), (trial, sorted(query), k)

@@ -1,8 +1,19 @@
 from __future__ import annotations
 
+import math
 import random
 
-from seedqa.textseg import count_words, estimate_tokens, is_cjk, script_runs, tokenize
+from seedqa.textseg import (
+    _CJK_RANGES,
+    LATIN_CHARS_PER_TOKEN,
+    count_words,
+    estimate_tokens,
+    is_cjk,
+    script_runs,
+    tokenize,
+)
+
+from conftest import per_char_script_runs
 
 
 def test_is_cjk_basic():
@@ -80,3 +91,27 @@ def test_estimate_tokens_monotone_and_subadditive():
 def test_estimate_tokens_positive_for_nonempty():
     assert estimate_tokens("x") == 1
     assert estimate_tokens("。") == 1
+
+
+def _boundary_alphabet() -> list[str]:
+    """Each CJK block edge and its neighbours, lone surrogates, the last
+    code point, control whitespace and plain Latin."""
+    points = {cp + d for lo, hi in _CJK_RANGES for cp in (lo, hi) for d in (-1, 0, 1)}
+    points |= {0xD800, 0xDB7F, 0xDBFF, 0xDC00, 0xDE00, 0xDFFF, 0x10FFFF}
+    return [chr(cp) for cp in sorted(points)] + list("\n\t abcXYZ09.,")
+
+
+def test_script_runs_match_per_char_oracle_at_block_edges():
+    rng = random.Random(3)
+    alphabet = _boundary_alphabet()
+    for _ in range(4000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24)))
+        runs = per_char_script_runs(text)
+        assert script_runs(text) == runs, repr(text)
+        words = [t for cjk, run in runs for t in (run if cjk else run.split())]
+        assert tokenize(text) == words
+        assert count_words(text) == len(words)
+        assert estimate_tokens(text) == sum(
+            len(run) if cjk else math.ceil(len(run) / LATIN_CHARS_PER_TOKEN)
+            for cjk, run in runs
+        )
