@@ -51,7 +51,7 @@ from .evaluation import (
     run_eval,
     seed_quality,
 )
-from .graph import KnowledgeGraph, NeighborList, build_graph, load_graph, merge_graphs, save_graph
+from .graph import KnowledgeGraph, build_graph, load_graph, save_graph
 from .prompts import (
     Exemplar,
     PromptSpec,
@@ -62,5 +62,5 @@ from .prompts import (
     default_template,
     fit_to_budget,
 )
-from .seeds import SeedQuery, SeedResult, aggregate_score, mine_seeds, rank_of
+from .seeds import SeedQuery, SeedResult, mine_seeds
 from .textseg import count_words, estimate_tokens, is_cjk, script_runs, tokenize

@@ -396,7 +396,8 @@ def run_eval(
     """Evaluate every instance and aggregate a report.
 
     Configuration problems (missing graph or extractor for seeded mode,
-    bad worker count) raise immediately, before any completion call.
+    precomputed seeds that lack a test id, bad worker count) raise
+    immediately, before any completion call.
     Per-instance failures are recorded with their error and scored
     incorrect; the run aborts with ApiExhaustionError only after
     ``max_consecutive_transport_failures`` transport failures in a row,
@@ -409,6 +410,11 @@ def run_eval(
             raise ValueError("icp mode requires a knowledge graph")
         if extractor is None:
             raise ValueError("icp mode requires an entity extractor")
+        if precomputed_seeds is not None:
+            missing = [inst.id for inst in test if inst.id not in precomputed_seeds]
+            if missing:
+                raise ValueError(f"precomputed seeds lack {len(missing)} of {len(test)} "
+                                 f"test ids, first {missing[0]!r}")
 
     failure_lock = threading.Lock()
     consecutive_failures = 0
@@ -430,7 +436,7 @@ def run_eval(
         seeds: SeedResult | None = None
         gold_entities: frozenset[str] = frozenset()
         if spec.mode == "icp":
-            if precomputed_seeds is not None and inst.id in precomputed_seeds:
+            if precomputed_seeds is not None:
                 seeds = precomputed_seeds[inst.id]
             else:
                 query = SeedQuery(frozenset(extractor(qo_text(inst))))

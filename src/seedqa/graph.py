@@ -10,6 +10,11 @@ analysis entity:
 where m is the total node count and freq(j) counts instances whose
 analysis mentions j.  Ubiquitous targets therefore contribute little or
 even negative weight, and rare ones are promoted.
+
+The graph keeps one table: per source, its ``(target, weight, raw_count)``
+rows sorted by descending weight, then target, which is the neighbor list
+the seed miner ranks over.  Files store counts only; weights are derived
+again on load.
 """
 
 from __future__ import annotations
@@ -18,14 +23,9 @@ import hashlib
 import json
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .entities import AnnotatedInstance
-
-# Value reported for an absent edge.  Pure representation: it never enters
-# any weight or score arithmetic.
-MISSING_EDGE = -1
 
 _MAGIC = "seedqa-graph"
 _FORMAT_VERSION = 1
@@ -35,26 +35,14 @@ class GraphFormatError(ValueError):
     """A graph file is malformed, truncated, or of an unsupported version."""
 
 
-@dataclass(frozen=True)
-class NeighborList:
-    """Outgoing neighbors of one node, heaviest first, ties by entity."""
-
-    source: str
-    targets: tuple[tuple[str, float], ...]
-
-    def __len__(self) -> int:
-        return len(self.targets)
-
-    def rank_of(self, entity: str) -> int | None:
-        """1-based position of ``entity``, or None when absent."""
-        for pos, (target, _) in enumerate(self.targets, 1):
-            if target == entity:
-                return pos
-        return None
-
-
 class KnowledgeGraph:
-    """Immutable co-occurrence graph over canonical entity strings."""
+    """Immutable co-occurrence graph over canonical entity strings.
+
+    Every edge is stored once, as a row ``(target, weight, raw_count)`` in
+    its source's tuple.  Each source's rows are sorted by descending
+    weight, then target; the weight is computed here, from the counts, and
+    never again.  ``raw_counts`` is derived from the rows on request.
+    """
 
     def __init__(
         self,
@@ -77,24 +65,19 @@ class KnowledgeGraph:
                 raise ValueError(f"analysis frequency for {ent!r} must be >= 1, got {freq}")
 
         self.nodes: tuple[str, ...] = tuple(nodes)
-        self.raw_counts: dict[tuple[str, str], int] = dict(raw_counts)
         self.analysis_freq: dict[str, int] = dict(analysis_freq)
 
         row_sums: dict[str, int] = defaultdict(int)
-        for (src, _), count in self.raw_counts.items():
+        for (src, _), count in raw_counts.items():
             row_sums[src] += count
         m = len(self.nodes)
-        self.weights: dict[tuple[str, str], float] = {}
-        for (src, tgt), count in self.raw_counts.items():
+        rows: dict[str, list[tuple[str, float, int]]] = defaultdict(list)
+        for (src, tgt), count in raw_counts.items():
             idf = math.log10(m / (1 + self.analysis_freq.get(tgt, 0)))
-            self.weights[(src, tgt)] = (count / row_sums[src]) * idf
-
-        adjacency: dict[str, list[tuple[str, float]]] = defaultdict(list)
-        for (src, tgt), w in self.weights.items():
-            adjacency[src].append((tgt, w))
-        self._adjacency: dict[str, tuple[tuple[str, float], ...]] = {
-            src: tuple(sorted(pairs, key=lambda tw: (-tw[1], tw[0])))
-            for src, pairs in adjacency.items()
+            rows[src].append((tgt, (count / row_sums[src]) * idf, count))
+        self._out: dict[str, tuple[tuple[str, float, int], ...]] = {
+            src: tuple(sorted(out, key=lambda row: (-row[1], row[0])))
+            for src, out in rows.items()
         }
 
     @property
@@ -103,22 +86,21 @@ class KnowledgeGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.raw_counts)
+        return sum(len(out) for out in self._out.values())
 
-    def raw_count(self, src: str, tgt: str) -> int:
-        """Raw co-occurrence count, or the -1 sentinel for an absent edge."""
-        return self.raw_counts.get((src, tgt), MISSING_EDGE)
+    @property
+    def raw_counts(self) -> dict[tuple[str, str], int]:
+        """Raw count of every edge, keyed by (source, target)."""
+        return {(src, tgt): count for src, out in self._out.items() for tgt, _, count in out}
 
-    def weight(self, src: str, tgt: str) -> float | None:
-        return self.weights.get((src, tgt))
+    def neighbors(self, entity: str) -> tuple[tuple[str, float, int], ...]:
+        """Outgoing ``(target, weight, raw_count)`` rows, heaviest first,
+        ties by target.
 
-    def neighbors(self, entity: str) -> NeighborList:
-        """Outgoing neighbors sorted by descending weight, then entity.
-
-        A node with no outgoing edges (or an unknown entity) gets an empty
-        list; callers treat both the same way.
+        A node with no outgoing edges (or an unknown entity) gets ``()``;
+        callers treat both the same way.
         """
-        return NeighborList(entity, self._adjacency.get(entity, ()))
+        return self._out.get(entity, ())
 
 
 def build_graph(train: Iterable[AnnotatedInstance]) -> KnowledgeGraph:
@@ -141,22 +123,6 @@ def build_graph(train: Iterable[AnnotatedInstance]) -> KnowledgeGraph:
         for src in qo:
             for tgt in r:
                 counts[(src, tgt)] += 1
-    return KnowledgeGraph(tuple(sorted(nodes)), dict(counts), dict(freq))
-
-
-def merge_graphs(graphs: Sequence[KnowledgeGraph]) -> KnowledgeGraph:
-    """Combine shard graphs by unioning nodes and summing counts.
-
-    Equals the graph built from the concatenated shards, so corpus
-    annotation can be parallelized and merged.
-    """
-    nodes: set[str] = set()
-    counts: Counter[tuple[str, str]] = Counter()
-    freq: Counter[str] = Counter()
-    for g in graphs:
-        nodes.update(g.nodes)
-        counts.update(g.raw_counts)
-        freq.update(g.analysis_freq)
     return KnowledgeGraph(tuple(sorted(nodes)), dict(counts), dict(freq))
 
 
@@ -183,8 +149,9 @@ def save_graph(graph: KnowledgeGraph, path: str) -> None:
         )
     ]
     lines.extend(json.dumps(node, ensure_ascii=False) for node in graph.nodes)
-    for (src, tgt) in sorted(graph.raw_counts, key=lambda e: (index[e[0]], index[e[1]])):
-        lines.append(f"{index[src]}\t{index[tgt]}\t{graph.raw_counts[(src, tgt)]}")
+    for i, src in enumerate(graph.nodes):
+        for j, count in sorted((index[tgt], count) for tgt, _, count in graph.neighbors(src)):
+            lines.append(f"{i}\t{j}\t{count}")
     for ent in sorted(graph.analysis_freq, key=index.__getitem__):
         lines.append(f"{index[ent]}\t{graph.analysis_freq[ent]}")
     body = "\n".join(lines) + "\n"
@@ -199,7 +166,11 @@ def load_graph(path: str) -> KnowledgeGraph:
     """Read a graph file, verifying checksum, version, and table sizes.
 
     Any mismatch raises GraphFormatError; a partial graph is never
-    returned.  Weights are recomputed from the stored counts.
+    returned.  A defect in one line (the header, a node entry that is not
+    a JSON string, a row that is not integers, a node index outside the
+    node table, a repeated edge or frequency row) is reported as
+    ``path:line: reason`` with the 1-based file line.  Weights are
+    recomputed from the stored counts.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -221,39 +192,66 @@ def load_graph(path: str) -> KnowledgeGraph:
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"{path}: malformed header") from exc
+        raise GraphFormatError(f"{path}:1: malformed header") from exc
+    if not isinstance(header, dict):
+        raise GraphFormatError(f"{path}:1: header is not a JSON object")
     if header.get("magic") != _MAGIC:
-        raise GraphFormatError(f"{path}: not a graph file (bad magic)")
+        raise GraphFormatError(f"{path}:1: not a graph file (bad magic)")
     if header.get("version") != _FORMAT_VERSION:
         raise GraphFormatError(
-            f"{path}: unsupported format version {header.get('version')!r}"
+            f"{path}:1: unsupported format version {header.get('version')!r}"
         )
+    for key in ("nodes", "edges", "freqs"):
+        size = header.get(key)
+        if type(size) is not int or size < 0:
+            raise GraphFormatError(
+                f"{path}:1: header field {key!r} must be a non-negative integer, got {size!r}"
+            )
     n_nodes, n_edges, n_freqs = header["nodes"], header["edges"], header["freqs"]
     expected_lines = 1 + n_nodes + n_edges + n_freqs
     if len(lines) - 1 != expected_lines:
         raise GraphFormatError(
             f"{path}: expected {expected_lines} lines before trailer, got {len(lines) - 1}"
         )
-    try:
-        nodes = tuple(json.loads(lines[1 + i]) for i in range(n_nodes))
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"{path}: malformed node table") from exc
+    # lines[lineno - 1] is 1-based file line ``lineno``
+    nodes: list[str] = []
+    for lineno in range(2, 2 + n_nodes):
+        try:
+            node = json.loads(lines[lineno - 1])
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(f"{path}:{lineno}: malformed node entry") from exc
+        if not isinstance(node, str):
+            raise GraphFormatError(f"{path}:{lineno}: node entry {node!r} is not a string")
+        nodes.append(node)
     counts: dict[tuple[str, str], int] = {}
-    base = 1 + n_nodes
-    for row in lines[base : base + n_edges]:
+    first = 2 + n_nodes
+    for lineno in range(first, first + n_edges):
+        row = lines[lineno - 1]
         try:
-            si, ti, count = (int(x) for x in row.split("\t"))
-            counts[(nodes[si], nodes[ti])] = count
-        except (ValueError, IndexError) as exc:
-            raise GraphFormatError(f"{path}: malformed edge row {row!r}") from exc
+            si, ti, count = map(int, row.split("\t"))
+        except ValueError as exc:
+            raise GraphFormatError(f"{path}:{lineno}: malformed edge row {row!r}") from exc
+        if not (0 <= si < n_nodes and 0 <= ti < n_nodes):
+            raise GraphFormatError(f"{path}:{lineno}: node index out of range in edge row {row!r}")
+        edge = (nodes[si], nodes[ti])
+        if edge in counts:
+            raise GraphFormatError(f"{path}:{lineno}: repeated edge row {row!r}")
+        counts[edge] = count
     freq: dict[str, int] = {}
-    base += n_edges
-    for row in lines[base : base + n_freqs]:
+    first += n_edges
+    for lineno in range(first, first + n_freqs):
+        row = lines[lineno - 1]
         try:
-            ni, count = (int(x) for x in row.split("\t"))
-            freq[nodes[ni]] = count
-        except (ValueError, IndexError) as exc:
-            raise GraphFormatError(f"{path}: malformed frequency row {row!r}") from exc
+            ni, count = map(int, row.split("\t"))
+        except ValueError as exc:
+            raise GraphFormatError(f"{path}:{lineno}: malformed frequency row {row!r}") from exc
+        if not 0 <= ni < n_nodes:
+            raise GraphFormatError(
+                f"{path}:{lineno}: node index out of range in frequency row {row!r}"
+            )
+        if nodes[ni] in freq:
+            raise GraphFormatError(f"{path}:{lineno}: repeated frequency row {row!r}")
+        freq[nodes[ni]] = count
     try:
         return KnowledgeGraph(nodes, counts, freq)
     except ValueError as exc:

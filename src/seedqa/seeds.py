@@ -68,25 +68,6 @@ class SeedResult:
         return len(self.seeds)
 
 
-def rank_of(graph: KnowledgeGraph, source: str, target: str) -> int:
-    """Rank of ``target`` in ``source``'s neighbor list.
-
-    1-based; an absent edge (including an unknown source) costs
-    |neighbors(source)| + 1, a finite stand-in for "not ranked" that still
-    exceeds every real rank.
-    """
-    neighbors = graph.neighbors(source)
-    pos = neighbors.rank_of(target)
-    return pos if pos is not None else len(neighbors) + 1
-
-
-def aggregate_score(graph: KnowledgeGraph, query: SeedQuery, candidate: str) -> int:
-    """Sum of ranks of ``candidate`` across all query members."""
-    if not query.entities:
-        raise ValueError("cannot score against an empty query")
-    return sum(rank_of(graph, x, candidate) for x in query.entities)
-
-
 def mine_seeds(graph: KnowledgeGraph, query: SeedQuery, k: int = DEFAULT_K) -> SeedResult:
     """Top-k candidates by ascending aggregate score.
 
@@ -105,10 +86,10 @@ def mine_seeds(graph: KnowledgeGraph, query: SeedQuery, k: int = DEFAULT_K) -> S
     delta: dict[str, int] = {}
     wsum: dict[str, float] = {}
     for x in sorted(query.entities):
-        targets = graph.neighbors(x).targets
+        targets = graph.neighbors(x)
         penalty = len(targets) + 1
         base += penalty
-        for rank, (tgt, w) in enumerate(targets, 1):
+        for rank, (tgt, w, _) in enumerate(targets, 1):
             delta[tgt] = delta.get(tgt, 0) + rank - penalty
             wsum[tgt] = wsum.get(tgt, 0.0) + w
     pool = [e for e in delta if e not in query.entities]

@@ -3,6 +3,7 @@ replay-fixture builders used across the suite."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -79,6 +80,34 @@ def naive_graph_stats(train):
     return m, raw, freq, weights
 
 
+def row_weights(graph: KnowledgeGraph) -> dict[tuple[str, str], float]:
+    """Edge weights read off the graph's neighbor rows, keyed like the
+    oracle's table."""
+    return {(src, tgt): w for src in graph.nodes for tgt, w, _ in graph.neighbors(src)}
+
+
+def v1_graph_bytes(train) -> bytes:
+    """The v1 graph file for ``train``, written from the plain-loop counts:
+    header, one JSON string per node in sorted order, edge rows ordered by
+    (source index, target index), frequency rows by node index, then the
+    SHA-256 trailer."""
+    _, raw, freq, _ = naive_graph_stats(train)
+    nodes = sorted({e for ann in train for e in (*ann.qo_entities, *ann.r_entities)})
+    index = {node: i for i, node in enumerate(nodes)}
+    body = (
+        f'{{"magic": "seedqa-graph", "version": 1, "nodes": {len(nodes)}, '
+        f'"edges": {len(raw)}, "freqs": {len(freq)}}}\n'
+    )
+    for node in nodes:
+        body += json.dumps(node, ensure_ascii=False) + "\n"
+    for si, ti in sorted((index[s], index[t]) for s, t in raw):
+        body += f"{si}\t{ti}\t{raw[(nodes[si], nodes[ti])]}\n"
+    for ni in sorted(index[e] for e in freq):
+        body += f"{ni}\t{freq[nodes[ni]]}\n"
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return (body + f'{{"sha256": "{digest}"}}\n').encode("utf-8")
+
+
 def oracle_seed_ranking(nodes, weights, query: set, k: int):
     """Exhaustive reference miner: score every non-query node from the
     weight table alone, keep those connected to the query, sort by the
@@ -107,16 +136,17 @@ def oracle_seed_ranking(nodes, weights, query: set, k: int):
     return [(ent, score) for score, _, ent in scored[:k]]
 
 
-def sorted_pool_mine_seeds(graph: KnowledgeGraph, query: SeedQuery, k: int):
+def sorted_pool_mine_seeds(graph: KnowledgeGraph, weights, query: SeedQuery, k: int):
     """The miner before its one-pass form: per-member rank maps, every
-    candidate scored member by member, and a full sort of the pool."""
+    candidate scored member by member, and a full sort of the pool.
+    Tie-break weights come from ``weights``, the oracle's table."""
     members = sorted(query.entities)
     rank_maps: dict[str, dict[str, int]] = {}
     list_sizes: dict[str, int] = {}
     pool: set[str] = set()
     for x in members:
         neighbors = graph.neighbors(x)
-        rank_maps[x] = {tgt: pos for pos, (tgt, _) in enumerate(neighbors.targets, 1)}
+        rank_maps[x] = {tgt: pos for pos, (tgt, _, _) in enumerate(neighbors, 1)}
         list_sizes[x] = len(neighbors)
         pool.update(rank_maps[x])
     pool -= query.entities
@@ -125,7 +155,7 @@ def sorted_pool_mine_seeds(graph: KnowledgeGraph, query: SeedQuery, k: int):
         return sum(rank_maps[x].get(entity, list_sizes[x] + 1) for x in members)
 
     def incoming_weight(entity: str) -> float:
-        return sum(graph.weights.get((x, entity), 0.0) for x in members)
+        return sum(weights.get((x, entity), 0.0) for x in members)
 
     ordered = sorted(pool, key=lambda e: (score(e), -incoming_weight(e), e))
     return [(e, score(e)) for e in ordered[:k]]

@@ -46,6 +46,7 @@ from conftest import (
     oracle_seed_ranking,
     pipeline_requests,
     random_annotated,
+    row_weights,
     synth_dataset,
     write_replay_fixture,
 )
@@ -56,15 +57,16 @@ def test_graph_construction_matches_independent_oracle(toy_train):
     reference on 200 random corpora; the worked micro-corpus is exact."""
     graph = build_graph(toy_train)
     assert graph.m == 5
-    assert graph.raw_count("a", "c") == 2
-    assert graph.raw_count("b", "d") == 2
-    assert graph.raw_count("a", "d") == 1
-    assert graph.raw_count("c", "a") == -1
+    assert graph.raw_counts[("a", "c")] == 2
+    assert graph.raw_counts[("b", "d")] == 2
+    assert graph.raw_counts[("a", "d")] == 1
+    assert ("c", "a") not in graph.raw_counts
     assert graph.analysis_freq == {"c": 2, "d": 2}
-    assert graph.weight("a", "c") == pytest.approx(
+    weights = row_weights(graph)
+    assert weights[("a", "c")] == pytest.approx(
         (2 / 3) * math.log10(5 / 3), abs=1e-9
     )
-    assert graph.weight("a", "d") == pytest.approx(
+    assert weights[("a", "d")] == pytest.approx(
         (1 / 3) * math.log10(5 / 3), abs=1e-9
     )
 
@@ -77,8 +79,10 @@ def test_graph_construction_matches_independent_oracle(toy_train):
         assert built.m == m
         assert built.raw_counts == raw
         assert built.analysis_freq == freq
+        got = row_weights(built)
+        assert set(got) == set(weights)
         for edge, expected in weights.items():
-            assert built.weight(*edge) == pytest.approx(expected, abs=1e-9)
+            assert got[edge] == pytest.approx(expected, abs=1e-9)
     assert time.monotonic() - start < 5.0
 
 

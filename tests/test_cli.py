@@ -260,6 +260,24 @@ def test_run_rejects_sidecar_mined_with_other_k(corpus, capsys):
     assert not (out_dir / "config.json").exists()
 
 
+def test_run_rejects_sidecar_missing_test_ids(corpus, capsys):
+    # mined from the train split, so none of the four test ids is present
+    ann_path, graph_path = pipeline_to_graph(corpus)
+    seeds_path = corpus["dir"] / "train.seeds.jsonl"
+    assert main([
+        "mine-seeds", "--annotated", ann_path, "--graph", graph_path,
+        "--out", str(seeds_path),
+    ]) == 0
+    capsys.readouterr()
+    fixture = prepare_replay(corpus, graph_path)
+    code, out_dir = run_icp(
+        corpus, graph_path, fixture, "partial_out", extra=("--seeds", str(seeds_path))
+    )
+    assert code == 1
+    assert "lack 4 of 4 test ids, first 'te0'" in capsys.readouterr().err
+    assert not (out_dir / "records.jsonl").exists()
+
+
 def test_exit_1_on_config_errors(corpus, capsys):
     assert main(["run", "--out-dir", "x"]) == 1          # no dataset
     assert "dataset" in capsys.readouterr().err

@@ -1,22 +1,24 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
+import re
 
 import pytest
 
-from seedqa.graph import (
-    GraphFormatError,
-    KnowledgeGraph,
-    MISSING_EDGE,
-    build_graph,
-    load_graph,
-    merge_graphs,
-    save_graph,
-)
+from seedqa.cli import main
+from seedqa.graph import GraphFormatError, KnowledgeGraph, build_graph, load_graph, save_graph
 
-from conftest import make_annotated, naive_graph_stats, random_annotated
+from conftest import (
+    ENTITY_POOL,
+    make_annotated,
+    naive_graph_stats,
+    random_annotated,
+    row_weights,
+    v1_graph_bytes,
+)
 
 # hand-derived for the three-instance corpus: m = 5, row sums a:3 b:3 e:1,
 # analysis frequencies c:2 d:2
@@ -32,31 +34,31 @@ def test_toy_counts(toy_graph):
     assert g.m == 5
     assert set(g.nodes) == {"a", "b", "c", "d", "e"}
     assert g.nodes == tuple(sorted(g.nodes))
-    assert g.raw_count("a", "c") == 2
-    assert g.raw_count("a", "d") == 1
-    assert g.raw_count("b", "c") == 1
-    assert g.raw_count("b", "d") == 2
-    assert g.raw_count("e", "d") == 1
+    assert g.raw_counts[("a", "c")] == 2
+    assert g.raw_counts[("a", "d")] == 1
+    assert g.raw_counts[("b", "c")] == 1
+    assert g.raw_counts[("b", "d")] == 2
+    assert g.raw_counts[("e", "d")] == 1
     assert g.edge_count == 5
     assert g.analysis_freq == {"c": 2, "d": 2}
 
 
-def test_toy_missing_edges_are_sentinel(toy_graph):
-    assert toy_graph.raw_count("a", "b") == MISSING_EDGE == -1
-    assert toy_graph.raw_count("c", "a") == -1
-    assert toy_graph.raw_count("nope", "a") == -1
-    assert toy_graph.weight("a", "b") is None
+def test_toy_missing_edges_are_absent(toy_graph):
+    assert ("a", "b") not in toy_graph.raw_counts
+    assert ("c", "a") not in toy_graph.raw_counts
+    assert ("nope", "a") not in toy_graph.raw_counts
+    assert "b" not in [t for t, _, _ in toy_graph.neighbors("a")]
 
 
 def test_toy_weights_match_formula(toy_graph):
-    g = toy_graph
-    assert g.weight("a", "c") == pytest.approx(W_AC, abs=1e-9)
-    assert g.weight("a", "d") == pytest.approx(W_AD, abs=1e-9)
-    assert g.weight("b", "c") == pytest.approx(W_BC, abs=1e-9)
-    assert g.weight("b", "d") == pytest.approx(W_BD, abs=1e-9)
-    assert g.weight("e", "d") == pytest.approx(W_ED, abs=1e-9)
-    assert g.weight("a", "c") == pytest.approx(0.14789916641, abs=1e-9)
-    assert g.weight("a", "d") == pytest.approx(0.07394958320, abs=1e-9)
+    w = row_weights(toy_graph)
+    assert w[("a", "c")] == pytest.approx(W_AC, abs=1e-9)
+    assert w[("a", "d")] == pytest.approx(W_AD, abs=1e-9)
+    assert w[("b", "c")] == pytest.approx(W_BC, abs=1e-9)
+    assert w[("b", "d")] == pytest.approx(W_BD, abs=1e-9)
+    assert w[("e", "d")] == pytest.approx(W_ED, abs=1e-9)
+    assert w[("a", "c")] == pytest.approx(0.14789916641, abs=1e-9)
+    assert w[("a", "d")] == pytest.approx(0.07394958320, abs=1e-9)
 
 
 def test_per_instance_counting_ignores_repeats():
@@ -64,36 +66,32 @@ def test_per_instance_counting_ignores_repeats():
     # nothing, and a self-loop is counted like any other pair
     train = [make_annotated("i1", {"x"}, {"x", "y"})]
     g = build_graph(train)
-    assert g.raw_count("x", "x") == 1
-    assert g.raw_count("x", "y") == 1
+    assert g.raw_counts == {("x", "x"): 1, ("x", "y"): 1}
     assert g.analysis_freq == {"x": 1, "y": 1}
 
 
 def test_neighbors_sorted_desc_weight_then_entity(toy_graph):
-    nb = toy_graph.neighbors("a")
-    assert [t for t, _ in nb.targets] == ["c", "d"]
-    assert nb.rank_of("c") == 1
-    assert nb.rank_of("d") == 2
-    assert nb.rank_of("zzz") is None
+    assert toy_graph.neighbors("a") == (("c", W_AC, 2), ("d", W_AD, 1))
+    assert toy_graph.neighbors("b") == (("d", W_BD, 2), ("c", W_BC, 1))
 
 
 def test_neighbors_tie_breaks_lexicographically():
     # two targets with identical counts and frequencies tie on weight
     train = [make_annotated("i1", {"x"}, {"n2", "n1"})]
     g = build_graph(train)
-    assert [t for t, _ in g.neighbors("x").targets] == ["n1", "n2"]
+    assert [t for t, _, _ in g.neighbors("x")] == ["n1", "n2"]
 
 
 def test_neighbors_of_sink_and_unknown(toy_graph):
-    assert len(toy_graph.neighbors("c")) == 0
-    assert len(toy_graph.neighbors("missing")) == 0
+    assert toy_graph.neighbors("c") == ()
+    assert toy_graph.neighbors("missing") == ()
 
 
 def test_empty_graph():
     g = build_graph([])
     assert g.m == 0
     assert g.edge_count == 0
-    assert len(g.neighbors("anything")) == 0
+    assert g.neighbors("anything") == ()
 
 
 def test_analysis_only_entities_counted_in_m():
@@ -113,24 +111,18 @@ def test_fuzz_against_naive_oracle():
         assert g.m == m, f"trial {trial}"
         assert g.raw_counts == raw, f"trial {trial}"
         assert g.analysis_freq == freq, f"trial {trial}"
-        assert set(g.weights) == set(weights), f"trial {trial}"
+        got = row_weights(g)
+        assert set(got) == set(weights), f"trial {trial}"
         for edge, expected in weights.items():
-            assert g.weights[edge] == pytest.approx(expected, abs=1e-9), (
+            assert got[edge] == pytest.approx(expected, abs=1e-9), (
                 f"trial {trial} edge {edge}"
             )
-
-
-def test_merge_equals_concatenated_build():
-    rng = random.Random(777)
-    for _ in range(40):
-        shard_a = random_annotated(rng, rng.randint(0, 6))
-        shard_b = random_annotated(rng, rng.randint(0, 6))
-        merged = merge_graphs([build_graph(shard_a), build_graph(shard_b)])
-        whole = build_graph(shard_a + shard_b)
-        assert merged.nodes == whole.nodes
-        assert merged.raw_counts == whole.raw_counts
-        assert merged.analysis_freq == whole.analysis_freq
-        assert merged.weights == whole.weights
+        for src in g.nodes:
+            expected_rows = sorted(
+                ((t, w, raw[(s, t)]) for (s, t), w in weights.items() if s == src),
+                key=lambda row: (-row[1], row[0]),
+            )
+            assert list(g.neighbors(src)) == expected_rows, f"trial {trial} source {src}"
 
 
 def test_constructor_validation():
@@ -151,7 +143,7 @@ def test_save_load_round_trip(tmp_path, toy_graph):
     assert loaded.nodes == toy_graph.nodes
     assert loaded.raw_counts == toy_graph.raw_counts
     assert loaded.analysis_freq == toy_graph.analysis_freq
-    assert loaded.weights == toy_graph.weights
+    assert all(loaded.neighbors(n) == toy_graph.neighbors(n) for n in toy_graph.nodes)
     # a second save is byte-identical
     second = tmp_path / "g2.kg"
     save_graph(loaded, str(second))
@@ -201,8 +193,6 @@ def test_load_rejects_corruption(tmp_path, toy_graph):
 
 
 def test_load_rejects_wrong_magic_and_version(tmp_path, toy_graph):
-    import hashlib
-
     path = tmp_path / "g.kg"
     save_graph(toy_graph, str(path))
     data = path.read_text(encoding="utf-8")
@@ -226,3 +216,84 @@ def test_load_rejects_non_graph_file(tmp_path):
     path.write_text("hello\nworld\n", encoding="utf-8")
     with pytest.raises(GraphFormatError):
         load_graph(str(path))
+
+
+def test_save_graph_writes_v1_bytes(tmp_path, toy_train):
+    # question entities come from the front of the vocabulary and analysis
+    # entities from the back, so most graphs have analysis-only nodes; an
+    # instance without analysis entities leaves question-side sinks
+    rng = random.Random(808)
+    vocab = [*ENTITY_POOL, "aspirin", "x-ray", 'say "ah"']
+    corpora = [toy_train]
+    for c in range(50):
+        corpora.append([
+            make_annotated(
+                f"v{c}.{i}",
+                set(rng.sample(vocab[:12], rng.randint(0, 3))),
+                set(rng.sample(vocab[6:], rng.randint(0, 3))),
+            )
+            for i in range(rng.randint(0, 8))
+        ])
+    question_sinks = analysis_only = 0
+    for trial, train in enumerate(corpora):
+        g = build_graph(train)
+        path = tmp_path / f"g{trial}.kg"
+        save_graph(g, str(path))
+        assert path.read_bytes() == v1_graph_bytes(train), f"trial {trial}"
+        question_side = {e for ann in train for e in ann.qo_entities}
+        question_sinks += any(not g.neighbors(n) for n in question_side)
+        analysis_only += any(n not in question_side for n in g.nodes)
+    assert question_sinks >= 5 and analysis_only >= 5
+
+
+def _toy_file_lines(tmp_path, toy_graph) -> list[str]:
+    """Lines before the trailer of the toy graph's file: header, nodes
+    a b c d e on lines 2-6, edge rows on lines 7-11 (0 2 2, 0 3 1, 1 2 1,
+    1 3 2, 4 3 1), frequency rows on lines 12-13 (2 2, 3 2)."""
+    path = tmp_path / "toy.kg"
+    save_graph(toy_graph, str(path))
+    return path.read_text(encoding="utf-8").splitlines()[:-1]
+
+
+# (case, {1-based line: replacement text}, line reported, reason)
+_CORRUPT_ROWS = [
+    ("negative source index", {7: "-1\t0\t3"}, 7, "out of range"),
+    ("negative target index", {7: "0\t-1\t3"}, 7, "out of range"),
+    ("source index past the node table", {7: "5\t0\t3"}, 7, "out of range"),
+    ("repeated edge row", {7: "0\t1\t3", 8: "0\t1\t5"}, 8, "repeated edge"),
+    ("node entry not a string", {2: "5"}, 2, "not a string"),
+    ("header without nodes",
+     {1: '{"magic": "seedqa-graph", "version": 1, "edges": 5, "freqs": 2}'}, 1, "'nodes'"),
+    ("header size not an integer",
+     {1: '{"magic": "seedqa-graph", "version": 1, "nodes": "5", "edges": 5, "freqs": 2}'},
+     1, "'nodes'"),
+    ("header not an object", {1: "[]"}, 1, "not a JSON object"),
+    ("negative frequency index", {12: "-1\t2"}, 12, "out of range"),
+    ("frequency index past the node table", {12: "5\t2"}, 12, "out of range"),
+    ("repeated frequency row", {13: "2\t3"}, 13, "repeated frequency"),
+]
+
+
+@pytest.mark.parametrize(
+    "edits, line, reason", [c[1:] for c in _CORRUPT_ROWS], ids=[c[0] for c in _CORRUPT_ROWS]
+)
+def test_load_rejects_corrupt_rows_with_location(tmp_path, toy_graph, capsys, edits, line, reason):
+    # every file carries a valid checksum, so only the row checks can catch it
+    lines = _toy_file_lines(tmp_path, toy_graph)
+    for lineno, text in edits.items():
+        lines[lineno - 1] = text
+    body = "".join(f"{text}\n" for text in lines)
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    path = tmp_path / "corrupt.kg"
+    path.write_text(body + json.dumps({"sha256": digest}) + "\n", encoding="utf-8")
+    where = f"{path}:{line}: "
+    with pytest.raises(GraphFormatError, match=re.escape(where) + ".*" + re.escape(reason)):
+        load_graph(str(path))
+
+    empty = tmp_path / "empty.ann.jsonl"
+    empty.write_text("", encoding="utf-8")
+    argv = ["mine-seeds", "--annotated", str(empty), "--graph", str(path),
+            "--out", str(tmp_path / "seeds.jsonl")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert where in capsys.readouterr().err

@@ -4,49 +4,63 @@ import random
 
 import pytest
 
-from seedqa.graph import NeighborList, build_graph
+from seedqa.graph import build_graph
 from seedqa.seeds import (
     SeedQuery,
     SeedRecord,
     SeedResult,
-    aggregate_score,
     load_seed_records,
     mine_seeds,
-    rank_of,
     save_seed_records,
 )
 
-from conftest import make_annotated, oracle_seed_ranking, random_annotated, sorted_pool_mine_seeds
+from conftest import (
+    make_annotated,
+    naive_graph_stats,
+    oracle_seed_ranking,
+    random_annotated,
+    row_weights,
+    sorted_pool_mine_seeds,
+)
+
+
+def seeds_of(graph, *members, k=10):
+    return mine_seeds(graph, SeedQuery(frozenset(members)), k).seeds
 
 
 def test_rank_of_present_edges(toy_graph):
-    # a's list is [c, d]; b's list is [d, c]
-    assert rank_of(toy_graph, "a", "c") == 1
-    assert rank_of(toy_graph, "a", "d") == 2
-    assert rank_of(toy_graph, "b", "d") == 1
-    assert rank_of(toy_graph, "b", "c") == 2
+    # a's list is [c, d]; b's list is [d, c]; a one-member query scores
+    # each candidate by its rank alone
+    assert [t for t, _, _ in toy_graph.neighbors("a")] == ["c", "d"]
+    assert [t for t, _, _ in toy_graph.neighbors("b")] == ["d", "c"]
+    assert seeds_of(toy_graph, "a") == (("c", 1), ("d", 2))
+    assert seeds_of(toy_graph, "b") == (("d", 1), ("c", 2))
 
 
 def test_rank_of_absent_edge_penalty(toy_graph):
-    # a has 2 neighbors, so anything unranked costs 3
-    assert rank_of(toy_graph, "a", "e") == 3
-    # c has no outgoing edges at all: penalty is 1
-    assert rank_of(toy_graph, "c", "a") == 1
-    # unknown source behaves like an empty neighbor list
-    assert rank_of(toy_graph, "ghost", "a") == 1
+    # c has no outgoing edges at all, so its penalty is 1: d costs 2 + 1
+    assert seeds_of(toy_graph, "a", "c") == (("d", 3),)
+    # an unknown member behaves like an empty neighbor list
+    assert seeds_of(toy_graph, "a", "ghost") == (("c", 2), ("d", 3))
+    # u ranks [p, q, r] (equal weights, so by entity) and v ranks [s]; a
+    # candidate u does not reach costs 3 + 1, one v does not reach 1 + 1
+    g = build_graph([
+        make_annotated("i1", {"u"}, {"p", "q", "r"}),
+        make_annotated("i2", {"v"}, {"s"}),
+    ])
+    assert [t for t, _, _ in g.neighbors("u")] == ["p", "q", "r"]
+    # s and r tie at 5; s carries more incoming weight (u splits its row
+    # three ways), so it comes first
+    assert seeds_of(g, "u", "v") == (("p", 3), ("q", 4), ("s", 5), ("r", 5))
 
 
 def test_aggregate_score_toy(toy_graph):
-    query = SeedQuery(frozenset({"a", "b"}))
-    assert aggregate_score(toy_graph, query, "c") == 3
-    assert aggregate_score(toy_graph, query, "d") == 3
-    # e is in neither list: 3 + 3
-    assert aggregate_score(toy_graph, query, "e") == 6
-
-
-def test_aggregate_score_rejects_empty_query(toy_graph):
-    with pytest.raises(ValueError):
-        aggregate_score(toy_graph, SeedQuery(frozenset()), "c")
+    assert seeds_of(toy_graph, "a", "b") == (("c", 3), ("d", 3))
+    # e reaches only d, so c pays e's penalty of 2: 2 + 2
+    assert seeds_of(toy_graph, "b", "e") == (("d", 2), ("c", 4))
+    # x and y each sit in one of two one-row lists: 1 + 2 apiece
+    g = build_graph([make_annotated("i1", {"a"}, {"x"}), make_annotated("i2", {"b"}, {"y"})])
+    assert seeds_of(g, "a", "b") == (("x", 3), ("y", 3))
 
 
 def test_mine_seeds_toy(toy_graph):
@@ -72,12 +86,13 @@ def test_mine_seeds_tie_breaks_by_incoming_weight():
         make_annotated("i9", {"w4"}, set()),
     ]
     g = build_graph(train)
-    assert [t for t, _ in g.neighbors("u").targets] == ["p", "q"]
-    assert [t for t, _ in g.neighbors("v").targets] == ["q", "p"]
+    assert [t for t, _, _ in g.neighbors("u")] == ["p", "q"]
+    assert [t for t, _, _ in g.neighbors("v")] == ["q", "p"]
     result = mine_seeds(g, SeedQuery(frozenset({"u", "v"})), k=10)
     assert result.scores == (3, 3)
-    w_p = g.weights[("u", "p")] + g.weights[("v", "p")]
-    w_q = g.weights[("u", "q")] + g.weights[("v", "q")]
+    w = row_weights(g)
+    w_p = w[("u", "p")] + w[("v", "p")]
+    w_q = w[("u", "q")] + w[("v", "q")]
     assert w_q > w_p
     assert result.entities == ("q", "p")
 
@@ -87,10 +102,9 @@ class _FixedLists:
 
     def __init__(self, lists):
         self.lists = lists
-        self.weights = {(x, t): w for x, lst in lists.items() for t, w in lst}
 
     def neighbors(self, entity):
-        return NeighborList(entity, self.lists.get(entity, ()))
+        return tuple((t, w, 1) for t, w in self.lists.get(entity, ()))
 
 
 def test_mine_seeds_sums_tie_weights_in_sorted_member_order():
@@ -145,7 +159,7 @@ def test_mine_seeds_matches_exhaustive_oracle():
         query_size = rng.randint(1, min(4, g.m))
         query = set(rng.sample(list(g.nodes), query_size))
         k = rng.choice((1, 3, 10))
-        expected = oracle_seed_ranking(g.nodes, g.weights, query, k)
+        expected = oracle_seed_ranking(g.nodes, naive_graph_stats(train)[3], query, k)
         got = list(mine_seeds(g, SeedQuery(frozenset(query)), k).seeds)
         assert got == expected, f"trial {trial}: {got} != {expected}"
 
@@ -211,8 +225,9 @@ def test_mine_seeds_matches_sorted_pool_miner_on_zipf_graph():
     ]
     g = build_graph(train)
     assert g.edge_count > 2500
-    sinks = [n for n in g.nodes if not g.neighbors(n).targets]
+    sinks = [n for n in g.nodes if not g.neighbors(n)]
     assert sinks
+    weights = naive_graph_stats(train)[3]
     for trial in range(60):
         query = set(rng.sample(g.nodes, rng.randint(1, 6)))
         if trial % 3 == 0:
@@ -222,4 +237,4 @@ def test_mine_seeds_matches_sorted_pool_miner_on_zipf_graph():
         q = SeedQuery(frozenset(query))
         for k in (0, 1, 10, 50):
             got = list(mine_seeds(g, q, k).seeds)
-            assert got == sorted_pool_mine_seeds(g, q, k), (trial, sorted(query), k)
+            assert got == sorted_pool_mine_seeds(g, weights, q, k), (trial, sorted(query), k)
