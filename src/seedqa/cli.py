@@ -42,6 +42,7 @@ from .entities import (
 from .evaluation import (
     ApiExhaustionError,
     build_report,
+    check_run_inputs,
     load_records,
     run_eval,
     save_records,
@@ -80,10 +81,13 @@ _DEFAULTS: dict[str, Any] = {
     "backend": ClientConfig.backend, "model": DEFAULT_MODEL, "base_url": DEFAULT_BASE_URL,
     "api_key_env": DEFAULT_API_KEY_ENV, "temperature": ClientConfig.temperature,
     "max_attempts": RetryPolicy.max_attempts, "backoff_base": RetryPolicy.backoff_base,
-    "max_in_flight": ClientConfig.max_in_flight, "timeout": ClientConfig.timeout,
+    "timeout": ClientConfig.timeout,
     "context_tokens": DEFAULT_CONTEXT_TOKENS,
     "reserved_tokens": DEFAULT_RESERVED_RESPONSE_TOKENS,
 }
+
+# repeatable options per subcommand; a config file may give one item as a string
+_REPEATABLE = {"build-graph": ("annotated",), "run": ("group_by",), "report": ("group_by",)}
 
 # namespace entries that are not pipeline options
 _NOT_OPTIONS = ("command", "config", "verbose", "func")
@@ -102,6 +106,8 @@ class _Resolver:
             value = self._config.get(key)
         if value is None:
             value = _DEFAULTS.get(key)
+        if isinstance(value, str) and key in _REPEATABLE.get(self._args.command, ()):
+            value = [value]
         if value is None and required:
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
         return value
@@ -138,7 +144,6 @@ def _client_from(res: _Resolver) -> ChatClient:
                 max_attempts=int(res.get("max_attempts")),
                 backoff_base=float(res.get("backoff_base")),
             ),
-            max_in_flight=int(res.get("max_in_flight")),
             timeout=float(res.get("timeout")),
             cache_dir=res.get("cache_dir"),
             fixture_path=res.get("fixture"),
@@ -181,11 +186,8 @@ def cmd_annotate(res: _Resolver) -> int:
 
 
 def cmd_build_graph(res: _Resolver) -> int:
-    paths = res.get("annotated", required=True)
-    if isinstance(paths, str):
-        paths = [paths]
     annotated = []
-    for path in paths:
+    for path in res.get("annotated", required=True):
         annotated.extend(load_annotated(path))
     graph = build_graph(annotated)
     out_path = res.get("out", required=True)
@@ -261,6 +263,7 @@ def cmd_run(res: _Resolver) -> int:
                                   f"k={result.k}, but this run uses k={effective['k']}")
 
     group_by = effective["group_by"]
+    check_run_inputs(dataset, spec, graph, extractor, precomputed, int(effective["workers"]))
     os.makedirs(out_dir, exist_ok=True)
     effective["out_dir"] = out_dir
     effective["version"] = __version__
@@ -329,7 +332,6 @@ def build_parser() -> _Parser:
     client_opts.add_argument("--cache-dir", dest="cache_dir")
     client_opts.add_argument("--max-attempts", dest="max_attempts", type=int)
     client_opts.add_argument("--backoff-base", dest="backoff_base", type=float)
-    client_opts.add_argument("--max-in-flight", dest="max_in_flight", type=int)
     client_opts.add_argument("--timeout", type=float)
 
     p = sub.add_parser("annotate", parents=[common, client_opts],

@@ -95,7 +95,6 @@ class ClientConfig:
     api_key_env: str = DEFAULT_API_KEY_ENV
     temperature: float = 0.0
     retry: RetryPolicy = RetryPolicy()
-    max_in_flight: int = 4
     timeout: float = 60.0
     cache_dir: str | None = None
     fixture_path: str | None = None
@@ -103,19 +102,15 @@ class ClientConfig:
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
         if self.backend == "cached-live" and not self.cache_dir:
             raise ValueError("cached-live backend requires cache_dir")
         if self.backend == "replay" and not self.fixture_path:
             raise ValueError("replay backend requires fixture_path")
 
 
-def request_digest(request: CompletionRequest) -> str:
-    """SHA-256 over the canonical JSON form of the request.
-
-    A system message enters the digest only when present, so fixtures
-    recorded without one stay valid."""
+def _request_fields(request: CompletionRequest) -> dict:
+    """The request fields a digest covers.  A system message is included
+    only when present, so fixtures recorded without one stay valid."""
     fields = {
         "model": request.model,
         "prompt": request.prompt,
@@ -124,8 +119,13 @@ def request_digest(request: CompletionRequest) -> str:
     }
     if request.system is not None:
         fields["system"] = request.system
+    return fields
+
+
+def request_digest(request: CompletionRequest) -> str:
+    """SHA-256 over the canonical JSON form of ``_request_fields``."""
     canonical = json.dumps(
-        fields, sort_keys=True, ensure_ascii=False, separators=(",", ":")
+        _request_fields(request), sort_keys=True, ensure_ascii=False, separators=(",", ":")
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -269,12 +269,7 @@ class _DiskCache:
     def put(self, digest: str, request: CompletionRequest, response: CompletionResponse) -> None:
         entry = {
             "digest": digest,
-            "request": {
-                "model": request.model,
-                "prompt": request.prompt,
-                "temperature": request.temperature,
-                "max_tokens": request.max_tokens,
-            },
+            "request": _request_fields(request),
             "response": {
                 "text": response.text,
                 "finish_reason": response.finish_reason,
@@ -296,10 +291,10 @@ class _DiskCache:
 class ChatClient:
     """Thread-safe completion client.
 
-    Upstream concurrency is bounded by a semaphore; cache lookups happen
-    outside it so saturated workers do not block on disk hits.  With the
-    cached-live backend, concurrent identical requests are serialized per
-    digest so the upstream call happens once.
+    Callers bound concurrency (``run_eval`` and ``annotate_dataset`` call
+    it from at most ``workers`` threads).  With the cached-live backend,
+    concurrent identical requests are serialized per digest so the
+    upstream call happens once.
     """
 
     def __init__(
@@ -309,7 +304,6 @@ class ChatClient:
         sleeper: Callable[[float], None] | None = None,
     ):
         self.config = config
-        self._semaphore = threading.BoundedSemaphore(config.max_in_flight)
         self._cache = _DiskCache(config.cache_dir) if config.backend == "cached-live" else None
         if config.backend == "replay":
             self._backend = _ReplayBackend(config.fixture_path)
@@ -320,14 +314,12 @@ class ChatClient:
         digest = request_digest(request)
         log.debug("request %s (%d chars)", digest[:12], len(request.prompt))
         if self._cache is None:
-            with self._semaphore:
-                return self._backend.complete(request)
+            return self._backend.complete(request)
         with self._cache.lock_for(digest):
             cached = self._cache.get(digest)
             if cached is not None:
                 log.debug("request %s served from cache", digest[:12])
                 return cached
-            with self._semaphore:
-                response = self._backend.complete(request)
+            response = self._backend.complete(request)
             self._cache.put(digest, request, response)
             return response

@@ -300,8 +300,9 @@ def annotate_dataset(
     """Annotate every instance, preserving dataset order.
 
     ``on_error`` is "raise" (abort on the first failing instance) or "skip"
-    (drop failing instances).  ``workers`` > 1 annotates concurrently,
-    which only pays off with a network-backed extractor.
+    (drop failing instances).  Instances are annotated on a pool of
+    ``workers`` threads; more than one only pays off with a network-backed
+    extractor.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
@@ -314,11 +315,8 @@ def annotate_dataset(
         except Exception as exc:
             return AnnotationError(inst.id, exc)
 
-    if workers == 1:
-        results = [work(inst) for inst in dataset]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, dataset.instances))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(work, dataset.instances))
 
     out: list[AnnotatedInstance] = []
     for res in results:

@@ -12,10 +12,10 @@ import json
 import logging
 import math
 import re
-import threading
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Mapping, Sequence
 
 from .client import ChatClient, CompletionRequest, TransportError, request_digest
@@ -379,6 +379,28 @@ def save_report(report: EvalReport, path: str) -> None:
 
 # --- end-to-end run ------------------------------------------------------
 
+def check_run_inputs(
+    test: Dataset, spec: PromptSpec, graph: KnowledgeGraph | None,
+    extractor: Callable[[str], "set[str] | frozenset[str]"] | None,
+    precomputed_seeds: Mapping[str, SeedResult] | None, workers: int,
+) -> None:
+    """Raise ValueError for a run that ``run_eval`` would refuse: a bad
+    worker count, seeded mode without a graph or extractor, or precomputed
+    seeds that lack a test id."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if spec.mode == "icp":
+        if graph is None:
+            raise ValueError("icp mode requires a knowledge graph")
+        if extractor is None:
+            raise ValueError("icp mode requires an entity extractor")
+        if precomputed_seeds is not None:
+            missing = [inst.id for inst in test if inst.id not in precomputed_seeds]
+            if missing:
+                raise ValueError(f"precomputed seeds lack {len(missing)} of {len(test)} "
+                                 f"test ids, first {missing[0]!r}")
+
+
 def run_eval(
     test: Dataset,
     client: ChatClient,
@@ -395,44 +417,17 @@ def run_eval(
 ) -> tuple[list[EvalRecord], EvalReport]:
     """Evaluate every instance and aggregate a report.
 
-    Configuration problems (missing graph or extractor for seeded mode,
-    precomputed seeds that lack a test id, bad worker count) raise
-    immediately, before any completion call.
-    Per-instance failures are recorded with their error and scored
-    incorrect; the run aborts with ApiExhaustionError only after
-    ``max_consecutive_transport_failures`` transport failures in a row,
-    carrying the records finished so far.
+    Configuration problems raise ValueError before any completion call
+    (see ``check_run_inputs``).  Per-instance failures are recorded with
+    their error and scored incorrect.  Records are taken in input order,
+    with at most ``workers`` instances submitted ahead of the last record
+    taken; the run aborts with ApiExhaustionError at the
+    ``max_consecutive_transport_failures``-th transport failure in a row,
+    carrying exactly the records up to it, whatever the worker count.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if spec.mode == "icp":
-        if graph is None:
-            raise ValueError("icp mode requires a knowledge graph")
-        if extractor is None:
-            raise ValueError("icp mode requires an entity extractor")
-        if precomputed_seeds is not None:
-            missing = [inst.id for inst in test if inst.id not in precomputed_seeds]
-            if missing:
-                raise ValueError(f"precomputed seeds lack {len(missing)} of {len(test)} "
-                                 f"test ids, first {missing[0]!r}")
+    check_run_inputs(test, spec, graph, extractor, precomputed_seeds, workers)
 
-    failure_lock = threading.Lock()
-    consecutive_failures = 0
-    abort = threading.Event()
-
-    def note_outcome(transport_failed: bool) -> None:
-        nonlocal consecutive_failures
-        with failure_lock:
-            consecutive_failures = consecutive_failures + 1 if transport_failed else 0
-            if consecutive_failures >= max_consecutive_transport_failures:
-                abort.set()
-
-    class _Aborted(Exception):
-        pass
-
-    def eval_one(inst: Instance) -> EvalRecord:
-        if abort.is_set():
-            raise _Aborted()
+    def eval_one(inst: Instance) -> tuple[EvalRecord, bool]:
         seeds: SeedResult | None = None
         gold_entities: frozenset[str] = frozenset()
         if spec.mode == "icp":
@@ -450,38 +445,27 @@ def run_eval(
             max_tokens=max_response_tokens(prompt, context_tokens, min_response_tokens),
             system=prompt.system,
         )
-        digest = request_digest(request)
-        try:
-            response = client.complete(request)
-        except Exception as exc:
-            note_outcome(isinstance(exc, TransportError))
-            log.warning("instance %s failed: %s", inst.id, exc)
-            return EvalRecord(
-                instance_id=inst.id,
-                mode=spec.mode,
-                shots=spec.shots,
-                prompt_digest=digest,
-                response_text="",
-                extracted_answer=None,
-                gold_answer=inst.answer,
-                correct=False,
-                metadata=dict(inst.metadata),
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        note_outcome(False)
-
-        extracted = extract_answer(response.text, inst.labels)
         record = EvalRecord(
             instance_id=inst.id,
             mode=spec.mode,
             shots=spec.shots,
-            prompt_digest=digest,
-            response_text=response.text,
-            extracted_answer=extracted,
+            prompt_digest=request_digest(request),
+            response_text="",
+            extracted_answer=None,
             gold_answer=inst.answer,
-            correct=extracted == inst.answer,
+            correct=False,
             metadata=dict(inst.metadata),
         )
+        try:
+            response = client.complete(request)
+        except Exception as exc:
+            log.warning("instance %s failed: %s", inst.id, exc)
+            record.error = f"{type(exc).__name__}: {exc}"
+            return record, isinstance(exc, TransportError)
+
+        record.response_text = response.text
+        record.extracted_answer = extract_answer(response.text, inst.labels)
+        record.correct = record.extracted_answer == inst.answer
         if spec.mode in ("cot", "icp"):
             cand = tokenize(response.text)
             ref = tokenize(inst.analysis)
@@ -499,26 +483,24 @@ def run_eval(
             record.seed_precision = p
             record.seed_recall = r
             record.seed_f1 = f1
-        return record
+        return record, False
 
+    # Results are taken in input order, with at most ``workers`` instances
+    # submitted ahead of the last one taken, so the failure count and the
+    # abort point do not depend on the worker count or on thread timing.
     records: list[EvalRecord] = []
-    skipped = 0
-    if workers == 1:
-        for inst in test:
-            try:
-                records.append(eval_one(inst))
-            except _Aborted:
-                skipped += 1
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(eval_one, inst) for inst in test]
-            for fut in futures:
-                try:
-                    records.append(fut.result())
-                except _Aborted:
-                    skipped += 1
-    if skipped:
-        raise ApiExhaustionError(consecutive_failures, records)
+    failures = 0
+    instances = iter(test)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        window = deque(pool.submit(eval_one, inst) for inst in islice(instances, workers))
+        while window:
+            record, transport_failed = window.popleft().result()
+            records.append(record)
+            failures = failures + 1 if transport_failed else 0
+            if failures >= max_consecutive_transport_failures:
+                pool.shutdown(cancel_futures=True)
+                raise ApiExhaustionError(failures, records)
+            window.extend(pool.submit(eval_one, inst) for inst in islice(instances, 1))
 
     report = build_report(records, group_by)
     return records, report

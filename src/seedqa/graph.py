@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from collections import Counter, defaultdict
 from typing import Iterable, Sequence
 
@@ -29,6 +30,10 @@ from .entities import AnnotatedInstance
 
 _MAGIC = "seedqa-graph"
 _FORMAT_VERSION = 1
+# int() also takes "1_0", padded fields and non-ASCII digits; table rows
+# may hold only ASCII digits, a minus sign (a negative index is reported
+# as out of range), tabs and the line breaks between rows
+_NOT_ROW_CHAR = re.compile(r"[^0-9\t\n-]")
 
 
 class GraphFormatError(ValueError):
@@ -167,10 +172,11 @@ def load_graph(path: str) -> KnowledgeGraph:
 
     Any mismatch raises GraphFormatError; a partial graph is never
     returned.  A defect in one line (the header, a node entry that is not
-    a JSON string, a row that is not integers, a node index outside the
-    node table, a repeated edge or frequency row) is reported as
-    ``path:line: reason`` with the 1-based file line.  Weights are
-    recomputed from the stored counts.
+    a JSON string or repeats one, a row field that is not an ASCII decimal
+    integer, a node index outside the node table, a count below 1, a
+    repeated edge or frequency row) is reported as ``path:line: reason``
+    with the 1-based file line.  Weights are recomputed from the stored
+    counts.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -215,6 +221,7 @@ def load_graph(path: str) -> KnowledgeGraph:
         )
     # lines[lineno - 1] is 1-based file line ``lineno``
     nodes: list[str] = []
+    seen: set[str] = set()
     for lineno in range(2, 2 + n_nodes):
         try:
             node = json.loads(lines[lineno - 1])
@@ -222,9 +229,18 @@ def load_graph(path: str) -> KnowledgeGraph:
             raise GraphFormatError(f"{path}:{lineno}: malformed node entry") from exc
         if not isinstance(node, str):
             raise GraphFormatError(f"{path}:{lineno}: node entry {node!r} is not a string")
+        if node in seen:
+            raise GraphFormatError(f"{path}:{lineno}: repeated node entry {node!r}")
+        seen.add(node)
         nodes.append(node)
-    counts: dict[tuple[str, str], int] = {}
     first = 2 + n_nodes
+    # the table rows start after the header and node lines and their breaks
+    bad = _NOT_ROW_CHAR.search(body, sum(map(len, lines[: first - 1])) + first - 1)
+    if bad:
+        lineno = body.count("\n", 0, bad.start()) + 1
+        raise GraphFormatError(f"{path}:{lineno}: malformed row {lines[lineno - 1]!r}: "
+                               "fields must be ASCII decimal integers")
+    counts: dict[tuple[str, str], int] = {}
     for lineno in range(first, first + n_edges):
         row = lines[lineno - 1]
         try:
@@ -233,6 +249,8 @@ def load_graph(path: str) -> KnowledgeGraph:
             raise GraphFormatError(f"{path}:{lineno}: malformed edge row {row!r}") from exc
         if not (0 <= si < n_nodes and 0 <= ti < n_nodes):
             raise GraphFormatError(f"{path}:{lineno}: node index out of range in edge row {row!r}")
+        if count < 1:
+            raise GraphFormatError(f"{path}:{lineno}: edge count must be at least 1, got {row!r}")
         edge = (nodes[si], nodes[ti])
         if edge in counts:
             raise GraphFormatError(f"{path}:{lineno}: repeated edge row {row!r}")
@@ -249,10 +267,9 @@ def load_graph(path: str) -> KnowledgeGraph:
             raise GraphFormatError(
                 f"{path}:{lineno}: node index out of range in frequency row {row!r}"
             )
+        if count < 1:
+            raise GraphFormatError(f"{path}:{lineno}: frequency must be at least 1, got {row!r}")
         if nodes[ni] in freq:
             raise GraphFormatError(f"{path}:{lineno}: repeated frequency row {row!r}")
         freq[nodes[ni]] = count
-    try:
-        return KnowledgeGraph(nodes, counts, freq)
-    except ValueError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from exc
+    return KnowledgeGraph(nodes, counts, freq)

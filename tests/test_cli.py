@@ -178,7 +178,12 @@ def test_run_config_round_trip(corpus):
     fixture = prepare_replay(corpus, graph_path)
     code, out_dir = run_icp(corpus, graph_path, fixture, "out1")
     assert code == 0
-    # rerun purely from the emitted config; only the output dir changes
+    # rerun purely from the emitted config; only the output dir changes.
+    # A key an older version wrote (max_in_flight) is ignored.
+    config = json.loads((out_dir / "config.json").read_text(encoding="utf-8"))
+    assert "max_in_flight" not in config
+    config["max_in_flight"] = 4
+    (out_dir / "config.json").write_text(json.dumps(config), encoding="utf-8")
     out2 = corpus["dir"] / "out2"
     assert main([
         "run",
@@ -187,6 +192,43 @@ def test_run_config_round_trip(corpus):
     ]) == 0
     assert (out2 / "records.jsonl").read_bytes() == (out_dir / "records.jsonl").read_bytes()
     assert (out2 / "report.json").read_bytes() == (out_dir / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "annotate"])
+def test_max_in_flight_flag_is_gone(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    help_text = capsys.readouterr().out
+    assert "--workers" in help_text and "--max-in-flight" not in help_text
+
+
+def test_config_file_string_for_repeatable_option_is_one_item(corpus, tmp_path):
+    ann_path, graph_path = pipeline_to_graph(corpus)
+    conf = tmp_path / "graph_conf.json"
+    conf.write_text(json.dumps({"annotated": ann_path}), encoding="utf-8")
+    one_graph = tmp_path / "one.kg"
+    assert main(["build-graph", "--config", str(conf), "--out", str(one_graph)]) == 0
+    assert one_graph.read_bytes() == open(graph_path, "rb").read()
+
+    fixture = prepare_replay(corpus, graph_path)
+    conf.write_text(json.dumps({
+        "dataset": corpus["test"], "mode": "icp", "graph": graph_path,
+        "lexicon": corpus["lexicon"], "backend": "replay", "fixture": fixture,
+        "group_by": "discipline",
+    }), encoding="utf-8")
+    out_dir = tmp_path / "string_out"
+    assert main(["run", "--config", str(conf), "--out-dir", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    assert list(report["groups"]) == ["discipline"]
+    config = json.loads((out_dir / "config.json").read_text(encoding="utf-8"))
+    assert config["group_by"] == ["discipline"]
+
+    conf.write_text(json.dumps({
+        "records": str(out_dir / "records.jsonl"), "group_by": "discipline",
+    }), encoding="utf-8")
+    rebuilt = tmp_path / "rebuilt.json"
+    assert main(["report", "--config", str(conf), "--out", str(rebuilt)]) == 0
+    assert rebuilt.read_bytes() == (out_dir / "report.json").read_bytes()
 
 
 def test_flag_beats_config_file(corpus, tmp_path):
@@ -276,6 +318,7 @@ def test_run_rejects_sidecar_missing_test_ids(corpus, capsys):
     assert code == 1
     assert "lack 4 of 4 test ids, first 'te0'" in capsys.readouterr().err
     assert not (out_dir / "records.jsonl").exists()
+    assert not (out_dir / "config.json").exists()
 
 
 def test_exit_1_on_config_errors(corpus, capsys):

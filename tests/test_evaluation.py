@@ -3,6 +3,9 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -464,3 +467,82 @@ def test_run_eval_transport_exhaustion_aborts(tmp_path):
         run_eval(test, client, spec, max_consecutive_transport_failures=5)
     assert len(err.value.records) == 5
     assert all(r.error for r in err.value.records)
+
+
+def live_setup(count, failing=(), max_attempts=1, delay=0.0):
+    """A cot test set and a live client whose transport raises for the
+    instance indices in ``failing`` and answers the rest; also returns the
+    list of instance ids the transport was called for and a dict holding
+    the peak number of concurrent transport calls."""
+    test = Dataset(tuple(synth_dataset(7, count)), "test")
+    spec = PromptSpec("cot", "zero")
+    requests = pipeline_requests(test, spec, "gpt-3.5-turbo-0613")
+    id_of = {req.prompt: iid for iid, req in requests.items()}
+    failing_ids = {test[i].id for i in failing}
+    calls: list[str] = []
+    concurrency = {"active": 0, "peak": 0}
+    lock = threading.Lock()
+
+    def transport(url, headers, payload, timeout):
+        iid = id_of[payload["messages"][-1]["content"]]
+        calls.append(iid)
+        with lock:
+            concurrency["active"] += 1
+            concurrency["peak"] = max(concurrency["peak"], concurrency["active"])
+        time.sleep(delay)
+        with lock:
+            concurrency["active"] -= 1
+        if iid in failing_ids:
+            raise ConnectionError("network down")
+        return 200, json.dumps({"choices": [{"message": {"content": "答案是A。"}}]})
+
+    config = ClientConfig(
+        backend="live", retry=RetryPolicy(max_attempts=max_attempts, backoff_base=0.0)
+    )
+    client = ChatClient(config, transport=transport, sleeper=lambda s: None)
+    return test, spec, client, calls, concurrency
+
+
+@pytest.mark.parametrize("workers", [1, 2, 6])
+def test_run_eval_exhaustion_is_deterministic_across_workers(workers):
+    # a short switch interval makes thread interleavings vary between repeats
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            test, spec, client, _, _ = live_setup(6, failing=range(6))
+            with pytest.raises(ApiExhaustionError) as err:
+                run_eval(test, client, spec, workers=workers,
+                         max_consecutive_transport_failures=5)
+            assert [r.instance_id for r in err.value.records] == [i.id for i in test][:5]
+            assert all("TransportError" in r.error for r in err.value.records)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 3, 8])
+def test_run_eval_exhaustion_counts_failures_in_input_order(workers):
+    # F F ok F F F F F ok ok: the success resets the count, so the run
+    # aborts at index 7, the fifth failure in a row
+    test, spec, client, _, _ = live_setup(10, failing=(0, 1, 3, 4, 5, 6, 7))
+    with pytest.raises(ApiExhaustionError) as err:
+        run_eval(test, client, spec, workers=workers, max_consecutive_transport_failures=5)
+    records = err.value.records
+    assert [r.instance_id for r in records] == [i.id for i in test][:8]
+    assert [r.error is None for r in records] == [False, False, True] + [False] * 5
+
+
+def test_run_eval_single_worker_stops_calling_at_abort():
+    # with one worker no instance starts after the abort decision
+    test, spec, client, calls, _ = live_setup(8, failing=range(8), max_attempts=2)
+    with pytest.raises(ApiExhaustionError):
+        run_eval(test, client, spec, workers=1, max_consecutive_transport_failures=5)
+    assert calls == [i.id for i in test[:5] for _ in range(2)]
+
+
+def test_run_eval_in_flight_requests_bounded_by_workers():
+    test, spec, client, calls, concurrency = live_setup(6, delay=0.1)
+    records, _ = run_eval(test, client, spec, workers=2)
+    assert [r.instance_id for r in records] == [i.id for i in test]
+    assert sorted(calls) == sorted(i.id for i in test)
+    assert concurrency["peak"] == 2

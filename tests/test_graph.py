@@ -271,6 +271,15 @@ _CORRUPT_ROWS = [
     ("negative frequency index", {12: "-1\t2"}, 12, "out of range"),
     ("frequency index past the node table", {12: "5\t2"}, 12, "out of range"),
     ("repeated frequency row", {13: "2\t3"}, 13, "repeated frequency"),
+    ("repeated node entry", {4: '"b"'}, 4, "repeated node entry"),
+    ("zero edge count", {7: "0\t2\t0"}, 7, "at least 1"),
+    ("negative edge count", {8: "0\t3\t-1"}, 8, "at least 1"),
+    ("zero frequency", {12: "2\t0"}, 12, "at least 1"),
+    ("underscore in a count", {9: "1\t2\t1_0"}, 9, "ASCII decimal"),
+    ("space-padded index", {10: "1\t 3\t2"}, 10, "ASCII decimal"),
+    ("plus-signed count", {11: "4\t3\t+1"}, 11, "ASCII decimal"),
+    ("non-ASCII digit in an edge row", {7: "0\t2\t\uff12"}, 7, "ASCII decimal"),
+    ("non-ASCII digit in a frequency row", {13: "3\t\u0662"}, 13, "ASCII decimal"),
 ]
 
 
