@@ -22,7 +22,6 @@ from .corpus import (
     Dataset,
     DatasetFormatError,
     Instance,
-    filter_instances,
     load_dataset,
     qo_text,
     save_dataset,
@@ -60,7 +59,6 @@ from .prompts import (
     compose,
     default_exemplars,
     default_template,
-    fit_to_budget,
 )
 from .seeds import SeedQuery, SeedResult, mine_seeds
-from .textseg import count_words, estimate_tokens, is_cjk, script_runs, tokenize
+from .textseg import estimate_tokens, is_cjk, script_runs, tokenize

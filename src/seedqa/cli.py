@@ -181,7 +181,7 @@ def cmd_annotate(res: _Resolver) -> int:
         workers=int(res.get("workers")),
     )
     save_annotated(annotated, out_path)
-    log.info("annotated %d/%d instances -> %s", len(annotated), dataset.n, out_path)
+    log.info("annotated %d/%d instances -> %s", len(annotated), len(dataset), out_path)
     return 0
 
 
@@ -216,7 +216,7 @@ def cmd_mine_seeds(res: _Resolver) -> int:
 def cmd_run(res: _Resolver) -> int:
     effective = res.effective()
     out_dir = res.get("out_dir", required=True)
-    dataset = load_dataset(res.get("dataset", required=True), split_tag="test")
+    dataset = load_dataset(res.get("dataset", required=True))
     test_size = effective["test_size"]
     if test_size is not None:
         dataset, _ = split_sample(

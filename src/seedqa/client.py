@@ -15,7 +15,7 @@ import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .corpus import read_jsonl
@@ -73,6 +73,17 @@ class CompletionResponse:
     finish_reason: str = "stop"
     prompt_tokens: int | None = None
     response_tokens: int | None = None
+
+
+def _response_from(data: dict) -> CompletionResponse:
+    """Inverse of ``dataclasses.asdict`` for a response, as replay fixture
+    lines and cache entries store it; only ``text`` is required."""
+    return CompletionResponse(
+        text=data["text"],
+        finish_reason=data.get("finish_reason", "stop"),
+        prompt_tokens=data.get("prompt_tokens"),
+        response_tokens=data.get("response_tokens"),
+    )
 
 
 @dataclass(frozen=True)
@@ -144,12 +155,7 @@ class _ReplayBackend:
 
     def _add(self, rec: dict) -> None:
         digest = rec["digest"]
-        response = CompletionResponse(
-            text=rec["text"],
-            finish_reason=rec.get("finish_reason", "stop"),
-            prompt_tokens=rec.get("prompt_tokens"),
-            response_tokens=rec.get("response_tokens"),
-        )
+        response = _response_from(rec)
         if self._responses.setdefault(digest, response) != response:
             raise ValueError(f"digest {digest} repeats with a different response")
 
@@ -254,13 +260,7 @@ class _DiskCache:
         try:
             with open(self._path(digest), encoding="utf-8") as fh:
                 data = json.load(fh)
-            resp = data["response"]
-            return CompletionResponse(
-                text=resp["text"],
-                finish_reason=resp.get("finish_reason", "stop"),
-                prompt_tokens=resp.get("prompt_tokens"),
-                response_tokens=resp.get("response_tokens"),
-            )
+            return _response_from(data["response"])
         except FileNotFoundError:
             return None
         except (json.JSONDecodeError, KeyError, TypeError):
@@ -270,12 +270,7 @@ class _DiskCache:
         entry = {
             "digest": digest,
             "request": _request_fields(request),
-            "response": {
-                "text": response.text,
-                "finish_reason": response.finish_reason,
-                "prompt_tokens": response.prompt_tokens,
-                "response_tokens": response.response_tokens,
-            },
+            "response": asdict(response),
         }
         fd, tmp = tempfile.mkstemp(dir=self._dir, suffix=".tmp")
         try:

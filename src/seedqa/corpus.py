@@ -1,21 +1,23 @@
-"""Multiple-choice QA datasets: loading, validation, filtering, splitting."""
+"""Multiple-choice QA datasets: loading, validation, splitting, and mapping a
+function over instances in input order on a thread pool."""
 
 from __future__ import annotations
 
 import json
 import random
 import unicodedata
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Iterator, TypeVar
-
-from .textseg import count_words
+from itertools import islice
+from typing import Callable, Iterable, Iterator, TypeVar
 
 OPTION_LABELS = ("A", "B", "C", "D", "E")
-SPLIT_TAGS = ("train", "test")
 
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 
 class DatasetFormatError(ValueError):
@@ -104,20 +106,13 @@ class Dataset:
     """Immutable ordered collection of instances with unique ids."""
 
     instances: tuple[Instance, ...]
-    split_tag: str = "train"
 
     def __post_init__(self) -> None:
-        if self.split_tag not in SPLIT_TAGS:
-            raise ValueError(f"split_tag must be one of {SPLIT_TAGS}, got {self.split_tag!r}")
         seen: set[str] = set()
         for inst in self.instances:
             if inst.id in seen:
                 raise ValueError(f"duplicate instance id {inst.id!r}")
             seen.add(inst.id)
-
-    @property
-    def n(self) -> int:
-        return len(self.instances)
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -151,7 +146,7 @@ def parse_record(rec: dict) -> Instance:
     )
 
 
-def load_dataset(path: str, split_tag: str = "train") -> Dataset:
+def load_dataset(path: str) -> Dataset:
     """Read a line-delimited JSON dataset.
 
     Each non-blank line is one record: ``{id, question, options, answer,
@@ -161,7 +156,7 @@ def load_dataset(path: str, split_tag: str = "train") -> Dataset:
     """
     instances = read_jsonl(path, parse_record)
     try:
-        return Dataset(tuple(instances), split_tag)
+        return Dataset(tuple(instances))
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from exc
 
@@ -188,32 +183,13 @@ def save_dataset(dataset: Dataset, path: str) -> None:
             fh.write("\n")
 
 
-def filter_instances(
-    dataset: Dataset,
-    min_options: int = 5,
-    min_analysis_words: int = 30,
-    word_counter: Callable[[str], int] = count_words,
-) -> Dataset:
-    """Keep instances with exactly ``min_options`` options and an analysis
-    strictly longer than ``min_analysis_words`` words."""
-    if min_options < 0 or min_analysis_words < 0:
-        raise ValueError("filter thresholds must be non-negative")
-    kept = tuple(
-        inst
-        for inst in dataset
-        if len(inst.options) == min_options
-        and word_counter(inst.analysis) > min_analysis_words
-    )
-    return Dataset(kept, dataset.split_tag)
-
-
 def _stratified_indices(
     dataset: Dataset, test_size: int, rng: random.Random, key: str
 ) -> set[int]:
     groups: dict[str, list[int]] = {}
     for i, inst in enumerate(dataset):
         groups.setdefault(inst.metadata.get(key, "unknown"), []).append(i)
-    n = dataset.n
+    n = len(dataset)
     quotas = {g: test_size * len(ix) / n for g, ix in groups.items()}
     take = {g: int(quotas[g]) for g in groups}
     # largest-remainder rounding so the group sizes sum to test_size exactly
@@ -240,19 +216,40 @@ def split_sample(
     (missing values pooled under "unknown"), using largest-remainder
     rounding.  The same seed always selects the same instances.
     """
-    if not 0 <= test_size <= dataset.n:
-        raise ValueError(f"test_size must be in [0, {dataset.n}], got {test_size}")
+    if not 0 <= test_size <= len(dataset):
+        raise ValueError(f"test_size must be in [0, {len(dataset)}], got {test_size}")
     rng = random.Random(rng_seed)
     if stratify_by is None:
-        chosen = set(rng.sample(range(dataset.n), test_size))
+        chosen = set(rng.sample(range(len(dataset)), test_size))
     else:
         chosen = _stratified_indices(dataset, test_size, rng, stratify_by)
     test = tuple(inst for i, inst in enumerate(dataset) if i in chosen)
     train = tuple(inst for i, inst in enumerate(dataset) if i not in chosen)
-    return Dataset(test, "test"), Dataset(train, "train")
+    return Dataset(test), Dataset(train)
 
 
 def qo_text(inst: Instance) -> str:
     """Question plus all option texts, the surface scanned for question-side
     entities."""
     return "\n".join([inst.question, *inst.options.values()])
+
+
+def map_in_order(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[R]:
+    """Yield ``fn(item)`` for every item, in input order, from a pool of
+    ``workers`` threads.
+
+    At most ``workers`` items are submitted ahead of the last result taken,
+    and the next item is submitted only when the consumer asks for another
+    result, so where the consumer stops does not depend on thread timing.
+    Closing the iterator (use ``contextlib.closing``) cancels what is still
+    queued and waits for the calls already running.
+    """
+    items = iter(items)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            window = deque(pool.submit(fn, item) for item in islice(items, workers))
+            while window:
+                yield window.popleft().result()
+                window.extend(pool.submit(fn, item) for item in islice(items, 1))
+        finally:
+            pool.shutdown(cancel_futures=True)

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 import unicodedata
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .client import ChatClient, CompletionRequest
-from .corpus import Dataset, Instance, instance_to_record, parse_record, qo_text, read_jsonl
+from .corpus import (
+    Dataset, DatasetFormatError, Instance, instance_to_record, map_in_order, parse_record,
+    qo_text, read_jsonl,
+)
 
 Extractor = Callable[[str], "set[str] | frozenset[str]"]
 
@@ -79,41 +82,38 @@ class Lexicon:
         self._surface_map = surface_map
         self._max_len = max(len(s) for s in surface_map)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, term: str) -> bool:
-        return normalize_entity(term) in self._surface_map
-
 
 def load_lexicon(path: str) -> Lexicon:
     """Read a lexicon file: one canonical entity per line, optionally
-    followed by tab-separated aliases.  Blank lines and lines starting
-    with '#' are skipped."""
-    entries: list[str] = []
-    aliases: dict[str, str] = {}
+    followed by tab-separated aliases.  Blank lines, blank alias fields and
+    lines starting with '#' are skipped.
+
+    A blank entry field, an alias listed under two canonical entries, and
+    an alias that is also a canonical entry raise DatasetFormatError naming
+    ``path:line``.
+    """
+    # normalized surface -> the canonical entry it stands for
+    owner: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            parts = [p for p in line.split("\t") if p.strip()]
-            entries.append(parts[0])
-            for alias in parts[1:]:
-                aliases[alias] = parts[0]
-    if not entries:
-        raise ValueError(f"lexicon file {path} has no entries")
-    return Lexicon(entries, aliases)
-
-
-def save_lexicon(lexicon: Lexicon, path: str) -> None:
-    by_canonical: dict[str, list[str]] = {e: [] for e in sorted(lexicon.entries)}
-    for alias, target in sorted(lexicon.aliases.items()):
-        by_canonical[target].append(alias)
-    with open(path, "w", encoding="utf-8") as fh:
-        for canonical, alias_list in by_canonical.items():
-            fh.write("\t".join([canonical, *alias_list]))
-            fh.write("\n")
+            where = f"{path}:{lineno}"
+            entry, *aliases = line.split("\t")
+            try:
+                canonical = normalize_entity(entry)
+                surfaces = [normalize_entity(a) for a in aliases if a.strip()]
+            except ValueError as exc:
+                raise DatasetFormatError(f"{where}: {exc}") from exc
+            for surface in (canonical, *surfaces):
+                prior = owner.setdefault(surface, canonical)
+                if prior != canonical:
+                    what = "a canonical entry" if prior == surface else f"an alias of {prior!r}"
+                    raise DatasetFormatError(f"{where}: {surface!r} is already {what}")
+    if not owner:
+        raise DatasetFormatError(f"{path}: lexicon has no entries")
+    return Lexicon(set(owner.values()), {s: c for s, c in owner.items() if s != c})
 
 
 def extract_entities_lexicon(text: str, lexicon: Lexicon) -> set[str]:
@@ -299,10 +299,11 @@ def annotate_dataset(
 ) -> list[AnnotatedInstance]:
     """Annotate every instance, preserving dataset order.
 
-    ``on_error`` is "raise" (abort on the first failing instance) or "skip"
-    (drop failing instances).  Instances are annotated on a pool of
-    ``workers`` threads; more than one only pays off with a network-backed
-    extractor.
+    ``on_error`` is "raise" (abort on the first failing instance in input
+    order, starting no instance after it beyond the ``workers`` already
+    submitted) or "skip" (drop failing instances).  Instances are annotated
+    on a pool of ``workers`` threads; more than one only pays off with a
+    network-backed extractor.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
@@ -315,16 +316,14 @@ def annotate_dataset(
         except Exception as exc:
             return AnnotationError(inst.id, exc)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(work, dataset.instances))
-
     out: list[AnnotatedInstance] = []
-    for res in results:
-        if isinstance(res, AnnotationError):
-            if on_error == "raise":
-                raise res
-            continue
-        out.append(res)
+    with closing(map_in_order(work, dataset, workers)) as results:
+        for res in results:
+            if isinstance(res, AnnotationError):
+                if on_error == "raise":
+                    raise res
+                continue
+            out.append(res)
     return out
 
 

@@ -12,14 +12,14 @@ import json
 import logging
 import math
 import re
-from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from itertools import islice
-from typing import Callable, Mapping, Sequence
+from collections import Counter
+from contextlib import closing
+from dataclasses import asdict, dataclass, field, fields
+from typing import Mapping, Sequence
 
 from .client import ChatClient, CompletionRequest, TransportError, request_digest
-from .corpus import Dataset, Instance, qo_text, read_jsonl
+from .corpus import Dataset, Instance, map_in_order, qo_text, read_jsonl
+from .entities import Extractor
 from .graph import KnowledgeGraph
 from .prompts import (
     DEFAULT_CONTEXT_TOKENS,
@@ -65,7 +65,7 @@ def _as_tokens(text_or_tokens: "str | Sequence[str]") -> Sequence[str]:
 
 def bleu_n(candidate: "str | Sequence[str]", reference: "str | Sequence[str]", n: int) -> float:
     """Cumulative BLEU-n: geometric mean of clipped precisions for orders
-    1..n, times a brevity penalty when the candidate is shorter than the
+    1 to n, times a brevity penalty when the candidate is shorter than the
     reference.  Orders with zero overlap contribute BLEU_EPSILON.  String
     arguments are tokenized first."""
     if n < 1:
@@ -232,25 +232,16 @@ class EvalRecord:
     seed_f1: float | None = None
 
 
-_RECORD_FIELDS = (
-    "instance_id", "mode", "shots", "prompt_digest", "response_text",
-    "extracted_answer", "gold_answer", "correct", "metadata", "error",
-    "response_tokens", "bleu_1", "bleu_2", "bleu_3", "bleu_4",
-    "rouge_1", "rouge_2", "rouge_l",
-    "seed_count", "seed_precision", "seed_recall", "seed_f1",
-)
-
-
 def record_to_dict(record: EvalRecord) -> dict:
     """Field-ordered dict with inapplicable (None) metric fields omitted."""
     out: dict = {}
-    for name in _RECORD_FIELDS:
-        value = getattr(record, name)
-        if value is None and name not in ("extracted_answer", "error"):
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if value is None and f.name not in ("extracted_answer", "error"):
             continue
-        if name == "metadata" and not value:
+        if f.name == "metadata" and not value:
             continue
-        out[name] = value
+        out[f.name] = value
     return out
 
 
@@ -262,9 +253,8 @@ def save_records(records: Sequence[EvalRecord], path: str) -> None:
 
 
 def load_records(path: str) -> list[EvalRecord]:
-    return read_jsonl(
-        path, lambda rec: EvalRecord(**{k: rec[k] for k in _RECORD_FIELDS if k in rec})
-    )
+    names = [f.name for f in fields(EvalRecord)]
+    return read_jsonl(path, lambda rec: EvalRecord(**{k: rec[k] for k in names if k in rec}))
 
 
 # --- aggregate report ----------------------------------------------------
@@ -314,18 +304,6 @@ class EvalReport:
     groups: dict[str, dict[str, dict]]
     answer_split: dict[str, dict]
 
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "correct": self.correct,
-            "unresolved": self.unresolved,
-            "errors": self.errors,
-            "accuracy_pct": self.accuracy_pct,
-            "mean_metrics": self.mean_metrics,
-            "groups": self.groups,
-            "answer_split": self.answer_split,
-        }
-
 
 def build_report(records: Sequence[EvalRecord], group_by: Sequence[str] = ()) -> EvalReport:
     """Aggregate records into accuracy, metric means, per-group tables
@@ -373,7 +351,7 @@ def build_report(records: Sequence[EvalRecord], group_by: Sequence[str] = ()) ->
 
 def save_report(report: EvalReport, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, ensure_ascii=False, indent=2)
+        json.dump(asdict(report), fh, ensure_ascii=False, indent=2)
         fh.write("\n")
 
 
@@ -381,7 +359,7 @@ def save_report(report: EvalReport, path: str) -> None:
 
 def check_run_inputs(
     test: Dataset, spec: PromptSpec, graph: KnowledgeGraph | None,
-    extractor: Callable[[str], "set[str] | frozenset[str]"] | None,
+    extractor: Extractor | None,
     precomputed_seeds: Mapping[str, SeedResult] | None, workers: int,
 ) -> None:
     """Raise ValueError for a run that ``run_eval`` would refuse: a bad
@@ -406,7 +384,7 @@ def run_eval(
     client: ChatClient,
     spec: PromptSpec,
     graph: KnowledgeGraph | None = None,
-    extractor: Callable[[str], "set[str] | frozenset[str]"] | None = None,
+    extractor: Extractor | None = None,
     k: int = DEFAULT_K,
     precomputed_seeds: Mapping[str, SeedResult] | None = None,
     workers: int = 1,
@@ -418,25 +396,47 @@ def run_eval(
     """Evaluate every instance and aggregate a report.
 
     Configuration problems raise ValueError before any completion call
-    (see ``check_run_inputs``).  Per-instance failures are recorded with
-    their error and scored incorrect.  Records are taken in input order,
-    with at most ``workers`` instances submitted ahead of the last record
-    taken; the run aborts with ApiExhaustionError at the
+    (see ``check_run_inputs``).  A failure of seed extraction, mining or
+    the completion call is recorded with its error and scored incorrect;
+    its ``prompt_digest`` is empty when no prompt was built.  A prompt that
+    cannot fit the token budget raises TokenBudgetError.  Records are taken
+    in input order, with at most ``workers`` instances submitted ahead of
+    the last record taken; the run aborts with ApiExhaustionError at the
     ``max_consecutive_transport_failures``-th transport failure in a row,
     carrying exactly the records up to it, whatever the worker count.
     """
     check_run_inputs(test, spec, graph, extractor, precomputed_seeds, workers)
 
     def eval_one(inst: Instance) -> tuple[EvalRecord, bool]:
+        record = EvalRecord(
+            instance_id=inst.id,
+            mode=spec.mode,
+            shots=spec.shots,
+            prompt_digest="",
+            response_text="",
+            extracted_answer=None,
+            gold_answer=inst.answer,
+            correct=False,
+            metadata=dict(inst.metadata),
+        )
+
+        def failed(exc: Exception) -> tuple[EvalRecord, bool]:
+            log.warning("instance %s failed: %s", inst.id, exc)
+            record.error = f"{type(exc).__name__}: {exc}"
+            return record, isinstance(exc, TransportError)
+
         seeds: SeedResult | None = None
         gold_entities: frozenset[str] = frozenset()
         if spec.mode == "icp":
-            if precomputed_seeds is not None:
-                seeds = precomputed_seeds[inst.id]
-            else:
-                query = SeedQuery(frozenset(extractor(qo_text(inst))))
-                seeds = mine_seeds(graph, query, k)
-            gold_entities = frozenset(extractor(inst.analysis))
+            try:
+                if precomputed_seeds is not None:
+                    seeds = precomputed_seeds[inst.id]
+                else:
+                    query = SeedQuery(frozenset(extractor(qo_text(inst))))
+                    seeds = mine_seeds(graph, query, k)
+                gold_entities = frozenset(extractor(inst.analysis))
+            except Exception as exc:
+                return failed(exc)
         prompt: RenderedPrompt = compose(inst, spec, seeds)
         request = CompletionRequest(
             model=client.config.model,
@@ -445,23 +445,11 @@ def run_eval(
             max_tokens=max_response_tokens(prompt, context_tokens, min_response_tokens),
             system=prompt.system,
         )
-        record = EvalRecord(
-            instance_id=inst.id,
-            mode=spec.mode,
-            shots=spec.shots,
-            prompt_digest=request_digest(request),
-            response_text="",
-            extracted_answer=None,
-            gold_answer=inst.answer,
-            correct=False,
-            metadata=dict(inst.metadata),
-        )
+        record.prompt_digest = request_digest(request)
         try:
             response = client.complete(request)
         except Exception as exc:
-            log.warning("instance %s failed: %s", inst.id, exc)
-            record.error = f"{type(exc).__name__}: {exc}"
-            return record, isinstance(exc, TransportError)
+            return failed(exc)
 
         record.response_text = response.text
         record.extracted_answer = extract_answer(response.text, inst.labels)
@@ -490,17 +478,12 @@ def run_eval(
     # abort point do not depend on the worker count or on thread timing.
     records: list[EvalRecord] = []
     failures = 0
-    instances = iter(test)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        window = deque(pool.submit(eval_one, inst) for inst in islice(instances, workers))
-        while window:
-            record, transport_failed = window.popleft().result()
+    with closing(map_in_order(eval_one, test, workers)) as results:
+        for record, transport_failed in results:
             records.append(record)
             failures = failures + 1 if transport_failed else 0
             if failures >= max_consecutive_transport_failures:
-                pool.shutdown(cancel_futures=True)
                 raise ApiExhaustionError(failures, records)
-            window.extend(pool.submit(eval_one, inst) for inst in islice(instances, 1))
 
     report = build_report(records, group_by)
     return records, report

@@ -146,24 +146,9 @@ class PromptSpec:
 
 
 @dataclass(frozen=True)
-class PromptParts:
-    """Assembled sections before budget fitting."""
-
-    instruction: str
-    exemplar_blocks: tuple[str, ...]
-    target_block: str
-    section_separator: str
-    mode: str
-    shots: str
-    system: str | None = None
-
-
-@dataclass(frozen=True)
 class RenderedPrompt:
     text: str
     estimated_tokens: int
-    mode: str
-    shots: str
     kept_exemplars: int
     system: str | None = None
 
@@ -198,39 +183,15 @@ def _exemplar_block(template: PromptTemplate, ex: Exemplar, mode: str) -> str:
     return template.block_separator.join(lines)
 
 
-def fit_to_budget(parts: PromptParts, budget: int) -> RenderedPrompt:
-    """Drop whole exemplar blocks from the end until the estimate fits.
-
-    Raises TokenBudgetError when instruction plus target alone exceed the
-    budget; the target question is never truncated.
-    """
-    kept = list(parts.exemplar_blocks)
-    # a system message occupies context too, so it counts against the budget
-    system_cost = estimate_tokens(parts.system) if parts.system else 0
-    while True:
-        text = parts.section_separator.join(
-            [parts.instruction, *kept, parts.target_block]
-        )
-        estimated = estimate_tokens(text) + system_cost
-        if estimated <= budget:
-            return RenderedPrompt(
-                text, estimated, parts.mode, parts.shots, len(kept), parts.system
-            )
-        if not kept:
-            raise TokenBudgetError(
-                f"prompt needs ~{estimated} tokens with no exemplars left, "
-                f"budget is {budget}"
-            )
-        kept.pop()
-
-
 def compose(instance, spec: PromptSpec, seeds=None) -> RenderedPrompt:
     """Render the prompt for one instance.
 
     ``instance`` needs ``question`` and ``options`` attributes.  ``seeds``
     is required exactly when mode is "icp": a SeedResult or a sequence of
     entity strings, rendered in order.  Few-shot exemplars that do not fit
-    the budget are dropped from the end.
+    the budget are dropped whole from the end; TokenBudgetError is raised
+    when instruction plus target alone exceed it, since the target question
+    is never truncated.
     """
     if spec.mode == "icp":
         if seeds is None:
@@ -242,22 +203,25 @@ def compose(instance, spec: PromptSpec, seeds=None) -> RenderedPrompt:
         seed_list = None
 
     template = spec.template
-    exemplar_blocks = ()
+    kept = []
     if spec.shots == "few":
-        exemplar_blocks = tuple(
-            _exemplar_block(template, ex, spec.mode) for ex in spec.exemplars
-        )
+        kept = [_exemplar_block(template, ex, spec.mode) for ex in spec.exemplars]
     target = _question_block(template, instance.question, instance.options, seed_list)
-    parts = PromptParts(
-        instruction=template.instructions[spec.mode],
-        exemplar_blocks=exemplar_blocks,
-        target_block=target,
-        section_separator=template.section_separator,
-        mode=spec.mode,
-        shots=spec.shots,
-        system=template.system,
-    )
-    return fit_to_budget(parts, spec.token_budget)
+    # a system message occupies context too, so it counts against the budget
+    system_cost = estimate_tokens(template.system) if template.system else 0
+    while True:
+        text = template.section_separator.join(
+            [template.instructions[spec.mode], *kept, target]
+        )
+        estimated = estimate_tokens(text) + system_cost
+        if estimated <= spec.token_budget:
+            return RenderedPrompt(text, estimated, len(kept), template.system)
+        if not kept:
+            raise TokenBudgetError(
+                f"prompt needs ~{estimated} tokens with no exemplars left, "
+                f"budget is {spec.token_budget}"
+            )
+        kept.pop()
 
 
 def max_response_tokens(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .corpus import read_jsonl
 from .entities import normalize_entity
@@ -34,10 +34,6 @@ class SeedQuery:
         for ent in self.entities:
             if ent != normalize_entity(ent):
                 raise ValueError(f"query entity not in canonical form: {ent!r}")
-
-    @classmethod
-    def from_raw(cls, terms: Iterable[str]) -> "SeedQuery":
-        return cls(frozenset(normalize_entity(t) for t in terms))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Script-aware text segmentation.
 
 Clinical exam text mixes CJK prose with Latin drug names, abbreviations,
-and numbers.  Word counting, metric tokenization, and token estimation all
-need to agree on where CJK ends and Latin begins, so they share the run
-segmentation implemented here.
+and numbers.  Metric tokenization and token estimation both need to agree
+on where CJK ends and Latin begins, so they share the run segmentation
+implemented here.
 """
 
 from __future__ import annotations
@@ -47,15 +47,6 @@ def script_runs(text: str) -> list[tuple[bool, str]]:
     run texts reproduces the input exactly.
     """
     return [(m.lastindex == 1, m.group()) for m in _SCRIPT_RUN.finditer(text)]
-
-
-def count_words(text: str) -> int:
-    """Count words: each CJK character is one word, Latin runs count
-    whitespace-delimited tokens."""
-    total = 0
-    for run_is_cjk, run in script_runs(text):
-        total += len(run) if run_is_cjk else len(run.split())
-    return total
 
 
 def tokenize(text: str) -> list[str]:

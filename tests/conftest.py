@@ -279,9 +279,7 @@ def synth_instance(rng: random.Random, iid: str, vocab=ENTITY_POOL) -> Instance:
 
 def synth_dataset(seed: int, count: int, prefix: str = "q") -> Dataset:
     rng = random.Random(seed)
-    return Dataset(
-        tuple(synth_instance(rng, f"{prefix}{i}") for i in range(count)), "train"
-    )
+    return Dataset(tuple(synth_instance(rng, f"{prefix}{i}") for i in range(count)))
 
 
 def write_lexicon(path, vocab=ENTITY_POOL):

@@ -5,6 +5,7 @@ line per guarantee.  Everything here runs offline in seconds.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -14,7 +15,6 @@ import time
 import pytest
 
 from seedqa.client import ChatClient, ClientConfig
-from seedqa.corpus import Dataset
 from seedqa.entities import LexiconExtractor, Lexicon, annotate_dataset
 from seedqa.evaluation import (
     EvalRecord,
@@ -25,6 +25,7 @@ from seedqa.evaluation import (
     rouge_n,
     run_eval,
     save_records,
+    save_report,
     seed_quality,
 )
 from seedqa.graph import build_graph
@@ -143,21 +144,14 @@ def test_text_metrics_match_reference_values():
         )
 
 
-def test_replay_evaluation_is_deterministic(tmp_path, monkeypatch):
-    """A 20-instance replayed run scores exactly 65.00% accuracy and
-    writes byte-identical records and report across repeated runs and
-    across worker counts, with zero network traffic."""
-
-    def no_network(*args, **kwargs):
-        raise AssertionError("network call attempted during replay run")
-
-    monkeypatch.setattr(socket.socket, "connect", no_network)
-
+def replay_run(tmp_path, workers=1):
+    """The 20-instance icp replay run: 13 correct, 4 wrong and 3 unresolved
+    responses.  Returns the bytes of its records.jsonl and report.json."""
     train = synth_dataset(101, 12, prefix="tr")
     extractor = LexiconExtractor(Lexicon(frozenset(ENTITY_POOL)))
     graph = build_graph(annotate_dataset(train, extractor))
 
-    test = Dataset(tuple(synth_dataset(102, 20, prefix="t")), "test")
+    test = synth_dataset(102, 20, prefix="t")
     spec = PromptSpec("icp", "zero")
     requests = pipeline_requests(
         test, spec, "gpt-3.5-turbo-0613", graph=graph, extractor=extractor
@@ -174,28 +168,49 @@ def test_replay_evaluation_is_deterministic(tmp_path, monkeypatch):
     fixture = write_replay_fixture(tmp_path / "fixture.jsonl", requests, responses)
     client = ChatClient(ClientConfig(backend="replay", fixture_path=fixture))
 
-    outputs = []
-    for run, workers in enumerate((1, 1, 8)):
-        records, report = run_eval(
-            test, client, spec, graph=graph, extractor=extractor,
-            workers=workers, group_by=("discipline",),
-        )
-        rec_path = tmp_path / f"records{run}.jsonl"
-        rep_path = tmp_path / f"report{run}.json"
-        save_records(records, str(rec_path))
-        from seedqa.evaluation import save_report
+    records, report = run_eval(
+        test, client, spec, graph=graph, extractor=extractor,
+        workers=workers, group_by=("discipline",),
+    )
+    assert report.total == 20
+    assert report.correct == 13
+    assert report.unresolved == 3
+    assert report.errors == 0
+    assert report.accuracy_pct == 65.0
+    rec_path = tmp_path / f"records{workers}.jsonl"
+    rep_path = tmp_path / f"report{workers}.json"
+    save_records(records, str(rec_path))
+    save_report(report, str(rep_path))
+    return rec_path.read_bytes(), rep_path.read_bytes()
 
-        save_report(report, str(rep_path))
-        outputs.append((rec_path.read_bytes(), rep_path.read_bytes()))
-        assert report.total == 20
-        assert report.correct == 13
-        assert report.unresolved == 3
-        assert report.errors == 0
-        assert report.accuracy_pct == 65.0
 
+def test_replay_evaluation_is_deterministic(tmp_path, monkeypatch):
+    """A 20-instance replayed run scores exactly 65.00% accuracy and
+    writes byte-identical records and report across repeated runs and
+    across worker counts, with zero network traffic."""
+
+    def no_network(*args, **kwargs):
+        raise AssertionError("network call attempted during replay run")
+
+    monkeypatch.setattr(socket.socket, "connect", no_network)
+
+    outputs = [replay_run(tmp_path, workers) for workers in (1, 1, 8)]
     assert outputs[0] == outputs[1] == outputs[2]
     parsed = json.loads(outputs[0][1].decode("utf-8"))
     assert parsed["accuracy_pct"] == 65.0
+
+
+# SHA-256 of the replay run's records.jsonl and report.json.  They move
+# whenever what the pipeline computes, or how records and reports are
+# written, changes; such a change must state and pin the new values.
+REPLAY_RECORDS_SHA256 = "c519bbf9e5db36ba0316830ad322313c940d7053ab477ddd5a224fb87182a25b"
+REPLAY_REPORT_SHA256 = "b0551acb07f8ca99ad533c7b95d968615c84a530f4d807dfd3e326743193e9b7"
+
+
+def test_replay_evaluation_bytes_are_pinned(tmp_path):
+    records, report = replay_run(tmp_path)
+    assert hashlib.sha256(records).hexdigest() == REPLAY_RECORDS_SHA256
+    assert hashlib.sha256(report).hexdigest() == REPLAY_REPORT_SHA256
 
 
 def test_prompt_mode_contracts_and_token_budget():

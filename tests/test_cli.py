@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -13,7 +14,7 @@ from seedqa.entities import (
     load_annotated,
     load_lexicon,
 )
-from seedqa.client import CompletionRequest, request_digest
+from seedqa.client import CompletionRequest, TransportError, request_digest
 from seedqa.evaluation import EvalRecord, record_to_dict
 from seedqa.graph import build_graph, load_graph
 from seedqa.prompts import PromptSpec
@@ -59,7 +60,7 @@ def pipeline_to_graph(corpus):
 
 
 def prepare_replay(corpus, graph_path, mode="icp", shots="zero"):
-    test = load_dataset(corpus["test"], split_tag="test")
+    test = load_dataset(corpus["test"])
     graph = load_graph(graph_path)
     extractor = LexiconExtractor(load_lexicon(corpus["lexicon"]))
     spec = PromptSpec(mode, shots)
@@ -233,7 +234,7 @@ def test_config_file_string_for_repeatable_option_is_one_item(corpus, tmp_path):
 
 def test_flag_beats_config_file(corpus, tmp_path):
     _, graph_path = pipeline_to_graph(corpus)
-    test = load_dataset(corpus["test"], split_tag="test")
+    test = load_dataset(corpus["test"])
     spec = PromptSpec("standard_qa", "zero")
     requests = pipeline_requests(test, spec, "gpt-3.5-turbo-0613")
     responses = {inst.id: f"答案是{inst.answer}。" for inst in test}
@@ -455,6 +456,51 @@ def test_exit_2_on_transport_exhaustion(corpus, tmp_path, monkeypatch):
     records = (out_dir / "records.jsonl").read_text(encoding="utf-8").splitlines()
     assert records
     assert all(json.loads(r)["error"] for r in records)
+
+
+def test_run_keeps_records_when_extraction_fails(corpus, monkeypatch):
+    # the extractor fails from its fifth call on: the last two of the four
+    # test instances become failure records and the run still finishes
+    _, graph_path = pipeline_to_graph(corpus)
+    fixture = prepare_replay(corpus, graph_path)
+    import seedqa.cli as cli_mod
+
+    real_extractor_from = cli_mod._extractor_from
+
+    def flaky_extractor_from(res, client=None):
+        extractor = real_extractor_from(res, client)
+        calls = itertools.count(1)
+
+        def flaky(text):
+            if next(calls) >= 5:
+                raise TransportError("extraction endpoint down")
+            return extractor(text)
+
+        return flaky
+
+    monkeypatch.setattr(cli_mod, "_extractor_from", flaky_extractor_from)
+    code, out_dir = run_icp(corpus, graph_path, fixture, "flaky_out")
+    assert code == 0
+    records = [json.loads(line) for line in
+               (out_dir / "records.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [r["instance_id"] for r in records] == [
+        inst.id for inst in load_dataset(corpus["test"])
+    ]
+    assert [r["error"] for r in records[:2]] == [None, None]
+    assert all(r["error"].startswith("TransportError") for r in records[2:])
+    assert all(r["prompt_digest"] == "" for r in records[2:])
+
+
+@pytest.mark.parametrize("text", ["高血压\tHTN\n糖尿病\tHTN\n", "高血压\n糖尿病\t高血压\n"])
+def test_annotate_rejects_conflicting_lexicon(corpus, capsys, text):
+    lexicon = corpus["dir"] / "conflict_lexicon.txt"
+    lexicon.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["annotate", "--dataset", corpus["train"], "--lexicon", str(lexicon),
+                 "--out", str(corpus["dir"] / "o.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert f"{lexicon}:2: " in err
+    assert "Traceback" not in err
 
 
 def test_annotate_with_llm_extractor(corpus, tmp_path):

@@ -9,7 +9,6 @@ from seedqa.corpus import (
     Dataset,
     DatasetFormatError,
     Instance,
-    filter_instances,
     load_dataset,
     qo_text,
     save_dataset,
@@ -36,7 +35,7 @@ def write_jsonl(path, records):
 
 def test_load_valid(tmp_path):
     ds = load_dataset(write_jsonl(tmp_path / "d.jsonl", [VALID]))
-    assert ds.n == 1
+    assert len(ds) == 1
     inst = ds[0]
     assert inst.id == "q1"
     assert inst.answer == "B"
@@ -58,7 +57,7 @@ def test_load_skips_blank_lines(tmp_path):
     path.write_text(
         json.dumps(VALID, ensure_ascii=False) + "\n\n  \n", encoding="utf-8"
     )
-    assert load_dataset(str(path)).n == 1
+    assert len(load_dataset(str(path))) == 1
 
 
 def test_load_rejects_bad_json(tmp_path):
@@ -103,11 +102,6 @@ def test_instance_rejects_unknown_answer():
         Instance("x", "q", {"A": "a"}, "B", "why")
 
 
-def test_dataset_split_tag_validated():
-    with pytest.raises(ValueError):
-        Dataset((), "validation")
-
-
 def test_round_trip(tmp_path):
     records = [VALID, VALID | {"id": "q2", "metadata": {}}]
     src = write_jsonl(tmp_path / "in.jsonl", records)
@@ -132,27 +126,10 @@ def make_instance(iid, n_options=5, analysis_words=40, meta=None):
     )
 
 
-def test_filter_option_count_and_analysis_length():
-    ds = Dataset((
-        make_instance("a", 5, 31),
-        make_instance("b", 4, 99),   # wrong option count
-        make_instance("c", 5, 30),   # analysis exactly at threshold: dropped
-        make_instance("d", 5, 200),
-    ))
-    kept = filter_instances(ds)
-    assert [i.id for i in kept] == ["a", "d"]
-
-
-def test_filter_rejects_negative_thresholds():
-    with pytest.raises(ValueError):
-        filter_instances(Dataset(()), min_options=-1)
-
-
 def test_split_sizes_partition_and_order():
     ds = Dataset(tuple(make_instance(f"q{i}") for i in range(20)))
     test, train = split_sample(ds, 6, rng_seed=3)
-    assert test.n == 6 and train.n == 14
-    assert test.split_tag == "test" and train.split_tag == "train"
+    assert len(test) == 6 and len(train) == 14
     assert {i.id for i in test} | {i.id for i in train} == {i.id for i in ds}
     assert {i.id for i in test} & {i.id for i in train} == set()
     order = [i.id for i in ds]
@@ -174,9 +151,9 @@ def test_split_bounds():
     with pytest.raises(ValueError):
         split_sample(ds, 5, 0)
     test, train = split_sample(ds, 0, 0)
-    assert test.n == 0 and train.n == 4
+    assert len(test) == 0 and len(train) == 4
     test, train = split_sample(ds, 4, 0)
-    assert test.n == 4 and train.n == 0
+    assert len(test) == 4 and len(train) == 0
 
 
 def test_split_stratified_proportions():
@@ -205,7 +182,7 @@ def test_split_stratified_deterministic_and_exact_size():
     for size in (0, 7, 13, 33):
         test1, train1 = split_sample(ds, size, 17, stratify_by="g")
         test2, _ = split_sample(ds, size, 17, stratify_by="g")
-        assert test1.n == size and train1.n == 33 - size
+        assert len(test1) == size and len(train1) == 33 - size
         assert [i.id for i in test1] == [i.id for i in test2]
 
 

@@ -22,8 +22,8 @@ from seedqa.entities import (
     normalize_entity,
     parse_entity_response,
     save_annotated,
-    save_lexicon,
 )
+from seedqa.corpus import DatasetFormatError
 
 
 # --- normalization ---------------------------------------------------------
@@ -77,11 +77,35 @@ def test_lexicon_file_round_trip(tmp_path):
     lex = load_lexicon(str(path))
     assert lex.entries == {"高血压", "阿司匹林", "糖尿病"}
     assert lex.aliases == {"htn": "高血压", "高血压病": "高血压"}
-    out = tmp_path / "out.txt"
-    save_lexicon(lex, str(out))
-    again = load_lexicon(str(out))
-    assert again.entries == lex.entries
-    assert again.aliases == lex.aliases
+
+
+@pytest.mark.parametrize("text, where, surface", [
+    # an alias repeated under a different canonical entry
+    ("高血压\tHTN\n糖尿病\tHTN\n", ":2", "'htn'"),
+    # an alias that collides with an earlier or a later canonical entry
+    ("高血压\n糖尿病\t高血压\n", ":2", "'高血压'"),
+    ("高血压\tHTN\n# c\nhtn\n", ":3", "'htn'"),
+    # an entry field that is empty
+    ("高血压\n\tHTN\n", ":2", "empty"),
+    ("# comment only\n\n", "", "no entries"),
+])
+def test_load_lexicon_errors_name_path_and_line(tmp_path, text, where, surface):
+    path = tmp_path / "lex.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DatasetFormatError) as err:
+        load_lexicon(str(path))
+    assert str(err.value).startswith(f"{path}{where}: ")
+    assert surface in str(err.value)
+
+
+def test_load_lexicon_accepts_repeats_that_agree(tmp_path):
+    # a repeated line, an alias equal to its own entry, and blank alias
+    # fields (trailing tabs of a padded table) are not conflicts
+    path = tmp_path / "lex.txt"
+    path.write_text("高血压\tHTN\t\n高血压\tHTN\nAspirin\tASPIRIN\t\t\n", encoding="utf-8")
+    lex = load_lexicon(str(path))
+    assert lex.entries == {"高血压", "aspirin"}
+    assert lex.aliases == {"htn": "高血压"}
 
 
 def test_extract_longest_match_wins():
@@ -272,6 +296,27 @@ def test_annotate_error_policies():
 
     with pytest.raises(ValueError):
         annotate_dataset(make_dataset(), failing, on_error="ignore")
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_annotate_raise_stops_at_first_failure(workers):
+    # "raise" takes results in input order and submits nothing after the
+    # first failure, so only the first window of instances ever starts
+    dataset = Dataset(tuple(
+        Instance(id=f"q{i}", question="患者高血压", options={"A": "甲"}, answer="A",
+                 analysis="考虑高血压。")
+        for i in range(10)
+    ))
+    calls = []
+
+    def failing(text):
+        calls.append(text)
+        raise RuntimeError("extractor down")
+
+    with pytest.raises(AnnotationError) as err:
+        annotate_dataset(dataset, failing, workers=workers)
+    assert err.value.instance_id == "q0"
+    assert 1 <= len(calls) <= workers
 
 
 def test_annotate_workers_match_sequential():

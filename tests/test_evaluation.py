@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -9,8 +10,7 @@ import time
 
 import pytest
 
-from seedqa.client import ChatClient, ClientConfig, RetryPolicy
-from seedqa.corpus import Dataset
+from seedqa.client import ChatClient, ClientConfig, RetryPolicy, TransportError
 from seedqa.entities import LexiconExtractor, Lexicon
 from seedqa.evaluation import (
     ApiExhaustionError,
@@ -356,7 +356,7 @@ from conftest import ENTITY_POOL
 
 
 def replay_setup(tmp_path, mode="cot", shots="zero", count=4):
-    test = Dataset(tuple(synth_dataset(7, count)), "test")
+    test = synth_dataset(7, count)
     lexicon = Lexicon(ENTITY_POOL)
     extractor = LexiconExtractor(lexicon)
     train = synth_dataset(8, 10)
@@ -453,6 +453,52 @@ def test_run_eval_per_instance_failures_recorded(tmp_path):
     assert report.errors == 1
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_eval_records_extractor_failures(tmp_path, workers):
+    # the extractor fails from its fifth call on; an instance whose
+    # extraction fails becomes a failure record without a prompt digest
+    test, graph, extractor, spec, client = replay_setup(tmp_path, "icp", count=6)
+    calls = itertools.count(1)
+
+    def flaky(text):
+        if next(calls) >= 5:
+            raise RuntimeError("extractor down")
+        return extractor(text)
+
+    records, report = run_eval(
+        test, client, spec, graph=graph, extractor=flaky, workers=workers
+    )
+    assert [r.instance_id for r in records] == [i.id for i in test]
+    ok = [r.error is None for r in records]
+    if workers == 1:
+        # two extractor calls per instance: the first two instances pass
+        assert ok == [True, True, False, False, False, False]
+    assert 1 <= sum(ok) <= 2
+    assert report.errors == ok.count(False)
+    for rec, passed in zip(records, ok):
+        if passed:
+            assert len(rec.prompt_digest) == 64
+        else:
+            assert rec.error == "RuntimeError: extractor down"
+            assert rec.prompt_digest == "" and not rec.correct
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_eval_extractor_transport_failures_count_toward_limit(tmp_path, workers):
+    test, graph, _, spec, client = replay_setup(tmp_path, "icp", count=6)
+
+    def dead(text):
+        raise TransportError("extraction endpoint down")
+
+    with pytest.raises(ApiExhaustionError) as err:
+        run_eval(test, client, spec, graph=graph, extractor=dead, workers=workers,
+                 max_consecutive_transport_failures=5)
+    records = err.value.records
+    assert [r.instance_id for r in records] == [i.id for i in test][:5]
+    assert all(r.error.startswith("TransportError") for r in records)
+    assert all(r.prompt_digest == "" for r in records)
+
+
 def test_run_eval_transport_exhaustion_aborts(tmp_path):
     test, graph, extractor, spec, _ = replay_setup(tmp_path, "cot", count=8)
 
@@ -474,7 +520,7 @@ def live_setup(count, failing=(), max_attempts=1, delay=0.0):
     instance indices in ``failing`` and answers the rest; also returns the
     list of instance ids the transport was called for and a dict holding
     the peak number of concurrent transport calls."""
-    test = Dataset(tuple(synth_dataset(7, count)), "test")
+    test = synth_dataset(7, count)
     spec = PromptSpec("cot", "zero")
     requests = pipeline_requests(test, spec, "gpt-3.5-turbo-0613")
     id_of = {req.prompt: iid for iid, req in requests.items()}

@@ -13,13 +13,11 @@ from seedqa.prompts import (
     DEFAULT_TOKEN_BUDGET,
     Exemplar,
     PromptSpec,
-    PromptParts,
     RenderedPrompt,
     TokenBudgetError,
     compose,
     default_exemplars,
     default_template,
-    fit_to_budget,
     load_exemplars,
     load_template,
     max_response_tokens,
@@ -79,8 +77,6 @@ def test_icp_zero_shot_snapshot():
         "\nC. e"
         "\nknowledge seeds: c、d"
     )
-    assert rendered.mode == "icp"
-    assert rendered.shots == "zero"
     assert rendered.kept_exemplars == 0
     assert rendered.estimated_tokens == estimate_tokens(rendered.text)
 
@@ -199,33 +195,17 @@ def test_budget_exhaustion_raises():
         compose(toy_instance(), PromptSpec("cot", "zero", token_budget=10))
 
 
-def test_fit_to_budget_direct():
-    parts = PromptParts(
-        instruction="inst",
-        exemplar_blocks=("aaaa bbbb cccc dddd", "eeee ffff gggg hhhh"),
-        target_block="tgt",
-        section_separator="\n\n",
-        mode="cot",
-        shots="few",
-    )
-    full = fit_to_budget(parts, budget=1000)
-    assert full.kept_exemplars == 2
-    smaller = fit_to_budget(parts, budget=full.estimated_tokens - 1)
-    assert smaller.kept_exemplars < 2
-    assert isinstance(smaller, RenderedPrompt)
-
-
 def test_default_budget_value():
     assert DEFAULT_TOKEN_BUDGET == DEFAULT_CONTEXT_TOKENS - DEFAULT_RESERVED_RESPONSE_TOKENS == 3841
     assert PromptSpec("cot", "zero").token_budget == 3841
 
 
 def test_max_response_tokens_floor_and_headroom():
-    small = RenderedPrompt("x", 100, "cot", "zero", 0)
+    small = RenderedPrompt("x", 100, 0)
     assert max_response_tokens(small) == 4097 - 100
-    big = RenderedPrompt("x", 4000, "cot", "zero", 0)
+    big = RenderedPrompt("x", 4000, 0)
     assert max_response_tokens(big) == 256
-    exact = RenderedPrompt("x", 3841, "cot", "zero", 0)
+    exact = RenderedPrompt("x", 3841, 0)
     assert max_response_tokens(exact) == 256
 
 

@@ -180,7 +180,7 @@ def test_mine_seeds_scores_non_decreasing_fuzz():
 def test_seed_query_validates_canonical_form():
     with pytest.raises(ValueError):
         SeedQuery(frozenset({"ASPIRIN"}))
-    assert SeedQuery.from_raw(["ASPIRIN", " 高血压 "]).entities == {"aspirin", "高血压"}
+    assert SeedQuery(frozenset({"aspirin", "高血压"})).entities == {"aspirin", "高血压"}
 
 
 def test_seed_result_validation():

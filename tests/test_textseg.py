@@ -6,7 +6,6 @@ import random
 from seedqa.textseg import (
     _CJK_RANGES,
     LATIN_CHARS_PER_TOKEN,
-    count_words,
     estimate_tokens,
     is_cjk,
     script_runs,
@@ -51,13 +50,6 @@ def test_script_runs_reassembles_and_alternates():
         for k in range(1, len(runs)):
             assert runs[k][0] != runs[k - 1][0]
         assert all(run for _, run in runs)
-
-
-def test_count_words_mixed():
-    assert count_words("患者有高血压") == 6
-    assert count_words("high blood pressure") == 3
-    assert count_words("患者有diabetes mellitus病史") == 7
-    assert count_words("") == 0
 
 
 def test_tokenize_mixed():
@@ -110,7 +102,6 @@ def test_script_runs_match_per_char_oracle_at_block_edges():
         assert script_runs(text) == runs, repr(text)
         words = [t for cjk, run in runs for t in (run if cjk else run.split())]
         assert tokenize(text) == words
-        assert count_words(text) == len(words)
         assert estimate_tokens(text) == sum(
             len(run) if cjk else math.ceil(len(run) / LATIN_CHARS_PER_TOKEN)
             for cjk, run in runs
