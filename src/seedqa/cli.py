@@ -28,7 +28,7 @@ from .client import (
     RetryPolicy,
     TransportError,
 )
-from .corpus import DatasetFormatError, data_path, load_dataset, split_sample
+from .corpus import data_path, load_dataset, split_sample
 from .entities import (
     AnnotationError,
     LexiconExtractor,
@@ -48,7 +48,7 @@ from .evaluation import (
     save_records,
     save_report,
 )
-from .graph import GraphFormatError, build_graph, load_graph, save_graph
+from .graph import build_graph, load_graph, save_graph
 from .prompts import (
     DEFAULT_CONTEXT_TOKENS,
     DEFAULT_RESERVED_RESPONSE_TOKENS,
@@ -133,23 +133,20 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
 
 
 def _client_from(res: _Resolver) -> ChatClient:
-    try:
-        config = ClientConfig(
-            backend=res.get("backend"),
-            model=res.get("model"),
-            base_url=res.get("base_url"),
-            api_key_env=res.get("api_key_env"),
-            temperature=float(res.get("temperature")),
-            retry=RetryPolicy(
-                max_attempts=int(res.get("max_attempts")),
-                backoff_base=float(res.get("backoff_base")),
-            ),
-            timeout=float(res.get("timeout")),
-            cache_dir=res.get("cache_dir"),
-            fixture_path=res.get("fixture"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = ClientConfig(
+        backend=res.get("backend"),
+        model=res.get("model"),
+        base_url=res.get("base_url"),
+        api_key_env=res.get("api_key_env"),
+        temperature=float(res.get("temperature")),
+        retry=RetryPolicy(
+            max_attempts=int(res.get("max_attempts")),
+            backoff_base=float(res.get("backoff_base")),
+        ),
+        timeout=float(res.get("timeout")),
+        cache_dir=res.get("cache_dir"),
+        fixture_path=res.get("fixture"),
+    )
     return ChatClient(config)
 
 
@@ -243,16 +240,14 @@ def cmd_run(res: _Resolver) -> int:
     template = (
         load_template(effective["template"]) if effective["template"] else default_template()
     )
-    try:
-        spec = PromptSpec(
-            mode=mode,
-            shots=shots,
-            exemplars=exemplars,
-            token_budget=int(effective["context_tokens"]) - int(effective["reserved_tokens"]),
-            template=template,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = PromptSpec(
+        mode=mode,
+        shots=shots,
+        exemplars=exemplars,
+        context_tokens=int(effective["context_tokens"]),
+        reserved_tokens=int(effective["reserved_tokens"]),
+        template=template,
+    )
 
     precomputed = None
     if effective["seeds"]:
@@ -283,8 +278,6 @@ def cmd_run(res: _Resolver) -> int:
             precomputed_seeds=precomputed,
             workers=int(effective["workers"]),
             group_by=group_by,
-            context_tokens=int(effective["context_tokens"]),
-            min_response_tokens=int(effective["reserved_tokens"]),
         )
     except ApiExhaustionError as exc:
         save_records(exc.records, os.path.join(out_dir, "records.jsonl"))
@@ -408,15 +401,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         res = _Resolver(args, _load_config_file(getattr(args, "config", None)))
         return args.func(res)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except AnnotationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc.cause, TransportError) else 1
-    except (DatasetFormatError, GraphFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ClientError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

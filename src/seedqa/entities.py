@@ -156,6 +156,8 @@ ENTITY_INSTRUCTION = (
     "none, reply \"none\"."
 )
 
+EXTRACTION_MAX_TOKENS = 256
+
 _NO_ENTITY_MARKERS = {"none", "无", "没有", "no entities", "no entities found"}
 _LABEL_PREFIXES = ("entities:", "entities：", "实体:", "实体：", "医学实体:", "医学实体：")
 _DELIMITERS = ("、", "，", ",", "；", ";")
@@ -240,13 +242,11 @@ class LlmExtractor:
         self,
         client: ChatClient,
         exemplars: Sequence[tuple[str, Sequence[str]]],
-        max_tokens: int = 256,
     ):
         if not exemplars:
             raise ValueError("LlmExtractor needs at least one exemplar")
         self.client = client
         self.exemplars = tuple((t, tuple(e)) for t, e in exemplars)
-        self.max_tokens = max_tokens
 
     def __call__(self, text: str) -> set[str]:
         prompt = build_extraction_prompt(text, self.exemplars)
@@ -254,7 +254,7 @@ class LlmExtractor:
             model=self.client.config.model,
             prompt=prompt,
             temperature=self.client.config.temperature,
-            max_tokens=self.max_tokens,
+            max_tokens=EXTRACTION_MAX_TOKENS,
         )
         response = self.client.complete(request)
         return parse_entity_response(response.text)

@@ -21,14 +21,7 @@ from .client import ChatClient, CompletionRequest, TransportError, request_diges
 from .corpus import Dataset, Instance, map_in_order, qo_text, read_jsonl
 from .entities import Extractor
 from .graph import KnowledgeGraph
-from .prompts import (
-    DEFAULT_CONTEXT_TOKENS,
-    DEFAULT_RESERVED_RESPONSE_TOKENS,
-    PromptSpec,
-    RenderedPrompt,
-    compose,
-    max_response_tokens,
-)
+from .prompts import PromptSpec, RenderedPrompt, compose
 from .seeds import DEFAULT_K, SeedQuery, SeedResult, mine_seeds
 from .textseg import tokenize
 
@@ -38,7 +31,7 @@ log = logging.getLogger(__name__)
 # defined instead of collapsing the whole score to exactly zero
 BLEU_EPSILON = 1e-9
 
-DEFAULT_MAX_CONSECUTIVE_TRANSPORT_FAILURES = 5
+MAX_CONSECUTIVE_TRANSPORT_FAILURES = 5
 
 
 class ApiExhaustionError(RuntimeError):
@@ -389,9 +382,6 @@ def run_eval(
     precomputed_seeds: Mapping[str, SeedResult] | None = None,
     workers: int = 1,
     group_by: Sequence[str] = (),
-    context_tokens: int = DEFAULT_CONTEXT_TOKENS,
-    min_response_tokens: int = DEFAULT_RESERVED_RESPONSE_TOKENS,
-    max_consecutive_transport_failures: int = DEFAULT_MAX_CONSECUTIVE_TRANSPORT_FAILURES,
 ) -> tuple[list[EvalRecord], EvalReport]:
     """Evaluate every instance and aggregate a report.
 
@@ -402,7 +392,7 @@ def run_eval(
     cannot fit the token budget raises TokenBudgetError.  Records are taken
     in input order, with at most ``workers`` instances submitted ahead of
     the last record taken; the run aborts with ApiExhaustionError at the
-    ``max_consecutive_transport_failures``-th transport failure in a row,
+    ``MAX_CONSECUTIVE_TRANSPORT_FAILURES``-th transport failure in a row,
     carrying exactly the records up to it, whatever the worker count.
     """
     check_run_inputs(test, spec, graph, extractor, precomputed_seeds, workers)
@@ -442,7 +432,7 @@ def run_eval(
             model=client.config.model,
             prompt=prompt.text,
             temperature=client.config.temperature,
-            max_tokens=max_response_tokens(prompt, context_tokens, min_response_tokens),
+            max_tokens=prompt.max_tokens,
             system=prompt.system,
         )
         record.prompt_digest = request_digest(request)
@@ -482,7 +472,7 @@ def run_eval(
         for record, transport_failed in results:
             records.append(record)
             failures = failures + 1 if transport_failed else 0
-            if failures >= max_consecutive_transport_failures:
+            if failures >= MAX_CONSECUTIVE_TRANSPORT_FAILURES:
                 raise ApiExhaustionError(failures, records)
 
     report = build_report(records, group_by)

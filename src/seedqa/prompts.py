@@ -21,7 +21,6 @@ SHOTS = ("zero", "few")
 
 DEFAULT_CONTEXT_TOKENS = 4097
 DEFAULT_RESERVED_RESPONSE_TOKENS = 256
-DEFAULT_TOKEN_BUDGET = DEFAULT_CONTEXT_TOKENS - DEFAULT_RESERVED_RESPONSE_TOKENS
 
 _TEMPLATE_VERSION = 1
 
@@ -53,15 +52,6 @@ class PromptTemplate:
         if missing:
             raise ValueError(f"template lacks instructions for modes: {missing}")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PromptTemplate":
-        if data.get("version") != _TEMPLATE_VERSION:
-            raise ValueError(
-                f"unsupported template version {data.get('version')!r}"
-            )
-        fields = {k: v for k, v in data.items() if k != "version"}
-        return cls(**fields)
-
 
 def load_template(path: str) -> PromptTemplate:
     """Read a template JSON object; any defect raises DatasetFormatError
@@ -71,7 +61,10 @@ def load_template(path: str) -> PromptTemplate:
             data = json.load(fh)
             if not isinstance(data, dict):
                 raise ValueError("template is not a JSON object")
-            return PromptTemplate.from_dict(data)
+            version = data.pop("version", None)
+            if version != _TEMPLATE_VERSION:
+                raise ValueError(f"unsupported template version {version!r}")
+            return PromptTemplate(**data)
         except (TypeError, ValueError) as exc:
             raise DatasetFormatError(f"{path}: {exc}") from exc
 
@@ -122,12 +115,15 @@ def default_exemplars() -> tuple[Exemplar, ...]:
 
 @dataclass(frozen=True)
 class PromptSpec:
-    """Mode, shot setting, exemplars, budget, and template for composition."""
+    """Mode, shot setting, exemplars, context split, and template for
+    composition.  Prompt and reply share ``context_tokens``, of which
+    ``reserved_tokens`` stay free for the reply."""
 
     mode: str
     shots: str
     exemplars: tuple[Exemplar, ...] = ()
-    token_budget: int = DEFAULT_TOKEN_BUDGET
+    context_tokens: int = DEFAULT_CONTEXT_TOKENS
+    reserved_tokens: int = DEFAULT_RESERVED_RESPONSE_TOKENS
     template: PromptTemplate = field(default_factory=default_template)
 
     def __post_init__(self) -> None:
@@ -135,8 +131,10 @@ class PromptSpec:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.shots not in SHOTS:
             raise ValueError(f"shots must be one of {SHOTS}, got {self.shots!r}")
+        if self.reserved_tokens < 1:
+            raise ValueError("reserved_tokens must be positive")
         if self.token_budget < 1:
-            raise ValueError("token_budget must be positive")
+            raise ValueError("context_tokens must exceed reserved_tokens")
         if self.shots == "few" and not self.exemplars:
             raise ValueError("few-shot composition needs at least one exemplar")
         if self.mode == "icp" and self.shots == "few":
@@ -144,12 +142,20 @@ class PromptSpec:
                 if ex.seeds is None:
                     raise ValueError("icp exemplars must carry seed lists")
 
+    @property
+    def token_budget(self) -> int:
+        """Tokens the prompt may use: the context minus the reserved reply."""
+        return self.context_tokens - self.reserved_tokens
+
 
 @dataclass(frozen=True)
 class RenderedPrompt:
     text: str
     estimated_tokens: int
     kept_exemplars: int
+    # reply allowance: the context left after the prompt, so at least the
+    # spec's reserved tokens
+    max_tokens: int
     system: str | None = None
 
 
@@ -191,7 +197,7 @@ def compose(instance, spec: PromptSpec, seeds=None) -> RenderedPrompt:
     entity strings, rendered in order.  Few-shot exemplars that do not fit
     the budget are dropped whole from the end; TokenBudgetError is raised
     when instruction plus target alone exceed it, since the target question
-    is never truncated.
+    is never truncated.  ``max_tokens`` gets what the context leaves.
     """
     if spec.mode == "icp":
         if seeds is None:
@@ -215,7 +221,8 @@ def compose(instance, spec: PromptSpec, seeds=None) -> RenderedPrompt:
         )
         estimated = estimate_tokens(text) + system_cost
         if estimated <= spec.token_budget:
-            return RenderedPrompt(text, estimated, len(kept), template.system)
+            return RenderedPrompt(text, estimated, len(kept),
+                                  spec.context_tokens - estimated, template.system)
         if not kept:
             raise TokenBudgetError(
                 f"prompt needs ~{estimated} tokens with no exemplars left, "
@@ -223,12 +230,3 @@ def compose(instance, spec: PromptSpec, seeds=None) -> RenderedPrompt:
             )
         kept.pop()
 
-
-def max_response_tokens(
-    prompt: RenderedPrompt,
-    context_tokens: int = DEFAULT_CONTEXT_TOKENS,
-    floor: int = DEFAULT_RESERVED_RESPONSE_TOKENS,
-) -> int:
-    """Response allowance: what the context leaves after the prompt, but
-    never below the reserved floor."""
-    return max(context_tokens - prompt.estimated_tokens, floor)

@@ -15,7 +15,7 @@ from seedqa.client import CompletionRequest, request_digest
 from seedqa.corpus import Dataset, Instance, qo_text
 from seedqa.entities import AnnotatedInstance
 from seedqa.graph import KnowledgeGraph, build_graph
-from seedqa.prompts import PromptSpec, compose, max_response_tokens
+from seedqa.prompts import PromptSpec, compose
 from seedqa.seeds import SeedQuery, mine_seeds
 from seedqa.textseg import is_cjk
 
@@ -302,7 +302,7 @@ def pipeline_requests(test_dataset, spec: PromptSpec, model: str, graph=None,
             model=model,
             prompt=prompt.text,
             temperature=0.0,
-            max_tokens=max_response_tokens(prompt, context_tokens, floor),
+            max_tokens=max(context_tokens - prompt.estimated_tokens, floor),
             system=prompt.system,
         )
     return requests

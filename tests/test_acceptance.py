@@ -30,7 +30,6 @@ from seedqa.evaluation import (
 )
 from seedqa.graph import build_graph
 from seedqa.prompts import (
-    DEFAULT_TOKEN_BUDGET,
     PromptSpec,
     compose,
     default_exemplars,
@@ -255,9 +254,9 @@ def test_prompt_mode_contracts_and_token_budget():
             assert icp.text.count("knowledge seeds:") >= 1
             if shots == "few":
                 assert icp.text.count("knowledge seeds:") == icp.kept_exemplars + 1
-                assert estimate_tokens(qa.text) <= DEFAULT_TOKEN_BUDGET
-                assert estimate_tokens(cot.text) <= DEFAULT_TOKEN_BUDGET
-                assert estimate_tokens(icp.text) <= DEFAULT_TOKEN_BUDGET
+                for prompt in (qa, cot, icp):
+                    assert estimate_tokens(prompt.text) <= 4097 - 256
+                    assert prompt.max_tokens == 4097 - estimate_tokens(prompt.text)
             assert qa.estimated_tokens == estimate_tokens(qa.text)
 
 

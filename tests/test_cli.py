@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -89,7 +90,7 @@ def test_annotate_build_graph_outputs(corpus):
 
 def test_build_graph_merges_shards(corpus, tmp_path):
     ann_path, graph_path = pipeline_to_graph(corpus)
-    records = open(ann_path, encoding="utf-8").read().splitlines(keepends=True)
+    records = Path(ann_path).read_text(encoding="utf-8").splitlines(keepends=True)
     shard1 = tmp_path / "s1.jsonl"
     shard2 = tmp_path / "s2.jsonl"
     shard1.write_text("".join(records[:5]), encoding="utf-8")
@@ -209,7 +210,7 @@ def test_config_file_string_for_repeatable_option_is_one_item(corpus, tmp_path):
     conf.write_text(json.dumps({"annotated": ann_path}), encoding="utf-8")
     one_graph = tmp_path / "one.kg"
     assert main(["build-graph", "--config", str(conf), "--out", str(one_graph)]) == 0
-    assert one_graph.read_bytes() == open(graph_path, "rb").read()
+    assert one_graph.read_bytes() == Path(graph_path).read_bytes()
 
     fixture = prepare_replay(corpus, graph_path)
     conf.write_text(json.dumps({
@@ -319,6 +320,35 @@ def test_run_rejects_sidecar_missing_test_ids(corpus, capsys):
     assert code == 1
     assert "lack 4 of 4 test ids, first 'te0'" in capsys.readouterr().err
     assert not (out_dir / "records.jsonl").exists()
+    assert not (out_dir / "config.json").exists()
+
+
+def test_run_context_split_reaches_request(corpus):
+    # the fixture only answers requests whose max_tokens is 3000 - estimate
+    test = load_dataset(corpus["test"])
+    spec = PromptSpec("cot", "zero", context_tokens=3000, reserved_tokens=300)
+    requests = pipeline_requests(test, spec, "gpt-3.5-turbo-0613",
+                                 context_tokens=3000, floor=300)
+    fixture = write_replay_fixture(corpus["dir"] / "split.jsonl", requests,
+                                   {inst.id: "答案是A。" for inst in test})
+    out_dir = corpus["dir"] / "split_out"
+    assert main(["run", "--dataset", corpus["test"], "--mode", "cot",
+                 "--backend", "replay", "--fixture", fixture,
+                 "--context-tokens", "3000", "--reserved-tokens", "300",
+                 "--out-dir", str(out_dir)]) == 0
+    records = (out_dir / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["error"] for line in records] == [None] * len(test)
+
+
+@pytest.mark.parametrize("reserved", ["0", "-5"])
+def test_run_rejects_reserved_tokens_below_one(corpus, capsys, reserved):
+    fixture = corpus["dir"] / "empty_fixture.jsonl"
+    fixture.write_text("", encoding="utf-8")
+    out_dir = corpus["dir"] / "reserved_out"
+    assert main(["run", "--dataset", corpus["test"], "--backend", "replay",
+                 "--fixture", str(fixture), "--reserved-tokens", reserved,
+                 "--out-dir", str(out_dir)]) == 1
+    assert "reserved_tokens must be positive" in capsys.readouterr().err
     assert not (out_dir / "config.json").exists()
 
 

@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -439,7 +440,7 @@ def test_run_eval_worker_counts_agree(tmp_path):
 def test_run_eval_per_instance_failures_recorded(tmp_path):
     test, graph, extractor, spec, client = replay_setup(tmp_path, "cot", count=4)
     # a fixture missing one instance produces a recorded error, not an abort
-    fixture_lines = open(client.config.fixture_path, encoding="utf-8").read().splitlines()
+    fixture_lines = Path(client.config.fixture_path).read_text(encoding="utf-8").splitlines()
     partial = tmp_path / "partial.jsonl"
     partial.write_text("\n".join(fixture_lines[1:]) + "\n", encoding="utf-8")
     client2 = ChatClient(ClientConfig(backend="replay", fixture_path=str(partial)))
@@ -491,8 +492,7 @@ def test_run_eval_extractor_transport_failures_count_toward_limit(tmp_path, work
         raise TransportError("extraction endpoint down")
 
     with pytest.raises(ApiExhaustionError) as err:
-        run_eval(test, client, spec, graph=graph, extractor=dead, workers=workers,
-                 max_consecutive_transport_failures=5)
+        run_eval(test, client, spec, graph=graph, extractor=dead, workers=workers)
     records = err.value.records
     assert [r.instance_id for r in records] == [i.id for i in test][:5]
     assert all(r.error.startswith("TransportError") for r in records)
@@ -510,7 +510,7 @@ def test_run_eval_transport_exhaustion_aborts(tmp_path):
     )
     client = ChatClient(config, transport=failing_transport, sleeper=lambda s: None)
     with pytest.raises(ApiExhaustionError) as err:
-        run_eval(test, client, spec, max_consecutive_transport_failures=5)
+        run_eval(test, client, spec)
     assert len(err.value.records) == 5
     assert all(r.error for r in err.value.records)
 
@@ -558,8 +558,7 @@ def test_run_eval_exhaustion_is_deterministic_across_workers(workers):
         for _ in range(10):
             test, spec, client, _, _ = live_setup(6, failing=range(6))
             with pytest.raises(ApiExhaustionError) as err:
-                run_eval(test, client, spec, workers=workers,
-                         max_consecutive_transport_failures=5)
+                run_eval(test, client, spec, workers=workers)
             assert [r.instance_id for r in err.value.records] == [i.id for i in test][:5]
             assert all("TransportError" in r.error for r in err.value.records)
     finally:
@@ -572,7 +571,7 @@ def test_run_eval_exhaustion_counts_failures_in_input_order(workers):
     # aborts at index 7, the fifth failure in a row
     test, spec, client, _, _ = live_setup(10, failing=(0, 1, 3, 4, 5, 6, 7))
     with pytest.raises(ApiExhaustionError) as err:
-        run_eval(test, client, spec, workers=workers, max_consecutive_transport_failures=5)
+        run_eval(test, client, spec, workers=workers)
     records = err.value.records
     assert [r.instance_id for r in records] == [i.id for i in test][:8]
     assert [r.error is None for r in records] == [False, False, True] + [False] * 5
@@ -582,7 +581,7 @@ def test_run_eval_single_worker_stops_calling_at_abort():
     # with one worker no instance starts after the abort decision
     test, spec, client, calls, _ = live_setup(8, failing=range(8), max_attempts=2)
     with pytest.raises(ApiExhaustionError):
-        run_eval(test, client, spec, workers=1, max_consecutive_transport_failures=5)
+        run_eval(test, client, spec, workers=1)
     assert calls == [i.id for i in test[:5] for _ in range(2)]
 
 

@@ -10,17 +10,14 @@ from seedqa.corpus import DatasetFormatError, Instance, data_path
 from seedqa.prompts import (
     DEFAULT_CONTEXT_TOKENS,
     DEFAULT_RESERVED_RESPONSE_TOKENS,
-    DEFAULT_TOKEN_BUDGET,
     Exemplar,
     PromptSpec,
-    RenderedPrompt,
     TokenBudgetError,
     compose,
     default_exemplars,
     default_template,
     load_exemplars,
     load_template,
-    max_response_tokens,
 )
 from seedqa.textseg import estimate_tokens
 
@@ -169,17 +166,22 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         PromptSpec("cot", "few", ())
     with pytest.raises(ValueError):
-        PromptSpec("cot", "zero", token_budget=0)
+        PromptSpec("cot", "zero", context_tokens=256)  # leaves no prompt budget
+    # the reply needs at least one token; 0 or less used to reach max_tokens
+    for reserved in (0, -5):
+        with pytest.raises(ValueError, match="reserved_tokens"):
+            PromptSpec("cot", "zero", context_tokens=100, reserved_tokens=reserved)
 
 
 def test_budget_drops_exemplars_from_end():
     inst = toy_instance()
     exemplars = default_exemplars()
     full = compose(inst, PromptSpec("cot", "few", exemplars))
-    tight = PromptSpec("cot", "few", exemplars, token_budget=full.estimated_tokens - 1)
+    tight = PromptSpec("cot", "few", exemplars, context_tokens=full.estimated_tokens - 1
+                       + DEFAULT_RESERVED_RESPONSE_TOKENS)
     trimmed = compose(inst, tight)
     assert trimmed.kept_exemplars < 6
-    assert trimmed.estimated_tokens <= tight.token_budget
+    assert trimmed.estimated_tokens <= tight.token_budget == full.estimated_tokens - 1
     # the kept exemplars are a prefix
     for ex in exemplars[: trimmed.kept_exemplars]:
         assert ex.question in trimmed.text
@@ -192,21 +194,25 @@ def test_budget_drops_exemplars_from_end():
 
 def test_budget_exhaustion_raises():
     with pytest.raises(TokenBudgetError):
-        compose(toy_instance(), PromptSpec("cot", "zero", token_budget=10))
+        compose(toy_instance(), PromptSpec("cot", "zero", context_tokens=11, reserved_tokens=1))
 
 
 def test_default_budget_value():
-    assert DEFAULT_TOKEN_BUDGET == DEFAULT_CONTEXT_TOKENS - DEFAULT_RESERVED_RESPONSE_TOKENS == 3841
-    assert PromptSpec("cot", "zero").token_budget == 3841
+    spec = PromptSpec("cot", "zero")
+    assert (spec.context_tokens, spec.reserved_tokens) == (4097, 256)
+    assert (DEFAULT_CONTEXT_TOKENS, DEFAULT_RESERVED_RESPONSE_TOKENS) == (4097, 256)
+    assert spec.token_budget == 3841
 
 
 def test_max_response_tokens_floor_and_headroom():
-    small = RenderedPrompt("x", 100, 0)
-    assert max_response_tokens(small) == 4097 - 100
-    big = RenderedPrompt("x", 4000, 0)
-    assert max_response_tokens(big) == 256
-    exact = RenderedPrompt("x", 3841, 0)
-    assert max_response_tokens(exact) == 256
+    inst = toy_instance()
+    small = compose(inst, PromptSpec("cot", "zero"))
+    assert small.max_tokens == 4097 - small.estimated_tokens
+    # a prompt that fills its budget exactly leaves the reserved tokens
+    exact = compose(inst, PromptSpec("cot", "zero", reserved_tokens=7,
+                                     context_tokens=small.estimated_tokens + 7))
+    assert exact.estimated_tokens == small.estimated_tokens
+    assert exact.max_tokens == 7
 
 
 def test_compose_deterministic():
