@@ -67,8 +67,6 @@ class Lexicon:
         canon = {normalize_entity(e) for e in entries}
         if not canon:
             raise ValueError("lexicon has no entries")
-        self.entries: frozenset[str] = frozenset(canon)
-        self.aliases: dict[str, str] = {}
         surface_map = {e: e for e in canon}
         for alias, target in (aliases or {}).items():
             alias_n = normalize_entity(alias)
@@ -77,8 +75,14 @@ class Lexicon:
                 raise ValueError(f"alias {alias!r} targets unknown entity {target!r}")
             if alias_n in canon and alias_n != target_n:
                 raise ValueError(f"alias {alias!r} collides with a canonical entry")
-            self.aliases[alias_n] = target_n
             surface_map[alias_n] = target_n
+        self._index(surface_map)
+
+    def _index(self, surface_map: dict[str, str]) -> None:
+        """Keep ``surface_map`` (normalized surface -> canonical entry,
+        each entry mapping to itself) and the views derived from it."""
+        self.entries: frozenset[str] = frozenset(surface_map.values())
+        self.aliases: dict[str, str] = {s: c for s, c in surface_map.items() if s != c}
         self._surface_map = surface_map
         self._max_len = max(len(s) for s in surface_map)
 
@@ -113,7 +117,10 @@ def load_lexicon(path: str) -> Lexicon:
                     raise DatasetFormatError(f"{where}: {surface!r} is already {what}")
     if not owner:
         raise DatasetFormatError(f"{path}: lexicon has no entries")
-    return Lexicon(set(owner.values()), {s: c for s, c in owner.items() if s != c})
+    # every surface is already normalized and checked, so skip __init__
+    lexicon = Lexicon.__new__(Lexicon)
+    lexicon._index(owner)
+    return lexicon
 
 
 def extract_entities_lexicon(text: str, lexicon: Lexicon) -> set[str]:

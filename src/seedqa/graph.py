@@ -11,10 +11,13 @@ where m is the total node count and freq(j) counts instances whose
 analysis mentions j.  Ubiquitous targets therefore contribute little or
 even negative weight, and rare ones are promoted.
 
-The graph keeps one table: per source, its ``(target, weight, raw_count)``
-rows sorted by descending weight, then target, which is the neighbor list
-the seed miner ranks over.  Files store counts only; weights are derived
-again on load.
+The graph is stored as flat integer tables in CSR (compressed sparse row)
+form: per source index, a slice of target indices and raw counts, in
+(source, target index) order, plus one idf value per node.  A source's
+``(target, weight, raw_count)`` rows, sorted by descending weight and then
+target, are computed the first time ``neighbors`` asks for them and cached;
+a run that touches a few hundred sources never ranks the rest.  Files store
+counts only, and their rows may come in any order.
 """
 
 from __future__ import annotations
@@ -23,8 +26,12 @@ import hashlib
 import json
 import math
 import re
-from collections import Counter, defaultdict
-from typing import Iterable, Sequence
+from array import array
+from bisect import bisect_left
+from collections import Counter
+from itertools import chain, islice, repeat
+from operator import add, eq, itemgetter, mod, mul, sub
+from typing import Iterable, Iterator, Sequence
 
 from .entities import AnnotatedInstance
 
@@ -34,6 +41,12 @@ _FORMAT_VERSION = 1
 # may hold only ASCII digits, a minus sign (a negative index is reported
 # as out of range), tabs and the line breaks between rows
 _NOT_ROW_CHAR = re.compile(r"[^0-9\t\n-]")
+# what is left of a well-formed row once its digits and signs are deleted
+_DROP_NUMBERS = str.maketrans("", "", "0123456789-")
+# row tables are parsed this many characters (whole rows) at a time
+_CHUNK_CHARS = 1 << 16
+# the largest count an array("q") table holds
+_MAX_COUNT = (1 << 63) - 1
 
 
 class GraphFormatError(ValueError):
@@ -43,47 +56,33 @@ class GraphFormatError(ValueError):
 class KnowledgeGraph:
     """Immutable co-occurrence graph over canonical entity strings.
 
-    Every edge is stored once, as a row ``(target, weight, raw_count)`` in
-    its source's tuple.  Each source's rows are sorted by descending
-    weight, then target; the weight is computed here, from the counts, and
-    never again.  ``raw_counts`` is derived from the rows on request.
+    ``nodes`` is the node table; an edge is the integer
+    ``source_index * m + target_index``.  The constructor takes every edge
+    once, in ascending order, with its raw count, and keeps them as CSR
+    tables: ``_offsets[i]:_offsets[i + 1]`` is source ``i``'s slice of
+    ``_targets`` and ``_counts``.  The builder and the loader check the
+    tables; the constructor trusts them.  Weights are computed per source,
+    on its first ``neighbors`` call.
     """
 
     def __init__(
         self,
         nodes: Sequence[str],
-        raw_counts: dict[tuple[str, str], int],
+        edges: Sequence[int],
+        counts: array,
         analysis_freq: dict[str, int],
     ):
-        node_set = set(nodes)
-        if len(node_set) != len(nodes):
-            raise ValueError("duplicate node")
-        for (src, tgt), count in raw_counts.items():
-            if src not in node_set or tgt not in node_set:
-                raise ValueError(f"edge ({src!r}, {tgt!r}) references unknown node")
-            if count < 1:
-                raise ValueError(f"edge ({src!r}, {tgt!r}) has non-positive count {count}")
-        for ent, freq in analysis_freq.items():
-            if ent not in node_set:
-                raise ValueError(f"analysis frequency references unknown node {ent!r}")
-            if freq < 1:
-                raise ValueError(f"analysis frequency for {ent!r} must be >= 1, got {freq}")
-
         self.nodes: tuple[str, ...] = tuple(nodes)
-        self.analysis_freq: dict[str, int] = dict(analysis_freq)
-
-        row_sums: dict[str, int] = defaultdict(int)
-        for (src, _), count in raw_counts.items():
-            row_sums[src] += count
+        self.analysis_freq: dict[str, int] = analysis_freq
         m = len(self.nodes)
-        rows: dict[str, list[tuple[str, float, int]]] = defaultdict(list)
-        for (src, tgt), count in raw_counts.items():
-            idf = math.log10(m / (1 + self.analysis_freq.get(tgt, 0)))
-            rows[src].append((tgt, (count / row_sums[src]) * idf, count))
-        self._out: dict[str, tuple[tuple[str, float, int], ...]] = {
-            src: tuple(sorted(out, key=lambda row: (-row[1], row[0])))
-            for src, out in rows.items()
-        }
+        self._index = {node: i for i, node in enumerate(self.nodes)}
+        self._offsets = array("q", [bisect_left(edges, i * m) for i in range(m + 1)])
+        self._targets = array("q", map(mod, edges, repeat(m)))
+        self._counts = counts
+        self._idf = [math.log10(m / (1 + analysis_freq.get(node, 0))) for node in self.nodes]
+        # source -> its ranked rows, filled on first use; two threads may
+        # rank the same source at once, and either equal tuple may stay
+        self._ranked: dict[str, tuple[tuple[str, float, int], ...]] = {}
 
     @property
     def m(self) -> int:
@@ -91,21 +90,48 @@ class KnowledgeGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(out) for out in self._out.values())
+        return len(self._targets)
+
+    def _sources(self) -> Iterable[int]:
+        """The source index of every edge, in table order."""
+        spans = map(sub, islice(self._offsets, 1, None), self._offsets)
+        return chain.from_iterable(map(repeat, range(self.m), spans))
 
     @property
     def raw_counts(self) -> dict[tuple[str, str], int]:
         """Raw count of every edge, keyed by (source, target)."""
-        return {(src, tgt): count for src, out in self._out.items() for tgt, _, count in out}
+        nodes = self.nodes
+        return {
+            (nodes[s], nodes[t]): count
+            for s, t, count in zip(self._sources(), self._targets, self._counts)
+        }
 
     def neighbors(self, entity: str) -> tuple[tuple[str, float, int], ...]:
         """Outgoing ``(target, weight, raw_count)`` rows, heaviest first,
         ties by target.
 
         A node with no outgoing edges (or an unknown entity) gets ``()``;
-        callers treat both the same way.
+        callers treat both the same way.  The rows are computed on the
+        first call for each source and cached.
         """
-        return self._out.get(entity, ())
+        rows = self._ranked.get(entity)
+        if rows is None:
+            i = self._index.get(entity)
+            if i is None:
+                return ()
+            lo, hi = self._offsets[i], self._offsets[i + 1]
+            counts = self._counts[lo:hi]
+            total = sum(counts)
+            nodes, idf = self.nodes, self._idf
+            ranked = sorted(
+                ((nodes[t], (count / total) * idf[t], count)
+                 for t, count in zip(self._targets[lo:hi], counts)),
+                key=itemgetter(0),
+            )
+            # stable, so equal weights keep the target order
+            ranked.sort(key=itemgetter(1), reverse=True)
+            rows = self._ranked[entity] = tuple(ranked)
+        return rows
 
 
 def build_graph(train: Iterable[AnnotatedInstance]) -> KnowledgeGraph:
@@ -116,19 +142,19 @@ def build_graph(train: Iterable[AnnotatedInstance]) -> KnowledgeGraph:
     contains j at all.  Both are per-instance (sets, not multisets), so
     repeating an entity inside one instance changes nothing.
     """
-    counts: Counter[tuple[str, str]] = Counter()
+    sides = [(set(ann.qo_entities), set(ann.r_entities)) for ann in train]
+    nodes = sorted(set().union(*chain.from_iterable(sides)))
+    index = {node: i for i, node in enumerate(nodes)}
+    m = len(nodes)
+    counts: Counter[int] = Counter()
     freq: Counter[str] = Counter()
-    nodes: set[str] = set()
-    for ann in train:
-        qo = set(ann.qo_entities)
-        r = set(ann.r_entities)
-        nodes |= qo | r
-        for tgt in r:
-            freq[tgt] += 1
+    for qo, r in sides:
+        freq.update(r)
+        targets = [index[tgt] for tgt in r]
         for src in qo:
-            for tgt in r:
-                counts[(src, tgt)] += 1
-    return KnowledgeGraph(tuple(sorted(nodes)), dict(counts), dict(freq))
+            counts.update(map(add, repeat(index[src] * m), targets))
+    edges = sorted(counts)
+    return KnowledgeGraph(nodes, edges, array("q", map(counts.__getitem__, edges)), dict(freq))
 
 
 def save_graph(graph: KnowledgeGraph, path: str) -> None:
@@ -138,28 +164,26 @@ def save_graph(graph: KnowledgeGraph, path: str) -> None:
     string per node, edge rows ``src_idx<TAB>tgt_idx<TAB>raw_count``,
     frequency rows ``node_idx<TAB>freq``, then a JSON trailer with the
     SHA-256 of everything before it.  Weights are derived, so only counts
-    are stored.
+    are stored.  Rows are written in (source, target) index order.
     """
-    index = {node: i for i, node in enumerate(graph.nodes)}
-    lines = [
-        json.dumps(
-            {
-                "magic": _MAGIC,
-                "version": _FORMAT_VERSION,
-                "nodes": graph.m,
-                "edges": graph.edge_count,
-                "freqs": len(graph.analysis_freq),
-            },
-            ensure_ascii=False,
-        )
-    ]
-    lines.extend(json.dumps(node, ensure_ascii=False) for node in graph.nodes)
-    for i, src in enumerate(graph.nodes):
-        for j, count in sorted((index[tgt], count) for tgt, _, count in graph.neighbors(src)):
-            lines.append(f"{i}\t{j}\t{count}")
-    for ent in sorted(graph.analysis_freq, key=index.__getitem__):
-        lines.append(f"{index[ent]}\t{graph.analysis_freq[ent]}")
-    body = "\n".join(lines) + "\n"
+    header = json.dumps(
+        {
+            "magic": _MAGIC,
+            "version": _FORMAT_VERSION,
+            "nodes": graph.m,
+            "edges": graph.edge_count,
+            "freqs": len(graph.analysis_freq),
+        },
+        ensure_ascii=False,
+    )
+    index = graph._index
+    body = "".join(chain(
+        (header, "\n"),
+        (json.dumps(node, ensure_ascii=False) + "\n" for node in graph.nodes),
+        map("{}\t{}\t{}\n".format, graph._sources(), graph._targets, graph._counts),
+        (f"{index[ent]}\t{graph.analysis_freq[ent]}\n"
+         for ent in sorted(graph.analysis_freq, key=index.__getitem__)),
+    ))
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(body)
@@ -172,21 +196,22 @@ def load_graph(path: str) -> KnowledgeGraph:
 
     Any mismatch raises GraphFormatError; a partial graph is never
     returned.  A defect in one line (the header, a node entry that is not
-    a JSON string or repeats one, a row field that is not an ASCII decimal
-    integer, a node index outside the node table, a count below 1, a
-    repeated edge or frequency row) is reported as ``path:line: reason``
-    with the 1-based file line.  Weights are recomputed from the stored
-    counts.
+    a JSON string or repeats one, a row with the wrong number of fields or
+    a field that is not an ASCII decimal integer, a node index outside the
+    node table, a count below 1, a repeated edge or frequency row) is
+    reported as ``path:line: reason`` with the 1-based file line of the
+    first defect.  Rows may come in any order; weights are derived from the
+    stored counts when a source is first read.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if len(lines) < 2:
+    # the trailer is the last line; everything before it is the body
+    end = len(text) - text.endswith("\n")
+    cut = text.rfind("\n", 0, end)
+    if cut < 0:
         raise GraphFormatError(f"{path}: too short to be a graph file")
-    trailer_line = lines[-1]
-    body = "\n".join(lines[:-1]) + "\n"
+    body, trailer_line = text[: cut + 1], text[cut + 1 : end]
+    del text
     try:
         trailer = json.loads(trailer_line)
         expected = trailer["sha256"]
@@ -196,7 +221,7 @@ def load_graph(path: str) -> KnowledgeGraph:
     if actual != expected:
         raise GraphFormatError(f"{path}: checksum mismatch (file corrupt or truncated)")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(body[: body.index("\n")])
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"{path}:1: malformed header") from exc
     if not isinstance(header, dict):
@@ -215,16 +240,18 @@ def load_graph(path: str) -> KnowledgeGraph:
             )
     n_nodes, n_edges, n_freqs = header["nodes"], header["edges"], header["freqs"]
     expected_lines = 1 + n_nodes + n_edges + n_freqs
-    if len(lines) - 1 != expected_lines:
+    n_lines = body.count("\n")
+    if n_lines != expected_lines:
         raise GraphFormatError(
-            f"{path}: expected {expected_lines} lines before trailer, got {len(lines) - 1}"
+            f"{path}: expected {expected_lines} lines before trailer, got {n_lines}"
         )
-    # lines[lineno - 1] is 1-based file line ``lineno``
+    *node_lines, table = body.split("\n", 1 + n_nodes)
+    del body
     nodes: list[str] = []
     seen: set[str] = set()
-    for lineno in range(2, 2 + n_nodes):
+    for lineno, line in enumerate(node_lines[1:], 2):
         try:
-            node = json.loads(lines[lineno - 1])
+            node = json.loads(line)
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"{path}:{lineno}: malformed node entry") from exc
         if not isinstance(node, str):
@@ -233,43 +260,119 @@ def load_graph(path: str) -> KnowledgeGraph:
             raise GraphFormatError(f"{path}:{lineno}: repeated node entry {node!r}")
         seen.add(node)
         nodes.append(node)
-    first = 2 + n_nodes
-    # the table rows start after the header and node lines and their breaks
-    bad = _NOT_ROW_CHAR.search(body, sum(map(len, lines[: first - 1])) + first - 1)
+    # the frequency rows are the last n_freqs lines of the table
+    split = len(table)
+    for _ in range(n_freqs):
+        split = table.rfind("\n", 0, split - 1) + 1
+    tables = _parse_tables(table, split, n_nodes)
+    if tables is None:
+        tables = _parse_tables_by_line(path, table, n_freqs, 2 + n_nodes, n_nodes)
+    edges, counts, freq_nodes, freqs = tables
+    analysis_freq = dict(zip(map(nodes.__getitem__, freq_nodes), freqs))
+    return KnowledgeGraph(nodes, edges, counts, analysis_freq)
+
+
+_Tables = tuple[list[int], array, Sequence[int], Sequence[int]]
+
+
+def _parse_tables(table: str, split: int, n_nodes: int) -> _Tables | None:
+    """Fast path for the row tables: edge rows are ``table[:split]`` and
+    frequency rows the rest.  Returns the ascending edges, their counts,
+    and the frequency rows' node indices and values, or None when any row
+    is defective (or merely unusual, such as ``007``), in which case the
+    line-by-line reader decides."""
+    edges: list[int] = []
+    counts: list[int] = []
+    freq_nodes: list[int] = []
+    freqs: list[int] = []
+    try:
+        for values in _row_chunks(table, 0, split, 3):
+            sources, targets = values[0::3], values[1::3]
+            if not (_indices_ok(sources, n_nodes) and _indices_ok(targets, n_nodes)):
+                return None
+            edges.extend(map(add, map(mul, sources, repeat(n_nodes)), targets))
+            counts.extend(values[2::3])
+        for values in _row_chunks(table, split, len(table), 2):
+            freq_nodes.extend(values[0::2])
+            freqs.extend(values[1::2])
+    except ValueError:
+        return None
+    if (not _indices_ok(freq_nodes, n_nodes)
+            or min(counts, default=1) < 1 or min(freqs, default=1) < 1):
+        return None
+    # a stable sort of the row numbers, linear on files already in order
+    order = sorted(range(len(edges)), key=edges.__getitem__)
+    edges.sort()
+    if any(map(eq, edges, islice(edges, 1, None))) or len(set(freq_nodes)) < len(freq_nodes):
+        return None
+    try:
+        return edges, array("q", map(counts.__getitem__, order)), freq_nodes, array("q", freqs)
+    except OverflowError:
+        return None
+
+
+def _indices_ok(column: list[int], n_nodes: int) -> bool:
+    return not column or (min(column) >= 0 and max(column) < n_nodes)
+
+
+def _row_chunks(table: str, start: int, stop: int, width: int) -> Iterator[list[int]]:
+    """The fields of the rows in ``table[start:stop]``, ``width`` per row,
+    one chunk of whole rows at a time.  Raises ValueError when a row has
+    another number of fields or a field is not a plain integer."""
+    row_shape = "\t" * (width - 1) + "\n"
+    while start < stop:
+        end = stop if stop - start <= _CHUNK_CHARS else table.index("\n", start + _CHUNK_CHARS) + 1
+        chunk = table[start:end]
+        # each row must keep exactly its tabs, so a short row cannot hide
+        # behind a long one
+        if chunk.translate(_DROP_NUMBERS) != row_shape * chunk.count("\n"):
+            raise ValueError("row shape")
+        yield json.loads("[" + chunk[:-1].replace("\t", ",").replace("\n", ",") + "]")
+        start = end
+
+
+def _parse_tables_by_line(path: str, table: str, n_freqs: int, first_line: int,
+                          n_nodes: int) -> _Tables:
+    """Check the row tables one line at a time, in file order, and raise
+    GraphFormatError naming the first defective line; return the same
+    tables as ``_parse_tables`` when there is none."""
+    bad = _NOT_ROW_CHAR.search(table)
     if bad:
-        lineno = body.count("\n", 0, bad.start()) + 1
-        raise GraphFormatError(f"{path}:{lineno}: malformed row {lines[lineno - 1]!r}: "
+        start = table.rfind("\n", 0, bad.start()) + 1
+        lineno = first_line + table.count("\n", 0, start)
+        row = table[start : table.index("\n", bad.start())]
+        raise GraphFormatError(f"{path}:{lineno}: malformed row {row!r}: "
                                "fields must be ASCII decimal integers")
-    counts: dict[tuple[str, str], int] = {}
-    for lineno in range(first, first + n_edges):
-        row = lines[lineno - 1]
-        try:
-            si, ti, count = map(int, row.split("\t"))
-        except ValueError as exc:
-            raise GraphFormatError(f"{path}:{lineno}: malformed edge row {row!r}") from exc
-        if not (0 <= si < n_nodes and 0 <= ti < n_nodes):
-            raise GraphFormatError(f"{path}:{lineno}: node index out of range in edge row {row!r}")
-        if count < 1:
-            raise GraphFormatError(f"{path}:{lineno}: edge count must be at least 1, got {row!r}")
-        edge = (nodes[si], nodes[ti])
-        if edge in counts:
-            raise GraphFormatError(f"{path}:{lineno}: repeated edge row {row!r}")
-        counts[edge] = count
-    freq: dict[str, int] = {}
-    first += n_edges
-    for lineno in range(first, first + n_freqs):
-        row = lines[lineno - 1]
-        try:
-            ni, count = map(int, row.split("\t"))
-        except ValueError as exc:
-            raise GraphFormatError(f"{path}:{lineno}: malformed frequency row {row!r}") from exc
-        if not 0 <= ni < n_nodes:
-            raise GraphFormatError(
-                f"{path}:{lineno}: node index out of range in frequency row {row!r}"
-            )
-        if count < 1:
-            raise GraphFormatError(f"{path}:{lineno}: frequency must be at least 1, got {row!r}")
-        if nodes[ni] in freq:
-            raise GraphFormatError(f"{path}:{lineno}: repeated frequency row {row!r}")
-        freq[nodes[ni]] = count
-    return KnowledgeGraph(nodes, counts, freq)
+    rows = table.split("\n")[:-1]
+    n_edges = len(rows) - n_freqs
+    tables: list[dict[int, int]] = []
+    for kind, what, width, first, section in (
+        ("edge", "edge count", 3, 0, rows[:n_edges]),
+        ("frequency", "frequency", 2, n_edges, rows[n_edges:]),
+    ):
+        seen: dict[int, int] = {}
+        for lineno, row in enumerate(section, first_line + first):
+            fields = row.split("\t")
+            if len(fields) != width:
+                raise GraphFormatError(f"{path}:{lineno}: malformed {kind} row {row!r}: "
+                                       f"expected {width} fields, got {len(fields)}")
+            try:
+                *indices, count = map(int, fields)
+            except ValueError as exc:
+                raise GraphFormatError(f"{path}:{lineno}: malformed {kind} row {row!r}") from exc
+            if not all(0 <= i < n_nodes for i in indices):
+                raise GraphFormatError(
+                    f"{path}:{lineno}: node index out of range in {kind} row {row!r}"
+                )
+            if count < 1:
+                raise GraphFormatError(f"{path}:{lineno}: {what} must be at least 1, got {row!r}")
+            if count > _MAX_COUNT:
+                raise GraphFormatError(f"{path}:{lineno}: {what} too large in {row!r}")
+            key = indices[0] * n_nodes + indices[1] if width == 3 else indices[0]
+            if key in seen:
+                raise GraphFormatError(f"{path}:{lineno}: repeated {kind} row {row!r}")
+            seen[key] = count
+        tables.append(seen)
+    counts, freqs = tables
+    edges = sorted(counts)
+    return edges, array("q", map(counts.__getitem__, edges)), list(freqs), list(freqs.values())

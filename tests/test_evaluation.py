@@ -29,7 +29,7 @@ from seedqa.evaluation import (
     save_report,
     seed_quality,
 )
-from seedqa.graph import build_graph
+from seedqa.graph import build_graph, load_graph, save_graph
 from seedqa.prompts import PromptSpec
 
 from conftest import (
@@ -435,6 +435,20 @@ def test_run_eval_worker_counts_agree(tmp_path):
     )
     assert seq_records == par_records
     assert seq_report == par_report
+
+
+def test_run_eval_icp_cold_graph_worker_counts_agree(tmp_path):
+    # each run gets a freshly loaded graph, so its workers rank the
+    # sources on first use, possibly several at once
+    test, graph, extractor, spec, client = replay_setup(tmp_path, "icp", count=12)
+    path = tmp_path / "g.kg"
+    save_graph(graph, str(path))
+    seq_records, _ = run_eval(test, client, spec, graph=load_graph(str(path)),
+                              extractor=extractor, workers=1)
+    par_records, _ = run_eval(test, client, spec, graph=load_graph(str(path)),
+                              extractor=extractor, workers=3)
+    assert par_records == seq_records
+    assert all(rec.error is None and rec.seed_count for rec in seq_records)
 
 
 def test_run_eval_per_instance_failures_recorded(tmp_path):

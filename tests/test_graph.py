@@ -5,11 +5,13 @@ import json
 import math
 import random
 import re
+import sys
+import threading
 
 import pytest
 
 from seedqa.cli import main
-from seedqa.graph import GraphFormatError, KnowledgeGraph, build_graph, load_graph, save_graph
+from seedqa.graph import GraphFormatError, build_graph, load_graph, save_graph
 
 from conftest import (
     ENTITY_POOL,
@@ -125,17 +127,6 @@ def test_fuzz_against_naive_oracle():
             assert list(g.neighbors(src)) == expected_rows, f"trial {trial} source {src}"
 
 
-def test_constructor_validation():
-    with pytest.raises(ValueError, match="unknown node"):
-        KnowledgeGraph(("a",), {("a", "b"): 1}, {})
-    with pytest.raises(ValueError, match="count"):
-        KnowledgeGraph(("a", "b"), {("a", "b"): 0}, {"b": 1})
-    with pytest.raises(ValueError, match="frequency"):
-        KnowledgeGraph(("a", "b"), {("a", "b"): 1}, {"b": 0})
-    with pytest.raises(ValueError, match="duplicate"):
-        KnowledgeGraph(("a", "a"), {}, {})
-
-
 def test_save_load_round_trip(tmp_path, toy_graph):
     path = tmp_path / "g.kg"
     save_graph(toy_graph, str(path))
@@ -246,6 +237,92 @@ def test_save_graph_writes_v1_bytes(tmp_path, toy_train):
     assert question_sinks >= 5 and analysis_only >= 5
 
 
+def _write_with_checksum(path, lines: list[str]) -> str:
+    """Write ``lines`` as a graph file body under a valid checksum trailer."""
+    body = "".join(f"{text}\n" for text in lines)
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    path.write_text(body + json.dumps({"sha256": digest}) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_load_accepts_rows_in_any_order(tmp_path):
+    # writers emit rows sorted by index, but the format does not require
+    # it: shuffled rows load to the same graph, which saves canonically
+    rng = random.Random(2024)
+    vocab = [f"n{i:02d}" for i in range(30)]
+    reordered = 0
+    for trial in range(20):
+        g = build_graph(random_annotated(rng, rng.randint(1, 25), vocab))
+        path = tmp_path / f"g{trial}.kg"
+        save_graph(g, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()[:-1]
+        first, last = 1 + g.m, 1 + g.m + g.edge_count
+        edge_rows, freq_rows = lines[first:last], lines[last:]
+        rng.shuffle(edge_rows)
+        rng.shuffle(freq_rows)
+        reordered += edge_rows != lines[first:last]
+        shuffled = _write_with_checksum(
+            tmp_path / f"s{trial}.kg", lines[:first] + edge_rows + freq_rows
+        )
+        loaded = load_graph(shuffled)
+        assert loaded.nodes == g.nodes, f"trial {trial}"
+        assert loaded.raw_counts == g.raw_counts, f"trial {trial}"
+        assert loaded.analysis_freq == g.analysis_freq, f"trial {trial}"
+        for node in g.nodes:
+            assert loaded.neighbors(node) == g.neighbors(node), f"trial {trial} {node}"
+        resaved = tmp_path / f"r{trial}.kg"
+        save_graph(loaded, str(resaved))
+        assert resaved.read_bytes() == path.read_bytes(), f"trial {trial}"
+    assert reordered >= 15
+
+
+def test_load_accepts_leading_zeros(tmp_path, toy_graph):
+    # int() reads "007" as 7, and so does the loader
+    lines = _toy_file_lines(tmp_path, toy_graph)
+    lines[6], lines[11] = "00\t002\t02", "02\t2"
+    loaded = load_graph(_write_with_checksum(tmp_path / "zeros.kg", lines))
+    assert loaded.raw_counts == toy_graph.raw_counts
+    assert loaded.analysis_freq == toy_graph.analysis_freq
+    assert all(loaded.neighbors(n) == toy_graph.neighbors(n) for n in toy_graph.nodes)
+
+
+def test_neighbors_concurrent_first_use_is_race_free(tmp_path):
+    # eight threads rank the same cold sources at once, switching as often
+    # as the interpreter allows; every read, including the repeated ones
+    # that may find another thread's cache entry, must see the
+    # single-thread rows
+    rng = random.Random(99)
+    vocab = [f"e{i:03d}" for i in range(120)]
+    path = tmp_path / "g.kg"
+    save_graph(build_graph(random_annotated(rng, 300, vocab)), str(path))
+    reference = load_graph(str(path))
+    sources = [node for node in reference.nodes if reference.neighbors(node)]
+    expected = [reference.neighbors(node) for node in sources for _ in range(3)]
+    assert len(sources) >= 100
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            cold = load_graph(str(path))
+            barrier = threading.Barrier(8, timeout=30)
+            results: list[list | None] = [None] * 8
+
+            def rank(slot: int) -> None:
+                barrier.wait()
+                results[slot] = [cold.neighbors(node) for node in sources for _ in range(3)]
+
+            threads = [threading.Thread(target=rank, args=(slot,)) for slot in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert all(got == expected for got in results)
+            assert [cold.neighbors(node) for node in sources for _ in range(3)] == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _toy_file_lines(tmp_path, toy_graph) -> list[str]:
     """Lines before the trailer of the toy graph's file: header, nodes
     a b c d e on lines 2-6, edge rows on lines 7-11 (0 2 2, 0 3 1, 1 2 1,
@@ -261,6 +338,11 @@ _CORRUPT_ROWS = [
     ("negative target index", {7: "0\t-1\t3"}, 7, "out of range"),
     ("source index past the node table", {7: "5\t0\t3"}, 7, "out of range"),
     ("repeated edge row", {7: "0\t1\t3", 8: "0\t1\t5"}, 8, "repeated edge"),
+    # rows out of order: line 9 repeats line 8, and line 10 repeats line 7
+    # with a smaller edge; the first line that repeats an earlier one is named
+    ("repeated edge in unsorted rows",
+     {7: "1\t2\t1", 8: "4\t3\t1", 9: "4\t3\t2", 10: "1\t2\t7", 11: "0\t3\t1"},
+     9, "repeated edge"),
     ("node entry not a string", {2: "5"}, 2, "not a string"),
     ("header without nodes",
      {1: '{"magic": "seedqa-graph", "version": 1, "edges": 5, "freqs": 2}'}, 1, "'nodes'"),
@@ -280,6 +362,16 @@ _CORRUPT_ROWS = [
     ("plus-signed count", {11: "4\t3\t+1"}, 11, "ASCII decimal"),
     ("non-ASCII digit in an edge row", {7: "0\t2\t\uff12"}, 7, "ASCII decimal"),
     ("non-ASCII digit in a frequency row", {13: "3\t\u0662"}, 13, "ASCII decimal"),
+    ("edge row with 2 fields", {9: "1\t2"}, 9, "malformed edge row"),
+    ("edge row with 4 fields", {10: "1\t3\t2\t2"}, 10, "malformed edge row"),
+    ("frequency row with 3 fields", {13: "3\t2\t1"}, 13, "malformed frequency row"),
+    # each pair keeps the table's field count: a parse of all fields at once
+    # would read it as valid rows
+    ("short edge row and long frequency row", {11: "4\t3", 12: "2\t2\t2"}, 11,
+     "malformed edge row"),
+    ("short edge row and long edge row", {9: "1\t2", 10: "1\t3\t2\t2"}, 9,
+     "malformed edge row"),
+    ("edge count beyond 64 bits", {8: "0\t3\t9223372036854775808"}, 8, "too large"),
 ]
 
 
@@ -291,17 +383,14 @@ def test_load_rejects_corrupt_rows_with_location(tmp_path, toy_graph, capsys, ed
     lines = _toy_file_lines(tmp_path, toy_graph)
     for lineno, text in edits.items():
         lines[lineno - 1] = text
-    body = "".join(f"{text}\n" for text in lines)
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    path = tmp_path / "corrupt.kg"
-    path.write_text(body + json.dumps({"sha256": digest}) + "\n", encoding="utf-8")
+    path = _write_with_checksum(tmp_path / "corrupt.kg", lines)
     where = f"{path}:{line}: "
     with pytest.raises(GraphFormatError, match=re.escape(where) + ".*" + re.escape(reason)):
-        load_graph(str(path))
+        load_graph(path)
 
     empty = tmp_path / "empty.ann.jsonl"
     empty.write_text("", encoding="utf-8")
-    argv = ["mine-seeds", "--annotated", str(empty), "--graph", str(path),
+    argv = ["mine-seeds", "--annotated", str(empty), "--graph", path,
             "--out", str(tmp_path / "seeds.jsonl")]
     capsys.readouterr()
     assert main(argv) == 1
