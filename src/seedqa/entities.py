@@ -60,7 +60,9 @@ class Lexicon:
     """Closed vocabulary of canonical entities with optional surface aliases.
 
     All surfaces are stored in normalized form; matching happens on
-    normalized text, so lookups are case- and width-insensitive.
+    normalized text, so lookups are case- and width-insensitive.  An alias
+    under two entries, or one that is another entry, raises ValueError, as
+    ``load_lexicon`` refuses the same content.
     """
 
     def __init__(self, entries: Iterable[str], aliases: dict[str, str] | None = None):
@@ -69,13 +71,10 @@ class Lexicon:
             raise ValueError("lexicon has no entries")
         surface_map = {e: e for e in canon}
         for alias, target in (aliases or {}).items():
-            alias_n = normalize_entity(alias)
             target_n = normalize_entity(target)
             if target_n not in canon:
                 raise ValueError(f"alias {alias!r} targets unknown entity {target!r}")
-            if alias_n in canon and alias_n != target_n:
-                raise ValueError(f"alias {alias!r} collides with a canonical entry")
-            surface_map[alias_n] = target_n
+            _claim(surface_map, normalize_entity(alias), target_n)
         self._index(surface_map)
 
     def _index(self, surface_map: dict[str, str]) -> None:
@@ -85,6 +84,16 @@ class Lexicon:
         self.aliases: dict[str, str] = {s: c for s, c in surface_map.items() if s != c}
         self._surface_map = surface_map
         self._max_len = max(len(s) for s in surface_map)
+
+
+def _claim(owner: dict[str, str], surface: str, canonical: str) -> None:
+    """Record in ``owner`` that ``surface`` stands for ``canonical``; raise
+    ValueError naming the surface when it already stands for another
+    entry."""
+    prior = owner.setdefault(surface, canonical)
+    if prior != canonical:
+        what = "a canonical entry" if prior == surface else f"an alias of {prior!r}"
+        raise ValueError(f"{surface!r} is already {what}")
 
 
 def load_lexicon(path: str) -> Lexicon:
@@ -108,13 +117,10 @@ def load_lexicon(path: str) -> Lexicon:
             try:
                 canonical = normalize_entity(entry)
                 surfaces = [normalize_entity(a) for a in aliases if a.strip()]
+                for surface in (canonical, *surfaces):
+                    _claim(owner, surface, canonical)
             except ValueError as exc:
                 raise DatasetFormatError(f"{where}: {exc}") from exc
-            for surface in (canonical, *surfaces):
-                prior = owner.setdefault(surface, canonical)
-                if prior != canonical:
-                    what = "a canonical entry" if prior == surface else f"an alias of {prior!r}"
-                    raise DatasetFormatError(f"{where}: {surface!r} is already {what}")
     if not owner:
         raise DatasetFormatError(f"{path}: lexicon has no entries")
     # every surface is already normalized and checked, so skip __init__

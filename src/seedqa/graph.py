@@ -17,7 +17,9 @@ form: per source index, a slice of target indices and raw counts, in
 ``(target, weight, raw_count)`` rows, sorted by descending weight and then
 target, are computed the first time ``neighbors`` asks for them and cached;
 a run that touches a few hundred sources never ranks the rest.  Files store
-counts only, and their rows may come in any order.
+counts only, and their rows may come in any order.  ``load_graph`` parses the
+row tables a chunk of whole rows at a time and reads only a chunk that fails
+a check again, row by row, to name the first defect in file order.
 """
 
 from __future__ import annotations
@@ -25,22 +27,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import re
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import add, eq, itemgetter, mod, mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .entities import AnnotatedInstance
 
 _MAGIC = "seedqa-graph"
 _FORMAT_VERSION = 1
-# int() also takes "1_0", padded fields and non-ASCII digits; table rows
-# may hold only ASCII digits, a minus sign (a negative index is reported
-# as out of range), tabs and the line breaks between rows
-_NOT_ROW_CHAR = re.compile(r"[^0-9\t\n-]")
 # what is left of a well-formed row once its digits and signs are deleted
 _DROP_NUMBERS = str.maketrans("", "", "0123456789-")
 # row tables are parsed this many characters (whole rows) at a time
@@ -198,10 +195,12 @@ def load_graph(path: str) -> KnowledgeGraph:
     returned.  A defect in one line (the header, a node entry that is not
     a JSON string or repeats one, a row with the wrong number of fields or
     a field that is not an ASCII decimal integer, a node index outside the
-    node table, a count below 1, a repeated edge or frequency row) is
-    reported as ``path:line: reason`` with the 1-based file line of the
-    first defect.  Rows may come in any order; weights are derived from the
-    stored counts when a source is first read.
+    node table, a count below 1 or above 2^63 - 1, a repeated edge or
+    frequency row) is reported as ``path:line: reason`` with the 1-based
+    file line of the first defect in file order.  One reader parses the row
+    tables a chunk of whole rows at a time and reads only a chunk that fails
+    a check again, row by row.  Rows may come in any order; weights are
+    derived from the stored counts when a source is first read.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -264,115 +263,90 @@ def load_graph(path: str) -> KnowledgeGraph:
     split = len(table)
     for _ in range(n_freqs):
         split = table.rfind("\n", 0, split - 1) + 1
-    tables = _parse_tables(table, split, n_nodes)
-    if tables is None:
-        tables = _parse_tables_by_line(path, table, n_freqs, 2 + n_nodes, n_nodes)
-    edges, counts, freq_nodes, freqs = tables
+    first_row = 2 + n_nodes
+    edges, counts = _read_rows(path, table, 0, split, first_row, "edge", n_nodes)
+    freq_nodes, freqs = _read_rows(path, table, split, len(table), first_row + n_edges,
+                                   "frequency", n_nodes)
     analysis_freq = dict(zip(map(nodes.__getitem__, freq_nodes), freqs))
     return KnowledgeGraph(nodes, edges, counts, analysis_freq)
 
 
-_Tables = tuple[list[int], array, Sequence[int], Sequence[int]]
-
-
-def _parse_tables(table: str, split: int, n_nodes: int) -> _Tables | None:
-    """Fast path for the row tables: edge rows are ``table[:split]`` and
-    frequency rows the rest.  Returns the ascending edges, their counts,
-    and the frequency rows' node indices and values, or None when any row
-    is defective (or merely unusual, such as ``007``), in which case the
-    line-by-line reader decides."""
-    edges: list[int] = []
+def _read_rows(path: str, table: str, start: int, stop: int, first_line: int, kind: str,
+               n_nodes: int) -> tuple[list[int], array]:
+    """The ``kind`` rows ("edge" or "frequency") in ``table[start:stop]``,
+    the first on file line ``first_line``: each row's key (``src·m + tgt``,
+    or the node index), ascending, and the counts in key order.  The first
+    bad row, or an earlier row that repeats one before it, raises
+    GraphFormatError."""
+    width = 3 if kind == "edge" else 2
+    keys: list[int] = []
     counts: list[int] = []
-    freq_nodes: list[int] = []
-    freqs: list[int] = []
-    try:
-        for values in _row_chunks(table, 0, split, 3):
-            sources, targets = values[0::3], values[1::3]
-            if not (_indices_ok(sources, n_nodes) and _indices_ok(targets, n_nodes)):
-                return None
-            edges.extend(map(add, map(mul, sources, repeat(n_nodes)), targets))
-            counts.extend(values[2::3])
-        for values in _row_chunks(table, split, len(table), 2):
-            freq_nodes.extend(values[0::2])
-            freqs.extend(values[1::2])
-    except ValueError:
-        return None
-    if (not _indices_ok(freq_nodes, n_nodes)
-            or min(counts, default=1) < 1 or min(freqs, default=1) < 1):
-        return None
+    reason = None
+    pos = start
+    while pos < stop and reason is None:
+        end = stop if stop - pos <= _CHUNK_CHARS else table.index("\n", pos + _CHUNK_CHARS) + 1
+        reason = _read_chunk(table[pos:end], width, kind, n_nodes, keys, counts)
+        pos = end
     # a stable sort of the row numbers, linear on files already in order
-    order = sorted(range(len(edges)), key=edges.__getitem__)
-    edges.sort()
-    if any(map(eq, edges, islice(edges, 1, None))) or len(set(freq_nodes)) < len(freq_nodes):
-        return None
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    keys.sort()
+    # every row read comes before the bad row, so a repeat is the first defect
+    repeat_row = min(compress(islice(order, 1, None), map(eq, keys, islice(keys, 1, None))),
+                     default=None)
+    if repeat_row is not None:
+        row = table[start:stop].split("\n")[repeat_row]
+        raise GraphFormatError(f"{path}:{first_line + repeat_row}: repeated {kind} row {row!r}")
+    if reason is not None:
+        raise GraphFormatError(f"{path}:{first_line + len(keys)}: {reason}")
+    return keys, array("q", map(counts.__getitem__, order))
+
+
+def _read_chunk(chunk: str, width: int, kind: str, n_nodes: int,
+                keys: list[int], counts: list[int]) -> str | None:
+    """Append the key and count of each row in ``chunk`` to ``keys`` and
+    ``counts``.  The chunk is parsed at once; only when it fails a check is
+    it read row by row, up to its first bad row, whose defect is returned."""
+    reason = None
     try:
-        return edges, array("q", map(counts.__getitem__, order)), freq_nodes, array("q", freqs)
-    except OverflowError:
-        return None
-
-
-def _indices_ok(column: list[int], n_nodes: int) -> bool:
-    return not column or (min(column) >= 0 and max(column) < n_nodes)
-
-
-def _row_chunks(table: str, start: int, stop: int, width: int) -> Iterator[list[int]]:
-    """The fields of the rows in ``table[start:stop]``, ``width`` per row,
-    one chunk of whole rows at a time.  Raises ValueError when a row has
-    another number of fields or a field is not a plain integer."""
-    row_shape = "\t" * (width - 1) + "\n"
-    while start < stop:
-        end = stop if stop - start <= _CHUNK_CHARS else table.index("\n", start + _CHUNK_CHARS) + 1
-        chunk = table[start:end]
         # each row must keep exactly its tabs, so a short row cannot hide
         # behind a long one
-        if chunk.translate(_DROP_NUMBERS) != row_shape * chunk.count("\n"):
-            raise ValueError("row shape")
-        yield json.loads("[" + chunk[:-1].replace("\t", ",").replace("\n", ",") + "]")
-        start = end
-
-
-def _parse_tables_by_line(path: str, table: str, n_freqs: int, first_line: int,
-                          n_nodes: int) -> _Tables:
-    """Check the row tables one line at a time, in file order, and raise
-    GraphFormatError naming the first defective line; return the same
-    tables as ``_parse_tables`` when there is none."""
-    bad = _NOT_ROW_CHAR.search(table)
-    if bad:
-        start = table.rfind("\n", 0, bad.start()) + 1
-        lineno = first_line + table.count("\n", 0, start)
-        row = table[start : table.index("\n", bad.start())]
-        raise GraphFormatError(f"{path}:{lineno}: malformed row {row!r}: "
-                               "fields must be ASCII decimal integers")
-    rows = table.split("\n")[:-1]
-    n_edges = len(rows) - n_freqs
-    tables: list[dict[int, int]] = []
-    for kind, what, width, first, section in (
-        ("edge", "edge count", 3, 0, rows[:n_edges]),
-        ("frequency", "frequency", 2, n_edges, rows[n_edges:]),
-    ):
-        seen: dict[int, int] = {}
-        for lineno, row in enumerate(section, first_line + first):
-            fields = row.split("\t")
-            if len(fields) != width:
-                raise GraphFormatError(f"{path}:{lineno}: malformed {kind} row {row!r}: "
-                                       f"expected {width} fields, got {len(fields)}")
+        if chunk.translate(_DROP_NUMBERS) != ("\t" * (width - 1) + "\n") * chunk.count("\n"):
+            raise ValueError
+        # json also rejects fields such as 007
+        values = json.loads("[" + chunk[:-1].replace("\t", ",").replace("\n", ",") + "]")
+        *indices, column = columns = [values[i::width] for i in range(width)]
+        if not (min(map(min, indices)) >= 0 and max(map(max, indices)) < n_nodes
+                and min(column) >= 1 and max(column) <= _MAX_COUNT):
+            raise ValueError
+    except ValueError:
+        values = []
+        for row in chunk[:-1].split("\n"):
             try:
-                *indices, count = map(int, fields)
+                values += _row_values(row, width, kind, n_nodes)
             except ValueError as exc:
-                raise GraphFormatError(f"{path}:{lineno}: malformed {kind} row {row!r}") from exc
-            if not all(0 <= i < n_nodes for i in indices):
-                raise GraphFormatError(
-                    f"{path}:{lineno}: node index out of range in {kind} row {row!r}"
-                )
-            if count < 1:
-                raise GraphFormatError(f"{path}:{lineno}: {what} must be at least 1, got {row!r}")
-            if count > _MAX_COUNT:
-                raise GraphFormatError(f"{path}:{lineno}: {what} too large in {row!r}")
-            key = indices[0] * n_nodes + indices[1] if width == 3 else indices[0]
-            if key in seen:
-                raise GraphFormatError(f"{path}:{lineno}: repeated {kind} row {row!r}")
-            seen[key] = count
-        tables.append(seen)
-    counts, freqs = tables
-    edges = sorted(counts)
-    return edges, array("q", map(counts.__getitem__, edges)), list(freqs), list(freqs.values())
+                reason = str(exc)
+                break
+        columns = [values[i::width] for i in range(width)]
+    keys.extend(map(add, map(mul, columns[0], repeat(n_nodes)), columns[1])
+                if width == 3 else columns[0])
+    counts.extend(columns[-1])
+    return reason
+
+
+def _row_values(row: str, width: int, kind: str, n_nodes: int) -> list[int]:
+    """The fields of one row as integers; ValueError names its defect."""
+    fields = row.split("\t")
+    if len(fields) != width:
+        raise ValueError(f"malformed {kind} row {row!r}: expected {width} fields, got {len(fields)}")
+    # int() also takes "1_0", padded fields and non-ASCII digits
+    if not all(f.isascii() and f[f.startswith("-"):].isdigit() for f in fields):
+        raise ValueError(f"malformed {kind} row {row!r}: fields must be ASCII decimal integers")
+    *indices, count = map(int, fields)
+    what = "edge count" if kind == "edge" else kind
+    if not all(0 <= i < n_nodes for i in indices):
+        raise ValueError(f"node index out of range in {kind} row {row!r}")
+    if count < 1:
+        raise ValueError(f"{what} must be at least 1, got {row!r}")
+    if count > _MAX_COUNT:
+        raise ValueError(f"{what} too large in {row!r}")
+    return [*indices, count]

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from functools import lru_cache
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from seedqa.client import CompletionRequest, request_digest
 from seedqa.corpus import Dataset, Instance, qo_text
 from seedqa.entities import AnnotatedInstance
-from seedqa.graph import KnowledgeGraph, build_graph
+from seedqa.graph import GraphFormatError, KnowledgeGraph, build_graph
 from seedqa.prompts import PromptSpec, compose
 from seedqa.seeds import SeedQuery, mine_seeds
 from seedqa.textseg import is_cjk
@@ -106,6 +107,43 @@ def v1_graph_bytes(train) -> bytes:
         body += f"{ni}\t{freq[nodes[ni]]}\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return (body + f'{{"sha256": "{digest}"}}\n').encode("utf-8")
+
+
+def line_by_line_graph_rows(path: str, rows: list[str], first_line: int, n_edges: int,
+                            n_nodes: int):
+    """Check a graph file's row tables one line at a time, strictly in file
+    order, the way the loader read them before its chunked reader named
+    defects itself.  ``rows`` are the edge rows, then the frequency rows; the
+    first is on file line ``first_line``.  Returns ``{(src, tgt): count}``
+    and ``{(node,): freq}`` by node index, or raises GraphFormatError naming
+    the first defective line."""
+    tables = []
+    for kind, what, width, first, section in (
+        ("edge", "edge count", 3, 0, rows[:n_edges]),
+        ("frequency", "frequency", 2, n_edges, rows[n_edges:]),
+    ):
+        seen: dict[tuple[int, ...], int] = {}
+        for lineno, row in enumerate(section, first_line + first):
+            where = f"{path}:{lineno}"
+            fields = row.split("\t")
+            if len(fields) != width:
+                raise GraphFormatError(f"{where}: malformed {kind} row {row!r}: "
+                                       f"expected {width} fields, got {len(fields)}")
+            if not all(re.fullmatch(r"-?[0-9]+", field) for field in fields):
+                raise GraphFormatError(f"{where}: malformed {kind} row {row!r}: "
+                                       "fields must be ASCII decimal integers")
+            *indices, count = map(int, fields)
+            if not all(0 <= i < n_nodes for i in indices):
+                raise GraphFormatError(f"{where}: node index out of range in {kind} row {row!r}")
+            if count < 1:
+                raise GraphFormatError(f"{where}: {what} must be at least 1, got {row!r}")
+            if count > 2**63 - 1:
+                raise GraphFormatError(f"{where}: {what} too large in {row!r}")
+            if tuple(indices) in seen:
+                raise GraphFormatError(f"{where}: repeated {kind} row {row!r}")
+            seen[tuple(indices)] = count
+        tables.append(seen)
+    return tables
 
 
 def oracle_seed_ranking(nodes, weights, query: set, k: int):

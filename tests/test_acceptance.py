@@ -183,6 +183,7 @@ def replay_run(tmp_path, workers=1):
     return rec_path.read_bytes(), rep_path.read_bytes()
 
 
+@pytest.mark.concurrency
 def test_replay_evaluation_is_deterministic(tmp_path, monkeypatch):
     """A 20-instance replayed run scores exactly 65.00% accuracy and
     writes byte-identical records and report across repeated runs and

@@ -456,6 +456,7 @@ def test_malformed_input_exits_1_with_location(corpus, capsys, kind, breakage):
     assert "Traceback" not in err
 
 
+@pytest.mark.concurrency
 def test_exit_2_on_transport_exhaustion(corpus, tmp_path, monkeypatch):
     # needs more instances than the consecutive-failure threshold
     big = synth_dataset(30, 7, prefix="tx")
@@ -488,6 +489,7 @@ def test_exit_2_on_transport_exhaustion(corpus, tmp_path, monkeypatch):
     assert all(json.loads(r)["error"] for r in records)
 
 
+@pytest.mark.concurrency
 def test_run_keeps_records_when_extraction_fails(corpus, monkeypatch):
     # the extractor fails from its fifth call on: the last two of the four
     # test instances become failure records and the run still finishes

@@ -265,6 +265,7 @@ def test_cache_entry_request_hashes_to_its_digest(tmp_path, system):
     assert ("system" in entry["request"]) == (system is not None)
 
 
+@pytest.mark.concurrency
 def test_concurrent_identical_requests_single_upstream(tmp_path):
     started = threading.Event()
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -96,6 +97,22 @@ def test_load_lexicon_errors_name_path_and_line(tmp_path, text, where, surface):
         load_lexicon(str(path))
     assert str(err.value).startswith(f"{path}{where}: ")
     assert surface in str(err.value)
+
+
+@pytest.mark.parametrize("entries, aliases, text, surface", [
+    # one alias under two entries: neither the first nor the last wins
+    (["高血压", "糖尿病"], {"HTN": "高血压", "htn": "糖尿病"}, "高血压\tHTN\n糖尿病\thtn\n", "'htn'"),
+    # an alias that is another canonical entry
+    (["高血压", "糖尿病"], {"高血压": "糖尿病"}, "高血压\n糖尿病\t高血压\n", "'高血压'"),
+], ids=["alias under two entries", "alias that is an entry"])
+def test_lexicon_and_load_lexicon_reject_the_same_conflicts(tmp_path, entries, aliases, text,
+                                                           surface):
+    with pytest.raises(ValueError, match=surface):
+        Lexicon(entries, aliases)
+    path = tmp_path / "lex.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}:2: {surface}"):
+        load_lexicon(str(path))
 
 
 def test_load_lexicon_accepts_repeats_that_agree(tmp_path):
@@ -298,6 +315,7 @@ def test_annotate_error_policies():
         annotate_dataset(make_dataset(), failing, on_error="ignore")
 
 
+@pytest.mark.concurrency
 @pytest.mark.parametrize("workers", [1, 4])
 def test_annotate_raise_stops_at_first_failure(workers):
     # "raise" takes results in input order and submits nothing after the
@@ -319,6 +337,7 @@ def test_annotate_raise_stops_at_first_failure(workers):
     assert 1 <= len(calls) <= workers
 
 
+@pytest.mark.concurrency
 def test_annotate_workers_match_sequential():
     lex = Lexicon(["高血压", "贫血", "糖尿病"])
     seq = annotate_dataset(make_dataset(), LexiconExtractor(lex), workers=1)

@@ -425,6 +425,7 @@ def test_run_eval_icp_requires_graph_and_extractor(tmp_path):
         run_eval(test, client, spec, graph=graph, extractor=extractor, workers=0)
 
 
+@pytest.mark.concurrency
 def test_run_eval_worker_counts_agree(tmp_path):
     test, graph, extractor, spec, client = replay_setup(tmp_path, "icp", count=8)
     seq_records, seq_report = run_eval(
@@ -437,6 +438,7 @@ def test_run_eval_worker_counts_agree(tmp_path):
     assert seq_report == par_report
 
 
+@pytest.mark.concurrency
 def test_run_eval_icp_cold_graph_worker_counts_agree(tmp_path):
     # each run gets a freshly loaded graph, so its workers rank the
     # sources on first use, possibly several at once
@@ -468,6 +470,7 @@ def test_run_eval_per_instance_failures_recorded(tmp_path):
     assert report.errors == 1
 
 
+@pytest.mark.concurrency
 @pytest.mark.parametrize("workers", [1, 3])
 def test_run_eval_records_extractor_failures(tmp_path, workers):
     # the extractor fails from its fifth call on; an instance whose
@@ -498,6 +501,7 @@ def test_run_eval_records_extractor_failures(tmp_path, workers):
             assert rec.prompt_digest == "" and not rec.correct
 
 
+@pytest.mark.concurrency
 @pytest.mark.parametrize("workers", [1, 3])
 def test_run_eval_extractor_transport_failures_count_toward_limit(tmp_path, workers):
     test, graph, _, spec, client = replay_setup(tmp_path, "icp", count=6)
@@ -513,6 +517,7 @@ def test_run_eval_extractor_transport_failures_count_toward_limit(tmp_path, work
     assert all(r.prompt_digest == "" for r in records)
 
 
+@pytest.mark.concurrency
 def test_run_eval_transport_exhaustion_aborts(tmp_path):
     test, graph, extractor, spec, _ = replay_setup(tmp_path, "cot", count=8)
 
@@ -563,6 +568,7 @@ def live_setup(count, failing=(), max_attempts=1, delay=0.0):
     return test, spec, client, calls, concurrency
 
 
+@pytest.mark.concurrency
 @pytest.mark.parametrize("workers", [1, 2, 6])
 def test_run_eval_exhaustion_is_deterministic_across_workers(workers):
     # a short switch interval makes thread interleavings vary between repeats
@@ -579,6 +585,7 @@ def test_run_eval_exhaustion_is_deterministic_across_workers(workers):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.concurrency
 @pytest.mark.parametrize("workers", [1, 3, 8])
 def test_run_eval_exhaustion_counts_failures_in_input_order(workers):
     # F F ok F F F F F ok ok: the success resets the count, so the run
@@ -591,6 +598,7 @@ def test_run_eval_exhaustion_counts_failures_in_input_order(workers):
     assert [r.error is None for r in records] == [False, False, True] + [False] * 5
 
 
+@pytest.mark.concurrency
 def test_run_eval_single_worker_stops_calling_at_abort():
     # with one worker no instance starts after the abort decision
     test, spec, client, calls, _ = live_setup(8, failing=range(8), max_attempts=2)
@@ -599,6 +607,7 @@ def test_run_eval_single_worker_stops_calling_at_abort():
     assert calls == [i.id for i in test[:5] for _ in range(2)]
 
 
+@pytest.mark.concurrency
 def test_run_eval_in_flight_requests_bounded_by_workers():
     test, spec, client, calls, concurrency = live_setup(6, delay=0.1)
     records, _ = run_eval(test, client, spec, workers=2)

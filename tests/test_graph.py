@@ -7,14 +7,18 @@ import random
 import re
 import sys
 import threading
+from bisect import bisect_left
+from collections import Counter
+from itertools import accumulate
 
 import pytest
 
 from seedqa.cli import main
-from seedqa.graph import GraphFormatError, build_graph, load_graph, save_graph
+from seedqa.graph import _CHUNK_CHARS, GraphFormatError, build_graph, load_graph, save_graph
 
 from conftest import (
     ENTITY_POOL,
+    line_by_line_graph_rows,
     make_annotated,
     naive_graph_stats,
     random_annotated,
@@ -286,6 +290,7 @@ def test_load_accepts_leading_zeros(tmp_path, toy_graph):
     assert all(loaded.neighbors(n) == toy_graph.neighbors(n) for n in toy_graph.nodes)
 
 
+@pytest.mark.concurrency
 def test_neighbors_concurrent_first_use_is_race_free(tmp_path):
     # eight threads rank the same cold sources at once, switching as often
     # as the interpreter allows; every read, including the repeated ones
@@ -372,6 +377,13 @@ _CORRUPT_ROWS = [
     ("short edge row and long edge row", {9: "1\t2", 10: "1\t3\t2\t2"}, 9,
      "malformed edge row"),
     ("edge count beyond 64 bits", {8: "0\t3\t9223372036854775808"}, 8, "too large"),
+    # two or three defects: the first in file order is named, whatever a
+    # later line holds
+    ("bad character after an out-of-range index", {7: "5\t2\t2", 13: "3\t\uff12"}, 7,
+     "out of range"),
+    ("bad character after a repeated edge", {7: "0\t2\t2", 8: "0\t2\t5", 9: "1\t2\t1_0"}, 8,
+     "repeated edge"),
+    ("bad character after a zero count", {8: "0\t3\t0", 11: "4\t3\t+1"}, 8, "at least 1"),
 ]
 
 
@@ -395,3 +407,123 @@ def test_load_rejects_corrupt_rows_with_location(tmp_path, toy_graph, capsys, ed
     capsys.readouterr()
     assert main(argv) == 1
     assert where in capsys.readouterr().err
+
+
+def _graph_lines(rng: random.Random, n_nodes: int, n_edges: int, n_freqs: int,
+                 max_count: int) -> list[str]:
+    """Lines before the trailer of a valid graph file with random rows in
+    index order."""
+    edges = sorted(rng.sample(range(n_nodes * n_nodes), n_edges))
+    return [
+        json.dumps({"magic": "seedqa-graph", "version": 1,
+                    "nodes": n_nodes, "edges": n_edges, "freqs": n_freqs}),
+        *(json.dumps(f"n{i}") for i in range(n_nodes)),
+        *(f"{e // n_nodes}\t{e % n_nodes}\t{rng.randint(1, max_count)}" for e in edges),
+        *(f"{i}\t{rng.randint(1, max_count)}" for i in sorted(rng.sample(range(n_nodes), n_freqs))),
+    ]
+
+
+def _edit_row(rng: random.Random, rows: list[str], i: int, n_nodes: int, n_edges: int) -> None:
+    """Rewrite ``rows[i]`` with one edit of a ``_CORRUPT_ROWS`` kind or a
+    leading-zero pad; some edits leave the row valid.  ``rows`` holds the
+    edge rows, then the frequency rows."""
+    fields = rows[i].split("\t")
+    f = rng.randrange(len(fields))
+    edit = rng.randrange(12)
+    if edit == 0:
+        fields[f] = f"-{rng.randint(0, 2)}"
+    elif edit == 1:
+        fields[f] = str(n_nodes + rng.randint(-1, 1))
+    elif edit == 2:
+        fields[-1] = "0"
+    elif edit == 3:  # the indices of a row in the same table, maybe this one
+        other = rng.randrange(n_edges) if i < n_edges else rng.randrange(n_edges, len(rows))
+        fields[:-1] = rows[other].split("\t")[:-1]
+    elif edit == 4:
+        fields[f] = fields[f][:1] + "_" + fields[f][1:]
+    elif edit == 5:
+        fields[f] = rng.choice((" {}", "{} ", "+{}")).format(fields[f])
+    elif edit == 6:
+        fields[f] = rng.choice("\uff12\u0662") + fields[f][1:]
+    elif edit == 7:
+        del fields[f]
+    elif edit == 8:
+        fields.insert(f, str(rng.randint(0, 9)))
+    elif edit == 9:
+        fields[f] = str(2**63 - rng.randint(0, 1))
+    elif edit == 10:
+        fields[f] = rng.choice(("", "-", "1-2", "--1"))
+    else:
+        fields[f] = rng.choice(("0", "00", "-0")) + fields[f]
+    rows[i] = "\t".join(fields)
+
+
+def _chunk_first_rows(rows: list[str], lo: int, hi: int) -> list[int]:
+    """The row numbers that open a chunk after the first when the loader
+    reads ``rows[lo:hi]`` as one table."""
+    ends = list(accumulate(len(row) + 1 for row in rows[lo:hi]))
+    firsts, pos = [], 0
+    while ends and ends[-1] - pos > _CHUNK_CHARS:
+        # a chunk ends with the first row whose line break is at or past
+        # pos + _CHUNK_CHARS
+        last = bisect_left(ends, pos + _CHUNK_CHARS + 1)
+        firsts.append(lo + last + 1)
+        pos = ends[last]
+    return firsts
+
+
+def test_load_matches_line_by_line_oracle(tmp_path):
+    # random files with 1 to 3 edited rows, some shuffled first: the loader
+    # names the oracle's line with its reason, or loads the oracle's tables.
+    # Every large file spans several chunks per table; one of its edits
+    # lands on a row that opens a chunk, and the others come after it
+    rng = random.Random(4242)
+    outcomes: Counter[str] = Counter()
+    for trial in range(320):
+        large = trial % 20 == 0
+        if large:
+            n_nodes = 6000
+            lines = _graph_lines(rng, n_nodes, rng.randint(5000, 9000),
+                                 rng.randint(5600, 6000), 10**7)
+        else:
+            n_nodes = rng.randint(1, 8)
+            lines = _graph_lines(rng, n_nodes, rng.randint(0, min(12, n_nodes**2)),
+                                 rng.randint(1, n_nodes), 99)
+        n_edges = json.loads(lines[0])["edges"]
+        first = 1 + n_nodes
+        rows = lines[first:]
+        tables = [(0, n_edges), (n_edges, len(rows))]
+        for lo, hi in tables:
+            if rng.random() < 0.3:
+                rows[lo:hi] = rng.sample(rows[lo:hi], hi - lo)
+        opener, n_edits = 0, rng.randint(1, 3)
+        if large:
+            opener = rng.choice(_chunk_first_rows(rows, *rng.choice(tables)))
+            _edit_row(rng, rows, opener, n_nodes, n_edges)
+            n_edits -= 1
+        for _ in range(n_edits):
+            _edit_row(rng, rows, rng.randrange(opener, len(rows)), n_nodes, n_edges)
+        path = _write_with_checksum(tmp_path / f"g{trial}.kg", lines[:first] + rows)
+        try:
+            raw, freqs = line_by_line_graph_rows(path, rows, 1 + first, n_edges, n_nodes)
+        except GraphFormatError as exc:
+            with pytest.raises(GraphFormatError) as err:
+                load_graph(path)
+            assert str(err.value) == str(exc), f"trial {trial}"
+            row = int(str(exc)[len(path) + 1 :].split(":", 1)[0]) - 1 - first
+            openers = _chunk_first_rows(rows, *tables[row >= n_edges])
+            later = bool(openers) and row >= openers[0]
+            outcomes["rejected"] += 1
+            outcomes["in a later chunk"] += later
+            outcomes["in a later frequency chunk"] += later and row >= n_edges
+            outcomes["on a chunk's first row"] += row in openers
+            continue
+        loaded = load_graph(path)
+        outcomes["loaded"] += 1
+        nodes = loaded.nodes
+        assert nodes == tuple(f"n{i}" for i in range(n_nodes)), f"trial {trial}"
+        assert loaded.raw_counts == {
+            (nodes[s], nodes[t]): c for (s, t), c in raw.items()
+        }, f"trial {trial}"
+        assert loaded.analysis_freq == {nodes[i]: f for (i,), f in freqs.items()}, f"trial {trial}"
+    assert min(outcomes.values()) >= 3 and len(outcomes) == 5, outcomes
