@@ -81,7 +81,6 @@ class Lexicon:
         """Keep ``surface_map`` (normalized surface -> canonical entry,
         each entry mapping to itself) and the views derived from it."""
         self.entries: frozenset[str] = frozenset(surface_map.values())
-        self.aliases: dict[str, str] = {s: c for s, c in surface_map.items() if s != c}
         self._surface_map = surface_map
         self._max_len = max(len(s) for s in surface_map)
 

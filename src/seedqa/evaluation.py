@@ -44,10 +44,6 @@ class ApiExhaustionError(RuntimeError):
         self.records = records
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
-
 def _as_tokens(text_or_tokens: "str | Sequence[str]") -> Sequence[str]:
     # metric functions accept raw text; strings are segmented the same
     # way responses are, never scored per character
@@ -56,49 +52,75 @@ def _as_tokens(text_or_tokens: "str | Sequence[str]") -> Sequence[str]:
     return text_or_tokens
 
 
+def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def _overlap(candidate: Sequence[str], reference: Sequence[str],
+             order: int) -> tuple[int, int, int]:
+    """(clipped matches, candidate n-grams, reference n-grams) at one
+    order, each side counted once."""
+    cand = _ngram_counts(candidate, order)
+    ref = _ngram_counts(reference, order)
+    common = cand.keys() & ref.keys()
+    clipped = sum(map(min, map(cand.__getitem__, common), map(ref.__getitem__, common)))
+    return clipped, max(len(candidate) - order + 1, 0), max(len(reference) - order + 1, 0)
+
+
+def _bleu_scores(overlaps: Sequence[tuple[int, int, int]], cand_len: int,
+                 ref_len: int) -> list[float]:
+    # cumulative BLEU for orders 1 to len(overlaps); the log-precisions are
+    # added in order, so BLEU-k is the same float however many orders follow
+    if not cand_len:
+        return [0.0] * len(overlaps)
+    brevity = math.exp(1 - ref_len / cand_len) if cand_len < ref_len else 1.0
+    scores = []
+    log_sum = 0.0
+    for order, (clipped, total, _) in enumerate(overlaps, 1):
+        precision = clipped / total if total and clipped else BLEU_EPSILON
+        log_sum += math.log(precision)
+        scores.append(brevity * math.exp(log_sum / order))
+    return scores
+
+
+def _rouge_f1(clipped: int, cand_total: int, ref_total: int) -> float:
+    if not (clipped and cand_total and ref_total):
+        return 0.0
+    precision = clipped / cand_total
+    recall = clipped / ref_total
+    return 100.0 * 2 * precision * recall / (precision + recall)
+
+
 def bleu_n(candidate: "str | Sequence[str]", reference: "str | Sequence[str]", n: int) -> float:
     """Cumulative BLEU-n: geometric mean of clipped precisions for orders
     1 to n, times a brevity penalty when the candidate is shorter than the
     reference.  Orders with zero overlap contribute BLEU_EPSILON.  String
-    arguments are tokenized first."""
+    arguments are tokenized first.  Each order is counted once per side,
+    by the helper that gives a record's six n-gram scores one set of
+    counts (``ngram_scores``)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     candidate = _as_tokens(candidate)
     reference = _as_tokens(reference)
-    if not candidate:
-        return 0.0
-    log_sum = 0.0
-    for order in range(1, n + 1):
-        cand = _ngram_counts(candidate, order)
-        total = sum(cand.values())
-        clipped = sum((cand & _ngram_counts(reference, order)).values())
-        precision = clipped / total if total and clipped else BLEU_EPSILON
-        log_sum += math.log(precision)
-    geometric = math.exp(log_sum / n)
-    brevity = (
-        math.exp(1 - len(reference) / len(candidate))
-        if len(candidate) < len(reference)
-        else 1.0
-    )
-    return brevity * geometric
+    overlaps = [_overlap(candidate, reference, order) for order in range(1, n + 1)]
+    return _bleu_scores(overlaps, len(candidate), len(reference))[-1]
 
 
 def rouge_n(candidate: "str | Sequence[str]", reference: "str | Sequence[str]", n: int) -> float:
     """ROUGE-n F1 over clipped n-gram overlap, scaled to [0, 100].
-    String arguments are tokenized first."""
+    String arguments are tokenized first.  Order n is counted once per
+    side, by the same helper as BLEU's."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    cand = _ngram_counts(_as_tokens(candidate), n)
-    ref = _ngram_counts(_as_tokens(reference), n)
-    cand_total, ref_total = sum(cand.values()), sum(ref.values())
-    if not cand_total or not ref_total:
-        return 0.0
-    overlap = sum((cand & ref).values())
-    if not overlap:
-        return 0.0
-    precision = overlap / cand_total
-    recall = overlap / ref_total
-    return 100.0 * 2 * precision * recall / (precision + recall)
+    return _rouge_f1(*_overlap(_as_tokens(candidate), _as_tokens(reference), n))
+
+
+def ngram_scores(candidate: Sequence[str], reference: Sequence[str]) -> tuple[float, ...]:
+    """BLEU-1..4 and ROUGE-1/2 of one record, from one count of each
+    n-gram order per side; each float equals ``bleu_n``'s or ``rouge_n``'s."""
+    overlaps = [_overlap(candidate, reference, order) for order in (1, 2, 3, 4)]
+    return (*_bleu_scores(overlaps, len(candidate), len(reference)),
+            _rouge_f1(*overlaps[0]), _rouge_f1(*overlaps[1]))
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -448,12 +470,8 @@ def run_eval(
             cand = tokenize(response.text)
             ref = tokenize(inst.analysis)
             record.response_tokens = len(cand)
-            record.bleu_1 = bleu_n(cand, ref, 1)
-            record.bleu_2 = bleu_n(cand, ref, 2)
-            record.bleu_3 = bleu_n(cand, ref, 3)
-            record.bleu_4 = bleu_n(cand, ref, 4)
-            record.rouge_1 = rouge_n(cand, ref, 1)
-            record.rouge_2 = rouge_n(cand, ref, 2)
+            (record.bleu_1, record.bleu_2, record.bleu_3, record.bleu_4,
+             record.rouge_1, record.rouge_2) = ngram_scores(cand, ref)
             record.rouge_l = rouge_l(cand, ref)
         if spec.mode == "icp" and seeds is not None:
             record.seed_count = len(seeds)

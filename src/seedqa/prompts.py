@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import OPTION_LABELS, DatasetFormatError, data_path, read_jsonl
-from .textseg import estimate_tokens
+from .textseg import estimate_tokens, finish_estimate, fold_estimate
 
 MODES = ("standard_qa", "cot", "icp")
 SHOTS = ("zero", "few")
@@ -198,6 +198,10 @@ def compose(instance, spec: PromptSpec, seeds=None) -> RenderedPrompt:
     the budget are dropped whole from the end; TokenBudgetError is raised
     when instruction plus target alone exceed it, since the target question
     is never truncated.  ``max_tokens`` gets what the context leaves.
+
+    The estimate of every kept-exemplar count comes from one pass over the
+    pieces (``fold_estimate``), equal to estimating each joined prompt
+    whole; only the prompt that fits is joined.
     """
     if spec.mode == "icp":
         if seeds is None:
@@ -209,24 +213,27 @@ def compose(instance, spec: PromptSpec, seeds=None) -> RenderedPrompt:
         seed_list = None
 
     template = spec.template
-    kept = []
+    blocks = []
     if spec.shots == "few":
-        kept = [_exemplar_block(template, ex, spec.mode) for ex in spec.exemplars]
-    target = _question_block(template, instance.question, instance.options, seed_list)
+        blocks = [_exemplar_block(template, ex, spec.mode) for ex in spec.exemplars]
+    instruction = template.instructions[spec.mode]
+    separator = template.section_separator
+    tail = separator + _question_block(template, instance.question, instance.options, seed_list)
     # a system message occupies context too, so it counts against the budget
     system_cost = estimate_tokens(template.system) if template.system else 0
-    while True:
-        text = template.section_separator.join(
-            [template.instructions[spec.mode], *kept, target]
-        )
-        estimated = estimate_tokens(text) + system_cost
+    # prefixes[k] is the estimator state after the instruction and the
+    # first k exemplar blocks; folding the tail into it and finishing gives
+    # the estimate of the prompt that keeps k exemplars
+    prefixes = [fold_estimate(instruction)]
+    for block in blocks:
+        prefixes.append(fold_estimate(separator + block, prefixes[-1]))
+    for kept in range(len(blocks), -1, -1):
+        estimated = finish_estimate(fold_estimate(tail, prefixes[kept])) + system_cost
         if estimated <= spec.token_budget:
-            return RenderedPrompt(text, estimated, len(kept),
+            text = separator.join([instruction, *blocks[:kept]]) + tail
+            return RenderedPrompt(text, estimated, kept,
                                   spec.context_tokens - estimated, template.system)
-        if not kept:
-            raise TokenBudgetError(
-                f"prompt needs ~{estimated} tokens with no exemplars left, "
-                f"budget is {spec.token_budget}"
-            )
-        kept.pop()
-
+    raise TokenBudgetError(
+        f"prompt needs ~{estimated} tokens with no exemplars left, "
+        f"budget is {spec.token_budget}"
+    )

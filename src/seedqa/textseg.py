@@ -8,7 +8,6 @@ implemented here.
 
 from __future__ import annotations
 
-import math
 import re
 
 # Unicode blocks treated as CJK.  Fullwidth forms and CJK punctuation are
@@ -61,18 +60,41 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+def fold_estimate(text: str, state: tuple[int, int] = (0, 0)) -> tuple[int, int]:
+    """Fold ``text`` into a token-estimate state ``(closed, open)``: the
+    cost of the runs already closed, and the length of the non-CJK run
+    still open at the end.
+
+    Folding pieces one after another gives the state of their
+    concatenation: a CJK run costs one token per character whatever its
+    neighbours, so only an open non-CJK run can merge across a seam, and it
+    is charged when it closes.  ``finish_estimate`` closes the last run.
+    """
+    closed, open_len = state
+    # -(-x // y) is ceil(x / y) in integers
+    for m in _SCRIPT_RUN.finditer(text):
+        if m.lastindex == 1:
+            closed += -(-open_len // LATIN_CHARS_PER_TOKEN) + m.end() - m.start()
+            open_len = 0
+        else:
+            open_len += m.end() - m.start()
+    return closed, open_len
+
+
+def finish_estimate(state: tuple[int, int]) -> int:
+    """Token estimate of the text folded into ``state``."""
+    closed, open_len = state
+    return closed - (-open_len // LATIN_CHARS_PER_TOKEN)
+
+
 def estimate_tokens(text: str) -> int:
     """Upper-bound style token estimate used for prompt budgeting.
 
     CJK runs cost one token per character; every other run costs
     ``ceil(len/4)``.  The estimate is monotone under concatenation and
     never increases when two texts are joined (subadditive), which keeps
-    budget checks safe to apply piecewise.
+    budget checks safe to apply piecewise.  It is ``fold_estimate`` over
+    the whole text, finished, so a text estimated in pieces gets the same
+    count.
     """
-    total = 0
-    for run_is_cjk, run in script_runs(text):
-        if run_is_cjk:
-            total += len(run)
-        else:
-            total += math.ceil(len(run) / LATIN_CHARS_PER_TOKEN)
-    return total
+    return finish_estimate(fold_estimate(text))

@@ -8,6 +8,7 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -15,10 +16,13 @@ import pytest
 from seedqa.client import CompletionRequest, request_digest
 from seedqa.corpus import Dataset, Instance, qo_text
 from seedqa.entities import AnnotatedInstance
+from seedqa.evaluation import BLEU_EPSILON
 from seedqa.graph import GraphFormatError, KnowledgeGraph, build_graph
-from seedqa.prompts import PromptSpec, compose
+from seedqa.prompts import (
+    PromptSpec, RenderedPrompt, TokenBudgetError, _exemplar_block, _question_block, compose,
+)
 from seedqa.seeds import SeedQuery, mine_seeds
-from seedqa.textseg import is_cjk
+from seedqa.textseg import LATIN_CHARS_PER_TOKEN, is_cjk, script_runs
 
 ENTITY_POOL = (
     "高血压", "糖尿病", "头痛", "发热", "咳嗽", "肺炎", "贫血",
@@ -282,6 +286,82 @@ def brute_rouge_l(candidate, reference):
         return 0.0
     p, r = length / len(candidate), length / len(reference)
     return 100.0 * 2 * p * r / (p + r)
+
+
+def sliced_ngram_counts(tokens, n):
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def per_order_bleu_n(candidate, reference, n):
+    """BLEU-n as the scorer computed it before the orders shared one set of
+    counts: both sides counted afresh for each order, and the
+    log-precisions added in order 1 to n.  Tests require ``==`` floats."""
+    if not candidate:
+        return 0.0
+    log_sum = 0.0
+    for order in range(1, n + 1):
+        cand = sliced_ngram_counts(candidate, order)
+        total = sum(cand.values())
+        clipped = sum((cand & sliced_ngram_counts(reference, order)).values())
+        precision = clipped / total if total and clipped else BLEU_EPSILON
+        log_sum += math.log(precision)
+    geometric = math.exp(log_sum / n)
+    brevity = (
+        math.exp(1 - len(reference) / len(candidate))
+        if len(candidate) < len(reference)
+        else 1.0
+    )
+    return brevity * geometric
+
+
+def per_order_rouge_n(candidate, reference, n):
+    """ROUGE-n as the scorer computed it before the orders shared counts."""
+    cand = sliced_ngram_counts(candidate, n)
+    ref = sliced_ngram_counts(reference, n)
+    cand_total, ref_total = sum(cand.values()), sum(ref.values())
+    if not cand_total or not ref_total:
+        return 0.0
+    overlap = sum((cand & ref).values())
+    if not overlap:
+        return 0.0
+    precision = overlap / cand_total
+    recall = overlap / ref_total
+    return 100.0 * 2 * precision * recall / (precision + recall)
+
+
+def runwise_estimate_tokens(text: str) -> int:
+    """The token estimate summed over the script runs of the whole text."""
+    return sum(len(run) if cjk else math.ceil(len(run) / LATIN_CHARS_PER_TOKEN)
+               for cjk, run in script_runs(text))
+
+
+def reestimating_compose(instance, spec: PromptSpec, seeds=None) -> RenderedPrompt:
+    """``compose`` as it fitted the budget before it estimated prefixes in
+    one pass: join the whole prompt, estimate it, drop the last exemplar,
+    and repeat until it fits or none is left."""
+    seed_list = None
+    if spec.mode == "icp":
+        seed_list = list(seeds.entities) if hasattr(seeds, "entities") else list(seeds)
+    template = spec.template
+    kept = []
+    if spec.shots == "few":
+        kept = [_exemplar_block(template, ex, spec.mode) for ex in spec.exemplars]
+    target = _question_block(template, instance.question, instance.options, seed_list)
+    system_cost = runwise_estimate_tokens(template.system) if template.system else 0
+    while True:
+        text = template.section_separator.join(
+            [template.instructions[spec.mode], *kept, target]
+        )
+        estimated = runwise_estimate_tokens(text) + system_cost
+        if estimated <= spec.token_budget:
+            return RenderedPrompt(text, estimated, len(kept),
+                                  spec.context_tokens - estimated, template.system)
+        if not kept:
+            raise TokenBudgetError(
+                f"prompt needs ~{estimated} tokens with no exemplars left, "
+                f"budget is {spec.token_budget}"
+            )
+        kept.pop()
 
 
 # --- synthetic corpus + replay fixtures ------------------------------------

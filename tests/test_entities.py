@@ -77,7 +77,10 @@ def test_lexicon_file_round_trip(tmp_path):
     )
     lex = load_lexicon(str(path))
     assert lex.entries == {"高血压", "阿司匹林", "糖尿病"}
-    assert lex.aliases == {"htn": "高血压", "高血压病": "高血压"}
+    # each alias finds its entry; the canonical forms find themselves
+    extract = LexiconExtractor(lex)
+    assert extract("HTN") == extract("htn") == extract("高血压病") == {"高血压"}
+    assert extract_entities_lexicon("阿司匹林与糖尿病", lex) == {"阿司匹林", "糖尿病"}
 
 
 @pytest.mark.parametrize("text, where, surface", [
@@ -122,7 +125,9 @@ def test_load_lexicon_accepts_repeats_that_agree(tmp_path):
     path.write_text("高血压\tHTN\t\n高血压\tHTN\nAspirin\tASPIRIN\t\t\n", encoding="utf-8")
     lex = load_lexicon(str(path))
     assert lex.entries == {"高血压", "aspirin"}
-    assert lex.aliases == {"htn": "高血压"}
+    extract = LexiconExtractor(lex)
+    assert extract("HTN") == {"高血压"}
+    assert extract("ASPIRIN") == extract("aspirin") == {"aspirin"}
 
 
 def test_extract_longest_match_wins():

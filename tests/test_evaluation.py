@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from seedqa.evaluation import (
     build_report,
     extract_answer,
     load_records,
+    ngram_scores,
     record_to_dict,
     rouge_l,
     rouge_n,
@@ -37,6 +39,8 @@ from conftest import (
     brute_rouge_l,
     brute_rouge_n,
     dp_lcs_length,
+    per_order_bleu_n,
+    per_order_rouge_n,
     pipeline_requests,
     synth_dataset,
     write_replay_fixture,
@@ -138,6 +142,53 @@ def test_rouge_matches_brute_force_fuzz():
         )
         assert rouge_l(cand, ref) == pytest.approx(brute_rouge_l(cand, ref), abs=1e-9)
         assert 0.0 <= rouge_l(cand, ref) <= 100.0
+
+
+# tokens as ``tokenize`` yields them: CJK characters (one astral) and
+# Latin words
+SCORING_VOCAB = ("患", "者", "高", "血", "压", "\U00020000", "HTN", "5mg", "pH", "a")
+
+
+def scoring_pairs(rng, count):
+    """Candidate/reference token lists: both or either side empty, lists
+    shorter than 4, small vocabularies that repeat n-grams, and mixed
+    scripts."""
+    pairs = [([], []), ([], ["患"]), (["患"], [])]
+    while len(pairs) < count:
+        vocab = rng.sample(SCORING_VOCAB, rng.randint(1, len(SCORING_VOCAB)))
+
+        def draw():
+            length = rng.randint(0, 3) if rng.random() < 0.3 else rng.randint(4, 40)
+            return [rng.choice(vocab) for _ in range(length)]
+
+        pairs.append((draw(), draw()))
+    return pairs
+
+
+def test_shared_counts_equal_per_order_oracle_fuzz():
+    pairs = scoring_pairs(random.Random(10), 600)
+    shapes = {
+        "both empty": any(not c and not r for c, r in pairs),
+        "empty candidate": any(not c and r for c, r in pairs),
+        "empty reference": any(c and not r for c, r in pairs),
+        "short candidate": any(0 < len(c) < 4 for c, _ in pairs),
+        "short reference": any(0 < len(r) < 4 for _, r in pairs),
+        "repeated bigram": any(max(Counter(zip(c, c[1:])).values(), default=0) > 1
+                               for c, _ in pairs),
+        "mixed scripts": any({t.isascii() for t in c + r} == {True, False} for c, r in pairs),
+        "candidate shorter": any(0 < len(c) < len(r) for c, r in pairs),
+        "candidate longer": any(len(c) > len(r) > 0 for c, r in pairs),
+    }
+    assert all(shapes.values()), shapes
+    for cand, ref in pairs:
+        assert ngram_scores(cand, ref) == (
+            *(per_order_bleu_n(cand, ref, n) for n in (1, 2, 3, 4)),
+            per_order_rouge_n(cand, ref, 1), per_order_rouge_n(cand, ref, 2),
+        ), (cand, ref)
+        for n in range(1, 7):
+            assert bleu_n(cand, ref, n) == per_order_bleu_n(cand, ref, n), (cand, ref, n)
+        for n in range(1, 4):
+            assert rouge_n(cand, ref, n) == per_order_rouge_n(cand, ref, n), (cand, ref, n)
 
 
 def test_lcs_length_matches_dp_across_word_boundaries():

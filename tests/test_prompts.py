@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import functools
 import json
+import random
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,8 +13,10 @@ from seedqa.corpus import DatasetFormatError, Instance, data_path
 from seedqa.prompts import (
     DEFAULT_CONTEXT_TOKENS,
     DEFAULT_RESERVED_RESPONSE_TOKENS,
+    MODES,
     Exemplar,
     PromptSpec,
+    PromptTemplate,
     TokenBudgetError,
     compose,
     default_exemplars,
@@ -20,6 +25,8 @@ from seedqa.prompts import (
     load_template,
 )
 from seedqa.textseg import estimate_tokens
+
+from conftest import reestimating_compose
 
 QA_INSTRUCTION = (
     "Here is a multi-choice question about medical knowledge, please output "
@@ -195,6 +202,101 @@ def test_budget_drops_exemplars_from_end():
 def test_budget_exhaustion_raises():
     with pytest.raises(TokenBudgetError):
         compose(toy_instance(), PromptSpec("cot", "zero", context_tokens=11, reserved_tokens=1))
+
+
+# what a prompt piece may start or end with: the estimate charges CJK per
+# character and merges every other class into runs across seams
+PIECE_EDGES = {
+    "cjk": "患者高血压。，",
+    "latin": "HbAcaspirin ",
+    "digit": "0123456789",
+    "fullwidth": "ＡＢ１２（）",
+    "astral": "\U00020000\U0002A6D6\U0002F800",
+}
+PIECE_CHARS = "".join(PIECE_EDGES.values()) + "\n"
+SECTION_SEPARATORS = ("\n\n", "。\n", "。", "--", "")
+
+
+def fuzz_piece(rng, edges=None):
+    if edges is None and rng.random() < 0.1:
+        return ""
+    first, last = edges or (rng.choice(list(PIECE_EDGES)), rng.choice(list(PIECE_EDGES)))
+    middle = "".join(rng.choice(PIECE_CHARS) for _ in range(rng.randint(0, 6)))
+    return rng.choice(PIECE_EDGES[first]) + middle + rng.choice(PIECE_EDGES[last])
+
+
+def fuzz_template(rng, instruction_edges, section_separator, with_system):
+    piece = functools.partial(fuzz_piece, rng)
+    return PromptTemplate(
+        instructions={m: fuzz_piece(rng, instruction_edges) for m in MODES},
+        question_block=piece() + "{question}" + piece(),
+        options_header=piece(),
+        option_line=piece() + "{label}" + piece() + "{text}" + piece(),
+        seeds_block=piece() + "{seeds}" + piece(),
+        seed_delimiter=rng.choice(("、", ", ", "")),
+        analysis_block=piece() + "{analysis}" + piece(),
+        answer_block=piece() + "{answer}" + piece(),
+        block_separator=rng.choice(("\n", "。", "")),
+        section_separator=section_separator,
+        system=fuzz_piece(rng) if with_system else None,
+    )
+
+
+def compose_outcome(compose_fn, inst, spec, seeds):
+    try:
+        return compose_fn(inst, spec, seeds)
+    except TokenBudgetError as exc:
+        return str(exc)
+
+
+def test_prefix_fitting_equals_reestimating_oracle_fuzz():
+    rng = random.Random(12)
+    edges = [(a, b) for a in PIECE_EDGES for b in PIECE_EDGES]
+    kept_seen, refused = set(), 0
+    for case in range(250):
+        # every pair of instruction edges meets every separator, with and
+        # without a system message
+        round_, edge = divmod(case, len(edges))
+        template = fuzz_template(rng, edges[edge],
+                                 SECTION_SEPARATORS[round_ % len(SECTION_SEPARATORS)],
+                                 with_system=round_ >= len(SECTION_SEPARATORS))
+        mode = MODES[case % len(MODES)]
+        exemplars = tuple(
+            Exemplar(
+                question=fuzz_piece(rng) + "?",
+                options={"A": fuzz_piece(rng), "B": fuzz_piece(rng)},
+                answer=rng.choice("AB"),
+                analysis=fuzz_piece(rng),
+                seeds=tuple(fuzz_piece(rng) for _ in range(rng.randint(0, 3))),
+            )
+            for _ in range(rng.randint(0, 5))
+        )
+        inst = SimpleNamespace(question=fuzz_piece(rng),
+                               options={"A": fuzz_piece(rng), "C": fuzz_piece(rng)})
+        seeds = [fuzz_piece(rng) for _ in range(rng.randint(0, 3))] if mode == "icp" else None
+
+        def spec_for(budget):
+            return PromptSpec(mode, "few" if exemplars else "zero", exemplars,
+                              context_tokens=budget + 1, reserved_tokens=1, template=template)
+
+        # every estimate the oracle can settle on, from all exemplars down
+        # to none; each and one below it is a budget threshold
+        estimates, budget = [], 10**6
+        while budget >= 1:
+            outcome = compose_outcome(reestimating_compose, inst, spec_for(budget), seeds)
+            if isinstance(outcome, str):
+                break
+            estimates.append(outcome.estimated_tokens)
+            budget = outcome.estimated_tokens - 1
+        for budget in sorted({b for e in estimates for b in (e, e - 1) if b >= 1}):
+            want = compose_outcome(reestimating_compose, inst, spec_for(budget), seeds)
+            assert compose_outcome(compose, inst, spec_for(budget), seeds) == want, (case, budget)
+            if isinstance(want, str):
+                refused += 1
+            else:
+                kept_seen.add(want.kept_exemplars)
+    # budgets reached every prefix length, and below the smallest prompt
+    assert kept_seen == set(range(6)) and refused > 0
 
 
 def test_default_budget_value():

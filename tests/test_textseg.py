@@ -7,6 +7,8 @@ from seedqa.textseg import (
     _CJK_RANGES,
     LATIN_CHARS_PER_TOKEN,
     estimate_tokens,
+    finish_estimate,
+    fold_estimate,
     is_cjk,
     script_runs,
     tokenize,
@@ -106,3 +108,15 @@ def test_script_runs_match_per_char_oracle_at_block_edges():
             len(run) if cjk else math.ceil(len(run) / LATIN_CHARS_PER_TOKEN)
             for cjk, run in runs
         )
+
+
+def test_estimate_of_a_join_is_the_fold_of_its_pieces():
+    rng = random.Random(4)
+    alphabet = _boundary_alphabet()
+    for _ in range(3000):
+        pieces = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 10)))
+                  for _ in range(rng.randint(1, 4))]
+        state = (0, 0)
+        for piece in pieces:
+            state = fold_estimate(piece, state)
+        assert finish_estimate(state) == estimate_tokens("".join(pieces)), pieces
