@@ -96,8 +96,7 @@ def bleu_n(candidate: "str | Sequence[str]", reference: "str | Sequence[str]", n
     1 to n, times a brevity penalty when the candidate is shorter than the
     reference.  Orders with zero overlap contribute BLEU_EPSILON.  String
     arguments are tokenized first.  Each order is counted once per side,
-    by the helper that gives a record's six n-gram scores one set of
-    counts (``ngram_scores``)."""
+    by the counting helper that ``rouge_n`` and ``ngram_scores`` share."""
     if n < 1:
         raise ValueError("n must be >= 1")
     candidate = _as_tokens(candidate)

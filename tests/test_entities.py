@@ -77,10 +77,10 @@ def test_lexicon_file_round_trip(tmp_path):
     )
     lex = load_lexicon(str(path))
     assert lex.entries == {"高血压", "阿司匹林", "糖尿病"}
-    # each alias finds its entry; the canonical forms find themselves
-    extract = LexiconExtractor(lex)
-    assert extract("HTN") == extract("htn") == extract("高血压病") == {"高血压"}
-    assert extract_entities_lexicon("阿司匹林与糖尿病", lex) == {"阿司匹林", "糖尿病"}
+    # every entry maps to itself; 高血压病 (a third field) and nothing else
+    # besides HTN is an alias
+    assert lex._surface_map == {"高血压": "高血压", "阿司匹林": "阿司匹林", "糖尿病": "糖尿病",
+                                "htn": "高血压", "高血压病": "高血压"}
 
 
 @pytest.mark.parametrize("text, where, surface", [
@@ -125,9 +125,8 @@ def test_load_lexicon_accepts_repeats_that_agree(tmp_path):
     path.write_text("高血压\tHTN\t\n高血压\tHTN\nAspirin\tASPIRIN\t\t\n", encoding="utf-8")
     lex = load_lexicon(str(path))
     assert lex.entries == {"高血压", "aspirin"}
-    extract = LexiconExtractor(lex)
-    assert extract("HTN") == {"高血压"}
-    assert extract("ASPIRIN") == extract("aspirin") == {"aspirin"}
+    # ASPIRIN normalizes to its own entry, so it is not listed as an alias
+    assert lex._surface_map == {"高血压": "高血压", "aspirin": "aspirin", "htn": "高血压"}
 
 
 def test_extract_longest_match_wins():
