@@ -6,6 +6,9 @@ explicit flags win over the file, which wins over built-in defaults.
 Diagnostics go to stderr, machine-readable output goes to files, and exit
 codes are 0 (success), 1 (fatal configuration or I/O problem), and 2
 (upstream API failures exhausted the retry budget).
+
+The entity, graph and seed modules are imported inside the subcommands
+that use them, so a ``standard_qa`` or ``cot`` run never loads them.
 """
 
 from __future__ import annotations
@@ -28,17 +31,7 @@ from .client import (
     RetryPolicy,
     TransportError,
 )
-from .corpus import data_path, load_dataset, split_sample
-from .entities import (
-    AnnotationError,
-    LexiconExtractor,
-    LlmExtractor,
-    load_annotated,
-    load_extraction_exemplars,
-    load_lexicon,
-    save_annotated,
-    annotate_dataset,
-)
+from .corpus import DEFAULT_K, data_path, load_dataset, split_sample
 from .evaluation import (
     ApiExhaustionError,
     build_report,
@@ -48,7 +41,6 @@ from .evaluation import (
     save_records,
     save_report,
 )
-from .graph import build_graph, load_graph, save_graph
 from .prompts import (
     DEFAULT_CONTEXT_TOKENS,
     DEFAULT_RESERVED_RESPONSE_TOKENS,
@@ -58,7 +50,6 @@ from .prompts import (
     load_exemplars,
     load_template,
 )
-from .seeds import DEFAULT_K, SeedQuery, SeedRecord, load_seed_records, mine_seeds, save_seed_records
 
 log = logging.getLogger(__name__)
 
@@ -151,6 +142,8 @@ def _client_from(res: _Resolver) -> ChatClient:
 
 
 def _extractor_from(res: _Resolver, client: ChatClient | None = None):
+    from .entities import LexiconExtractor, LlmExtractor, load_extraction_exemplars, load_lexicon
+
     kind = res.get("extractor")
     if kind == "lexicon":
         lexicon_path = res.get("lexicon", required=True)
@@ -166,23 +159,32 @@ def _extractor_from(res: _Resolver, client: ChatClient | None = None):
 # --- subcommands ----------------------------------------------------------
 
 def cmd_annotate(res: _Resolver) -> int:
+    from .entities import AnnotationError, annotate_dataset, save_annotated
+
     dataset = load_dataset(res.get("dataset", required=True))
     out_path = res.get("out", required=True)
     include_analysis = not res.get("no_analysis")
     extractor = _extractor_from(res)
-    annotated = annotate_dataset(
-        dataset,
-        extractor,
-        include_analysis=include_analysis,
-        on_error=res.get("on_error"),
-        workers=int(res.get("workers")),
-    )
+    try:
+        annotated = annotate_dataset(
+            dataset,
+            extractor,
+            include_analysis=include_analysis,
+            on_error=res.get("on_error"),
+            workers=int(res.get("workers")),
+        )
+    except AnnotationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc.cause, TransportError) else 1
     save_annotated(annotated, out_path)
     log.info("annotated %d/%d instances -> %s", len(annotated), len(dataset), out_path)
     return 0
 
 
 def cmd_build_graph(res: _Resolver) -> int:
+    from .entities import load_annotated
+    from .graph import build_graph, save_graph
+
     annotated = []
     for path in res.get("annotated", required=True):
         annotated.extend(load_annotated(path))
@@ -197,6 +199,10 @@ def cmd_build_graph(res: _Resolver) -> int:
 
 
 def cmd_mine_seeds(res: _Resolver) -> int:
+    from .entities import load_annotated
+    from .graph import load_graph
+    from .seeds import SeedQuery, SeedRecord, mine_seeds, save_seed_records
+
     annotated = load_annotated(res.get("annotated", required=True))
     graph = load_graph(res.get("graph", required=True))
     k = int(res.get("k"))
@@ -227,6 +233,8 @@ def cmd_run(res: _Resolver) -> int:
         graph_path = res.get("graph")
         if graph_path is None:
             raise ConfigError("mode=icp requires --graph")
+        from .graph import load_graph
+
         graph = load_graph(graph_path)
         extractor = _extractor_from(res, client)
 
@@ -251,6 +259,8 @@ def cmd_run(res: _Resolver) -> int:
 
     precomputed = None
     if effective["seeds"]:
+        from .seeds import load_seed_records
+
         precomputed = {i: rec.result for i, rec in load_seed_records(effective["seeds"]).items()}
         for result in precomputed.values():
             if result.k != int(effective["k"]):
@@ -401,9 +411,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         res = _Resolver(args, _load_config_file(getattr(args, "config", None)))
         return args.func(res)
-    except AnnotationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc.cause, TransportError) else 1
     except ClientError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

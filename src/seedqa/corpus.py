@@ -15,6 +15,10 @@ from typing import Callable, Iterable, Iterator, TypeVar
 
 OPTION_LABELS = ("A", "B", "C", "D", "E")
 
+# knowledge seeds mined per question; defined here, where the CLI, the
+# evaluation loop and the miner can all read it without loading the miner
+DEFAULT_K = 10
+
 
 T = TypeVar("T")
 R = TypeVar("R")

@@ -15,15 +15,18 @@ import re
 from collections import Counter
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .client import ChatClient, CompletionRequest, TransportError, request_digest
-from .corpus import Dataset, Instance, map_in_order, qo_text, read_jsonl
-from .entities import Extractor
-from .graph import KnowledgeGraph
+from .corpus import DEFAULT_K, Dataset, Instance, map_in_order, qo_text, read_jsonl
 from .prompts import PromptSpec, RenderedPrompt, compose
-from .seeds import DEFAULT_K, SeedQuery, SeedResult, mine_seeds
 from .textseg import tokenize
+
+if TYPE_CHECKING:
+    # type names only: the graph stack is loaded by icp runs alone
+    from .entities import Extractor
+    from .graph import KnowledgeGraph
+    from .seeds import SeedResult
 
 log = logging.getLogger(__name__)
 
@@ -417,6 +420,8 @@ def run_eval(
     carrying exactly the records up to it, whatever the worker count.
     """
     check_run_inputs(test, spec, graph, extractor, precomputed_seeds, workers)
+    if spec.mode == "icp" and precomputed_seeds is None:
+        from .seeds import SeedQuery, mine_seeds
 
     def eval_one(inst: Instance) -> tuple[EvalRecord, bool]:
         record = EvalRecord(

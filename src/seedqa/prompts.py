@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .corpus import OPTION_LABELS, DatasetFormatError, data_path, read_jsonl
@@ -147,6 +148,27 @@ class PromptSpec:
         """Tokens the prompt may use: the context minus the reserved reply."""
         return self.context_tokens - self.reserved_tokens
 
+    @cached_property
+    def _exemplar_prefixes(self) -> tuple[list[str], list[tuple[int, int]], int]:
+        """What ``compose`` needs that depends only on the spec, computed on
+        first use: the rendered exemplar blocks; the estimator states after
+        the instruction and each prefix of those blocks, so ``prefixes[k]``
+        has the first k blocks folded in; and the system message's cost.
+        Not a field, so ``fields``, ``asdict``, ``==`` and ``repr`` ignore it.
+        Like the spec, the template's ``instructions`` dict must not change
+        after the first ``compose``."""
+        template = self.template
+        blocks = []
+        if self.shots == "few":
+            blocks = [_exemplar_block(template, ex, self.mode) for ex in self.exemplars]
+        separator = template.section_separator
+        prefixes = [fold_estimate(template.instructions[self.mode])]
+        for block in blocks:
+            prefixes.append(fold_estimate(separator + block, prefixes[-1]))
+        # a system message occupies context too, so it counts against the budget
+        system_cost = estimate_tokens(template.system) if template.system else 0
+        return blocks, prefixes, system_cost
+
 
 @dataclass(frozen=True)
 class RenderedPrompt:
@@ -201,7 +223,9 @@ def compose(instance, spec: PromptSpec, seeds=None) -> RenderedPrompt:
 
     The estimate of every kept-exemplar count comes from one pass over the
     pieces (``fold_estimate``), equal to estimating each joined prompt
-    whole; only the prompt that fits is joined.
+    whole; only the prompt that fits is joined.  The exemplar blocks and
+    their prefix estimates are folded once per spec and reused for every
+    instance composed with it.
     """
     if spec.mode == "icp":
         if seeds is None:
@@ -213,20 +237,12 @@ def compose(instance, spec: PromptSpec, seeds=None) -> RenderedPrompt:
         seed_list = None
 
     template = spec.template
-    blocks = []
-    if spec.shots == "few":
-        blocks = [_exemplar_block(template, ex, spec.mode) for ex in spec.exemplars]
+    blocks, prefixes, system_cost = spec._exemplar_prefixes
     instruction = template.instructions[spec.mode]
     separator = template.section_separator
     tail = separator + _question_block(template, instance.question, instance.options, seed_list)
-    # a system message occupies context too, so it counts against the budget
-    system_cost = estimate_tokens(template.system) if template.system else 0
-    # prefixes[k] is the estimator state after the instruction and the
-    # first k exemplar blocks; folding the tail into it and finishing gives
-    # the estimate of the prompt that keeps k exemplars
-    prefixes = [fold_estimate(instruction)]
-    for block in blocks:
-        prefixes.append(fold_estimate(separator + block, prefixes[-1]))
+    # folding the tail into prefixes[k] and finishing gives the estimate of
+    # the prompt that keeps k exemplars
     for kept in range(len(blocks), -1, -1):
         estimated = finish_estimate(fold_estimate(tail, prefixes[kept])) + system_cost
         if estimated <= spec.token_budget:

@@ -17,11 +17,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import read_jsonl
+from .corpus import DEFAULT_K, read_jsonl
 from .entities import normalize_entity
 from .graph import KnowledgeGraph
-
-DEFAULT_K = 10
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,12 @@ _CJK_RANGES = (
     (0x20000, 0x2FFFF),  # CJK extensions B and beyond
 )
 
-# The same blocks as one character class, so each maximal run is one regex
-# match: group 1 for a CJK run, group 2 for any other.
+# The same blocks as one character class, compiled once.  Splitting on its
+# maximal runs gives the segmentation: ``split`` returns the CJK runs at odd
+# positions and the non-CJK runs between them at even positions, which are
+# empty only before a leading or after a trailing CJK run.
 _CJK_CLASS = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES)
-_SCRIPT_RUN = re.compile(f"([{_CJK_CLASS}]+)|([^{_CJK_CLASS}]+)")
+_CJK_SPLIT = re.compile(f"([{_CJK_CLASS}]+)").split
 
 # Characters of a non-CJK run are grouped roughly four to a token, matching
 # the coarse subword cost of Latin text in chat-model tokenizers.
@@ -45,18 +47,18 @@ def script_runs(text: str) -> list[tuple[bool, str]]:
     Returns ``(run_is_cjk, run_text)`` pairs in order; concatenating the
     run texts reproduces the input exactly.
     """
-    return [(m.lastindex == 1, m.group()) for m in _SCRIPT_RUN.finditer(text)]
+    return [(i % 2 == 1, run) for i, run in enumerate(_CJK_SPLIT(text)) if run]
 
 
 def tokenize(text: str) -> list[str]:
     """Tokens for overlap metrics: one token per CJK character, one per
     whitespace-delimited word elsewhere."""
+    parts = _CJK_SPLIT(text)
     tokens: list[str] = []
-    for run_is_cjk, run in script_runs(text):
-        if run_is_cjk:
-            tokens.extend(run)
-        else:
-            tokens.extend(run.split())
+    for gap, run in zip(parts[::2], parts[1::2]):
+        tokens.extend(gap.split())
+        tokens.extend(run)
+    tokens.extend(parts[-1].split())
     return tokens
 
 
@@ -71,14 +73,13 @@ def fold_estimate(text: str, state: tuple[int, int] = (0, 0)) -> tuple[int, int]
     is charged when it closes.  ``finish_estimate`` closes the last run.
     """
     closed, open_len = state
+    parts = _CJK_SPLIT(text)
+    # each CJK run closes the non-CJK run open before it, gap included;
     # -(-x // y) is ceil(x / y) in integers
-    for m in _SCRIPT_RUN.finditer(text):
-        if m.lastindex == 1:
-            closed += -(-open_len // LATIN_CHARS_PER_TOKEN) + m.end() - m.start()
-            open_len = 0
-        else:
-            open_len += m.end() - m.start()
-    return closed, open_len
+    for gap, run in zip(parts[::2], parts[1::2]):
+        closed += -(-(open_len + len(gap)) // LATIN_CHARS_PER_TOKEN) + len(run)
+        open_len = 0
+    return closed, open_len + len(parts[-1])
 
 
 def finish_estimate(state: tuple[int, int]) -> int:

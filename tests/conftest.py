@@ -22,7 +22,10 @@ from seedqa.prompts import (
     PromptSpec, RenderedPrompt, TokenBudgetError, _exemplar_block, _question_block, compose,
 )
 from seedqa.seeds import SeedQuery, mine_seeds
-from seedqa.textseg import LATIN_CHARS_PER_TOKEN, is_cjk, script_runs
+from seedqa.textseg import (
+    _CJK_CLASS, LATIN_CHARS_PER_TOKEN, estimate_tokens, finish_estimate, fold_estimate, is_cjk,
+    script_runs,
+)
 
 ENTITY_POOL = (
     "高血压", "糖尿病", "头痛", "发热", "咳嗽", "肺炎", "贫血",
@@ -217,6 +220,37 @@ def per_char_script_runs(text: str) -> list[tuple[bool, str]]:
     return runs
 
 
+# segmentation as one alternation that holds the CJK class twice: group 1
+# matches a CJK run, group 2 any other run
+_TWO_GROUP_RUN = re.compile(f"([{_CJK_CLASS}]+)|([^{_CJK_CLASS}]+)")
+
+
+def two_group_script_runs(text: str) -> list[tuple[bool, str]]:
+    """Script runs as ``script_runs`` found them with the two-group pattern."""
+    return [(m.lastindex == 1, m.group()) for m in _TWO_GROUP_RUN.finditer(text)]
+
+
+def two_group_tokenize(text: str) -> list[str]:
+    """``tokenize`` over the two-group runs."""
+    tokens: list[str] = []
+    for run_is_cjk, run in two_group_script_runs(text):
+        tokens.extend(run if run_is_cjk else run.split())
+    return tokens
+
+
+def two_group_fold_estimate(text: str, state: tuple[int, int] = (0, 0)) -> tuple[int, int]:
+    """``fold_estimate`` as it walked the two-group matches: a CJK run
+    closes the open non-CJK run, any other run extends it."""
+    closed, open_len = state
+    for m in _TWO_GROUP_RUN.finditer(text):
+        if m.lastindex == 1:
+            closed += -(-open_len // LATIN_CHARS_PER_TOKEN) + m.end() - m.start()
+            open_len = 0
+        else:
+            open_len += m.end() - m.start()
+    return closed, open_len
+
+
 def dp_lcs_length(a, b) -> int:
     # two-row dynamic program; O(len(a) * len(b)) time, O(len(b)) space
     prev = [0] * (len(b) + 1)
@@ -362,6 +396,41 @@ def reestimating_compose(instance, spec: PromptSpec, seeds=None) -> RenderedProm
                 f"budget is {spec.token_budget}"
             )
         kept.pop()
+
+
+def per_call_compose(instance, spec: PromptSpec, seeds=None) -> RenderedPrompt:
+    """``compose`` as it was before the per-spec cache: every call renders
+    the exemplar blocks, folds their prefix estimates and estimates the
+    system message again."""
+    if spec.mode == "icp":
+        if seeds is None:
+            raise ValueError("icp composition requires seeds")
+        seed_list = list(seeds.entities) if hasattr(seeds, "entities") else list(seeds)
+    else:
+        if seeds is not None:
+            raise ValueError(f"mode {spec.mode!r} must not receive seeds")
+        seed_list = None
+    template = spec.template
+    blocks = []
+    if spec.shots == "few":
+        blocks = [_exemplar_block(template, ex, spec.mode) for ex in spec.exemplars]
+    instruction = template.instructions[spec.mode]
+    separator = template.section_separator
+    tail = separator + _question_block(template, instance.question, instance.options, seed_list)
+    system_cost = estimate_tokens(template.system) if template.system else 0
+    prefixes = [fold_estimate(instruction)]
+    for block in blocks:
+        prefixes.append(fold_estimate(separator + block, prefixes[-1]))
+    for kept in range(len(blocks), -1, -1):
+        estimated = finish_estimate(fold_estimate(tail, prefixes[kept])) + system_cost
+        if estimated <= spec.token_budget:
+            text = separator.join([instruction, *blocks[:kept]]) + tail
+            return RenderedPrompt(text, estimated, kept,
+                                  spec.context_tokens - estimated, template.system)
+    raise TokenBudgetError(
+        f"prompt needs ~{estimated} tokens with no exemplars left, "
+        f"budget is {spec.token_budget}"
+    )
 
 
 # --- synthetic corpus + replay fixtures ------------------------------------

@@ -573,6 +573,32 @@ def test_annotate_with_llm_extractor(corpus, tmp_path):
     assert all(a.qo_entities == {"发热", "头痛"} for a in annotated)
 
 
+@pytest.mark.parametrize("backend, code", (("replay", 1), ("live", 2)))
+def test_annotate_extraction_failure_exit_codes(corpus, tmp_path, monkeypatch, capsys,
+                                                backend, code):
+    # a replay miss is a configuration fault (exit 1); a dead endpoint
+    # exhausts the retry budget (exit 2); neither writes the output
+    import seedqa.client as client_mod
+
+    def refuse(url, headers, payload, timeout):
+        raise ConnectionError("connection refused")
+
+    monkeypatch.setattr(client_mod, "_default_transport", refuse)
+    fixture = tmp_path / "empty_fixture.jsonl"
+    fixture.write_text("", encoding="utf-8")
+    out_path = tmp_path / "never.jsonl"
+    capsys.readouterr()
+    assert main([
+        "annotate", "--dataset", corpus["test"], "--extractor", "llm",
+        "--backend", backend, "--fixture", str(fixture), "--max-attempts", "1",
+        "--backoff-base", "0", "--out", str(out_path),
+    ]) == code
+    err = capsys.readouterr().err
+    assert "error: annotation failed for instance 'te0'" in err
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exit_info:
         main(["--version"])

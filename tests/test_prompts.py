@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import random
@@ -26,7 +27,7 @@ from seedqa.prompts import (
 )
 from seedqa.textseg import estimate_tokens
 
-from conftest import reestimating_compose
+from conftest import per_call_compose, reestimating_compose
 
 QA_INSTRUCTION = (
     "Here is a multi-choice question about medical knowledge, please output "
@@ -249,31 +250,45 @@ def compose_outcome(compose_fn, inst, spec, seeds):
         return str(exc)
 
 
+EDGE_PAIRS = [(a, b) for a in PIECE_EDGES for b in PIECE_EDGES]
+
+
+def fuzz_spec_parts(rng, case):
+    """Template, mode and up to five exemplars of one fuzz case: every pair
+    of instruction edges meets every separator, with and without a system
+    message."""
+    round_, edge = divmod(case, len(EDGE_PAIRS))
+    template = fuzz_template(rng, EDGE_PAIRS[edge],
+                             SECTION_SEPARATORS[round_ % len(SECTION_SEPARATORS)],
+                             with_system=round_ >= len(SECTION_SEPARATORS))
+    mode = MODES[case % len(MODES)]
+    exemplars = tuple(
+        Exemplar(
+            question=fuzz_piece(rng) + "?",
+            options={"A": fuzz_piece(rng), "B": fuzz_piece(rng)},
+            answer=rng.choice("AB"),
+            analysis=fuzz_piece(rng),
+            seeds=tuple(fuzz_piece(rng) for _ in range(rng.randint(0, 3))),
+        )
+        for _ in range(rng.randint(0, 5))
+    )
+    return template, mode, exemplars
+
+
+def fuzz_target(rng, mode):
+    """A target question and, in icp mode, its seeds."""
+    inst = SimpleNamespace(question=fuzz_piece(rng),
+                           options={"A": fuzz_piece(rng), "C": fuzz_piece(rng)})
+    seeds = [fuzz_piece(rng) for _ in range(rng.randint(0, 3))] if mode == "icp" else None
+    return inst, seeds
+
+
 def test_prefix_fitting_equals_reestimating_oracle_fuzz():
     rng = random.Random(12)
-    edges = [(a, b) for a in PIECE_EDGES for b in PIECE_EDGES]
     kept_seen, refused = set(), 0
     for case in range(250):
-        # every pair of instruction edges meets every separator, with and
-        # without a system message
-        round_, edge = divmod(case, len(edges))
-        template = fuzz_template(rng, edges[edge],
-                                 SECTION_SEPARATORS[round_ % len(SECTION_SEPARATORS)],
-                                 with_system=round_ >= len(SECTION_SEPARATORS))
-        mode = MODES[case % len(MODES)]
-        exemplars = tuple(
-            Exemplar(
-                question=fuzz_piece(rng) + "?",
-                options={"A": fuzz_piece(rng), "B": fuzz_piece(rng)},
-                answer=rng.choice("AB"),
-                analysis=fuzz_piece(rng),
-                seeds=tuple(fuzz_piece(rng) for _ in range(rng.randint(0, 3))),
-            )
-            for _ in range(rng.randint(0, 5))
-        )
-        inst = SimpleNamespace(question=fuzz_piece(rng),
-                               options={"A": fuzz_piece(rng), "C": fuzz_piece(rng)})
-        seeds = [fuzz_piece(rng) for _ in range(rng.randint(0, 3))] if mode == "icp" else None
+        template, mode, exemplars = fuzz_spec_parts(rng, case)
+        inst, seeds = fuzz_target(rng, mode)
 
         def spec_for(budget):
             return PromptSpec(mode, "few" if exemplars else "zero", exemplars,
@@ -296,6 +311,34 @@ def test_prefix_fitting_equals_reestimating_oracle_fuzz():
             else:
                 kept_seen.add(want.kept_exemplars)
     # budgets reached every prefix length, and below the smallest prompt
+    assert kept_seen == set(range(6)) and refused > 0
+
+
+def test_spec_reused_across_instances_equals_per_call_oracle_fuzz():
+    # one spec composes several targets in turn, so all but the first reuse
+    # the exemplar blocks and prefix estimates folded for the spec
+    rng = random.Random(13)
+    kept_seen, refused = set(), 0
+    for case in range(250):
+        template, mode, exemplars = fuzz_spec_parts(rng, case)
+        spec = PromptSpec(mode, "few" if exemplars else "zero", exemplars,
+                          context_tokens=rng.randint(2, 400), reserved_tokens=1,
+                          template=template)
+        twin = dataclasses.replace(spec)
+        for _ in range(4):
+            inst, seeds = fuzz_target(rng, mode)
+            want = compose_outcome(per_call_compose, inst, spec, seeds)
+            assert compose_outcome(compose, inst, spec, seeds) == want, case
+            if isinstance(want, str):
+                refused += 1
+            else:
+                kept_seen.add(want.kept_exemplars)
+        # the cache is no field: composing leaves the spec equal to an
+        # unused copy in every dataclass view
+        assert spec == twin and repr(spec) == repr(twin)
+        assert dataclasses.asdict(spec) == dataclasses.asdict(twin)
+        assert [f.name for f in dataclasses.fields(spec)] == [
+            "mode", "shots", "exemplars", "context_tokens", "reserved_tokens", "template"]
     assert kept_seen == set(range(6)) and refused > 0
 
 

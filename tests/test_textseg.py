@@ -14,7 +14,12 @@ from seedqa.textseg import (
     tokenize,
 )
 
-from conftest import per_char_script_runs
+from conftest import (
+    per_char_script_runs,
+    two_group_fold_estimate,
+    two_group_script_runs,
+    two_group_tokenize,
+)
 
 
 def test_is_cjk_basic():
@@ -120,3 +125,23 @@ def test_estimate_of_a_join_is_the_fold_of_its_pieces():
         for piece in pieces:
             state = fold_estimate(piece, state)
         assert finish_estimate(state) == estimate_tokens("".join(pieces)), pieces
+
+
+def test_one_class_split_matches_two_group_oracle():
+    rng = random.Random(5)
+    alphabet = _boundary_alphabet()
+    astral = [chr(cp) for cp in (0x20000, 0x2A6D6, 0x2F800, 0x2FFFF, 0x1F600, 0x30000)]
+    cjk = [ch for ch in alphabet + astral if is_cjk(ch)]
+    other = [ch for ch in alphabet + astral if not is_cjk(ch)]
+    texts = ["", " ", "患", "a", "\U00020000", "\U00030000"]
+    for case in range(4000):
+        # each start and end script meets every other, empty text included
+        first, last = (cjk, other)[case % 2], (cjk, other)[case // 2 % 2]
+        middle = "".join(rng.choice(alphabet + astral) for _ in range(rng.randint(0, 20)))
+        texts.append(rng.choice(first) + middle + rng.choice(last))
+    for text in texts:
+        assert script_runs(text) == two_group_script_runs(text), repr(text)
+        assert tokenize(text) == two_group_tokenize(text), repr(text)
+        assert estimate_tokens(text) == finish_estimate(two_group_fold_estimate(text))
+        state = (rng.randint(0, 9), rng.randint(0, 9))
+        assert fold_estimate(text, state) == two_group_fold_estimate(text, state), (text, state)
