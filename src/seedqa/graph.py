@@ -14,12 +14,14 @@ even negative weight, and rare ones are promoted.
 The graph is stored as flat integer tables in CSR (compressed sparse row)
 form: per source index, a slice of target indices and raw counts, in
 (source, target index) order, plus one idf value per node.  A source's
-``(target, weight, raw_count)`` rows, sorted by descending weight and then
-target, are computed the first time ``neighbors`` asks for them and cached;
-a run that touches a few hundred sources never ranks the rest.  Files store
-counts only, and their rows may come in any order.  ``load_graph`` parses the
-row tables a chunk of whole rows at a time and reads only a chunk that fails
-a check again, row by row, to name the first defect in file order.
+target indices, sorted by descending weight and then target name, are
+computed the first time the miner or ``neighbors`` asks for them and
+cached; a run that touches a few hundred sources never ranks the rest.
+Files store counts only, and their rows may come in any order.
+``load_graph`` parses the node table as one JSON array and the row tables
+a chunk of whole rows at a time, and reads only a part that fails a check
+again, line by line, to name the first defect in file order.  Rows already
+in index order, as ``save_graph`` writes them, are kept as read.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ import math
 from array import array
 from bisect import bisect_left
 from collections import Counter
+from functools import cached_property
 from itertools import chain, compress, islice, repeat
-from operator import add, eq, itemgetter, mod, mul, sub
+from operator import add, eq, lt, mod, mul, sub, truediv
 from typing import Iterable, Sequence
 
 from .entities import AnnotatedInstance
@@ -59,7 +62,8 @@ class KnowledgeGraph:
     tables: ``_offsets[i]:_offsets[i + 1]`` is source ``i``'s slice of
     ``_targets`` and ``_counts``.  The builder and the loader check the
     tables; the constructor trusts them.  Weights are computed per source,
-    on its first ``neighbors`` call.
+    when it is first ranked.  Node indices need not follow name order; the
+    ranking checks once whether they do.
     """
 
     def __init__(
@@ -77,9 +81,10 @@ class KnowledgeGraph:
         self._targets = array("q", map(mod, edges, repeat(m)))
         self._counts = counts
         self._idf = [math.log10(m / (1 + analysis_freq.get(node, 0))) for node in self.nodes]
-        # source -> its ranked rows, filled on first use; two threads may
-        # rank the same source at once, and either equal tuple may stay
-        self._ranked: dict[str, tuple[tuple[str, float, int], ...]] = {}
+        # source index -> its ranked target indices, filled on first use; two
+        # threads may rank the same source at once, and either equal tuple
+        # may stay
+        self._ranked: dict[int, tuple[int, ...]] = {}
 
     @property
     def m(self) -> int:
@@ -103,32 +108,60 @@ class KnowledgeGraph:
             for s, t, count in zip(self._sources(), self._targets, self._counts)
         }
 
+    @cached_property
+    def _in_name_order(self) -> bool:
+        """Whether node indices follow name order, as in every graph
+        ``build_graph`` makes and every file ``save_graph`` writes."""
+        return all(map(lt, self.nodes, islice(self.nodes, 1, None)))
+
+    def _rank(self, i: int) -> tuple[int, ...]:
+        """Source ``i``'s target indices, heaviest first, ties by target
+        name; computed on the first call for each source and cached."""
+        ids = self._ranked.get(i)
+        if ids is None:
+            lo, hi = self._offsets[i], self._offsets[i + 1]
+            targets = self._targets[lo:hi].tolist()
+            counts = self._counts[lo:hi]
+            total = sum(counts)
+            # (count / total) * idf[t], as in _weights
+            weight = dict(zip(targets, map(mul, map(truediv, counts, repeat(total)),
+                                           map(self._idf.__getitem__, targets))))
+            if not self._in_name_order:
+                targets.sort(key=self.nodes.__getitem__)
+            # stable, so equal weights keep the name order
+            targets.sort(key=weight.__getitem__, reverse=True)
+            ids = self._ranked[i] = tuple(targets)
+        return ids
+
+    def _weights(self, i: int, targets: Iterable[int]) -> dict[int, float]:
+        """The weight of the edge from source ``i`` to each of ``targets``
+        that it points at, keyed by target index."""
+        lo, hi = self._offsets[i], self._offsets[i + 1]
+        table, counts, idf = self._targets, self._counts, self._idf
+        total = sum(counts[lo:hi])
+        out = {}
+        for t in targets:
+            pos = bisect_left(table, t, lo, hi)
+            if pos < hi and table[pos] == t:
+                out[t] = (counts[pos] / total) * idf[t]
+        return out
+
     def neighbors(self, entity: str) -> tuple[tuple[str, float, int], ...]:
         """Outgoing ``(target, weight, raw_count)`` rows, heaviest first,
         ties by target.
 
         A node with no outgoing edges (or an unknown entity) gets ``()``;
-        callers treat both the same way.  The rows are computed on the
-        first call for each source and cached.
+        callers treat both the same way.  The order is the cached ranking
+        the miner reads.
         """
-        rows = self._ranked.get(entity)
-        if rows is None:
-            i = self._index.get(entity)
-            if i is None:
-                return ()
-            lo, hi = self._offsets[i], self._offsets[i + 1]
-            counts = self._counts[lo:hi]
-            total = sum(counts)
-            nodes, idf = self.nodes, self._idf
-            ranked = sorted(
-                ((nodes[t], (count / total) * idf[t], count)
-                 for t, count in zip(self._targets[lo:hi], counts)),
-                key=itemgetter(0),
-            )
-            # stable, so equal weights keep the target order
-            ranked.sort(key=itemgetter(1), reverse=True)
-            rows = self._ranked[entity] = tuple(ranked)
-        return rows
+        i = self._index.get(entity)
+        if i is None:
+            return ()
+        ids = self._rank(i)
+        lo, hi = self._offsets[i], self._offsets[i + 1]
+        count = dict(zip(self._targets[lo:hi], self._counts[lo:hi]))
+        weight = self._weights(i, ids)
+        return tuple((self.nodes[t], weight[t], count[t]) for t in ids)
 
 
 def build_graph(train: Iterable[AnnotatedInstance]) -> KnowledgeGraph:
@@ -199,8 +232,9 @@ def load_graph(path: str) -> KnowledgeGraph:
     frequency row) is reported as ``path:line: reason`` with the 1-based
     file line of the first defect in file order.  One reader parses the row
     tables a chunk of whole rows at a time and reads only a chunk that fails
-    a check again, row by row.  Rows may come in any order; weights are
-    derived from the stored counts when a source is first read.
+    a check again, row by row.  Rows may come in any order; rows in index
+    order skip the sort.  Weights are derived from the stored counts when a
+    source is first read.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -244,21 +278,9 @@ def load_graph(path: str) -> KnowledgeGraph:
         raise GraphFormatError(
             f"{path}: expected {expected_lines} lines before trailer, got {n_lines}"
         )
-    *node_lines, table = body.split("\n", 1 + n_nodes)
+    _, *node_lines, table = body.split("\n", 1 + n_nodes)
     del body
-    nodes: list[str] = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(node_lines[1:], 2):
-        try:
-            node = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"{path}:{lineno}: malformed node entry") from exc
-        if not isinstance(node, str):
-            raise GraphFormatError(f"{path}:{lineno}: node entry {node!r} is not a string")
-        if node in seen:
-            raise GraphFormatError(f"{path}:{lineno}: repeated node entry {node!r}")
-        seen.add(node)
-        nodes.append(node)
+    nodes = _read_nodes(path, node_lines)
     # the frequency rows are the last n_freqs lines of the table
     split = len(table)
     for _ in range(n_freqs):
@@ -269,6 +291,33 @@ def load_graph(path: str) -> KnowledgeGraph:
                                    "frequency", n_nodes)
     analysis_freq = dict(zip(map(nodes.__getitem__, freq_nodes), freqs))
     return KnowledgeGraph(nodes, edges, counts, analysis_freq)
+
+
+def _read_nodes(path: str, lines: list[str]) -> list[str]:
+    """The node table from its file lines, the first on file line 2.  The
+    lines are parsed as one JSON array; only when that fails, or gives
+    other than one new string per line, are they read again one by one to
+    name the first bad line."""
+    try:
+        nodes = json.loads("[" + ",".join(lines) + "]")
+        if set(map(type, nodes)) <= {str} and len(nodes) == len(set(nodes)) == len(lines):
+            return nodes
+    except json.JSONDecodeError:
+        pass
+    nodes = []
+    seen: set[str] = set()
+    for lineno, line in enumerate(lines, 2):
+        try:
+            node = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(f"{path}:{lineno}: malformed node entry") from exc
+        if not isinstance(node, str):
+            raise GraphFormatError(f"{path}:{lineno}: node entry {node!r} is not a string")
+        if node in seen:
+            raise GraphFormatError(f"{path}:{lineno}: repeated node entry {node!r}")
+        seen.add(node)
+        nodes.append(node)
+    return nodes
 
 
 def _read_rows(path: str, table: str, start: int, stop: int, first_line: int, kind: str,
@@ -287,6 +336,9 @@ def _read_rows(path: str, table: str, start: int, stop: int, first_line: int, ki
         end = stop if stop - pos <= _CHUNK_CHARS else table.index("\n", pos + _CHUNK_CHARS) + 1
         reason = _read_chunk(table[pos:end], width, kind, n_nodes, keys, counts)
         pos = end
+    # rows already in key order, as every writer emits them, are used as read
+    if reason is None and all(map(lt, keys, islice(keys, 1, None))):
+        return keys, array("q", counts)
     # a stable sort of the row numbers, linear on files already in order
     order = sorted(range(len(keys)), key=keys.__getitem__)
     keys.sort()

@@ -6,8 +6,11 @@ list, or |neighbors(x)| + 1 when x does not point at it.  Candidates are
 ordered by the sum of those ranks (lower is better); the finite penalty
 keeps sums comparable when some member has no edge to the candidate.
 
-The miner reads each member's neighbor list once and keeps the top k in a
-bounded heap; tie-break weights are summed in sorted member order.
+The miner works on integer node indices: it reads each member's cached
+ranking once into a dense per-node sum, finds the k-th smallest sum, and
+keys only the candidates at or below it; tie-break weights are summed in
+sorted member order, and node names are looked up for those candidates
+alone.
 """
 
 from __future__ import annotations
@@ -70,25 +73,35 @@ def mine_seeds(graph: KnowledgeGraph, query: SeedQuery, k: int = DEFAULT_K) -> S
     weight from the query, then ascending entity string, so results are
     fully deterministic.  An empty query or pool gives an empty result.
 
-    One pass over the members' neighbor lists adds, per candidate, its rank
-    minus that member's penalty to the sum of all penalties; weights are
-    added in sorted member order so float tie-breaks do not move.
+    One pass over the members' ranked target indices adds, per candidate,
+    its rank minus that member's penalty to the sum of all penalties.  Only
+    candidates at or below the k-th smallest sum are keyed; their weights
+    are added in sorted member order so float tie-breaks do not move.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
+    members = [graph._index.get(x) for x in sorted(query.entities)]
+    ranked = [() if i is None else graph._rank(i) for i in members]
     base = 0
-    delta: dict[str, int] = {}
-    wsum: dict[str, float] = {}
-    for x in sorted(query.entities):
-        targets = graph.neighbors(x)
-        penalty = len(targets) + 1
+    delta = [0] * graph.m
+    for ids in ranked:
+        penalty = len(ids) + 1
         base += penalty
-        for rank, (tgt, w, _) in enumerate(targets, 1):
-            delta[tgt] = delta.get(tgt, 0) + rank - penalty
-            wsum[tgt] = wsum.get(tgt, 0.0) + w
-    pool = [e for e in delta if e not in query.entities]
-    top = heapq.nsmallest(k, pool, key=lambda e: (delta[e], -wsum[e], e))
-    return SeedResult(tuple((e, base + delta[e]) for e in top), k)
+        for score, t in enumerate(ids, 1 - penalty):
+            delta[t] += score
+    pool = set().union(*ranked).difference(members)
+    top = heapq.nsmallest(k, map(delta.__getitem__, pool))
+    if not top:
+        return SeedResult((), k)
+    finalists = [t for t in pool if delta[t] <= top[-1]]
+    wsum = dict.fromkeys(finalists, 0.0)
+    for i, ids in zip(members, ranked):
+        if ids:
+            for t, w in graph._weights(i, finalists).items():
+                wsum[t] += w
+    nodes = graph.nodes
+    keys = sorted((delta[t], -wsum[t], nodes[t]) for t in finalists)[:k]
+    return SeedResult(tuple((name, base + d) for d, _, name in keys), k)
 
 
 @dataclass(frozen=True)
@@ -120,9 +133,18 @@ def save_seed_records(records: Sequence[SeedRecord], path: str) -> None:
 
 
 def _parse_seed_record(rec: dict) -> SeedRecord:
-    seeds = tuple(zip(rec["seeds"], rec["scores"]))
+    seeds, scores, k = rec["seeds"], rec["scores"], rec.get("k", DEFAULT_K)
+    if type(seeds) is not list or set(map(type, seeds)) - {str}:
+        raise ValueError(f"'seeds' must be a list of strings, got {seeds!r}")
+    # bool is a subclass of int, and not a score
+    if type(scores) is not list or set(map(type, scores)) - {int}:
+        raise ValueError(f"'scores' must be a list of integers, got {scores!r}")
+    if len(seeds) != len(scores):
+        raise ValueError(f"{len(seeds)} seeds but {len(scores)} scores")
+    if type(k) is not int:
+        raise ValueError(f"'k' must be an integer, got {k!r}")
     return SeedRecord(
-        rec["id"], SeedResult(seeds, rec.get("k", DEFAULT_K)), tuple(rec.get("query", ()))
+        rec["id"], SeedResult(tuple(zip(seeds, scores)), k), tuple(rec.get("query", ()))
     )
 
 

@@ -116,6 +116,44 @@ def v1_graph_bytes(train) -> bytes:
     return (body + f'{{"sha256": "{digest}"}}\n').encode("utf-8")
 
 
+def write_graph_file(path, graph: KnowledgeGraph, order) -> str:
+    """Write ``graph`` as a v1 file whose node table lists the nodes in
+    ``order``, with rows in index order under that table, and return the
+    path."""
+    index = {node: i for i, node in enumerate(order)}
+    edges = sorted((index[s], index[t], c) for (s, t), c in graph.raw_counts.items())
+    freqs = sorted((index[n], f) for n, f in graph.analysis_freq.items())
+    body = (
+        f'{{"magic": "seedqa-graph", "version": 1, "nodes": {len(order)}, '
+        f'"edges": {len(edges)}, "freqs": {len(freqs)}}}\n'
+        + "".join(json.dumps(node, ensure_ascii=False) + "\n" for node in order)
+        + "".join(f"{s}\t{t}\t{c}\n" for s, t, c in edges)
+        + "".join(f"{n}\t{f}\n" for n, f in freqs)
+    )
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    path.write_text(body + json.dumps({"sha256": digest}) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def line_by_line_graph_nodes(path: str, lines: list[str]) -> list[str]:
+    """Parse a graph file's node table one line at a time, the way the
+    loader did before it parsed the table as one JSON array.  ``lines[0]``
+    is file line 2.  Returns the nodes, or raises GraphFormatError naming
+    the first defective line."""
+    nodes: list[str] = []
+    for lineno, line in enumerate(lines, 2):
+        try:
+            node = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(f"{path}:{lineno}: malformed node entry") from exc
+        if not isinstance(node, str):
+            raise GraphFormatError(f"{path}:{lineno}: node entry {node!r} is not a string")
+        if node in nodes:
+            raise GraphFormatError(f"{path}:{lineno}: repeated node entry {node!r}")
+        nodes.append(node)
+    return nodes
+
+
 def line_by_line_graph_rows(path: str, rows: list[str], first_line: int, n_edges: int,
                             n_nodes: int):
     """Check a graph file's row tables one line at a time, strictly in file

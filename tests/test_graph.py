@@ -18,12 +18,14 @@ from seedqa.graph import _CHUNK_CHARS, GraphFormatError, build_graph, load_graph
 
 from conftest import (
     ENTITY_POOL,
+    line_by_line_graph_nodes,
     line_by_line_graph_rows,
     make_annotated,
     naive_graph_stats,
     random_annotated,
     row_weights,
     v1_graph_bytes,
+    write_graph_file,
 )
 
 # hand-derived for the three-instance corpus: m = 5, row sums a:3 b:3 e:1,
@@ -527,3 +529,62 @@ def test_load_matches_line_by_line_oracle(tmp_path):
         }, f"trial {trial}"
         assert loaded.analysis_freq == {nodes[i]: f for (i,), f in freqs.items()}, f"trial {trial}"
     assert min(outcomes.values()) >= 3 and len(outcomes) == 5, outcomes
+
+
+def test_load_matches_line_by_line_node_oracle(tmp_path):
+    # node tables with 1 to 3 edited lines: the loader names the oracle's
+    # line with its reason, or loads the oracle's nodes
+    rng = random.Random(5151)
+    names = [*ENTITY_POOL, "aspirin", 'say "ah"', "a,b", "x]", "\\", "\u2028"]
+    outcomes: Counter[str] = Counter()
+    for trial in range(300):
+        nodes = rng.sample(names, rng.randint(1, 12))
+        lines = [json.dumps(node, ensure_ascii=rng.random() < 0.5) for node in nodes]
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(lines))
+            edit = rng.randrange(7)
+            if edit == 0:  # not a string
+                lines[i] = rng.choice(("5", "null", "true", '["a"]', '{"a": 1}', "1.5"))
+            elif edit == 1:  # repeats another line, maybe itself
+                lines[i] = lines[rng.randrange(len(lines))]
+            elif edit == 2:  # broken JSON
+                lines[i] = rng.choice(('"ab', "ab", '["a"', "'a'", '"a" "b"', "{"))
+            elif edit == 3:
+                lines[i] = '"a","b"'
+            elif edit == 4:
+                lines[i] = '"a"]'
+            elif edit == 5:
+                lines[i] = ""
+            else:  # still valid
+                lines[i] = f" {json.dumps(rng.choice(names))}\t"
+        header = json.dumps({"magic": "seedqa-graph", "version": 1,
+                             "nodes": len(lines), "edges": 1, "freqs": 1})
+        path = _write_with_checksum(tmp_path / f"g{trial}.kg",
+                                    [header, *lines, "0\t0\t1", "0\t1"])
+        try:
+            expected = line_by_line_graph_nodes(path, lines)
+        except GraphFormatError as exc:
+            with pytest.raises(GraphFormatError) as err:
+                load_graph(path)
+            assert str(err.value) == str(exc), f"trial {trial}"
+            outcomes[str(exc).split(": ", 1)[1].split(" ", 1)[0]] += 1
+            continue
+        assert load_graph(path).nodes == tuple(expected), f"trial {trial}"
+        outcomes["loaded"] += 1
+    # loaded, malformed, node (not a string) and repeated
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 10, outcomes
+
+
+def test_load_ranks_out_of_name_order_node_table(tmp_path):
+    # a node table out of name order loads to the same neighbor rows, with
+    # equal weights still tie-broken by name
+    rng = random.Random(66)
+    for trial in range(20):
+        g = build_graph(random_annotated(rng, rng.randint(1, 25)))
+        order = list(g.nodes)
+        rng.shuffle(order)
+        loaded = load_graph(write_graph_file(tmp_path / f"s{trial}.kg", g, order))
+        assert loaded.nodes == tuple(order), f"trial {trial}"
+        for node in g.nodes:
+            assert loaded.neighbors(node) == g.neighbors(node), f"trial {trial} {node}"
+        assert loaded.raw_counts == g.raw_counts

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import json
+import math
 import random
+import re
+import sys
+import threading
 
 import pytest
 
-from seedqa.graph import build_graph
+from seedqa.corpus import DatasetFormatError
+from seedqa.graph import build_graph, load_graph, save_graph
 from seedqa.seeds import (
     SeedQuery,
     SeedRecord,
@@ -21,6 +27,7 @@ from conftest import (
     random_annotated,
     row_weights,
     sorted_pool_mine_seeds,
+    write_graph_file,
 )
 
 
@@ -102,9 +109,19 @@ class _FixedLists:
 
     def __init__(self, lists):
         self.lists = lists
+        self.nodes = tuple(sorted({*lists, *(t for row in lists.values() for t, _ in row)}))
+        self.m = len(self.nodes)
+        self._index = {node: i for i, node in enumerate(self.nodes)}
 
     def neighbors(self, entity):
         return tuple((t, w, 1) for t, w in self.lists.get(entity, ()))
+
+    def _rank(self, i):
+        return tuple(self._index[t] for t, _, _ in self.neighbors(self.nodes[i]))
+
+    def _weights(self, i, targets):
+        row = {self._index[t]: w for t, w, _ in self.neighbors(self.nodes[i])}
+        return {t: row[t] for t in targets if t in row}
 
 
 def test_mine_seeds_sums_tie_weights_in_sorted_member_order():
@@ -204,6 +221,35 @@ def test_sidecar_round_trip(tmp_path, toy_graph):
     assert loaded["q1"].query == ("a", "b")
 
 
+# (case, sidecar line 2, reason)
+_BAD_SIDECAR_LINES = [
+    ("fewer scores than seeds", {"seeds": ["a", "b"], "scores": [1]}, "2 seeds but 1 scores"),
+    ("more scores than seeds", {"seeds": ["a"], "scores": [1, 2]}, "1 seeds but 2 scores"),
+    ("seeds a string", {"seeds": "ab", "scores": [1, 2]}, "'seeds' must be a list of strings"),
+    ("seed not a string", {"seeds": ["a", 7], "scores": [1, 2]},
+     "'seeds' must be a list of strings"),
+    ("scores strings", {"seeds": ["a"], "scores": ["1"]}, "'scores' must be a list of integers"),
+    ("scores a number", {"seeds": ["a"], "scores": 1}, "'scores' must be a list of integers"),
+    ("score a bool", {"seeds": ["a"], "scores": [True]}, "'scores' must be a list of integers"),
+    ("score a float", {"seeds": ["a"], "scores": [1.0]}, "'scores' must be a list of integers"),
+    ("k a string", {"seeds": ["a"], "scores": [1], "k": "10"}, "'k' must be an integer"),
+    ("k a bool", {"seeds": [], "scores": [], "k": True}, "'k' must be an integer"),
+    ("k a float", {"seeds": ["a"], "scores": [1], "k": 10.0}, "'k' must be an integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, reason", [c[1:] for c in _BAD_SIDECAR_LINES], ids=[c[0] for c in _BAD_SIDECAR_LINES]
+)
+def test_load_seed_records_rejects_malformed_fields(tmp_path, fields, reason):
+    path = tmp_path / "seeds.jsonl"
+    good = {"id": "q1", "query": ["a"], "seeds": ["b"], "scores": [2], "k": 10}
+    path.write_text(json.dumps(good) + "\n" + json.dumps({"id": "q2", **fields}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}:2: {reason}")):
+        load_seed_records(str(path))
+
+
 def test_mine_seeds_matches_sorted_pool_miner_on_zipf_graph():
     # Zipf draws give long neighbor lists with many equal counts, so rank
     # sums tie often and the float tie-break decides
@@ -238,3 +284,82 @@ def test_mine_seeds_matches_sorted_pool_miner_on_zipf_graph():
         for k in (0, 1, 10, 50):
             got = list(mine_seeds(g, q, k).seeds)
             assert got == sorted_pool_mine_seeds(g, weights, q, k), (trial, sorted(query), k)
+
+
+def test_mine_seeds_matches_sorted_pool_miner_fuzz(tmp_path):
+    # small graphs with many instances per node give zero and negative
+    # idf and equal weights; half are loaded from a file whose node table
+    # is shuffled out of name order, so ranking cannot lean on index order
+    rng = random.Random(7077)
+    seen = {"shuffled": 0, "zero idf": 0, "negative idf": 0, "equal weights": 0,
+            "k beyond pool": 0}
+    for trial in range(150):
+        vocab = [f"v{i}" for i in range(rng.randint(4, 12))]
+        train = random_annotated(rng, rng.randint(1, 30), vocab=vocab)
+        m, _, freq, weights = naive_graph_stats(train)
+        g = build_graph(train)
+        if trial % 2:
+            order = list(g.nodes)
+            rng.shuffle(order)
+            g = load_graph(write_graph_file(tmp_path / f"g{trial}.kg", g, order))
+            assert list(g.nodes) == order
+            seen["shuffled"] += order != sorted(order)
+        idf = [math.log10(m / (1 + freq.get(node, 0))) for node in g.nodes]
+        seen["zero idf"] += 0.0 in idf
+        seen["negative idf"] += min(idf) < 0
+        row_values = [[w for t, w, _ in g.neighbors(node)] for node in g.nodes]
+        seen["equal weights"] += any(len(set(row)) < len(row) for row in row_values)
+        sinks = [node for node in g.nodes if not g.neighbors(node)]
+        for _ in range(4):
+            query = set(rng.sample(g.nodes, rng.randint(1, min(5, g.m))))
+            if rng.random() < 0.3:
+                query.add(f"ghost{rng.randrange(3)}")
+            if sinks and rng.random() < 0.3:
+                query.add(rng.choice(sinks))
+            q = SeedQuery(frozenset(query))
+            pool = len(sorted_pool_mine_seeds(g, weights, q, g.m))
+            for k in (0, 1, 3, pool, pool + 5):
+                got = mine_seeds(g, q, k)
+                expected = sorted_pool_mine_seeds(g, weights, q, k)
+                assert list(got.seeds) == expected, (trial, sorted(query), k)
+                seen["k beyond pool"] += k > pool > 0
+    assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.concurrency
+def test_mine_seeds_concurrent_on_cold_graph_is_race_free(tmp_path):
+    # eight threads mine overlapping queries on one freshly loaded graph,
+    # so they rank the same cold sources at once; every result must equal
+    # the single-thread one
+    rng = random.Random(4711)
+    vocab = [f"e{i:03d}" for i in range(120)]
+    path = tmp_path / "g.kg"
+    save_graph(build_graph(random_annotated(rng, 300, vocab)), str(path))
+    reference = load_graph(str(path))
+    queries = [SeedQuery(frozenset(rng.sample(vocab[:40], rng.randint(2, 8)))) for _ in range(40)]
+    expected = [mine_seeds(reference, q, 10) for q in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            cold = load_graph(str(path))
+            barrier = threading.Barrier(8, timeout=30)
+            results: list[list | None] = [None] * 8
+
+            def mine(slot: int) -> None:
+                barrier.wait()
+                # each thread starts at its own query and wraps around
+                got: list = [None] * len(queries)
+                for j in range(slot * 5, slot * 5 + len(queries)):
+                    got[j % len(queries)] = mine_seeds(cold, queries[j % len(queries)], 10)
+                results[slot] = got
+
+            threads = [threading.Thread(target=mine, args=(slot,)) for slot in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert all(got == expected for got in results)
+    finally:
+        sys.setswitchinterval(interval)
