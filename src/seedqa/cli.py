@@ -77,7 +77,8 @@ _DEFAULTS: dict[str, Any] = {
     "reserved_tokens": DEFAULT_RESERVED_RESPONSE_TOKENS,
 }
 
-# repeatable options per subcommand; a config file may give one item as a string
+# repeatable options per subcommand; a config file gives a list of strings,
+# or one item as a string
 _REPEATABLE = {"build-graph": ("annotated",), "run": ("group_by",), "report": ("group_by",)}
 
 # namespace entries that are not pipeline options
@@ -97,8 +98,6 @@ class _Resolver:
             value = self._config.get(key)
         if value is None:
             value = _DEFAULTS.get(key)
-        if isinstance(value, str) and key in _REPEATABLE.get(self._args.command, ()):
-            value = [value]
         if value is None and required:
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
         return value
@@ -110,7 +109,11 @@ class _Resolver:
         }
 
 
-def _load_config_file(path: str | None) -> dict[str, Any]:
+def _load_config_file(path: str | None, parser: argparse.ArgumentParser,
+                      args: argparse.Namespace) -> dict[str, Any]:
+    """The options of ``args.command`` that the config file sets, each read
+    as its flag would be: ``"workers": 2`` as ``--workers=2``, and
+    ``"no_analysis": true`` as ``--no-analysis``.  Other keys are ignored."""
     if not path:
         return {}
     try:
@@ -120,7 +123,31 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    return data
+    options = vars(args).keys() - set(_NOT_OPTIONS)
+    repeatable = _REPEATABLE.get(args.command, ())
+    config = {}
+    for key, value in data.items():
+        if key not in options or value is None:
+            continue
+        flag = "--" + key.replace("_", "-")
+        try:
+            if key in repeatable:
+                items = [value] if type(value) is str else value
+                if type(items) is not list or set(map(type, items)) - {str}:
+                    raise ConfigError(f"must be a string or a list of strings, got {value!r}")
+                argv = [f"{flag}={item}" for item in items]
+            elif type(value) is bool:  # true sets a flag that takes no value
+                argv = [flag]
+            elif type(value) in (str, int, float):
+                argv = [f"{flag}={value}"]
+            else:
+                raise ConfigError(f"must be a string or a number, got {value!r}")
+            parsed = getattr(parser.parse_args([args.command, *argv]), key)
+        except ConfigError as exc:
+            raise ConfigError(f"config file {path}: {key!r}: {exc}") from exc
+        if value is not False:
+            config[key] = parsed
+    return config
 
 
 def _client_from(res: _Resolver) -> ChatClient:
@@ -409,7 +436,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             level=level,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        res = _Resolver(args, _load_config_file(getattr(args, "config", None)))
+        res = _Resolver(args, _load_config_file(args.config, parser, args))
         return args.func(res)
     except ClientError as exc:
         print(f"error: {exc}", file=sys.stderr)

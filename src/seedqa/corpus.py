@@ -57,6 +57,16 @@ def read_jsonl(path: str, parse: Callable[[dict], T]) -> list[T]:
     return out
 
 
+def string_list(rec: dict, key: str) -> list[str]:
+    """``rec[key]``, which must be a JSON list of strings: a string there is
+    refused, not split into its characters.  Raises KeyError when the field
+    is missing and ValueError when it is not such a list."""
+    value = rec[key]
+    if type(value) is not list or set(map(type, value)) - {str}:
+        raise ValueError(f"{key!r} must be a list of strings, got {value!r}")
+    return value
+
+
 def data_path(name: str) -> str:
     """Path of a file shipped in the package's ``data`` directory."""
     return str(resources.files(__package__).joinpath(f"data/{name}"))

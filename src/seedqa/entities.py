@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Sequence
 from .client import ChatClient, CompletionRequest
 from .corpus import (
     Dataset, DatasetFormatError, Instance, instance_to_record, map_in_order, parse_record,
-    qo_text, read_jsonl,
+    qo_text, read_jsonl, string_list,
 )
 
 Extractor = Callable[[str], "set[str] | frozenset[str]"]
@@ -275,7 +275,7 @@ class LlmExtractor:
 def load_extraction_exemplars(path: str) -> list[tuple[str, tuple[str, ...]]]:
     """Read ``{"text", "entities"}`` lines into (text, entities) pairs."""
     return read_jsonl(
-        path, lambda rec: (str(rec["text"]), tuple(str(e) for e in rec["entities"]))
+        path, lambda rec: (str(rec["text"]), tuple(string_list(rec, "entities")))
     )
 
 
@@ -354,6 +354,8 @@ def load_annotated(path: str) -> list[AnnotatedInstance]:
     return read_jsonl(
         path,
         lambda rec: AnnotatedInstance(
-            parse_record(rec), frozenset(rec["qo_entities"]), frozenset(rec["r_entities"])
+            parse_record(rec),
+            frozenset(string_list(rec, "qo_entities")),
+            frozenset(string_list(rec, "r_entities")),
         ),
     )

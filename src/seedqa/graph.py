@@ -13,15 +13,16 @@ even negative weight, and rare ones are promoted.
 
 The graph is stored as flat integer tables in CSR (compressed sparse row)
 form: per source index, a slice of target indices and raw counts, in
-(source, target index) order, plus one idf value per node.  A source's
-target indices, sorted by descending weight and then target name, are
-computed the first time the miner or ``neighbors`` asks for them and
-cached; a run that touches a few hundred sources never ranks the rest.
-Files store counts only, and their rows may come in any order.
-``load_graph`` parses the node table as one JSON array and the row tables
-a chunk of whole rows at a time, and reads only a part that fails a check
-again, line by line, to name the first defect in file order.  Rows already
-in index order, as ``save_graph`` writes them, are kept as read.
+(source, target index) order, plus one idf value per node.  Nodes are
+indexed in name order, so index order breaks weight ties by name.  A
+source's target indices, sorted by descending weight and then target
+index, are computed the first time the miner or ``neighbors`` asks for
+them and cached; a run that touches a few hundred sources never ranks the
+rest.  Files store counts only, in the order ``save_graph`` writes them:
+nodes by name, rows by index.  ``load_graph`` parses the node table as one
+JSON array and the row tables a chunk of whole rows at a time, and reads
+only a part that fails a check again, line by line, to name the first
+defect in file order.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ import math
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from functools import cached_property
-from itertools import chain, compress, islice, repeat
-from operator import add, eq, lt, mod, mul, sub, truediv
+from itertools import chain, islice, repeat
+from operator import add, lt, mod, mul, sub, truediv
 from typing import Iterable, Sequence
 
 from .entities import AnnotatedInstance
@@ -56,14 +56,13 @@ class GraphFormatError(ValueError):
 class KnowledgeGraph:
     """Immutable co-occurrence graph over canonical entity strings.
 
-    ``nodes`` is the node table; an edge is the integer
+    ``nodes`` is the node table, in name order; an edge is the integer
     ``source_index * m + target_index``.  The constructor takes every edge
     once, in ascending order, with its raw count, and keeps them as CSR
     tables: ``_offsets[i]:_offsets[i + 1]`` is source ``i``'s slice of
     ``_targets`` and ``_counts``.  The builder and the loader check the
     tables; the constructor trusts them.  Weights are computed per source,
-    when it is first ranked.  Node indices need not follow name order; the
-    ranking checks once whether they do.
+    when it is first ranked.
     """
 
     def __init__(
@@ -108,12 +107,6 @@ class KnowledgeGraph:
             for s, t, count in zip(self._sources(), self._targets, self._counts)
         }
 
-    @cached_property
-    def _in_name_order(self) -> bool:
-        """Whether node indices follow name order, as in every graph
-        ``build_graph`` makes and every file ``save_graph`` writes."""
-        return all(map(lt, self.nodes, islice(self.nodes, 1, None)))
-
     def _rank(self, i: int) -> tuple[int, ...]:
         """Source ``i``'s target indices, heaviest first, ties by target
         name; computed on the first call for each source and cached."""
@@ -126,9 +119,7 @@ class KnowledgeGraph:
             # (count / total) * idf[t], as in _weights
             weight = dict(zip(targets, map(mul, map(truediv, counts, repeat(total)),
                                            map(self._idf.__getitem__, targets))))
-            if not self._in_name_order:
-                targets.sort(key=self.nodes.__getitem__)
-            # stable, so equal weights keep the name order
+            # stable, so equal weights keep the index order, which is name order
             targets.sort(key=weight.__getitem__, reverse=True)
             ids = self._ranked[i] = tuple(targets)
         return ids
@@ -212,7 +203,7 @@ def save_graph(graph: KnowledgeGraph, path: str) -> None:
         (json.dumps(node, ensure_ascii=False) + "\n" for node in graph.nodes),
         map("{}\t{}\t{}\n".format, graph._sources(), graph._targets, graph._counts),
         (f"{index[ent]}\t{graph.analysis_freq[ent]}\n"
-         for ent in sorted(graph.analysis_freq, key=index.__getitem__)),
+         for ent in sorted(graph.analysis_freq)),
     ))
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     with open(path, "w", encoding="utf-8") as fh:
@@ -225,16 +216,17 @@ def load_graph(path: str) -> KnowledgeGraph:
     """Read a graph file, verifying checksum, version, and table sizes.
 
     Any mismatch raises GraphFormatError; a partial graph is never
-    returned.  A defect in one line (the header, a node entry that is not
-    a JSON string or repeats one, a row with the wrong number of fields or
-    a field that is not an ASCII decimal integer, a node index outside the
-    node table, a count below 1 or above 2^63 - 1, a repeated edge or
-    frequency row) is reported as ``path:line: reason`` with the 1-based
-    file line of the first defect in file order.  One reader parses the row
-    tables a chunk of whole rows at a time and reads only a chunk that fails
-    a check again, row by row.  Rows may come in any order; rows in index
-    order skip the sort.  Weights are derived from the stored counts when a
-    source is first read.
+    returned.  Node entries must be strictly ascending by name, edge rows
+    by (source, target) index and frequency rows by node index, as
+    ``save_graph`` writes them.  A defect in one line (the header, a node
+    entry that is not a JSON string, a row with the wrong number of fields
+    or a field that is not an ASCII decimal integer, a node index outside
+    the node table, a count below 1 or above 2^63 - 1, an entry or row that
+    repeats the one before it or comes below it) is reported as
+    ``path:line: reason`` with the 1-based file line of the first defect in
+    file order.  One reader parses the row tables a chunk of whole rows at
+    a time and reads only a chunk that fails a check again, row by row.
+    Weights are derived from the stored counts when a source is first read.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -296,16 +288,16 @@ def load_graph(path: str) -> KnowledgeGraph:
 def _read_nodes(path: str, lines: list[str]) -> list[str]:
     """The node table from its file lines, the first on file line 2.  The
     lines are parsed as one JSON array; only when that fails, or gives
-    other than one new string per line, are they read again one by one to
-    name the first bad line."""
+    other than one string per line in ascending order, are they read again
+    one by one to name the first bad line."""
     try:
         nodes = json.loads("[" + ",".join(lines) + "]")
-        if set(map(type, nodes)) <= {str} and len(nodes) == len(set(nodes)) == len(lines):
+        if (set(map(type, nodes)) <= {str} and len(nodes) == len(lines)
+                and all(map(lt, nodes, islice(nodes, 1, None)))):
             return nodes
     except json.JSONDecodeError:
         pass
     nodes = []
-    seen: set[str] = set()
     for lineno, line in enumerate(lines, 2):
         try:
             node = json.loads(line)
@@ -313,9 +305,10 @@ def _read_nodes(path: str, lines: list[str]) -> list[str]:
             raise GraphFormatError(f"{path}:{lineno}: malformed node entry") from exc
         if not isinstance(node, str):
             raise GraphFormatError(f"{path}:{lineno}: node entry {node!r} is not a string")
-        if node in seen:
-            raise GraphFormatError(f"{path}:{lineno}: repeated node entry {node!r}")
-        seen.add(node)
+        if nodes and node <= nodes[-1]:
+            reason = (f"repeated node entry {node!r}" if node == nodes[-1]
+                      else f"node entry {node!r} out of order")
+            raise GraphFormatError(f"{path}:{lineno}: {reason}")
         nodes.append(node)
     return nodes
 
@@ -324,41 +317,29 @@ def _read_rows(path: str, table: str, start: int, stop: int, first_line: int, ki
                n_nodes: int) -> tuple[list[int], array]:
     """The ``kind`` rows ("edge" or "frequency") in ``table[start:stop]``,
     the first on file line ``first_line``: each row's key (``src·m + tgt``,
-    or the node index), ascending, and the counts in key order.  The first
-    bad row, or an earlier row that repeats one before it, raises
-    GraphFormatError."""
+    or the node index), strictly ascending, and the counts in key order.
+    The first bad row raises GraphFormatError."""
     width = 3 if kind == "edge" else 2
     keys: list[int] = []
     counts: list[int] = []
-    reason = None
     pos = start
-    while pos < stop and reason is None:
+    while pos < stop:
         end = stop if stop - pos <= _CHUNK_CHARS else table.index("\n", pos + _CHUNK_CHARS) + 1
         reason = _read_chunk(table[pos:end], width, kind, n_nodes, keys, counts)
+        if reason is not None:
+            raise GraphFormatError(f"{path}:{first_line + len(keys)}: {reason}")
         pos = end
-    # rows already in key order, as every writer emits them, are used as read
-    if reason is None and all(map(lt, keys, islice(keys, 1, None))):
-        return keys, array("q", counts)
-    # a stable sort of the row numbers, linear on files already in order
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    keys.sort()
-    # every row read comes before the bad row, so a repeat is the first defect
-    repeat_row = min(compress(islice(order, 1, None), map(eq, keys, islice(keys, 1, None))),
-                     default=None)
-    if repeat_row is not None:
-        row = table[start:stop].split("\n")[repeat_row]
-        raise GraphFormatError(f"{path}:{first_line + repeat_row}: repeated {kind} row {row!r}")
-    if reason is not None:
-        raise GraphFormatError(f"{path}:{first_line + len(keys)}: {reason}")
-    return keys, array("q", map(counts.__getitem__, order))
+    return keys, array("q", counts)
 
 
 def _read_chunk(chunk: str, width: int, kind: str, n_nodes: int,
                 keys: list[int], counts: list[int]) -> str | None:
     """Append the key and count of each row in ``chunk`` to ``keys`` and
-    ``counts``.  The chunk is parsed at once; only when it fails a check is
-    it read row by row, up to its first bad row, whose defect is returned."""
+    ``counts``; each key must be above the one before it.  The chunk is
+    parsed at once; only when it fails a check is it read row by row, up to
+    its first bad row, whose defect is returned."""
     reason = None
+    last = keys[-1] if keys else -1
     try:
         # each row must keep exactly its tabs, so a short row cannot hide
         # behind a long one
@@ -370,23 +351,28 @@ def _read_chunk(chunk: str, width: int, kind: str, n_nodes: int,
         if not (min(map(min, indices)) >= 0 and max(map(max, indices)) < n_nodes
                 and min(column) >= 1 and max(column) <= _MAX_COUNT):
             raise ValueError
+        new = (list(map(add, map(mul, columns[0], repeat(n_nodes)), columns[1]))
+               if width == 3 else columns[0])
+        if not all(map(lt, chain((last,), new), new)):
+            raise ValueError
     except ValueError:
-        values = []
+        new, column = [], []
         for row in chunk[:-1].split("\n"):
             try:
-                values += _row_values(row, width, kind, n_nodes)
+                last, count = _row_values(row, width, kind, n_nodes, last)
             except ValueError as exc:
                 reason = str(exc)
                 break
-        columns = [values[i::width] for i in range(width)]
-    keys.extend(map(add, map(mul, columns[0], repeat(n_nodes)), columns[1])
-                if width == 3 else columns[0])
-    counts.extend(columns[-1])
+            new.append(last)
+            column.append(count)
+    keys += new
+    counts += column
     return reason
 
 
-def _row_values(row: str, width: int, kind: str, n_nodes: int) -> list[int]:
-    """The fields of one row as integers; ValueError names its defect."""
+def _row_values(row: str, width: int, kind: str, n_nodes: int, last: int) -> tuple[int, int]:
+    """The key and count of one row, whose key must be above ``last``;
+    ValueError names its defect."""
     fields = row.split("\t")
     if len(fields) != width:
         raise ValueError(f"malformed {kind} row {row!r}: expected {width} fields, got {len(fields)}")
@@ -401,4 +387,8 @@ def _row_values(row: str, width: int, kind: str, n_nodes: int) -> list[int]:
         raise ValueError(f"{what} must be at least 1, got {row!r}")
     if count > _MAX_COUNT:
         raise ValueError(f"{what} too large in {row!r}")
-    return [*indices, count]
+    key = indices[0] * n_nodes + indices[1] if width == 3 else indices[0]
+    if key <= last:
+        raise ValueError(f"repeated {kind} row {row!r}" if key == last
+                         else f"{kind} row {row!r} out of order")
+    return key, count

@@ -10,11 +10,11 @@ phrasing without touching code.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Sequence
 
-from .corpus import OPTION_LABELS, DatasetFormatError, data_path, read_jsonl
+from .corpus import OPTION_LABELS, DatasetFormatError, data_path, read_jsonl, string_list
 from .textseg import estimate_tokens, finish_estimate, fold_estimate
 
 MODES = ("standard_qa", "cot", "icp")
@@ -49,14 +49,21 @@ class PromptTemplate:
     system: str | None = None
 
     def __post_init__(self) -> None:
-        missing = [m for m in MODES if m not in self.instructions]
+        instructions = self.instructions
+        if type(instructions) is not dict or set(map(type, instructions.values())) - {str}:
+            raise ValueError(f"'instructions' must be an object of strings, got {instructions!r}")
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if type(value) is not str and not (f.name == "system" and value is None):
+                raise ValueError(f"{f.name!r} must be a string, got {value!r}")
+        missing = [m for m in MODES if m not in instructions]
         if missing:
             raise ValueError(f"template lacks instructions for modes: {missing}")
 
 
 def load_template(path: str) -> PromptTemplate:
-    """Read a template JSON object; any defect raises DatasetFormatError
-    naming ``path``."""
+    """Read a template JSON object; any defect, a field of the wrong type
+    included, raises DatasetFormatError naming ``path``."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -95,13 +102,12 @@ class Exemplar:
 
 
 def _parse_exemplar(rec: dict) -> Exemplar:
-    seeds = rec.get("seeds")
     return Exemplar(
         question=str(rec["question"]),
         options={str(k): str(v) for k, v in dict(rec["options"]).items()},
         answer=str(rec["answer"]),
         analysis=str(rec.get("analysis", "")),
-        seeds=tuple(str(s) for s in seeds) if seeds is not None else None,
+        seeds=tuple(string_list(rec, "seeds")) if rec.get("seeds") is not None else None,
     )
 
 

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import DEFAULT_K, read_jsonl
+from .corpus import DEFAULT_K, read_jsonl, string_list
 from .entities import normalize_entity
 from .graph import KnowledgeGraph
 
@@ -133,9 +133,7 @@ def save_seed_records(records: Sequence[SeedRecord], path: str) -> None:
 
 
 def _parse_seed_record(rec: dict) -> SeedRecord:
-    seeds, scores, k = rec["seeds"], rec["scores"], rec.get("k", DEFAULT_K)
-    if type(seeds) is not list or set(map(type, seeds)) - {str}:
-        raise ValueError(f"'seeds' must be a list of strings, got {seeds!r}")
+    seeds, scores, k = string_list(rec, "seeds"), rec["scores"], rec.get("k", DEFAULT_K)
     # bool is a subclass of int, and not a score
     if type(scores) is not list or set(map(type, scores)) - {int}:
         raise ValueError(f"'scores' must be a list of integers, got {scores!r}")
@@ -143,9 +141,8 @@ def _parse_seed_record(rec: dict) -> SeedRecord:
         raise ValueError(f"{len(seeds)} seeds but {len(scores)} scores")
     if type(k) is not int:
         raise ValueError(f"'k' must be an integer, got {k!r}")
-    return SeedRecord(
-        rec["id"], SeedResult(tuple(zip(seeds, scores)), k), tuple(rec.get("query", ()))
-    )
+    query = tuple(string_list(rec, "query")) if "query" in rec else ()
+    return SeedRecord(rec["id"], SeedResult(tuple(zip(seeds, scores)), k), query)
 
 
 def load_seed_records(path: str) -> dict[str, SeedRecord]:

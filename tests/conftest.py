@@ -116,30 +116,12 @@ def v1_graph_bytes(train) -> bytes:
     return (body + f'{{"sha256": "{digest}"}}\n').encode("utf-8")
 
 
-def write_graph_file(path, graph: KnowledgeGraph, order) -> str:
-    """Write ``graph`` as a v1 file whose node table lists the nodes in
-    ``order``, with rows in index order under that table, and return the
-    path."""
-    index = {node: i for i, node in enumerate(order)}
-    edges = sorted((index[s], index[t], c) for (s, t), c in graph.raw_counts.items())
-    freqs = sorted((index[n], f) for n, f in graph.analysis_freq.items())
-    body = (
-        f'{{"magic": "seedqa-graph", "version": 1, "nodes": {len(order)}, '
-        f'"edges": {len(edges)}, "freqs": {len(freqs)}}}\n'
-        + "".join(json.dumps(node, ensure_ascii=False) + "\n" for node in order)
-        + "".join(f"{s}\t{t}\t{c}\n" for s, t, c in edges)
-        + "".join(f"{n}\t{f}\n" for n, f in freqs)
-    )
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    path.write_text(body + json.dumps({"sha256": digest}) + "\n", encoding="utf-8")
-    return str(path)
-
-
 def line_by_line_graph_nodes(path: str, lines: list[str]) -> list[str]:
     """Parse a graph file's node table one line at a time, the way the
     loader did before it parsed the table as one JSON array.  ``lines[0]``
-    is file line 2.  Returns the nodes, or raises GraphFormatError naming
-    the first defective line."""
+    is file line 2, and each entry must be above the one before it.
+    Returns the nodes, or raises GraphFormatError naming the first
+    defective line."""
     nodes: list[str] = []
     for lineno, line in enumerate(lines, 2):
         try:
@@ -148,8 +130,10 @@ def line_by_line_graph_nodes(path: str, lines: list[str]) -> list[str]:
             raise GraphFormatError(f"{path}:{lineno}: malformed node entry") from exc
         if not isinstance(node, str):
             raise GraphFormatError(f"{path}:{lineno}: node entry {node!r} is not a string")
-        if node in nodes:
+        if nodes and node == nodes[-1]:
             raise GraphFormatError(f"{path}:{lineno}: repeated node entry {node!r}")
+        if nodes and node < nodes[-1]:
+            raise GraphFormatError(f"{path}:{lineno}: node entry {node!r} out of order")
         nodes.append(node)
     return nodes
 
@@ -159,7 +143,8 @@ def line_by_line_graph_rows(path: str, rows: list[str], first_line: int, n_edges
     """Check a graph file's row tables one line at a time, strictly in file
     order, the way the loader read them before its chunked reader named
     defects itself.  ``rows`` are the edge rows, then the frequency rows; the
-    first is on file line ``first_line``.  Returns ``{(src, tgt): count}``
+    first is on file line ``first_line``.  Each row's indices must be above
+    the row's before it in the same table.  Returns ``{(src, tgt): count}``
     and ``{(node,): freq}`` by node index, or raises GraphFormatError naming
     the first defective line."""
     tables = []
@@ -168,6 +153,7 @@ def line_by_line_graph_rows(path: str, rows: list[str], first_line: int, n_edges
         ("frequency", "frequency", 2, n_edges, rows[n_edges:]),
     ):
         seen: dict[tuple[int, ...], int] = {}
+        last: tuple[int, ...] = (-1,)
         for lineno, row in enumerate(section, first_line + first):
             where = f"{path}:{lineno}"
             fields = row.split("\t")
@@ -184,9 +170,12 @@ def line_by_line_graph_rows(path: str, rows: list[str], first_line: int, n_edges
                 raise GraphFormatError(f"{where}: {what} must be at least 1, got {row!r}")
             if count > 2**63 - 1:
                 raise GraphFormatError(f"{where}: {what} too large in {row!r}")
-            if tuple(indices) in seen:
+            if tuple(indices) == last:
                 raise GraphFormatError(f"{where}: repeated {kind} row {row!r}")
-            seen[tuple(indices)] = count
+            if tuple(indices) < last:
+                raise GraphFormatError(f"{where}: {kind} row {row!r} out of order")
+            last = tuple(indices)
+            seen[last] = count
         tables.append(seen)
     return tables
 

@@ -2,23 +2,31 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from seedqa.cli import main
-from seedqa.corpus import data_path, instance_to_record, load_dataset, save_dataset
+from seedqa.corpus import (
+    DatasetFormatError,
+    data_path,
+    instance_to_record,
+    load_dataset,
+    save_dataset,
+)
 from seedqa.entities import (
     LexiconExtractor,
     annotate_dataset,
     build_extraction_prompt,
     load_annotated,
+    load_extraction_exemplars,
     load_lexicon,
 )
 from seedqa.client import CompletionRequest, TransportError, request_digest
 from seedqa.evaluation import EvalRecord, record_to_dict
 from seedqa.graph import build_graph, load_graph
-from seedqa.prompts import PromptSpec
+from seedqa.prompts import PromptSpec, load_exemplars
 from seedqa.seeds import load_seed_records
 
 from conftest import pipeline_requests, synth_dataset, write_lexicon, write_replay_fixture
@@ -453,6 +461,56 @@ def test_malformed_input_exits_1_with_location(corpus, capsys, kind, breakage):
     assert main([str(bad) if a == "BAD" else a for a in argv]) == 1
     err = capsys.readouterr().err
     assert location in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("annotated", "qo_entities"),
+    ("annotated", "r_entities"),
+    ("exemplars", "seeds"),
+    ("extraction_exemplars", "entities"),
+    ("seeds", "query"),
+])
+def test_string_for_a_list_of_strings_exits_1_with_location(corpus, capsys, kind, field):
+    # a string where a list of strings belongs is refused, not split into
+    # its characters
+    records, _, argv = _input_case(kind, corpus)
+    records[1] = records[1] | {field: "高血压"}
+    bad = corpus["dir"] / f"bad_{kind}.jsonl"
+    bad.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
+                   encoding="utf-8")
+    where = f"{bad}:2: '{field}' must be a list of strings"
+    loader = {"annotated": load_annotated, "exemplars": load_exemplars,
+              "extraction_exemplars": load_extraction_exemplars, "seeds": load_seed_records}
+    with pytest.raises(DatasetFormatError, match=re.escape(where)):
+        loader[kind](str(bad))
+    capsys.readouterr()
+    assert main([str(bad) if a == "BAD" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, entry, reason", [
+    ("run", {"workers": [1]}, "must be a string or a number"),
+    ("run", {"k": [1]}, "must be a string or a number"),
+    ("run", {"temperature": {}}, "must be a string or a number"),
+    ("run", {"workers": "two"}, "invalid int value: 'two'"),
+    ("run", {"workers": True}, "expected one argument"),
+    ("run", {"mode": "bogus"}, "invalid choice"),
+    ("build-graph", {"annotated": 5}, "must be a string or a list of strings"),
+    ("build-graph", {"annotated": ["a.jsonl", 5]}, "must be a string or a list of strings"),
+    ("annotate", {"no_analysis": "yes"}, "ignored explicit argument 'yes'"),
+])
+def test_config_value_of_wrong_type_exits_1_naming_file_and_key(tmp_path, capsys, command,
+                                                                 entry, reason):
+    # each value is read as its flag would be, so a value of the wrong JSON
+    # type is refused before the command starts
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(entry), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--config", str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert f"config file {conf}: {next(iter(entry))!r}: " in err and reason in err
     assert "Traceback" not in err
 
 

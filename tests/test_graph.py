@@ -13,6 +13,7 @@ from itertools import accumulate
 
 import pytest
 
+import seedqa.graph as graph_module
 from seedqa.cli import main
 from seedqa.graph import _CHUNK_CHARS, GraphFormatError, build_graph, load_graph, save_graph
 
@@ -25,7 +26,6 @@ from conftest import (
     random_annotated,
     row_weights,
     v1_graph_bytes,
-    write_graph_file,
 )
 
 # hand-derived for the three-instance corpus: m = 5, row sums a:3 b:3 e:1,
@@ -251,35 +251,34 @@ def _write_with_checksum(path, lines: list[str]) -> str:
     return str(path)
 
 
-def test_load_accepts_rows_in_any_order(tmp_path):
-    # writers emit rows sorted by index, but the format does not require
-    # it: shuffled rows load to the same graph, which saves canonically
+def test_load_rejects_rows_out_of_index_order(tmp_path):
+    # save_graph writes rows in index order and the loader requires it: a
+    # shuffled edge table (even trials) or frequency table (odd trials)
+    # fails at its first row that is below the one before it
     rng = random.Random(2024)
     vocab = [f"n{i:02d}" for i in range(30)]
-    reordered = 0
+    rejected = 0
     for trial in range(20):
         g = build_graph(random_annotated(rng, rng.randint(1, 25), vocab))
         path = tmp_path / f"g{trial}.kg"
         save_graph(g, str(path))
         lines = path.read_text(encoding="utf-8").splitlines()[:-1]
-        first, last = 1 + g.m, 1 + g.m + g.edge_count
-        edge_rows, freq_rows = lines[first:last], lines[last:]
-        rng.shuffle(edge_rows)
-        rng.shuffle(freq_rows)
-        reordered += edge_rows != lines[first:last]
-        shuffled = _write_with_checksum(
-            tmp_path / f"s{trial}.kg", lines[:first] + edge_rows + freq_rows
-        )
-        loaded = load_graph(shuffled)
-        assert loaded.nodes == g.nodes, f"trial {trial}"
-        assert loaded.raw_counts == g.raw_counts, f"trial {trial}"
-        assert loaded.analysis_freq == g.analysis_freq, f"trial {trial}"
-        for node in g.nodes:
-            assert loaded.neighbors(node) == g.neighbors(node), f"trial {trial} {node}"
-        resaved = tmp_path / f"r{trial}.kg"
-        save_graph(loaded, str(resaved))
-        assert resaved.read_bytes() == path.read_bytes(), f"trial {trial}"
-    assert reordered >= 15
+        kind, lo, hi = (("edge", 1 + g.m, 1 + g.m + g.edge_count) if trial % 2 == 0
+                        else ("frequency", 1 + g.m + g.edge_count, len(lines)))
+        rows = lines[lo:hi]
+        rng.shuffle(rows)
+        keys = [[int(field) for field in row.split("\t")[:-1]] for row in rows]
+        bad = next((j for j in range(1, len(rows)) if keys[j] < keys[j - 1]), None)
+        shuffled = _write_with_checksum(tmp_path / f"s{trial}.kg",
+                                        lines[:lo] + rows + lines[hi:])
+        if bad is None:
+            assert load_graph(shuffled).raw_counts == g.raw_counts, f"trial {trial}"
+            continue
+        where = f"{shuffled}:{lo + bad + 1}: {kind} row {rows[bad]!r} out of order"
+        with pytest.raises(GraphFormatError, match=re.escape(where)):
+            load_graph(shuffled)
+        rejected += 1
+    assert rejected >= 15
 
 
 def test_load_accepts_leading_zeros(tmp_path, toy_graph):
@@ -330,6 +329,23 @@ def test_neighbors_concurrent_first_use_is_race_free(tmp_path):
         sys.setswitchinterval(interval)
 
 
+def test_in_order_file_is_parsed_a_chunk_at_a_time(tmp_path, monkeypatch):
+    # a file as save_graph writes it passes every chunk's check at once, so
+    # no row is read again one by one
+    rng = random.Random(31)
+    g = build_graph(random_annotated(rng, 6000, [f"e{i:03d}" for i in range(400)]))
+    path = tmp_path / "g.kg"
+    save_graph(g, str(path))
+    assert path.stat().st_size > 3 * _CHUNK_CHARS
+
+    def reread(*args):
+        raise AssertionError("a valid row was read again on its own")
+
+    monkeypatch.setattr(graph_module, "_row_values", reread)
+    loaded = load_graph(str(path))
+    assert loaded.raw_counts == g.raw_counts and loaded.analysis_freq == g.analysis_freq
+
+
 def _toy_file_lines(tmp_path, toy_graph) -> list[str]:
     """Lines before the trailer of the toy graph's file: header, nodes
     a b c d e on lines 2-6, edge rows on lines 7-11 (0 2 2, 0 3 1, 1 2 1,
@@ -345,8 +361,8 @@ _CORRUPT_ROWS = [
     ("negative target index", {7: "0\t-1\t3"}, 7, "out of range"),
     ("source index past the node table", {7: "5\t0\t3"}, 7, "out of range"),
     ("repeated edge row", {7: "0\t1\t3", 8: "0\t1\t5"}, 8, "repeated edge"),
-    # rows out of order: line 9 repeats line 8, and line 10 repeats line 7
-    # with a smaller edge; the first line that repeats an earlier one is named
+    # line 9 repeats line 8, and line 10 repeats line 7 below line 9; the
+    # first line not above the one before it is named
     ("repeated edge in unsorted rows",
      {7: "1\t2\t1", 8: "4\t3\t1", 9: "4\t3\t2", 10: "1\t2\t7", 11: "0\t3\t1"},
      9, "repeated edge"),
@@ -361,6 +377,10 @@ _CORRUPT_ROWS = [
     ("frequency index past the node table", {12: "5\t2"}, 12, "out of range"),
     ("repeated frequency row", {13: "2\t3"}, 13, "repeated frequency"),
     ("repeated node entry", {4: '"b"'}, 4, "repeated node entry"),
+    ("edge row out of index order", {8: "0\t1\t1"}, 8, r"edge row '0\t1\t1' out of order"),
+    ("frequency row out of index order", {12: "3\t2", 13: "2\t2"}, 13,
+     r"frequency row '2\t2' out of order"),
+    ("node entry out of name order", {3: '"c"', 4: '"b"'}, 4, "node entry 'b' out of order"),
     ("zero edge count", {7: "0\t2\t0"}, 7, "at least 1"),
     ("negative edge count", {8: "0\t3\t-1"}, 8, "at least 1"),
     ("zero frequency", {12: "2\t0"}, 12, "at least 1"),
@@ -414,12 +434,12 @@ def test_load_rejects_corrupt_rows_with_location(tmp_path, toy_graph, capsys, ed
 def _graph_lines(rng: random.Random, n_nodes: int, n_edges: int, n_freqs: int,
                  max_count: int) -> list[str]:
     """Lines before the trailer of a valid graph file with random rows in
-    index order."""
+    index order; node names are zero-padded, so name order is index order."""
     edges = sorted(rng.sample(range(n_nodes * n_nodes), n_edges))
     return [
         json.dumps({"magic": "seedqa-graph", "version": 1,
                     "nodes": n_nodes, "edges": n_edges, "freqs": n_freqs}),
-        *(json.dumps(f"n{i}") for i in range(n_nodes)),
+        *(json.dumps(f"n{i:05d}") for i in range(n_nodes)),
         *(f"{e // n_nodes}\t{e % n_nodes}\t{rng.randint(1, max_count)}" for e in edges),
         *(f"{i}\t{rng.randint(1, max_count)}" for i in sorted(rng.sample(range(n_nodes), n_freqs))),
     ]
@@ -475,8 +495,8 @@ def _chunk_first_rows(rows: list[str], lo: int, hi: int) -> list[int]:
 
 
 def test_load_matches_line_by_line_oracle(tmp_path):
-    # random files with 1 to 3 edited rows, some shuffled first: the loader
-    # names the oracle's line with its reason, or loads the oracle's tables.
+    # random files with 1 to 3 edited rows: the loader names the oracle's
+    # line with its reason, or loads the oracle's tables.
     # Every large file spans several chunks per table; one of its edits
     # lands on a row that opens a chunk, and the others come after it
     rng = random.Random(4242)
@@ -495,9 +515,6 @@ def test_load_matches_line_by_line_oracle(tmp_path):
         first = 1 + n_nodes
         rows = lines[first:]
         tables = [(0, n_edges), (n_edges, len(rows))]
-        for lo, hi in tables:
-            if rng.random() < 0.3:
-                rows[lo:hi] = rng.sample(rows[lo:hi], hi - lo)
         opener, n_edits = 0, rng.randint(1, 3)
         if large:
             opener = rng.choice(_chunk_first_rows(rows, *rng.choice(tables)))
@@ -516,6 +533,7 @@ def test_load_matches_line_by_line_oracle(tmp_path):
             openers = _chunk_first_rows(rows, *tables[row >= n_edges])
             later = bool(openers) and row >= openers[0]
             outcomes["rejected"] += 1
+            outcomes["out of order"] += str(exc).endswith("out of order")
             outcomes["in a later chunk"] += later
             outcomes["in a later frequency chunk"] += later and row >= n_edges
             outcomes["on a chunk's first row"] += row in openers
@@ -523,22 +541,22 @@ def test_load_matches_line_by_line_oracle(tmp_path):
         loaded = load_graph(path)
         outcomes["loaded"] += 1
         nodes = loaded.nodes
-        assert nodes == tuple(f"n{i}" for i in range(n_nodes)), f"trial {trial}"
+        assert nodes == tuple(f"n{i:05d}" for i in range(n_nodes)), f"trial {trial}"
         assert loaded.raw_counts == {
             (nodes[s], nodes[t]): c for (s, t), c in raw.items()
         }, f"trial {trial}"
         assert loaded.analysis_freq == {nodes[i]: f for (i,), f in freqs.items()}, f"trial {trial}"
-    assert min(outcomes.values()) >= 3 and len(outcomes) == 5, outcomes
+    assert min(outcomes.values()) >= 3 and len(outcomes) == 6, outcomes
 
 
 def test_load_matches_line_by_line_node_oracle(tmp_path):
-    # node tables with 1 to 3 edited lines: the loader names the oracle's
-    # line with its reason, or loads the oracle's nodes
+    # node tables in name order with 1 to 3 edited lines: the loader names
+    # the oracle's line with its reason, or loads the oracle's nodes
     rng = random.Random(5151)
     names = [*ENTITY_POOL, "aspirin", 'say "ah"', "a,b", "x]", "\\", "\u2028"]
     outcomes: Counter[str] = Counter()
     for trial in range(300):
-        nodes = rng.sample(names, rng.randint(1, 12))
+        nodes = sorted(rng.sample(names, rng.randint(1, 12)))
         lines = [json.dumps(node, ensure_ascii=rng.random() < 0.5) for node in nodes]
         for _ in range(rng.randint(1, 3)):
             i = rng.randrange(len(lines))
@@ -555,8 +573,8 @@ def test_load_matches_line_by_line_node_oracle(tmp_path):
                 lines[i] = '"a"]'
             elif edit == 5:
                 lines[i] = ""
-            else:  # still valid
-                lines[i] = f" {json.dumps(rng.choice(names))}\t"
+            else:  # padded, and as valid as before
+                lines[i] = f" {lines[i]}\t"
         header = json.dumps({"magic": "seedqa-graph", "version": 1,
                              "nodes": len(lines), "edges": 1, "freqs": 1})
         path = _write_with_checksum(tmp_path / f"g{trial}.kg",
@@ -567,24 +585,36 @@ def test_load_matches_line_by_line_node_oracle(tmp_path):
             with pytest.raises(GraphFormatError) as err:
                 load_graph(path)
             assert str(err.value) == str(exc), f"trial {trial}"
-            outcomes[str(exc).split(": ", 1)[1].split(" ", 1)[0]] += 1
+            reason = str(exc).split(": ", 1)[1]
+            outcomes[next(kind for kind in ("malformed", "not a string", "repeated",
+                                            "out of order") if kind in reason)] += 1
             continue
         assert load_graph(path).nodes == tuple(expected), f"trial {trial}"
         outcomes["loaded"] += 1
-    # loaded, malformed, node (not a string) and repeated
-    assert len(outcomes) == 4 and min(outcomes.values()) >= 10, outcomes
+    assert len(outcomes) == 5 and min(outcomes.values()) >= 10, outcomes
 
 
-def test_load_ranks_out_of_name_order_node_table(tmp_path):
-    # a node table out of name order loads to the same neighbor rows, with
-    # equal weights still tie-broken by name
+def test_load_rejects_node_table_out_of_name_order(tmp_path):
+    # the loader requires the node table in name order, as save_graph
+    # writes it, so that index order breaks weight ties by name: a shuffled
+    # table fails at its first entry that is below the one before it
     rng = random.Random(66)
+    rejected = 0
     for trial in range(20):
         g = build_graph(random_annotated(rng, rng.randint(1, 25)))
+        path = tmp_path / f"g{trial}.kg"
+        save_graph(g, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()[:-1]
         order = list(g.nodes)
         rng.shuffle(order)
-        loaded = load_graph(write_graph_file(tmp_path / f"s{trial}.kg", g, order))
-        assert loaded.nodes == tuple(order), f"trial {trial}"
-        for node in g.nodes:
-            assert loaded.neighbors(node) == g.neighbors(node), f"trial {trial} {node}"
-        assert loaded.raw_counts == g.raw_counts
+        lines[1 : 1 + g.m] = (json.dumps(node, ensure_ascii=False) for node in order)
+        shuffled = _write_with_checksum(tmp_path / f"s{trial}.kg", lines)
+        bad = next((j for j in range(1, len(order)) if order[j] < order[j - 1]), None)
+        if bad is None:
+            assert load_graph(shuffled).nodes == g.nodes, f"trial {trial}"
+            continue
+        where = f"{shuffled}:{bad + 2}: node entry {order[bad]!r} out of order"
+        with pytest.raises(GraphFormatError, match=re.escape(where)):
+            load_graph(shuffled)
+        rejected += 1
+    assert rejected >= 15

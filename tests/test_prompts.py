@@ -395,10 +395,17 @@ def test_template_version_check(tmp_path):
         load_template(str(path))
 
 
+_PACKAGED_TEMPLATE = json.loads(Path(data_path("prompt_template.json")).read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("payload", (
     {"version": 1, "instructions": {}},
-    {**json.loads(Path(data_path("prompt_template.json")).read_text(encoding="utf-8")),
-     "unknown_key": "x"},
+    {**_PACKAGED_TEMPLATE, "unknown_key": "x"},
+    # a field of the wrong type fails here, not later inside compose
+    {**_PACKAGED_TEMPLATE, "instructions": {**_PACKAGED_TEMPLATE["instructions"], "cot": 5}},
+    {**_PACKAGED_TEMPLATE, "instructions": list(MODES)},
+    {**_PACKAGED_TEMPLATE, "question_block": 5},
+    {**_PACKAGED_TEMPLATE, "system": ["be brief"]},
 ))
 def test_template_defect_names_path(tmp_path, payload):
     path = tmp_path / "tpl.json"
