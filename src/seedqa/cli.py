@@ -85,28 +85,10 @@ _REPEATABLE = {"build-graph": ("annotated",), "run": ("group_by",), "report": ("
 _NOT_OPTIONS = ("command", "config", "verbose", "func")
 
 
-class _Resolver:
-    """Precedence: explicit flag, then config file entry, then _DEFAULTS."""
-
-    def __init__(self, args: argparse.Namespace, config: dict[str, Any]):
-        self._args = args
-        self._config = config
-
-    def get(self, key: str, required: bool = False) -> Any:
-        value = getattr(self._args, key, None)
-        if value is None:
-            value = self._config.get(key)
-        if value is None:
-            value = _DEFAULTS.get(key)
-        if value is None and required:
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-        return value
-
-    def effective(self) -> dict[str, Any]:
-        """Every option of the subcommand with its resolved value."""
-        return {
-            key: self.get(key) for key in vars(self._args) if key not in _NOT_OPTIONS
-        }
+def _need(opts: dict[str, Any], key: str) -> Any:
+    if opts[key] is None:
+        raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+    return opts[key]
 
 
 def _load_config_file(path: str | None, parser: argparse.ArgumentParser,
@@ -150,55 +132,51 @@ def _load_config_file(path: str | None, parser: argparse.ArgumentParser,
     return config
 
 
-def _client_from(res: _Resolver) -> ChatClient:
+def _client_from(opts: dict[str, Any]) -> ChatClient:
     config = ClientConfig(
-        backend=res.get("backend"),
-        model=res.get("model"),
-        base_url=res.get("base_url"),
-        api_key_env=res.get("api_key_env"),
-        temperature=float(res.get("temperature")),
-        retry=RetryPolicy(
-            max_attempts=int(res.get("max_attempts")),
-            backoff_base=float(res.get("backoff_base")),
-        ),
-        timeout=float(res.get("timeout")),
-        cache_dir=res.get("cache_dir"),
-        fixture_path=res.get("fixture"),
+        backend=opts["backend"],
+        model=opts["model"],
+        base_url=opts["base_url"],
+        api_key_env=opts["api_key_env"],
+        # annotate has no --temperature flag
+        temperature=opts.get("temperature", _DEFAULTS["temperature"]),
+        retry=RetryPolicy(max_attempts=opts["max_attempts"], backoff_base=opts["backoff_base"]),
+        timeout=opts["timeout"],
+        cache_dir=opts["cache_dir"],
+        fixture_path=opts["fixture"],
     )
     return ChatClient(config)
 
 
-def _extractor_from(res: _Resolver, client: ChatClient | None = None):
+def _extractor_from(opts: dict[str, Any], client: ChatClient | None = None):
     from .entities import LexiconExtractor, LlmExtractor, load_extraction_exemplars, load_lexicon
 
-    kind = res.get("extractor")
+    kind = opts["extractor"]
     if kind == "lexicon":
-        lexicon_path = res.get("lexicon", required=True)
-        return LexiconExtractor(load_lexicon(lexicon_path))
+        return LexiconExtractor(load_lexicon(_need(opts, "lexicon")))
     if kind == "llm":
         exemplars = load_extraction_exemplars(
-            res.get("extraction_exemplars") or data_path("extraction_exemplars.jsonl")
+            opts["extraction_exemplars"] or data_path("extraction_exemplars.jsonl")
         )
-        return LlmExtractor(client or _client_from(res), exemplars)
+        return LlmExtractor(client or _client_from(opts), exemplars)
     raise ConfigError(f"unknown extractor {kind!r}")
 
 
 # --- subcommands ----------------------------------------------------------
 
-def cmd_annotate(res: _Resolver) -> int:
+def cmd_annotate(opts: dict[str, Any]) -> int:
     from .entities import AnnotationError, annotate_dataset, save_annotated
 
-    dataset = load_dataset(res.get("dataset", required=True))
-    out_path = res.get("out", required=True)
-    include_analysis = not res.get("no_analysis")
-    extractor = _extractor_from(res)
+    dataset = load_dataset(_need(opts, "dataset"))
+    out_path = _need(opts, "out")
+    extractor = _extractor_from(opts)
     try:
         annotated = annotate_dataset(
             dataset,
             extractor,
-            include_analysis=include_analysis,
-            on_error=res.get("on_error"),
-            workers=int(res.get("workers")),
+            include_analysis=not opts["no_analysis"],
+            on_error=opts["on_error"],
+            workers=opts["workers"],
         )
     except AnnotationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -208,15 +186,15 @@ def cmd_annotate(res: _Resolver) -> int:
     return 0
 
 
-def cmd_build_graph(res: _Resolver) -> int:
+def cmd_build_graph(opts: dict[str, Any]) -> int:
     from .entities import load_annotated
     from .graph import build_graph, save_graph
 
     annotated = []
-    for path in res.get("annotated", required=True):
+    for path in _need(opts, "annotated"):
         annotated.extend(load_annotated(path))
     graph = build_graph(annotated)
-    out_path = res.get("out", required=True)
+    out_path = _need(opts, "out")
     save_graph(graph, out_path)
     log.info(
         "graph with %d nodes, %d edges from %d instances -> %s",
@@ -225,83 +203,68 @@ def cmd_build_graph(res: _Resolver) -> int:
     return 0
 
 
-def cmd_mine_seeds(res: _Resolver) -> int:
+def cmd_mine_seeds(opts: dict[str, Any]) -> int:
     from .entities import load_annotated
     from .graph import load_graph
     from .seeds import SeedQuery, SeedRecord, mine_seeds, save_seed_records
 
-    annotated = load_annotated(res.get("annotated", required=True))
-    graph = load_graph(res.get("graph", required=True))
-    k = int(res.get("k"))
+    annotated = load_annotated(_need(opts, "annotated"))
+    graph = load_graph(_need(opts, "graph"))
     records = []
     for ann in annotated:
-        result = mine_seeds(graph, SeedQuery(ann.qo_entities), k)
+        result = mine_seeds(graph, SeedQuery(ann.qo_entities), opts["k"])
         records.append(SeedRecord(ann.base.id, result, tuple(sorted(ann.qo_entities))))
-    out_path = res.get("out", required=True)
+    out_path = _need(opts, "out")
     save_seed_records(records, out_path)
     log.info("mined seeds for %d instances -> %s", len(records), out_path)
     return 0
 
 
-def cmd_run(res: _Resolver) -> int:
-    effective = res.effective()
-    out_dir = res.get("out_dir", required=True)
-    dataset = load_dataset(res.get("dataset", required=True))
-    test_size = effective["test_size"]
-    if test_size is not None:
-        dataset, _ = split_sample(
-            dataset, int(test_size), int(effective["seed"]), effective["stratify_by"]
-        )
+def cmd_run(opts: dict[str, Any]) -> int:
+    out_dir = _need(opts, "out_dir")
+    dataset = load_dataset(_need(opts, "dataset"))
+    if opts["test_size"] is not None:
+        dataset, _ = split_sample(dataset, opts["test_size"], opts["seed"], opts["stratify_by"])
 
-    mode, shots = effective["mode"], effective["shots"]
+    mode, shots = opts["mode"], opts["shots"]
     graph = extractor = None
-    client = _client_from(res)
+    client = _client_from(opts)
     if mode == "icp":
-        graph_path = res.get("graph")
-        if graph_path is None:
+        if opts["graph"] is None:
             raise ConfigError("mode=icp requires --graph")
         from .graph import load_graph
 
-        graph = load_graph(graph_path)
-        extractor = _extractor_from(res, client)
+        graph = load_graph(opts["graph"])
+        extractor = _extractor_from(opts, client)
 
     exemplars = ()
     if shots == "few":
-        exemplars = (
-            load_exemplars(effective["exemplars"])
-            if effective["exemplars"]
-            else default_exemplars()
-        )
-    template = (
-        load_template(effective["template"]) if effective["template"] else default_template()
-    )
+        exemplars = load_exemplars(opts["exemplars"]) if opts["exemplars"] else default_exemplars()
+    template = load_template(opts["template"]) if opts["template"] else default_template()
     spec = PromptSpec(
         mode=mode,
         shots=shots,
         exemplars=exemplars,
-        context_tokens=int(effective["context_tokens"]),
-        reserved_tokens=int(effective["reserved_tokens"]),
+        context_tokens=opts["context_tokens"],
+        reserved_tokens=opts["reserved_tokens"],
         template=template,
     )
 
     precomputed = None
-    if effective["seeds"]:
+    if opts["seeds"]:
         from .seeds import load_seed_records
 
-        precomputed = {i: rec.result for i, rec in load_seed_records(effective["seeds"]).items()}
+        precomputed = {i: rec.result for i, rec in load_seed_records(opts["seeds"]).items()}
         for result in precomputed.values():
-            if result.k != int(effective["k"]):
-                raise ConfigError(f"{effective['seeds']}: seeds were mined with "
-                                  f"k={result.k}, but this run uses k={effective['k']}")
+            if result.k != opts["k"]:
+                raise ConfigError(f"{opts['seeds']}: seeds were mined with "
+                                  f"k={result.k}, but this run uses k={opts['k']}")
 
-    group_by = effective["group_by"]
-    check_run_inputs(dataset, spec, graph, extractor, precomputed, int(effective["workers"]))
+    check_run_inputs(dataset, spec, graph, extractor, precomputed, opts["workers"])
     os.makedirs(out_dir, exist_ok=True)
-    effective["out_dir"] = out_dir
-    effective["version"] = __version__
-    effective["command"] = "run"
     with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(effective, fh, ensure_ascii=False, indent=2, sort_keys=True)
+        json.dump({**opts, "version": __version__, "command": "run"}, fh,
+                  ensure_ascii=False, indent=2, sort_keys=True)
         fh.write("\n")
 
     try:
@@ -311,10 +274,10 @@ def cmd_run(res: _Resolver) -> int:
             spec,
             graph=graph,
             extractor=extractor,
-            k=int(effective["k"]),
+            k=opts["k"],
             precomputed_seeds=precomputed,
-            workers=int(effective["workers"]),
-            group_by=group_by,
+            workers=opts["workers"],
+            group_by=opts["group_by"],
         )
     except ApiExhaustionError as exc:
         save_records(exc.records, os.path.join(out_dir, "records.jsonl"))
@@ -330,11 +293,10 @@ def cmd_run(res: _Resolver) -> int:
     return 0
 
 
-def cmd_report(res: _Resolver) -> int:
-    records = load_records(res.get("records", required=True))
-    group_by = res.get("group_by")
-    report = build_report(records, group_by)
-    out_path = res.get("out", required=True)
+def cmd_report(opts: dict[str, Any]) -> int:
+    records = load_records(_need(opts, "records"))
+    report = build_report(records, opts["group_by"])
+    out_path = _need(opts, "out")
     save_report(report, out_path)
     log.info("report over %d records -> %s", len(records), out_path)
     return 0
@@ -436,8 +398,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             level=level,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        res = _Resolver(args, _load_config_file(args.config, parser, args))
-        return args.func(res)
+        # each option: the explicit flag, else the config file, else _DEFAULTS
+        config = _load_config_file(args.config, parser, args)
+        opts = {}
+        for key, flag in vars(args).items():
+            if key not in _NOT_OPTIONS:
+                value = config.get(key) if flag is None else flag
+                opts[key] = _DEFAULTS.get(key) if value is None else value
+        return args.func(opts)
     except ClientError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

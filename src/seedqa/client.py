@@ -77,9 +77,13 @@ class CompletionResponse:
 
 def _response_from(data: dict) -> CompletionResponse:
     """Inverse of ``dataclasses.asdict`` for a response, as replay fixture
-    lines and cache entries store it; only ``text`` is required."""
+    lines and cache entries store it; only ``text`` is required, and it
+    must be a string (TypeError otherwise)."""
+    text = data["text"]
+    if type(text) is not str:
+        raise TypeError(f"'text' must be a string, got {text!r}")
     return CompletionResponse(
-        text=data["text"],
+        text=text,
         finish_reason=data.get("finish_reason", "stop"),
         prompt_tokens=data.get("prompt_tokens"),
         response_tokens=data.get("response_tokens"),
@@ -226,6 +230,8 @@ def _parse_completion_body(body: str) -> CompletionResponse:
         text = choice["message"]["content"]
     except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
         raise ApiStatusError(200, body[:2000]) from exc
+    if type(text) is not str:  # "content": null, or some other non-text reply
+        raise ApiStatusError(200, body[:2000])
     usage = data.get("usage") or {}
     return CompletionResponse(
         text=text,

@@ -67,6 +67,16 @@ def string_list(rec: dict, key: str) -> list[str]:
     return value
 
 
+def string_field(rec: dict, key: str) -> str:
+    """``rec[key]``, which must be a JSON string: a number, list, object or
+    null there is refused, not passed through ``str()``.  Raises KeyError
+    when the field is missing and ValueError when it is not a string."""
+    value = rec[key]
+    if type(value) is not str:
+        raise ValueError(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
 def data_path(name: str) -> str:
     """Path of a file shipped in the package's ``data`` directory."""
     return str(resources.files(__package__).joinpath(f"data/{name}"))
@@ -144,18 +154,19 @@ def parse_record(rec: dict) -> Instance:
     options_raw = rec["options"]
     if not isinstance(options_raw, dict):
         raise ValueError("field 'options' must be an object")
-    options = {canonical_label(k): str(v) for k, v in options_raw.items()}
+    options = {canonical_label(k): string_field(options_raw, k) for k in options_raw}
     if len(options) != len(options_raw):
         raise ValueError("option labels collide after normalization")
     metadata = rec.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise ValueError("field 'metadata' must be an object")
     return Instance(
-        id=str(rec["id"]),
-        question=str(rec["question"]),
+        # an integer id is read as its decimal string
+        id=str(rec["id"]) if type(rec["id"]) is int else string_field(rec, "id"),
+        question=string_field(rec, "question"),
         options=options,
-        answer=canonical_label(rec["answer"]),
-        analysis=str(rec["analysis"]),
+        answer=canonical_label(string_field(rec, "answer")),
+        analysis=string_field(rec, "analysis"),
         metadata={str(k): str(v) for k, v in metadata.items()},
     )
 

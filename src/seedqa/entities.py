@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Sequence
 from .client import ChatClient, CompletionRequest
 from .corpus import (
     Dataset, DatasetFormatError, Instance, instance_to_record, map_in_order, parse_record,
-    qo_text, read_jsonl, string_list,
+    qo_text, read_jsonl, string_field, string_list,
 )
 
 Extractor = Callable[[str], "set[str] | frozenset[str]"]
@@ -275,7 +275,7 @@ class LlmExtractor:
 def load_extraction_exemplars(path: str) -> list[tuple[str, tuple[str, ...]]]:
     """Read ``{"text", "entities"}`` lines into (text, entities) pairs."""
     return read_jsonl(
-        path, lambda rec: (str(rec["text"]), tuple(string_list(rec, "entities")))
+        path, lambda rec: (string_field(rec, "text"), tuple(string_list(rec, "entities")))
     )
 
 

@@ -269,9 +269,37 @@ def save_records(records: Sequence[EvalRecord], path: str) -> None:
             fh.write("\n")
 
 
+# the JSON types a records file may hold for each EvalRecord annotation;
+# bool is not a number here, though Python counts it as an int
+_NUMBER = ({int, float, type(None)}, "a number")
+_JSON_TYPES = {
+    "str": ({str}, "a string"),
+    "str | None": ({str, type(None)}, "a string or null"),
+    "bool": ({bool}, "true or false"),
+    "dict[str, str]": ({dict}, "an object of strings"),
+    "int | None": _NUMBER,
+    "float | None": _NUMBER,
+}
+
+
+def _parse_eval_record(rec: dict) -> EvalRecord:
+    kwargs = {}
+    for f in fields(EvalRecord):
+        if f.name not in rec:
+            continue
+        value = rec[f.name]
+        types, expected = _JSON_TYPES[f.type]
+        if type(value) not in types or (type(value) is dict
+                                        and set(map(type, value.values())) - {str}):
+            raise ValueError(f"{f.name!r} must be {expected}, got {value!r}")
+        kwargs[f.name] = value
+    return EvalRecord(**kwargs)
+
+
 def load_records(path: str) -> list[EvalRecord]:
-    names = [f.name for f in fields(EvalRecord)]
-    return read_jsonl(path, lambda rec: EvalRecord(**{k: rec[k] for k in names if k in rec}))
+    """Read a records file; a field of the wrong JSON type raises
+    DatasetFormatError naming ``path:line``."""
+    return read_jsonl(path, _parse_eval_record)
 
 
 # --- aggregate report ----------------------------------------------------

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Sequence
 
-from .corpus import OPTION_LABELS, DatasetFormatError, data_path, read_jsonl, string_list
+from .corpus import (
+    OPTION_LABELS, DatasetFormatError, data_path, read_jsonl, string_field, string_list,
+)
 from .textseg import estimate_tokens, finish_estimate, fold_estimate
 
 MODES = ("standard_qa", "cot", "icp")
@@ -102,11 +104,14 @@ class Exemplar:
 
 
 def _parse_exemplar(rec: dict) -> Exemplar:
+    options = rec["options"]
+    if type(options) is not dict:
+        raise ValueError("field 'options' must be an object")
     return Exemplar(
-        question=str(rec["question"]),
-        options={str(k): str(v) for k, v in dict(rec["options"]).items()},
-        answer=str(rec["answer"]),
-        analysis=str(rec.get("analysis", "")),
+        question=string_field(rec, "question"),
+        options={label: string_field(options, label) for label in options},
+        answer=string_field(rec, "answer"),
+        analysis=string_field(rec, "analysis") if "analysis" in rec else "",
         seeds=tuple(string_list(rec, "seeds")) if rec.get("seeds") is not None else None,
     )
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from seedqa import __version__
 from seedqa.cli import main
 from seedqa.corpus import (
     DatasetFormatError,
@@ -241,7 +242,38 @@ def test_config_file_string_for_repeatable_option_is_one_item(corpus, tmp_path):
     assert rebuilt.read_bytes() == (out_dir / "report.json").read_bytes()
 
 
-def test_flag_beats_config_file(corpus, tmp_path):
+def test_run_config_json_is_pinned(corpus):
+    # config.json holds every run option with its resolved value, plus the
+    # version and the command; nothing else
+    _, graph_path = pipeline_to_graph(corpus)
+    fixture = prepare_replay(corpus, graph_path)
+    code, out_dir = run_icp(corpus, graph_path, fixture, "out")
+    assert code == 0
+    expected = {
+        "api_key_env": "SEEDQA_API_KEY", "backend": "replay", "backoff_base": 1.0,
+        "base_url": "https://api.openai.com/v1", "cache_dir": None, "command": "run",
+        "context_tokens": 4097, "dataset": corpus["test"], "exemplars": None,
+        "extraction_exemplars": None, "extractor": "lexicon", "fixture": fixture,
+        "graph": graph_path, "group_by": ["discipline"], "k": 10,
+        "lexicon": corpus["lexicon"], "max_attempts": 3, "mode": "icp",
+        "model": "gpt-3.5-turbo-0613", "out_dir": str(out_dir), "reserved_tokens": 256,
+        "seed": 0, "seeds": None, "shots": "zero", "stratify_by": None,
+        "temperature": 0.0, "template": None, "test_size": None, "timeout": 60.0,
+        "version": __version__, "workers": 1,
+    }
+    text = (out_dir / "config.json").read_text(encoding="utf-8")
+    assert json.loads(text) == expected
+    assert text == json.dumps(expected, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("flags, entries, key, expected", [
+    (["--mode", "standard_qa"], {"mode": "icp"}, "mode", "standard_qa"),
+    # an explicit falsy value still beats the file
+    (["--seed", "0"], {"seed": 7}, "seed", 0),
+    # a repeatable flag replaces the file's list; the two are not merged
+    (["--group-by", "a"], {"group_by": ["b"]}, "group_by", ["a"]),
+], ids=["mode", "falsy", "repeatable"])
+def test_flag_beats_config_file(corpus, tmp_path, flags, entries, key, expected):
     _, graph_path = pipeline_to_graph(corpus)
     test = load_dataset(corpus["test"])
     spec = PromptSpec("standard_qa", "zero")
@@ -252,24 +284,26 @@ def test_flag_beats_config_file(corpus, tmp_path):
     config_file = tmp_path / "conf.json"
     config_file.write_text(json.dumps({
         "dataset": corpus["test"],
-        "mode": "icp",
         "backend": "replay",
         "fixture": fixture,
         "graph": graph_path,
         "lexicon": corpus["lexicon"],
+        **entries,
     }), encoding="utf-8")
     out_dir = tmp_path / "qa_out"
     assert main([
         "run",
         "--config", str(config_file),
-        "--mode", "standard_qa",
+        *flags,
         "--out-dir", str(out_dir),
     ]) == 0
     config = json.loads((out_dir / "config.json").read_text(encoding="utf-8"))
-    assert config["mode"] == "standard_qa"
+    assert config[key] == expected
     records = [json.loads(l) for l in (out_dir / "records.jsonl").read_text(encoding="utf-8").splitlines()]
     assert all(r["mode"] == "standard_qa" for r in records)
     assert all("bleu_1" not in r for r in records)
+    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    assert list(report["groups"]) == config["group_by"]
 
 
 def test_run_with_precomputed_seeds(corpus):
@@ -433,6 +467,18 @@ def _input_case(kind, corpus):
     raise AssertionError(kind)
 
 
+def _write_with_bad_line(corpus, kind, records, field, value):
+    """Write ``records`` with ``field`` of the second one set to ``value``;
+    ``"options.B"`` sets the text of option B.  Returns the file's path."""
+    field, _, label = field.partition(".")
+    records = [*records]
+    records[1] = records[1] | {field: records[1][field] | {label: value} if label else value}
+    bad = corpus["dir"] / f"bad_{kind}.jsonl"
+    bad.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
+                   encoding="utf-8")
+    return bad
+
+
 @pytest.mark.parametrize("breakage", ("invalid_json", "not_object", "missing_field"))
 @pytest.mark.parametrize("kind", ("dataset", "annotated", "seeds", "records", "fixture",
                                   "exemplars", "extraction_exemplars", "template"))
@@ -475,10 +521,7 @@ def test_string_for_a_list_of_strings_exits_1_with_location(corpus, capsys, kind
     # a string where a list of strings belongs is refused, not split into
     # its characters
     records, _, argv = _input_case(kind, corpus)
-    records[1] = records[1] | {field: "高血压"}
-    bad = corpus["dir"] / f"bad_{kind}.jsonl"
-    bad.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
-                   encoding="utf-8")
+    bad = _write_with_bad_line(corpus, kind, records, field, "高血压")
     where = f"{bad}:2: '{field}' must be a list of strings"
     loader = {"annotated": load_annotated, "exemplars": load_exemplars,
               "extraction_exemplars": load_extraction_exemplars, "seeds": load_seed_records}
@@ -488,6 +531,76 @@ def test_string_for_a_list_of_strings_exits_1_with_location(corpus, capsys, kind
     assert main([str(bad) if a == "BAD" else a for a in argv]) == 1
     err = capsys.readouterr().err
     assert where in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("dataset", "id", None),
+    ("dataset", "question", ["q"]),
+    ("dataset", "options.B", {"x": 2}),
+    ("dataset", "answer", 1),
+    ("dataset", "analysis", None),
+    ("exemplars", "question", ["q"]),
+    ("exemplars", "options.A", 1),
+    ("exemplars", "answer", None),
+    ("exemplars", "analysis", {"k": 1}),
+    ("extraction_exemplars", "text", ["t"]),
+    ("fixture", "text", None),
+])
+def test_non_string_text_exits_1_with_location(corpus, capsys, kind, field, value):
+    # a text field is never passed through str(): '["q"]' or 'None' is refused
+    records, _, argv = _input_case(kind, corpus)
+    bad = _write_with_bad_line(corpus, kind, records, field, value)
+    capsys.readouterr()
+    assert main([str(bad) if a == "BAD" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:2: '{field.split('.')[-1]}' must be a string" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    ("instance_id", 7, "a string"),
+    ("response_text", None, "a string"),
+    ("extracted_answer", 1, "a string or null"),
+    ("error", ["x"], "a string or null"),
+    ("correct", "yes", "true or false"),
+    ("correct", 1, "true or false"),
+    ("metadata", ["discipline"], "an object of strings"),
+    ("metadata", {"discipline": 1}, "an object of strings"),
+    ("bleu_1", "x", "a number"),
+    ("bleu_1", True, "a number"),
+    ("seed_count", "3", "a number"),
+])
+def test_report_on_mistyped_record_exits_1_with_location(corpus, capsys, field, value,
+                                                         expected):
+    records, _, argv = _input_case("records", corpus)
+    bad = _write_with_bad_line(corpus, "records", records, field, value)
+    capsys.readouterr()
+    assert main([str(bad) if a == "BAD" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:2: '{field}' must be {expected}, got {value!r}" in err
+    assert "Traceback" not in err
+
+
+def test_run_records_non_string_reply_as_failure(corpus, monkeypatch):
+    # a "content": null reply fails its instance, not the run
+    import seedqa.client as client_mod
+
+    def null_reply(url, headers, payload, timeout):
+        return 200, json.dumps({"choices": [{"message": {"content": None}}]})
+
+    monkeypatch.setattr(client_mod, "_default_transport", null_reply)
+    out_dir = corpus["dir"] / "null_out"
+    assert main([
+        "run",
+        "--dataset", corpus["test"],
+        "--backend", "live",
+        "--base-url", "http://127.0.0.1:9",
+        "--out-dir", str(out_dir),
+    ]) == 0
+    lines = (out_dir / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 4
+    assert all(json.loads(line)["error"].startswith("ApiStatusError") for line in lines)
+    assert json.loads((out_dir / "report.json").read_text(encoding="utf-8"))["errors"] == 4
 
 
 @pytest.mark.parametrize("command, entry, reason", [
@@ -557,8 +670,8 @@ def test_run_keeps_records_when_extraction_fails(corpus, monkeypatch):
 
     real_extractor_from = cli_mod._extractor_from
 
-    def flaky_extractor_from(res, client=None):
-        extractor = real_extractor_from(res, client)
+    def flaky_extractor_from(opts, client=None):
+        extractor = real_extractor_from(opts, client)
         calls = itertools.count(1)
 
         def flaky(text):

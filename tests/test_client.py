@@ -118,6 +118,15 @@ def test_replay_duplicate_digests(tmp_path):
         ChatClient(ClientConfig(backend="replay", fixture_path=str(fixture)))
 
 
+@pytest.mark.parametrize("text", [None, 5, ["答案：B"]])
+def test_replay_fixture_text_must_be_a_string(tmp_path, text):
+    fixture = tmp_path / "fix.jsonl"
+    lines = [{"digest": "d1", "text": "答案：B"}, {"digest": request_digest(REQ), "text": text}]
+    fixture.write_text("".join(json.dumps(rec) + "\n" for rec in lines), encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=r"fix\.jsonl:2: 'text' must be a string"):
+        ChatClient(ClientConfig(backend="replay", fixture_path=str(fixture)))
+
+
 def test_replay_requires_fixture():
     with pytest.raises(ValueError, match="fixture"):
         ClientConfig(backend="replay")
@@ -177,6 +186,16 @@ def test_live_malformed_success_body():
     client, _, _ = live_client([(200, '{"nope": 1}')])
     with pytest.raises(ApiStatusError):
         client.complete(REQ)
+
+
+@pytest.mark.parametrize("content", [None, 5, ["hi"]])
+def test_live_non_string_content_is_status_error(content):
+    # the same failure as a malformed body, never a response without text
+    client, calls, _ = live_client([(200, ok_body(content))])
+    with pytest.raises(ApiStatusError) as err:
+        client.complete(REQ)
+    assert err.value.status == 200
+    assert len(calls) == 1
 
 
 def test_api_key_header_from_env_only(monkeypatch):
@@ -249,6 +268,19 @@ def test_corrupt_cache_entry_refetched(tmp_path):
     client.complete(REQ)
     cache_file = tmp_path / "cache" / f"{request_digest(REQ)}.json"
     cache_file.write_text("{ not json", encoding="utf-8")
+    assert client.complete(REQ).text == "second"
+    assert len(calls) == 2
+
+
+def test_cache_entry_without_string_text_refetched(tmp_path):
+    client, calls = cached_client(
+        tmp_path, [(200, ok_body("first")), (200, ok_body("second"))]
+    )
+    client.complete(REQ)
+    cache_file = tmp_path / "cache" / f"{request_digest(REQ)}.json"
+    entry = json.loads(cache_file.read_text(encoding="utf-8"))
+    entry["response"]["text"] = None
+    cache_file.write_text(json.dumps(entry), encoding="utf-8")
     assert client.complete(REQ).text == "second"
     assert len(calls) == 2
 

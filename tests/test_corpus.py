@@ -74,6 +74,22 @@ def test_load_reports_line_and_field(tmp_path):
         load_dataset(path)
 
 
+def test_load_reads_integer_id_as_its_decimal_string(tmp_path):
+    ds = load_dataset(write_jsonl(tmp_path / "d.jsonl", [VALID | {"id": 7}]))
+    assert ds[0].id == "7"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("id", None), ("id", True), ("id", 1.5), ("question", ["q"]), ("answer", 1),
+    ("analysis", None), ("options", {"A": "甲", "B": 1}),
+])
+def test_load_refuses_non_string_text(tmp_path, field, value):
+    # no str() coercion: '["q"]' or 'None' never becomes a question or analysis
+    path = write_jsonl(tmp_path / "d.jsonl", [VALID | {"id": "q0"}, VALID | {field: value}])
+    with pytest.raises(DatasetFormatError, match=r"d\.jsonl:2: '\w+' must be a string"):
+        load_dataset(path)
+
+
 def test_load_rejects_answer_not_in_options(tmp_path):
     rec = VALID | {"answer": "F"}
     with pytest.raises(DatasetFormatError, match="q1"):

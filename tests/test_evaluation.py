@@ -619,6 +619,26 @@ def live_setup(count, failing=(), max_attempts=1, delay=0.0):
     return test, spec, client, calls, concurrency
 
 
+def test_run_eval_non_string_reply_fails_one_instance():
+    # "content": null fails its own instance; the run goes on and completes
+    test = synth_dataset(7, 3)
+    spec = PromptSpec("cot", "zero")
+    null_prompt = pipeline_requests(test, spec, "gpt-3.5-turbo-0613")[test[1].id].prompt
+
+    def transport(url, headers, payload, timeout):
+        content = None if payload["messages"][-1]["content"] == null_prompt else "答案是A。"
+        return 200, json.dumps({"choices": [{"message": {"content": content}}]})
+
+    config = ClientConfig(backend="live", retry=RetryPolicy(max_attempts=1))
+    client = ChatClient(config, transport=transport, sleeper=lambda s: None)
+    records, report = run_eval(test, client, spec)
+    assert [r.instance_id for r in records] == [i.id for i in test]
+    assert [r.error is None for r in records] == [True, False, True]
+    assert records[1].error.startswith("ApiStatusError")
+    assert records[1].extracted_answer is None and not records[1].correct
+    assert report.errors == 1
+
+
 @pytest.mark.concurrency
 @pytest.mark.parametrize("workers", [1, 2, 6])
 def test_run_eval_exhaustion_is_deterministic_across_workers(workers):
