@@ -260,7 +260,7 @@ def cmd_run(opts: dict[str, Any]) -> int:
                 raise ConfigError(f"{opts['seeds']}: seeds were mined with "
                                   f"k={result.k}, but this run uses k={opts['k']}")
 
-    check_run_inputs(dataset, spec, graph, extractor, precomputed, opts["workers"])
+    check_run_inputs(dataset, spec, graph, extractor, opts["k"], precomputed, opts["workers"])
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
         json.dump({**opts, "version": __version__, "command": "run"}, fh,

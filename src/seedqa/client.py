@@ -77,17 +77,21 @@ class CompletionResponse:
 
 def _response_from(data: dict) -> CompletionResponse:
     """Inverse of ``dataclasses.asdict`` for a response, as replay fixture
-    lines and cache entries store it; only ``text`` is required, and it
-    must be a string (TypeError otherwise)."""
-    text = data["text"]
+    lines, cache entries and live replies give it.  Only ``text`` is
+    required, and it must be a string; ``finish_reason`` is a string or
+    null (absent reads as "stop"), and each token count an integer or null.
+    Any other type raises TypeError."""
+    text, finish = data["text"], data.get("finish_reason", "stop")
+    tokens = data.get("prompt_tokens"), data.get("response_tokens")
     if type(text) is not str:
         raise TypeError(f"'text' must be a string, got {text!r}")
-    return CompletionResponse(
-        text=text,
-        finish_reason=data.get("finish_reason", "stop"),
-        prompt_tokens=data.get("prompt_tokens"),
-        response_tokens=data.get("response_tokens"),
-    )
+    if finish is not None and type(finish) is not str:
+        raise TypeError(f"'finish_reason' must be a string or null, got {finish!r}")
+    for key, value in zip(("prompt_tokens", "response_tokens"), tokens):
+        # bool is a subclass of int, and not a token count
+        if value is not None and type(value) is not int:
+            raise TypeError(f"{key!r} must be an integer or null, got {value!r}")
+    return CompletionResponse(text, finish, *tokens)
 
 
 @dataclass(frozen=True)
@@ -224,21 +228,23 @@ class _LiveBackend:
 
 
 def _parse_completion_body(body: str) -> CompletionResponse:
+    """The response in a 200 body; a malformed body, or a field of the wrong
+    type (``"content": null``, ``"usage": "x"``), is ``ApiStatusError(200)``."""
     try:
         data = json.loads(body)
         choice = data["choices"][0]
         text = choice["message"]["content"]
+        usage = {} if data.get("usage") is None else data["usage"]
+        if type(usage) is not dict:
+            raise TypeError(f"'usage' must be an object or null, got {usage!r}")
+        return _response_from({
+            "text": text,
+            "finish_reason": choice.get("finish_reason", "stop"),
+            "prompt_tokens": usage.get("prompt_tokens"),
+            "response_tokens": usage.get("completion_tokens"),
+        })
     except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
         raise ApiStatusError(200, body[:2000]) from exc
-    if type(text) is not str:  # "content": null, or some other non-text reply
-        raise ApiStatusError(200, body[:2000])
-    usage = data.get("usage") or {}
-    return CompletionResponse(
-        text=text,
-        finish_reason=choice.get("finish_reason", "stop"),
-        prompt_tokens=usage.get("prompt_tokens"),
-        response_tokens=usage.get("completion_tokens"),
-    )
 
 
 class _DiskCache:

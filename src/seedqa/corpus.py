@@ -77,6 +77,18 @@ def string_field(rec: dict, key: str) -> str:
     return value
 
 
+def string_or_int_field(rec: dict, key: str) -> str:
+    """``rec[key]``, which must be a JSON string or an integer, read as its
+    decimal string; anything else (a bool, float, list, object or null)
+    raises ValueError."""
+    value = rec[key]
+    if type(value) is int:
+        return str(value)
+    if type(value) is not str:
+        raise ValueError(f"{key!r} must be a string or an integer, got {value!r}")
+    return value
+
+
 def data_path(name: str) -> str:
     """Path of a file shipped in the package's ``data`` directory."""
     return str(resources.files(__package__).joinpath(f"data/{name}"))
@@ -157,17 +169,18 @@ def parse_record(rec: dict) -> Instance:
     options = {canonical_label(k): string_field(options_raw, k) for k in options_raw}
     if len(options) != len(options_raw):
         raise ValueError("option labels collide after normalization")
-    metadata = rec.get("metadata") or {}
-    if not isinstance(metadata, dict):
-        raise ValueError("field 'metadata' must be an object")
+    metadata = rec.get("metadata")
+    if metadata is None:
+        metadata = {}
+    elif type(metadata) is not dict:
+        raise ValueError(f"field 'metadata' must be an object or null, got {metadata!r}")
     return Instance(
-        # an integer id is read as its decimal string
-        id=str(rec["id"]) if type(rec["id"]) is int else string_field(rec, "id"),
+        id=string_or_int_field(rec, "id"),
         question=string_field(rec, "question"),
         options=options,
         answer=canonical_label(string_field(rec, "answer")),
         analysis=string_field(rec, "analysis"),
-        metadata={str(k): str(v) for k, v in metadata.items()},
+        metadata={k: string_or_int_field(metadata, k) for k in metadata},
     )
 
 

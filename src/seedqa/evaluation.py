@@ -404,15 +404,17 @@ def save_report(report: EvalReport, path: str) -> None:
 
 def check_run_inputs(
     test: Dataset, spec: PromptSpec, graph: KnowledgeGraph | None,
-    extractor: Extractor | None,
+    extractor: Extractor | None, k: int,
     precomputed_seeds: Mapping[str, SeedResult] | None, workers: int,
 ) -> None:
     """Raise ValueError for a run that ``run_eval`` would refuse: a bad
-    worker count, seeded mode without a graph or extractor, or precomputed
-    seeds that lack a test id."""
+    worker count, seeded mode without a graph or extractor or with a
+    negative ``k``, or precomputed seeds that lack a test id."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if spec.mode == "icp":
+        if k < 0:
+            raise ValueError("k must be non-negative")
         if graph is None:
             raise ValueError("icp mode requires a knowledge graph")
         if extractor is None:
@@ -447,7 +449,7 @@ def run_eval(
     ``MAX_CONSECUTIVE_TRANSPORT_FAILURES``-th transport failure in a row,
     carrying exactly the records up to it, whatever the worker count.
     """
-    check_run_inputs(test, spec, graph, extractor, precomputed_seeds, workers)
+    check_run_inputs(test, spec, graph, extractor, k, precomputed_seeds, workers)
     if spec.mode == "icp" and precomputed_seeds is None:
         from .seeds import SeedQuery, mine_seeds
 

@@ -11,9 +11,9 @@ where m is the total node count and freq(j) counts instances whose
 analysis mentions j.  Ubiquitous targets therefore contribute little or
 even negative weight, and rare ones are promoted.
 
-The graph is stored as flat integer tables in CSR (compressed sparse row)
-form: per source index, a slice of target indices and raw counts, in
-(source, target index) order, plus one idf value per node.  Nodes are
+The graph is stored as flat integer tables: every edge once, as the key
+``source_index * m + target_index`` in one ascending table, a raw count
+beside each key, and one idf value per node.  Nodes are
 indexed in name order, so index order breaks weight ties by name.  A
 source's target indices, sorted by descending weight and then target
 index, are computed the first time the miner or ``neighbors`` asks for
@@ -34,7 +34,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from itertools import chain, islice, repeat
-from operator import add, lt, mod, mul, sub, truediv
+from operator import add, lt, mul, sub, truediv
 from typing import Iterable, Sequence
 
 from .entities import AnnotatedInstance
@@ -56,19 +56,18 @@ class GraphFormatError(ValueError):
 class KnowledgeGraph:
     """Immutable co-occurrence graph over canonical entity strings.
 
-    ``nodes`` is the node table, in name order; an edge is the integer
+    ``nodes`` is the node table, in name order; an edge is the integer key
     ``source_index * m + target_index``.  The constructor takes every edge
-    once, in ascending order, with its raw count, and keeps them as CSR
-    tables: ``_offsets[i]:_offsets[i + 1]`` is source ``i``'s slice of
-    ``_targets`` and ``_counts``.  The builder and the loader check the
-    tables; the constructor trusts them.  Weights are computed per source,
-    when it is first ranked.
+    once, in ascending key order, as ``_edges``, with its raw count at the
+    same position of ``_counts``, and keeps both tables as given.  The
+    builder and the loader check the tables; the constructor trusts them.
+    Weights are computed per source, when it is first ranked.
     """
 
     def __init__(
         self,
         nodes: Sequence[str],
-        edges: Sequence[int],
+        edges: array,
         counts: array,
         analysis_freq: dict[str, int],
     ):
@@ -76,8 +75,7 @@ class KnowledgeGraph:
         self.analysis_freq: dict[str, int] = analysis_freq
         m = len(self.nodes)
         self._index = {node: i for i, node in enumerate(self.nodes)}
-        self._offsets = array("q", [bisect_left(edges, i * m) for i in range(m + 1)])
-        self._targets = array("q", map(mod, edges, repeat(m)))
+        self._edges = edges
         self._counts = counts
         self._idf = [math.log10(m / (1 + analysis_freq.get(node, 0))) for node in self.nodes]
         # source index -> its ranked target indices, filled on first use; two
@@ -91,12 +89,12 @@ class KnowledgeGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._targets)
+        return len(self._edges)
 
-    def _sources(self) -> Iterable[int]:
-        """The source index of every edge, in table order."""
-        spans = map(sub, islice(self._offsets, 1, None), self._offsets)
-        return chain.from_iterable(map(repeat, range(self.m), spans))
+    def _row(self, i: int) -> tuple[int, int]:
+        """The table slice ``lo:hi`` of source ``i``'s edges."""
+        lo = bisect_left(self._edges, i * self.m)
+        return lo, bisect_left(self._edges, (i + 1) * self.m, lo)
 
     @property
     def raw_counts(self) -> dict[tuple[str, str], int]:
@@ -104,7 +102,7 @@ class KnowledgeGraph:
         nodes = self.nodes
         return {
             (nodes[s], nodes[t]): count
-            for s, t, count in zip(self._sources(), self._targets, self._counts)
+            for (s, t), count in zip(map(divmod, self._edges, repeat(self.m)), self._counts)
         }
 
     def _rank(self, i: int) -> tuple[int, ...]:
@@ -112,8 +110,8 @@ class KnowledgeGraph:
         name; computed on the first call for each source and cached."""
         ids = self._ranked.get(i)
         if ids is None:
-            lo, hi = self._offsets[i], self._offsets[i + 1]
-            targets = self._targets[lo:hi].tolist()
+            lo, hi = self._row(i)
+            targets = list(map(sub, self._edges[lo:hi], repeat(i * self.m)))
             counts = self._counts[lo:hi]
             total = sum(counts)
             # (count / total) * idf[t], as in _weights
@@ -127,13 +125,13 @@ class KnowledgeGraph:
     def _weights(self, i: int, targets: Iterable[int]) -> dict[int, float]:
         """The weight of the edge from source ``i`` to each of ``targets``
         that it points at, keyed by target index."""
-        lo, hi = self._offsets[i], self._offsets[i + 1]
-        table, counts, idf = self._targets, self._counts, self._idf
+        lo, hi = self._row(i)
+        edges, counts, idf, base = self._edges, self._counts, self._idf, i * self.m
         total = sum(counts[lo:hi])
         out = {}
         for t in targets:
-            pos = bisect_left(table, t, lo, hi)
-            if pos < hi and table[pos] == t:
+            pos = bisect_left(edges, base + t, lo, hi)
+            if pos < hi and edges[pos] == base + t:
                 out[t] = (counts[pos] / total) * idf[t]
         return out
 
@@ -149,8 +147,8 @@ class KnowledgeGraph:
         if i is None:
             return ()
         ids = self._rank(i)
-        lo, hi = self._offsets[i], self._offsets[i + 1]
-        count = dict(zip(self._targets[lo:hi], self._counts[lo:hi]))
+        lo, hi = self._row(i)
+        count = dict(zip(map(sub, self._edges[lo:hi], repeat(i * self.m)), self._counts[lo:hi]))
         weight = self._weights(i, ids)
         return tuple((self.nodes[t], weight[t], count[t]) for t in ids)
 
@@ -174,7 +172,7 @@ def build_graph(train: Iterable[AnnotatedInstance]) -> KnowledgeGraph:
         targets = [index[tgt] for tgt in r]
         for src in qo:
             counts.update(map(add, repeat(index[src] * m), targets))
-    edges = sorted(counts)
+    edges = array("q", sorted(counts))
     return KnowledgeGraph(nodes, edges, array("q", map(counts.__getitem__, edges)), dict(freq))
 
 
@@ -197,11 +195,14 @@ def save_graph(graph: KnowledgeGraph, path: str) -> None:
         },
         ensure_ascii=False,
     )
-    index = graph._index
+    index, m, edges, counts = graph._index, graph.m, graph._edges, graph._counts
+    # row by row, so each edge formats only its target and count
+    rows = (map(f"{i}\t{{}}\t{{}}\n".format, map(sub, edges[lo:hi], repeat(i * m)), counts[lo:hi])
+            for i, (lo, hi) in enumerate(map(graph._row, range(m))))
     body = "".join(chain(
         (header, "\n"),
         (json.dumps(node, ensure_ascii=False) + "\n" for node in graph.nodes),
-        map("{}\t{}\t{}\n".format, graph._sources(), graph._targets, graph._counts),
+        chain.from_iterable(rows),
         (f"{index[ent]}\t{graph.analysis_freq[ent]}\n"
          for ent in sorted(graph.analysis_freq)),
     ))
@@ -314,14 +315,13 @@ def _read_nodes(path: str, lines: list[str]) -> list[str]:
 
 
 def _read_rows(path: str, table: str, start: int, stop: int, first_line: int, kind: str,
-               n_nodes: int) -> tuple[list[int], array]:
+               n_nodes: int) -> tuple[array, array]:
     """The ``kind`` rows ("edge" or "frequency") in ``table[start:stop]``,
     the first on file line ``first_line``: each row's key (``src·m + tgt``,
     or the node index), strictly ascending, and the counts in key order.
     The first bad row raises GraphFormatError."""
     width = 3 if kind == "edge" else 2
-    keys: list[int] = []
-    counts: list[int] = []
+    keys, counts = array("q"), array("q")
     pos = start
     while pos < stop:
         end = stop if stop - pos <= _CHUNK_CHARS else table.index("\n", pos + _CHUNK_CHARS) + 1
@@ -329,13 +329,13 @@ def _read_rows(path: str, table: str, start: int, stop: int, first_line: int, ki
         if reason is not None:
             raise GraphFormatError(f"{path}:{first_line + len(keys)}: {reason}")
         pos = end
-    return keys, array("q", counts)
+    return keys, counts
 
 
 def _read_chunk(chunk: str, width: int, kind: str, n_nodes: int,
-                keys: list[int], counts: list[int]) -> str | None:
-    """Append the key and count of each row in ``chunk`` to ``keys`` and
-    ``counts``; each key must be above the one before it.  The chunk is
+                keys: array, counts: array) -> str | None:
+    """Extend ``keys`` and ``counts`` by the key and count of each row in
+    ``chunk``; each key must be above the one before it.  The chunk is
     parsed at once; only when it fails a check is it read row by row, up to
     its first bad row, whose defect is returned."""
     reason = None
@@ -365,8 +365,8 @@ def _read_chunk(chunk: str, width: int, kind: str, n_nodes: int,
                 break
             new.append(last)
             column.append(count)
-    keys += new
-    counts += column
+    keys.extend(new)
+    counts.extend(column)
     return reason
 
 

@@ -581,6 +581,54 @@ def test_report_on_mistyped_record_exits_1_with_location(corpus, capsys, field, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("metadata, reason", [
+    ({"year": 2020, "discipline": None}, "'discipline' must be a string or an integer"),
+    ([], "field 'metadata' must be an object or null"),
+    (0, "field 'metadata' must be an object or null"),
+    ("", "field 'metadata' must be an object or null"),
+], ids=["null-value", "list", "zero", "empty-string"])
+def test_run_on_mistyped_metadata_exits_1_with_location(corpus, capsys, metadata, reason):
+    records, _, _ = _input_case("dataset", corpus)
+    bad = _write_with_bad_line(corpus, "dataset", records, "metadata", metadata)
+    out_dir = corpus["dir"] / "meta_out"
+    capsys.readouterr()
+    assert main(["run", "--dataset", str(bad), "--out-dir", str(out_dir), "--backend", "replay",
+                 "--fixture", str(corpus["dir"] / "empty_fixture.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:2: {reason}" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_run_icp_negative_k_exits_1_before_any_call(corpus, capsys, monkeypatch):
+    import seedqa.client as client_mod
+
+    calls = []
+
+    def transport(url, headers, payload, timeout):
+        calls.append(payload)
+        return 200, json.dumps({"choices": [{"message": {"content": "答案是A"}}]})
+
+    monkeypatch.setattr(client_mod, "_default_transport", transport)
+    _, graph_path = pipeline_to_graph(corpus)
+    out_dir = corpus["dir"] / "neg_k_out"
+    capsys.readouterr()
+    assert main([
+        "run",
+        "--dataset", corpus["test"],
+        "--mode", "icp",
+        "--graph", graph_path,
+        "--lexicon", corpus["lexicon"],
+        "--backend", "live",
+        "--base-url", "http://127.0.0.1:9",
+        "--k", "-1",
+        "--out-dir", str(out_dir),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert "k must be non-negative" in err and "Traceback" not in err
+    assert calls == []
+    assert not (out_dir / "config.json").exists()
+
+
 def test_run_records_non_string_reply_as_failure(corpus, monkeypatch):
     # a "content": null reply fails its instance, not the run
     import seedqa.client as client_mod

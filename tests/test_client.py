@@ -127,6 +127,32 @@ def test_replay_fixture_text_must_be_a_string(tmp_path, text):
         ChatClient(ClientConfig(backend="replay", fixture_path=str(fixture)))
 
 
+@pytest.mark.parametrize("fields, reason", [
+    ({"prompt_tokens": "many", "finish_reason": ["x"]}, "'finish_reason' must be a string or null"),
+    ({"finish_reason": 7}, "'finish_reason' must be a string or null"),
+    ({"prompt_tokens": "many"}, "'prompt_tokens' must be an integer or null"),
+    ({"response_tokens": 1.5}, "'response_tokens' must be an integer or null"),
+    ({"response_tokens": True}, "'response_tokens' must be an integer or null"),
+], ids=["list-finish-reason", "integer-finish-reason", "string-prompt-tokens",
+        "float-response-tokens", "bool-response-tokens"])
+def test_replay_fixture_field_types(tmp_path, fields, reason):
+    fixture = tmp_path / "fix.jsonl"
+    lines = [{"digest": "d1", "text": "答案：B"},
+             {"digest": request_digest(REQ), "text": "A"} | fields]
+    fixture.write_text("".join(json.dumps(rec) + "\n" for rec in lines), encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=rf"fix\.jsonl:2: {reason}"):
+        ChatClient(ClientConfig(backend="replay", fixture_path=str(fixture)))
+
+
+def test_replay_fixture_null_fields_load(tmp_path):
+    fixture = tmp_path / "fix.jsonl"
+    line = {"digest": request_digest(REQ), "text": "A", "finish_reason": None,
+            "prompt_tokens": None, "response_tokens": 3}
+    fixture.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    client = ChatClient(ClientConfig(backend="replay", fixture_path=str(fixture)))
+    assert client.complete(REQ) == CompletionResponse("A", None, None, 3)
+
+
 def test_replay_requires_fixture():
     with pytest.raises(ValueError, match="fixture"):
         ClientConfig(backend="replay")
@@ -196,6 +222,34 @@ def test_live_non_string_content_is_status_error(content):
         client.complete(REQ)
     assert err.value.status == 200
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("usage, finish", [
+    ("x", "stop"),
+    ([], "stop"),
+    ({"prompt_tokens": "many"}, "stop"),
+    ({"completion_tokens": True}, "stop"),
+    ({"prompt_tokens": 1.5}, "stop"),
+    (None, 7),
+    (None, ["stop"]),
+], ids=["string-usage", "list-usage", "string-prompt-tokens", "bool-completion-tokens",
+        "float-prompt-tokens", "integer-finish-reason", "list-finish-reason"])
+def test_live_mistyped_reply_field_is_status_error(usage, finish):
+    body = json.loads(ok_body(finish=finish))
+    if usage is not None:
+        body["usage"] = usage
+    client, calls, _ = live_client([(200, json.dumps(body))])
+    with pytest.raises(ApiStatusError) as err:
+        client.complete(REQ)
+    assert err.value.status == 200
+    assert err.value.body == json.dumps(body)
+    assert len(calls) == 1
+
+
+def test_live_null_usage_and_finish_reason_are_kept():
+    body = {"choices": [{"message": {"content": "hi"}, "finish_reason": None}], "usage": None}
+    client, _, _ = live_client([(200, json.dumps(body))])
+    assert client.complete(REQ) == CompletionResponse("hi", None, None, None)
 
 
 def test_api_key_header_from_env_only(monkeypatch):
@@ -280,6 +334,22 @@ def test_cache_entry_without_string_text_refetched(tmp_path):
     cache_file = tmp_path / "cache" / f"{request_digest(REQ)}.json"
     entry = json.loads(cache_file.read_text(encoding="utf-8"))
     entry["response"]["text"] = None
+    cache_file.write_text(json.dumps(entry), encoding="utf-8")
+    assert client.complete(REQ).text == "second"
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("finish_reason", 7), ("prompt_tokens", "many"), ("response_tokens", False),
+])
+def test_cache_entry_with_mistyped_field_refetched(tmp_path, field, value):
+    client, calls = cached_client(
+        tmp_path, [(200, ok_body("first")), (200, ok_body("second"))]
+    )
+    client.complete(REQ)
+    cache_file = tmp_path / "cache" / f"{request_digest(REQ)}.json"
+    entry = json.loads(cache_file.read_text(encoding="utf-8"))
+    entry["response"][field] = value
     cache_file.write_text(json.dumps(entry), encoding="utf-8")
     assert client.complete(REQ).text == "second"
     assert len(calls) == 2

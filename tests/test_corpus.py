@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -87,6 +88,36 @@ def test_load_refuses_non_string_text(tmp_path, field, value):
     # no str() coercion: '["q"]' or 'None' never becomes a question or analysis
     path = write_jsonl(tmp_path / "d.jsonl", [VALID | {"id": "q0"}, VALID | {field: value}])
     with pytest.raises(DatasetFormatError, match=r"d\.jsonl:2: '\w+' must be a string"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("metadata, expected", [
+    ({"year": 2020, "discipline": "内科"}, {"year": "2020", "discipline": "内科"}),
+    ({"year": -7}, {"year": "-7"}),
+    ({}, {}),
+    (None, {}),
+], ids=["integer-value", "negative-integer", "empty", "null"])
+def test_load_reads_metadata_strings_and_integers(tmp_path, metadata, expected):
+    ds = load_dataset(write_jsonl(tmp_path / "d.jsonl", [VALID | {"metadata": metadata}]))
+    assert ds[0].metadata == expected
+
+
+@pytest.mark.parametrize("metadata, reason", [
+    ({"year": 2020, "discipline": None}, "'discipline' must be a string or an integer"),
+    ({"year": 1.5}, "'year' must be a string or an integer"),
+    ({"year": True}, "'year' must be a string or an integer"),
+    ({"year": ["2020"]}, "'year' must be a string or an integer"),
+    ({"year": {"y": 1}}, "'year' must be a string or an integer"),
+    ([], "field 'metadata' must be an object or null"),
+    (0, "field 'metadata' must be an object or null"),
+    ("", "field 'metadata' must be an object or null"),
+    (False, "field 'metadata' must be an object or null"),
+], ids=["null-value", "float-value", "bool-value", "list-value", "object-value",
+        "list", "zero", "empty-string", "false"])
+def test_load_refuses_mistyped_metadata(tmp_path, metadata, reason):
+    # no str() coercion: a null value never becomes the group 'None'
+    path = write_jsonl(tmp_path / "d.jsonl", [VALID | {"id": "q0"}, VALID | {"metadata": metadata}])
+    with pytest.raises(DatasetFormatError, match=rf"d\.jsonl:2: {re.escape(reason)}"):
         load_dataset(path)
 
 

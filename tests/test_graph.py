@@ -16,6 +16,7 @@ import pytest
 import seedqa.graph as graph_module
 from seedqa.cli import main
 from seedqa.graph import _CHUNK_CHARS, GraphFormatError, build_graph, load_graph, save_graph
+from seedqa.seeds import SeedQuery, mine_seeds
 
 from conftest import (
     ENTITY_POOL,
@@ -149,14 +150,34 @@ def test_save_load_round_trip(tmp_path, toy_graph):
 
 def test_save_load_round_trip_fuzz(tmp_path):
     rng = random.Random(31)
-    for trial in range(25):
-        g = build_graph(random_annotated(rng, rng.randint(0, 10)))
+    first, last = min(ENTITY_POOL), max(ENTITY_POOL)
+    rest = tuple(sorted(set(ENTITY_POOL) - {first}))
+    for trial in range(26):
+        if trial == 25:
+            # node 0 has no out-edges and the last node has some, so rows at
+            # both ends of the edge table are read
+            train = [make_annotated("ends", {last}, {first}), *random_annotated(rng, 6, rest)]
+        else:
+            train = random_annotated(rng, rng.randint(0, 10))
+        g = build_graph(train)
         path = tmp_path / f"g{trial}.kg"
         save_graph(g, str(path))
         loaded = load_graph(str(path))
         assert loaded.nodes == g.nodes
         assert loaded.raw_counts == g.raw_counts
         assert loaded.analysis_freq == g.analysis_freq
+        for node in (*g.nodes, "未知"):
+            assert loaded.neighbors(node) == g.neighbors(node), f"trial {trial}: {node}"
+        # every row holds exactly its source's edges
+        rows = {(s, t): c for s in loaded.nodes for t, _, c in loaded.neighbors(s)}
+        assert rows == g.raw_counts, f"trial {trial}"
+        if trial == 25:
+            assert g.nodes[0] == first and g.nodes[-1] == last
+            assert loaded.neighbors(first) == () and loaded.neighbors(last)
+        for _ in range(3):
+            members = rng.sample(g.nodes, min(len(g.nodes), rng.randint(1, 3)))
+            query = SeedQuery(frozenset(members) | {"未知"})
+            assert mine_seeds(loaded, query, k=5) == mine_seeds(g, query, k=5), f"trial {trial}"
 
 
 def test_header_contents(tmp_path, toy_graph):
