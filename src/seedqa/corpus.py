@@ -1,13 +1,14 @@
-"""Multiple-choice QA datasets: loading, validation, splitting, and mapping a
-function over instances in input order on a thread pool."""
+"""Multiple-choice QA datasets: loading, validation, splitting, writing an
+output file whole, and mapping a function over instances in input order on
+a thread pool."""
 
 from __future__ import annotations
 
 import json
+import os
 import random
 import unicodedata
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import islice
@@ -87,6 +88,29 @@ def string_or_int_field(rec: dict, key: str) -> str:
     if type(value) is not str:
         raise ValueError(f"{key!r} must be a string or an integer, got {value!r}")
     return value
+
+
+def write_whole(path: str, chunks: Iterable[str]) -> None:
+    """Write the concatenated ``chunks`` to ``path`` as UTF-8, whole or not
+    at all.
+
+    The text goes to a temp file beside ``path`` that then replaces it, so
+    a failure or a kill part-way leaves any old file as it was.  On an
+    exception the temp file is removed.  As with a plain ``open(path,
+    "w")``, a symlink is written through, and a new file gets mode 0o666
+    under the umask.
+    """
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    # the kernel applies the umask to 0o666, as it does for open(path, "w")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def data_path(name: str) -> str:
@@ -280,8 +304,15 @@ def map_in_order(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iter
     and the next item is submitted only when the consumer asks for another
     result, so where the consumer stops does not depend on thread timing.
     Closing the iterator (use ``contextlib.closing``) cancels what is still
-    queued and waits for the calls already running.
+    queued and waits for the calls already running.  At one worker no pool
+    starts: each call runs in the caller's thread when its result is asked
+    for, the same calls in the same order.
     """
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
     items = iter(items)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         try:

@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Sequence
 from .client import ChatClient, CompletionRequest
 from .corpus import (
     Dataset, DatasetFormatError, Instance, instance_to_record, map_in_order, parse_record,
-    qo_text, read_jsonl, string_field, string_list,
+    qo_text, read_jsonl, string_field, string_list, write_whole,
 )
 
 Extractor = Callable[[str], "set[str] | frozenset[str]"]
@@ -49,6 +49,9 @@ def normalize_entity(raw: str) -> str:
     """Canonical entity form: NFKC + casefold to a fixed point, then
     stripped.  Raises ValueError when nothing is left."""
     ent = normalize_text(raw).strip()
+    if ent == raw and ent:
+        # canonical input: the loop below would not run
+        return ent
     while ent != normalize_text(ent).strip():
         ent = normalize_text(ent).strip()
     if not ent:
@@ -60,7 +63,9 @@ class Lexicon:
     """Closed vocabulary of canonical entities with optional surface aliases.
 
     All surfaces are stored in normalized form; matching happens on
-    normalized text, so lookups are case- and width-insensitive.  An alias
+    normalized text, so lookups are case- and width-insensitive.  Each
+    first character maps to the lengths of the surfaces that start with it,
+    longest first, so a scan position looks up only those.  An alias
     under two entries, or one that is another entry, raises ValueError, as
     ``load_lexicon`` refuses the same content.
     """
@@ -82,7 +87,11 @@ class Lexicon:
         each entry mapping to itself) and the views derived from it."""
         self.entries: frozenset[str] = frozenset(surface_map.values())
         self._surface_map = surface_map
-        self._max_len = max(len(s) for s in surface_map)
+        by_first: dict[str, set[int]] = {}
+        for surface in surface_map:
+            by_first.setdefault(surface[0], set()).add(len(surface))
+        # first character -> lengths of the surfaces starting with it, longest first
+        self._lengths = {c: sorted(ls, reverse=True) for c, ls in by_first.items()}
 
 
 def _claim(owner: dict[str, str], surface: str, canonical: str) -> None:
@@ -136,18 +145,20 @@ def extract_entities_lexicon(text: str, lexicon: Lexicon) -> set[str]:
     reported separately.  Output is the set of canonical forms.
     """
     s = normalize_text(text)
-    surface_map = lexicon._surface_map
+    get, lengths = lexicon._surface_map.get, lexicon._lengths
     found: set[str] = set()
     i, n = 0, len(s)
     while i < n:
-        matched = 0
-        for length in range(min(lexicon._max_len, n - i), 0, -1):
-            target = surface_map.get(s[i : i + length])
+        # a length past the end slices off only the rest of the text, which
+        # matches only when it is itself a surface, the longest one there
+        for length in lengths.get(s[i], ()):
+            target = get(s[i : i + length])
             if target is not None:
                 found.add(target)
-                matched = length
+                i += length
                 break
-        i += matched or 1
+        else:
+            i += 1
     return found
 
 
@@ -314,8 +325,9 @@ def annotate_dataset(
     ``on_error`` is "raise" (abort on the first failing instance in input
     order, starting no instance after it beyond the ``workers`` already
     submitted) or "skip" (drop failing instances).  Instances are annotated
-    on a pool of ``workers`` threads; more than one only pays off with a
-    network-backed extractor.
+    on a pool of ``workers`` threads, or at one worker in the calling
+    thread with no pool; more than one only pays off with a network-backed
+    extractor.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
@@ -340,14 +352,17 @@ def annotate_dataset(
 
 
 def save_annotated(annotated: Sequence[AnnotatedInstance], path: str) -> None:
-    """Write annotated records: the dataset record plus sorted entity lists."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write annotated records, whole or not at all: the dataset record plus
+    sorted entity lists."""
+
+    def lines():
         for ann in annotated:
             rec = instance_to_record(ann.base)
             rec["qo_entities"] = sorted(ann.qo_entities)
             rec["r_entities"] = sorted(ann.r_entities)
-            fh.write(json.dumps(rec, ensure_ascii=False))
-            fh.write("\n")
+            yield json.dumps(rec, ensure_ascii=False) + "\n"
+
+    write_whole(path, lines())
 
 
 def load_annotated(path: str) -> list[AnnotatedInstance]:

@@ -37,6 +37,7 @@ from itertools import chain, islice, repeat
 from operator import add, lt, mul, sub, truediv
 from typing import Iterable, Sequence
 
+from .corpus import write_whole
 from .entities import AnnotatedInstance
 
 _MAGIC = "seedqa-graph"
@@ -183,7 +184,8 @@ def save_graph(graph: KnowledgeGraph, path: str) -> None:
     string per node, edge rows ``src_idx<TAB>tgt_idx<TAB>raw_count``,
     frequency rows ``node_idx<TAB>freq``, then a JSON trailer with the
     SHA-256 of everything before it.  Weights are derived, so only counts
-    are stored.  Rows are written in (source, target) index order.
+    are stored.  Rows are written in (source, target) index order, and the
+    file is replaced whole or not at all.
     """
     header = json.dumps(
         {
@@ -207,10 +209,7 @@ def save_graph(graph: KnowledgeGraph, path: str) -> None:
          for ent in sorted(graph.analysis_freq)),
     ))
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(body)
-        fh.write(json.dumps({"sha256": digest}))
-        fh.write("\n")
+    write_whole(path, (body, json.dumps({"sha256": digest}), "\n"))
 
 
 def load_graph(path: str) -> KnowledgeGraph:

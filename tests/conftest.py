@@ -15,7 +15,7 @@ import pytest
 
 from seedqa.client import CompletionRequest, request_digest
 from seedqa.corpus import Dataset, Instance, qo_text
-from seedqa.entities import AnnotatedInstance
+from seedqa.entities import AnnotatedInstance, Lexicon, normalize_text
 from seedqa.evaluation import BLEU_EPSILON
 from seedqa.graph import GraphFormatError, KnowledgeGraph, build_graph
 from seedqa.prompts import (
@@ -231,6 +231,38 @@ def sorted_pool_mine_seeds(graph: KnowledgeGraph, weights, query: SeedQuery, k: 
 
     ordered = sorted(pool, key=lambda e: (score(e), -incoming_weight(e), e))
     return [(e, score(e)) for e in ordered[:k]]
+
+
+def all_lengths_extract(text: str, lexicon: Lexicon) -> set[str]:
+    """Greedy longest-match scan that tries every length from the longest
+    surface down to 1 at each position, the way extraction worked before
+    the lexicon was indexed by first character."""
+    s = normalize_text(text)
+    surface_map = lexicon._surface_map
+    max_len = max(map(len, surface_map))
+    found: set[str] = set()
+    i, n = 0, len(s)
+    while i < n:
+        matched = 0
+        for length in range(min(max_len, n - i), 0, -1):
+            target = surface_map.get(s[i : i + length])
+            if target is not None:
+                found.add(target)
+                matched = length
+                break
+        i += matched or 1
+    return found
+
+
+def fixed_point_normalize_entity(raw: str) -> str:
+    """``normalize_entity`` as it was before canonical input returned after
+    one pass: normalize and strip until nothing changes."""
+    ent = normalize_text(raw).strip()
+    while ent != normalize_text(ent).strip():
+        ent = normalize_text(ent).strip()
+    if not ent:
+        raise ValueError(f"entity is empty after normalization: {raw!r}")
+    return ent
 
 
 def per_char_script_runs(text: str) -> list[tuple[bool, str]]:

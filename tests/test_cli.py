@@ -599,6 +599,23 @@ def test_run_on_mistyped_metadata_exits_1_with_location(corpus, capsys, metadata
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("entity, reason", [
+    ("ASPIRIN", "entity not in canonical form: 'ASPIRIN'"),
+    (" aspirin", "entity not in canonical form: ' aspirin'"),
+    ("", "entity is empty after normalization: ''"),
+], ids=["cased", "padded", "empty"])
+def test_build_graph_on_non_canonical_entity_exits_1_with_location(corpus, capsys, entity,
+                                                                    reason):
+    records, _, argv = _input_case("annotated", corpus)
+    bad = corpus["dir"] / "bad_annotated.jsonl"
+    bad.write_text(json.dumps(records[0] | {"qo_entities": [entity]}, ensure_ascii=False)
+                   + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([str(bad) if a == "BAD" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:1: {reason}" in err and "Traceback" not in err
+
+
 def test_run_icp_negative_k_exits_1_before_any_call(corpus, capsys, monkeypatch):
     import seedqa.client as client_mod
 

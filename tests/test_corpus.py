@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
+import threading
 
 import pytest
 
@@ -11,9 +13,11 @@ from seedqa.corpus import (
     DatasetFormatError,
     Instance,
     load_dataset,
+    map_in_order,
     qo_text,
     save_dataset,
     split_sample,
+    write_whole,
 )
 
 VALID = {
@@ -239,3 +243,120 @@ def test_qo_text_contains_question_and_options():
     assert text.startswith(inst.question)
     for option_text in inst.options.values():
         assert option_text in text
+
+
+# --- map_in_order -------------------------------------------------------------
+
+@pytest.fixture()
+def started_threads(monkeypatch):
+    """Every thread started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+def test_map_in_order_one_worker_runs_inline(started_threads):
+    caller = threading.get_ident()
+    calls = []
+
+    def fn(x):
+        calls.append(threading.get_ident())
+        return 2 * x
+
+    results = map_in_order(fn, range(6), 1)
+    assert calls == []
+    for k in range(1, 4):
+        assert next(results) == 2 * (k - 1)
+        assert len(calls) == k
+    results.close()
+    assert calls == [caller] * 3
+    assert started_threads == []
+
+
+def test_map_in_order_two_workers_start_a_pool(started_threads):
+    assert list(map_in_order(lambda x: 2 * x, range(6), 2)) == [0, 2, 4, 6, 8, 10]
+    assert started_threads
+
+
+# --- write_whole --------------------------------------------------------------
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def test_write_whole_writes_and_replaces(tmp_path):
+    path = tmp_path / "out.txt"
+    write_whole(str(path), ["首行\n", "", "second\n"])
+    assert path.read_bytes() == "首行\nsecond\n".encode("utf-8")
+    write_whole(str(path), iter(["new\n"]))
+    assert path.read_bytes() == b"new\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_write_whole_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_bytes(b"old\n")
+    link.symlink_to(target)
+    write_whole(str(link), ["new\n"])
+    assert link.is_symlink()
+    assert target.read_bytes() == b"new\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "target.txt"]
+
+
+@pytest.mark.parametrize("mask", (0o022, 0o027, 0o077))
+def test_write_whole_mode_matches_plain_open(tmp_path, mask):
+    old = os.umask(mask)
+    try:
+        write_whole(str(tmp_path / "whole.txt"), ["x"])
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8") as fh:
+            fh.write("x")
+    finally:
+        os.umask(old)
+    assert _umask() == old
+    modes = {os.stat(tmp_path / name).st_mode & 0o777 for name in ("whole.txt", "plain.txt")}
+    assert modes == {0o666 & ~mask}
+
+
+def test_write_whole_failure_keeps_old_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+
+    def chunks():
+        yield "x" * (1 << 16)  # larger than the write buffer, so it reaches the disk
+        raise RuntimeError("killed part-way")
+
+    with pytest.raises(RuntimeError, match="killed part-way"):
+        write_whole(str(path), chunks())
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+    with pytest.raises(RuntimeError):
+        write_whole(str(tmp_path / "new.txt"), chunks())
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_write_whole_into_missing_directory_names_the_path(tmp_path):
+    path = tmp_path / "missing" / "out.txt"
+    with pytest.raises(FileNotFoundError, match=re.escape(str(path))):
+        write_whole(str(path), ["x"])
+
+
+def test_write_whole_failed_replace_removes_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        write_whole(str(path), ["new\n"])
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]

@@ -21,10 +21,13 @@ from seedqa.entities import (
     load_annotated,
     load_lexicon,
     normalize_entity,
+    normalize_text,
     parse_entity_response,
     save_annotated,
 )
 from seedqa.corpus import DatasetFormatError
+
+from conftest import all_lengths_extract, fixed_point_normalize_entity
 
 
 # --- normalization ---------------------------------------------------------
@@ -50,6 +53,30 @@ def test_normalize_idempotent_fuzz():
         except ValueError:
             continue
         assert normalize_entity(once) == once
+
+
+# whitespace of several kinds, compatibility and cased forms, the MHz sign,
+# an astral letter that NFKC maps to ASCII, and a combining accent
+_NORMALIZE_POOL = "AbＣ㎒ ①高血压ß℡x\t\u3000\u00a0𝐀e\u0301"
+
+
+def test_normalize_matches_fixed_point_loop_fuzz():
+    rng = random.Random(16)
+    canonical_seen = 0
+    for _ in range(2000):
+        raw = "".join(rng.choice(_NORMALIZE_POOL) for _ in range(rng.randint(0, 10)))
+        for text in (raw, normalize_text(raw).strip()):
+            try:
+                expected = fixed_point_normalize_entity(text)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    normalize_entity(text)
+                assert str(got.value) == str(exc)
+                continue
+            assert normalize_entity(text) == expected
+            canonical_seen += text == expected
+    # both the one-pass return and the loop are exercised
+    assert 200 < canonical_seen < 3000
 
 
 def test_normalize_rejects_empty():
@@ -166,6 +193,70 @@ def test_extractor_option_order_invariant():
     from seedqa.corpus import qo_text
 
     assert ext(qo_text(a)) == ext(qo_text(b)) == {"高血压", "糖尿病", "贫血"}
+
+
+def test_extract_surface_past_the_end_of_text():
+    # "abcd" does not fit after "xab", where its prefix "ab" is a surface
+    lex = Lexicon(["ab", "abcd", "c"])
+    assert extract_entities_lexicon("xabc", lex) == {"ab", "c"}
+    assert extract_entities_lexicon("xab", lex) == {"ab"}
+    assert extract_entities_lexicon("xabcd", lex) == {"abcd"}
+    assert extract_entities_lexicon("a", lex) == set()
+
+
+def test_lexicon_indexes_lengths_by_first_character():
+    lex = Lexicon(["高血压", "高血压脑出血", "高烧", "ab"], {"ＡＢＣ": "ab", "𠀀x": "高烧"})
+    assert lex._lengths == {"高": [6, 3, 2], "a": [3, 2], "𠀀": [2]}
+
+
+# surface material: nested CJK terms, letters that NFKC or casefold change
+# (fullwidth, ß, the MHz sign, the fi ligature), astral characters, a
+# combining accent, and spaces
+_SURFACE_POOL = ("高", "血", "压", "脑", "a", "b", "Ａ", "ß", "ss", "㎒", "mhz", "ﬁ", "𠀀",
+                 "😀", "e\u0301", "é", " ")
+
+
+def _random_lexicon(rng: random.Random) -> Lexicon | None:
+    def piece(lo, hi):
+        return "".join(rng.choice(_SURFACE_POOL) for _ in range(rng.randint(lo, hi)))
+
+    entries = [piece(1, 5) for _ in range(rng.randint(1, 8))]
+    # prefixes and extensions of entries, so surfaces nest
+    entries += [e[: rng.randint(1, len(e))] for e in rng.sample(entries, len(entries) // 2)]
+    entries += [e + piece(1, 3) for e in rng.sample(entries, len(entries) // 2)]
+    aliases = {piece(1, 4): rng.choice(entries) for _ in range(rng.randint(0, 4))}
+    try:
+        return Lexicon(entries, aliases)
+    except ValueError:  # an empty entry or an alias that clashes
+        return None
+
+
+def test_extract_matches_all_lengths_scan_fuzz():
+    rng = random.Random(1975)
+    checked = matched = 0
+    while checked < 600:
+        lex = _random_lexicon(rng)
+        if lex is None:
+            continue
+        surfaces = sorted(lex._surface_map)
+        for _ in range(5):
+            parts = []
+            for _ in range(rng.randint(0, 6)):
+                if rng.random() < 0.5:
+                    surface = rng.choice(surfaces)
+                    parts.append(surface.upper() if rng.random() < 0.3 else surface)
+                else:
+                    parts.append(rng.choice(_SURFACE_POOL))
+            if rng.random() < 0.5:
+                # end inside a surface: a proper prefix of the longest one
+                surface = max(surfaces, key=len)
+                parts.append(surface[: rng.randint(0, len(surface) - 1)])
+            text = "".join(parts)
+            expected = all_lengths_extract(text, lex)
+            assert extract_entities_lexicon(text, lex) == expected, (text, surfaces)
+            checked += 1
+            matched += bool(expected)
+    assert matched > 300
 
 
 # --- extraction response parsing --------------------------------------------
@@ -360,6 +451,29 @@ def test_annotated_file_round_trip(tmp_path):
     second = tmp_path / "ann2.jsonl"
     save_annotated(again, str(second))
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_save_annotated_failure_keeps_old_file(tmp_path, monkeypatch):
+    lex = Lexicon(["高血压", "贫血", "糖尿病", "缺铁性贫血"])
+    annotated = annotate_dataset(make_dataset(), LexiconExtractor(lex)) * 2000
+    path = tmp_path / "ann.jsonl"
+    save_annotated(annotated[:1], str(path))
+    old = path.read_bytes()
+    dumps, calls = json.dumps, []
+
+    def failing_dumps(obj, **kwargs):
+        calls.append(obj)
+        if len(calls) == len(annotated) - 1:
+            raise RuntimeError("killed part-way")
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", failing_dumps)
+    with pytest.raises(RuntimeError, match="killed part-way"):
+        save_annotated(annotated, str(path))
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ann.jsonl"]
+    assert load_annotated(str(path)) == annotated[:1]
 
 
 def test_annotated_rejects_non_canonical_entities():

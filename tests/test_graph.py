@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -13,6 +15,7 @@ from itertools import accumulate
 
 import pytest
 
+import seedqa.corpus as corpus_module
 import seedqa.graph as graph_module
 from seedqa.cli import main
 from seedqa.graph import _CHUNK_CHARS, GraphFormatError, build_graph, load_graph, save_graph
@@ -262,6 +265,39 @@ def test_save_graph_writes_v1_bytes(tmp_path, toy_train):
         question_sinks += any(not g.neighbors(n) for n in question_side)
         analysis_only += any(n not in question_side for n in g.nodes)
     assert question_sinks >= 5 and analysis_only >= 5
+
+
+def test_save_graph_failure_keeps_old_file(tmp_path, toy_train, monkeypatch):
+    path = tmp_path / "g.kg"
+    save_graph(build_graph(toy_train[:1]), str(path))
+    old = path.read_bytes()
+
+    class FullDisk:
+        """A file that takes the body, then fails on the trailer."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def writelines(self, chunks):
+            body, *_ = chunks
+            self.fh.write(body)
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(corpus_module, "open", lambda *a, **k: FullDisk(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_graph(build_graph(toy_train), str(path))
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["g.kg"]
+    assert load_graph(str(path)).raw_counts == build_graph(toy_train[:1]).raw_counts
 
 
 def _write_with_checksum(path, lines: list[str]) -> str:

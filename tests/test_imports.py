@@ -129,6 +129,27 @@ def test_icp_run_loads_the_graph_stack(replay_inputs):
     assert all(json.loads(line)["seed_count"] is not None for line in records.splitlines())
 
 
+# runs one command and prints whether it loaded the thread-pool module
+POOL_PROBE = """
+import json, sys
+import seedqa.cli
+code = seedqa.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, "concurrent.futures" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("workers, loads_pool", [("1", False), ("2", True)])
+def test_one_worker_commands_never_load_the_pool(replay_inputs, workers, loads_pool):
+    d = replay_inputs["dir"]
+    annotate = ["annotate", "--dataset", replay_inputs["test"], "--lexicon",
+                replay_inputs["lexicon"], "--out", str(d / f"ann{workers}.jsonl")]
+    run = run_argv(replay_inputs, "icp")
+    run[run.index("--out-dir") + 1] += workers
+    for argv in (annotate, run):
+        code, loaded = json.loads(run_python(POOL_PROBE, json.dumps([*argv, "--workers", workers])))
+        assert (code, loaded) == (0, loads_pool), argv[0]
+
+
 def test_public_names_resolve_lazily():
     # no name is bound before its first access; each then resolves to the
     # object its defining module holds, and each module name to the module
