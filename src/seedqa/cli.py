@@ -31,7 +31,7 @@ from .client import (
     RetryPolicy,
     TransportError,
 )
-from .corpus import DEFAULT_K, data_path, load_dataset, split_sample
+from .corpus import DEFAULT_K, data_path, load_dataset, split_sample, write_whole
 from .evaluation import (
     ApiExhaustionError,
     build_report,
@@ -101,6 +101,8 @@ def _load_config_file(path: str | None, parser: argparse.ArgumentParser,
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8 text ({exc.reason})") from exc
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -262,10 +264,9 @@ def cmd_run(opts: dict[str, Any]) -> int:
 
     check_run_inputs(dataset, spec, graph, extractor, opts["k"], precomputed, opts["workers"])
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump({**opts, "version": __version__, "command": "run"}, fh,
-                  ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    config = json.dumps({**opts, "version": __version__, "command": "run"},
+                        ensure_ascii=False, indent=2, sort_keys=True)
+    write_whole(os.path.join(out_dir, "config.json"), (config, "\n"))
 
     try:
         records, report = run_eval(

@@ -275,7 +275,7 @@ class _DiskCache:
             return _response_from(data["response"])
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, KeyError, TypeError):
+        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError):
             return None
 
     def put(self, digest: str, request: CompletionRequest, response: CompletionResponse) -> None:

@@ -35,26 +35,31 @@ def read_jsonl(path: str, parse: Callable[[dict], T]) -> list[T]:
 
     Each line must hold a JSON object, which ``parse`` turns into a value.
     Invalid JSON, a non-object line, or a KeyError, TypeError or ValueError
-    raised by ``parse`` becomes DatasetFormatError naming ``path:line``.
+    raised by ``parse`` becomes DatasetFormatError naming ``path:line``.  A
+    file that is not UTF-8 raises DatasetFormatError naming ``path`` alone:
+    the text is decoded in blocks, so the line is not known.
     """
     out: list[T] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"{where}: invalid JSON ({exc})") from exc
-            if not isinstance(rec, dict):
-                raise DatasetFormatError(f"{where}: record is not a JSON object")
-            try:
-                out.append(parse(rec))
-            except KeyError as exc:
-                raise DatasetFormatError(f"{where}: missing field {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise DatasetFormatError(f"{where}: {exc}") from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DatasetFormatError(f"{where}: invalid JSON ({exc})") from exc
+                if not isinstance(rec, dict):
+                    raise DatasetFormatError(f"{where}: record is not a JSON object")
+                try:
+                    out.append(parse(rec))
+                except KeyError as exc:
+                    raise DatasetFormatError(f"{where}: missing field {exc}") from exc
+                except (TypeError, ValueError) as exc:
+                    raise DatasetFormatError(f"{where}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return out
 
 
@@ -237,12 +242,10 @@ def instance_to_record(inst: Instance) -> dict:
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
-    """Write one JSON object per line; loading the file back gives an equal
-    dataset."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in dataset:
-            fh.write(json.dumps(instance_to_record(inst), ensure_ascii=False))
-            fh.write("\n")
+    """Write one JSON object per line, whole or not at all; loading the file
+    back gives an equal dataset."""
+    write_whole(path, (json.dumps(instance_to_record(inst), ensure_ascii=False) + "\n"
+                       for inst in dataset))
 
 
 def _stratified_indices(

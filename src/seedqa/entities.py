@@ -111,24 +111,28 @@ def load_lexicon(path: str) -> Lexicon:
 
     A blank entry field, an alias listed under two canonical entries, and
     an alias that is also a canonical entry raise DatasetFormatError naming
-    ``path:line``.
+    ``path:line``; a file that is not UTF-8 raises it naming ``path`` alone,
+    since the text is decoded in blocks.
     """
     # normalized surface -> the canonical entry it stands for
     owner: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            where = f"{path}:{lineno}"
-            entry, *aliases = line.split("\t")
-            try:
-                canonical = normalize_entity(entry)
-                surfaces = [normalize_entity(a) for a in aliases if a.strip()]
-                for surface in (canonical, *surfaces):
-                    _claim(owner, surface, canonical)
-            except ValueError as exc:
-                raise DatasetFormatError(f"{where}: {exc}") from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.rstrip("\n")
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
+                where = f"{path}:{lineno}"
+                entry, *aliases = line.split("\t")
+                try:
+                    canonical = normalize_entity(entry)
+                    surfaces = [normalize_entity(a) for a in aliases if a.strip()]
+                    for surface in (canonical, *surfaces):
+                        _claim(owner, surface, canonical)
+                except ValueError as exc:
+                    raise DatasetFormatError(f"{where}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not owner:
         raise DatasetFormatError(f"{path}: lexicon has no entries")
     # every surface is already normalized and checked, so skip __init__

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .client import ChatClient, CompletionRequest, TransportError, request_digest
-from .corpus import DEFAULT_K, Dataset, Instance, map_in_order, qo_text, read_jsonl
+from .corpus import DEFAULT_K, Dataset, Instance, map_in_order, qo_text, read_jsonl, write_whole
 from .prompts import PromptSpec, RenderedPrompt, compose
 from .textseg import tokenize
 
@@ -263,10 +263,8 @@ def record_to_dict(record: EvalRecord) -> dict:
 
 
 def save_records(records: Sequence[EvalRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(record_to_dict(rec), ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
+    write_whole(path, (json.dumps(record_to_dict(rec), ensure_ascii=False, separators=(",", ":"))
+                       + "\n" for rec in records))
 
 
 # the JSON types a records file may hold for each EvalRecord annotation;
@@ -395,9 +393,7 @@ def build_report(records: Sequence[EvalRecord], group_by: Sequence[str] = ()) ->
 
 
 def save_report(report: EvalReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(report), fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    write_whole(path, (json.dumps(asdict(report), ensure_ascii=False, indent=2), "\n"))
 
 
 # --- end-to-end run ------------------------------------------------------

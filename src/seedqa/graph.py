@@ -228,8 +228,11 @@ def load_graph(path: str) -> KnowledgeGraph:
     a time and reads only a chunk that fails a check again, row by row.
     Weights are derived from the stored counts when a source is first read.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     # the trailer is the last line; everything before it is the body
     end = len(text) - text.endswith("\n")
     cut = text.rfind("\n", 0, end)

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import DEFAULT_K, read_jsonl, string_list
+from .corpus import DEFAULT_K, read_jsonl, string_list, string_or_int_field, write_whole
 from .entities import normalize_entity
 from .graph import KnowledgeGraph
 
@@ -114,22 +114,21 @@ class SeedRecord:
 
 
 def save_seed_records(records: Sequence[SeedRecord], path: str) -> None:
-    """Sidecar JSONL: {"id", "query", "seeds", "scores", "k"} per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": rec.instance_id,
-                        "query": sorted(rec.query),
-                        "seeds": list(rec.result.entities),
-                        "scores": list(rec.result.scores),
-                        "k": rec.result.k,
-                    },
-                    ensure_ascii=False,
-                )
-            )
-            fh.write("\n")
+    """Sidecar JSONL: {"id", "query", "seeds", "scores", "k"} per line,
+    written whole or not at all."""
+    write_whole(path, (
+        json.dumps(
+            {
+                "id": rec.instance_id,
+                "query": sorted(rec.query),
+                "seeds": list(rec.result.entities),
+                "scores": list(rec.result.scores),
+                "k": rec.result.k,
+            },
+            ensure_ascii=False,
+        ) + "\n"
+        for rec in records
+    ))
 
 
 def _parse_seed_record(rec: dict) -> SeedRecord:
@@ -142,8 +141,19 @@ def _parse_seed_record(rec: dict) -> SeedRecord:
     if type(k) is not int:
         raise ValueError(f"'k' must be an integer, got {k!r}")
     query = tuple(string_list(rec, "query")) if "query" in rec else ()
-    return SeedRecord(rec["id"], SeedResult(tuple(zip(seeds, scores)), k), query)
+    result = SeedResult(tuple(zip(seeds, scores)), k)
+    return SeedRecord(string_or_int_field(rec, "id"), result, query)
 
 
 def load_seed_records(path: str) -> dict[str, SeedRecord]:
-    return {rec.instance_id: rec for rec in read_jsonl(path, _parse_seed_record)}
+    """Sidecar records by instance id; an id that repeats with a different
+    record raises DatasetFormatError naming ``path:line``."""
+    records: dict[str, SeedRecord] = {}
+
+    def add(rec: dict) -> None:
+        seed = _parse_seed_record(rec)
+        if records.setdefault(seed.instance_id, seed) != seed:
+            raise ValueError(f"id {seed.instance_id!r} repeats with a different record")
+
+    read_jsonl(path, add)
+    return records

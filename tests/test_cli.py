@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import re
@@ -132,6 +133,20 @@ def test_mine_seeds_sidecar(corpus):
     for rec in records.values():
         assert rec.result.k == 5
         assert len(rec.result) <= 5
+
+
+# SHA-256 of the sidecar that mine-seeds writes for the corpus fixture at
+# k=5; it moves only when what the miner computes, or how sidecars are
+# written, changes
+SIDECAR_SHA256 = "f7aa6c60fe563a27fd75384bb4487756226f1eed5ef48860c4ee561879671dd1"
+
+
+def test_mine_seeds_sidecar_bytes_are_pinned(corpus):
+    ann_path, graph_path = pipeline_to_graph(corpus)
+    seeds_path = corpus["dir"] / "seeds.jsonl"
+    assert main(["mine-seeds", "--annotated", ann_path, "--graph", graph_path,
+                 "--out", str(seeds_path), "--k", "5"]) == 0
+    assert hashlib.sha256(seeds_path.read_bytes()).hexdigest() == SIDECAR_SHA256
 
 
 def run_icp(corpus, graph_path, fixture, out_name, extra=()):
@@ -507,6 +522,38 @@ def test_malformed_input_exits_1_with_location(corpus, capsys, kind, breakage):
     assert main([str(bad) if a == "BAD" else a for a in argv]) == 1
     err = capsys.readouterr().err
     assert location in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ("dataset", "annotated", "seeds", "records", "fixture",
+                                  "exemplars", "extraction_exemplars", "template",
+                                  "lexicon", "graph", "config"))
+def test_input_not_utf8_exits_1_naming_file(corpus, capsys, kind):
+    # the text is decoded in blocks, so the error names the file, not a line
+    d = corpus["dir"]
+    if kind == "lexicon":
+        good = Path(corpus["lexicon"]).read_bytes()
+        argv = ["annotate", "--dataset", corpus["test"], "--lexicon", "BAD",
+                "--out", str(d / "o.jsonl")]
+    elif kind == "graph":
+        ann_path, graph_path = pipeline_to_graph(corpus)
+        good = Path(graph_path).read_bytes()
+        argv = ["mine-seeds", "--annotated", ann_path, "--graph", "BAD",
+                "--out", str(d / "s.jsonl")]
+    elif kind == "config":
+        good = b'{"group_by": "discipline"}\n'
+        argv = ["report", "--config", "BAD", "--records", "missing.jsonl",
+                "--out", str(d / "r.json")]
+    else:
+        records, _, argv = _input_case(kind, corpus)
+        good = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records).encode()
+    bad = d / f"bad_{kind}"
+    bad.write_bytes(good + b"\xff\n")
+    capsys.readouterr()
+    assert main([str(bad) if a == "BAD" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "utf-8" in err.lower()
+    assert not re.search(re.escape(str(bad)) + r":\d", err)
     assert "Traceback" not in err
 
 

@@ -326,6 +326,19 @@ def test_corrupt_cache_entry_refetched(tmp_path):
     assert len(calls) == 2
 
 
+def test_non_utf8_cache_entry_refetched_and_rewritten(tmp_path):
+    client, calls = cached_client(
+        tmp_path, [(200, ok_body("first")), (200, ok_body("second"))]
+    )
+    client.complete(REQ)
+    cache_file = tmp_path / "cache" / f"{request_digest(REQ)}.json"
+    cache_file.write_bytes(cache_file.read_bytes().replace(b"first", b"fir\xffst"))
+    assert client.complete(REQ).text == "second"
+    assert json.loads(cache_file.read_text(encoding="utf-8"))["response"]["text"] == "second"
+    assert client.complete(REQ).text == "second"
+    assert len(calls) == 2
+
+
 def test_cache_entry_without_string_text_refetched(tmp_path):
     client, calls = cached_client(
         tmp_path, [(200, ok_body("first")), (200, ok_body("second"))]

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import ast
 import json
 import os
 import random
 import re
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,10 @@ from seedqa.corpus import (
     split_sample,
     write_whole,
 )
+from seedqa.evaluation import EvalRecord, build_report, save_records, save_report
+from seedqa.seeds import SeedRecord, SeedResult, save_seed_records
+
+from conftest import synth_dataset
 
 VALID = {
     "id": "q1",
@@ -360,3 +366,112 @@ def test_write_whole_failed_replace_removes_temp_file(tmp_path, monkeypatch):
         write_whole(str(path), ["new\n"])
     assert path.read_bytes() == b"old\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def _save_cases():
+    """Per saver: an old value, a new one, and how many ``json.dumps`` calls
+    saving the new one makes."""
+    dataset = synth_dataset(31, 40)
+    records = [EvalRecord(inst.id, "cot", "zero", "d", "答案是A", "A", inst.answer,
+                          inst.answer == "A", dict(inst.metadata)) for inst in dataset]
+    seeds = [SeedRecord(inst.id, SeedResult((("高血压", 3), ("贫血", 5)), 10), ("发热",))
+             for inst in dataset]
+    return {
+        "save_records": (save_records, records[:1], records, len(records)),
+        "save_report": (save_report, build_report(records[:1]), build_report(records), 1),
+        "save_seed_records": (save_seed_records, seeds[:1], seeds, len(seeds)),
+        "save_dataset": (save_dataset, Dataset(dataset.instances[:1]), dataset, len(dataset)),
+    }
+
+
+@pytest.mark.parametrize("saver", ["save_records", "save_report", "save_seed_records",
+                                   "save_dataset"])
+def test_save_failure_keeps_old_file(tmp_path, monkeypatch, saver):
+    save, old_value, new_value, n_dumps = _save_cases()[saver]
+    path = tmp_path / "out"
+    save(old_value, str(path))
+    old = path.read_bytes()
+    dumps, calls = json.dumps, []
+
+    def failing_dumps(obj, **kwargs):
+        calls.append(obj)
+        if len(calls) == n_dumps:
+            raise RuntimeError("killed part-way")
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", failing_dumps)
+    with pytest.raises(RuntimeError, match="killed part-way"):
+        save(new_value, str(path))
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["out"]
+
+
+SRC_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "seedqa"
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether ``call`` opens or creates a file to write: ``open``,
+    ``io.open``, ``os.fdopen`` or ``Path.open`` with a mode that writes,
+    appends or creates (a mode that is not a literal counts), ``os.open``
+    with flags other than ``os.O_RDONLY``, ``Path.write_text`` or
+    ``write_bytes``, or a ``tempfile`` file."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        owner, name = None, func.id
+    elif isinstance(func, ast.Attribute):
+        owner, name = ast.unparse(func.value), func.attr
+    else:
+        return False
+    if name in ("write_text", "write_bytes", "mkstemp", "NamedTemporaryFile", "TemporaryFile"):
+        return True
+    if owner == "os" and name == "open":
+        return ast.unparse(call.args[1]) != "os.O_RDONLY"
+    if name not in ("open", "fdopen"):
+        return False
+    at = 1 if owner in (None, "io", "os") else 0  # Path.open takes the mode first
+    mode = call.args[at] if len(call.args) > at else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False
+    return not isinstance(mode, ast.Constant) or bool(set(mode.value) & set("wax+"))
+
+
+def _write_sites(source: str, module: str) -> set[str]:
+    """``module.qualname`` of every function in ``source`` that opens a
+    file to write."""
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call) and _opens_for_writing(child):
+                sites.add(".".join([module, *scope]))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sites
+
+
+def test_write_sites_detector():
+    writes = ['open(p, "w")', 'open(p, mode="a", encoding="utf-8")', 'open(fd, "xb")',
+              'io.open(p, "r+")', 'os.fdopen(fd, "w")', 'p.open("w")', "open(p, mode)",
+              "os.open(p, os.O_WRONLY | os.O_CREAT)", 'p.write_text("x")',
+              "tempfile.mkstemp()"]
+    reads = ["open(p)", 'open(p, encoding="utf-8")', 'open(p, "rb")', "p.open()",
+             "os.open(p, os.O_RDONLY)", "fh.write(x)"]
+    for expr in writes:
+        assert _write_sites(f"def f():\n    {expr}\n", "m") == {"m.f"}, expr
+    for expr in reads:
+        assert _write_sites(f"def f():\n    {expr}\n", "m") == set(), expr
+
+
+def test_only_write_whole_and_the_cache_open_files_to_write():
+    # every output goes through write_whole; the response cache keeps its
+    # own temp file so its entries stay mode 0600
+    sites = set()
+    for path in sorted(SRC_PACKAGE.glob("*.py")):
+        sites |= _write_sites(path.read_text(encoding="utf-8"), path.stem)
+    assert sites == {"corpus.write_whole", "client._DiskCache.put"}

@@ -234,6 +234,15 @@ _BAD_SIDECAR_LINES = [
     ("k a string", {"seeds": ["a"], "scores": [1], "k": "10"}, "'k' must be an integer"),
     ("k a bool", {"seeds": [], "scores": [], "k": True}, "'k' must be an integer"),
     ("k a float", {"seeds": ["a"], "scores": [1], "k": 10.0}, "'k' must be an integer"),
+    ("id a list", {"id": [1], "seeds": [], "scores": []},
+     "'id' must be a string or an integer, got [1]"),
+    ("id an object", {"id": {"q": 2}, "seeds": [], "scores": []},
+     "'id' must be a string or an integer"),
+    ("id null", {"id": None, "seeds": [], "scores": []}, "'id' must be a string or an integer"),
+    ("id a bool", {"id": True, "seeds": [], "scores": []}, "'id' must be a string or an integer"),
+    ("id a float", {"id": 5.0, "seeds": [], "scores": []}, "'id' must be a string or an integer"),
+    ("id repeats with other seeds", {"id": "q1", "query": ["a"], "seeds": [], "scores": []},
+     "id 'q1' repeats with a different record"),
 ]
 
 
@@ -247,6 +256,15 @@ def test_load_seed_records_rejects_malformed_fields(tmp_path, fields, reason):
                     encoding="utf-8")
     with pytest.raises(DatasetFormatError, match=re.escape(f"{path}:2: {reason}")):
         load_seed_records(str(path))
+
+
+def test_load_seed_records_reads_int_id_and_identical_repeat(tmp_path):
+    path = tmp_path / "seeds.jsonl"
+    line = json.dumps({"id": 5, "query": ["a"], "seeds": ["b"], "scores": [2], "k": 10})
+    path.write_text(f"{line}\n{line}\n", encoding="utf-8")
+    records = load_seed_records(str(path))
+    assert list(records) == ["5"]
+    assert records["5"].result.seeds == (("b", 2),)
 
 
 def test_mine_seeds_matches_sorted_pool_miner_on_zipf_graph():
