@@ -22,6 +22,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .client import (
+    BACKENDS,
     ChatClient,
     ClientConfig,
     ClientError,
@@ -44,6 +45,8 @@ from .evaluation import (
 from .prompts import (
     DEFAULT_CONTEXT_TOKENS,
     DEFAULT_RESERVED_RESPONSE_TOKENS,
+    MODES,
+    SHOTS,
     PromptSpec,
     default_exemplars,
     default_template,
@@ -316,7 +319,7 @@ def build_parser() -> _Parser:
                         help="repeat for debug logging")
 
     client_opts = argparse.ArgumentParser(add_help=False)
-    client_opts.add_argument("--backend", choices=("live", "cached-live", "replay"))
+    client_opts.add_argument("--backend", choices=BACKENDS)
     client_opts.add_argument("--model")
     client_opts.add_argument("--base-url", dest="base_url")
     client_opts.add_argument("--api-key-env", dest="api_key_env",
@@ -358,8 +361,8 @@ def build_parser() -> _Parser:
                        help="evaluate a dataset end to end")
     p.add_argument("--dataset")
     p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--mode", choices=("standard_qa", "cot", "icp"))
-    p.add_argument("--shots", choices=("zero", "few"))
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--shots", choices=SHOTS)
     p.add_argument("--k", type=int)
     p.add_argument("--graph")
     p.add_argument("--lexicon")

@@ -18,7 +18,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable
 
-from .corpus import read_jsonl
+from .corpus import json_field, read_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -80,18 +80,13 @@ def _response_from(data: dict) -> CompletionResponse:
     lines, cache entries and live replies give it.  Only ``text`` is
     required, and it must be a string; ``finish_reason`` is a string or
     null (absent reads as "stop"), and each token count an integer or null.
-    Any other type raises TypeError."""
-    text, finish = data["text"], data.get("finish_reason", "stop")
-    tokens = data.get("prompt_tokens"), data.get("response_tokens")
-    if type(text) is not str:
-        raise TypeError(f"'text' must be a string, got {text!r}")
-    if finish is not None and type(finish) is not str:
-        raise TypeError(f"'finish_reason' must be a string or null, got {finish!r}")
-    for key, value in zip(("prompt_tokens", "response_tokens"), tokens):
-        # bool is a subclass of int, and not a token count
-        if value is not None and type(value) is not int:
-            raise TypeError(f"{key!r} must be an integer or null, got {value!r}")
-    return CompletionResponse(text, finish, *tokens)
+    Any other type raises ValueError."""
+    return CompletionResponse(
+        json_field(data, "text", "a string"),
+        json_field(data, "finish_reason", "a string or null", "stop"),
+        json_field(data, "prompt_tokens", "an integer or null", None),
+        json_field(data, "response_tokens", "an integer or null", None),
+    )
 
 
 @dataclass(frozen=True)
@@ -162,7 +157,7 @@ class _ReplayBackend:
         read_jsonl(fixture_path, self._add)
 
     def _add(self, rec: dict) -> None:
-        digest = rec["digest"]
+        digest = json_field(rec, "digest", "a string")
         response = _response_from(rec)
         if self._responses.setdefault(digest, response) != response:
             raise ValueError(f"digest {digest} repeats with a different response")
@@ -234,16 +229,14 @@ def _parse_completion_body(body: str) -> CompletionResponse:
         data = json.loads(body)
         choice = data["choices"][0]
         text = choice["message"]["content"]
-        usage = {} if data.get("usage") is None else data["usage"]
-        if type(usage) is not dict:
-            raise TypeError(f"'usage' must be an object or null, got {usage!r}")
+        usage = json_field(data, "usage", "an object or null", None) or {}
         return _response_from({
             "text": text,
             "finish_reason": choice.get("finish_reason", "stop"),
             "prompt_tokens": usage.get("prompt_tokens"),
             "response_tokens": usage.get("completion_tokens"),
         })
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise ApiStatusError(200, body[:2000]) from exc
 
 
@@ -273,9 +266,7 @@ class _DiskCache:
             with open(self._path(digest), encoding="utf-8") as fh:
                 data = json.load(fh)
             return _response_from(data["response"])
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError):
+        except (FileNotFoundError, KeyError, TypeError, ValueError):
             return None
 
     def put(self, digest: str, request: CompletionRequest, response: CompletionResponse) -> None:

@@ -63,35 +63,35 @@ def read_jsonl(path: str, parse: Callable[[dict], T]) -> list[T]:
     return out
 
 
-def string_list(rec: dict, key: str) -> list[str]:
-    """``rec[key]``, which must be a JSON list of strings: a string there is
-    refused, not split into its characters.  Raises KeyError when the field
-    is missing and ValueError when it is not such a list."""
+# JSON field kinds by the phrase errors name them with: the types a value
+# may have, and the type of each list item or object value.  Types match
+# exactly, so bool is not a number here, though Python counts it as an int.
+_FIELD_KINDS: dict[str, tuple[set[type], type | None]] = {
+    "a string": ({str}, None),
+    "a string or null": ({str, type(None)}, None),
+    "a string or an integer": ({str, int}, None),
+    "an integer": ({int}, None),
+    "an integer or null": ({int, type(None)}, None),
+    "a number": ({int, float, type(None)}, None),  # null: a metric that does not apply
+    "true or false": ({bool}, None),
+    "an object or null": ({dict, type(None)}, None),
+    "an object of strings": ({dict}, str),
+    "a list of strings": ({list}, str),
+    "a list of integers": ({list}, int),
+}
+
+
+def json_field(rec: dict, key: str, kind: str, *default):
+    """``rec[key]``, which must be of ``kind``, never converted; an absent
+    key gives ``default`` when one is given.  Raises KeyError for an absent
+    key and ValueError naming key, kind and value for a mistyped one."""
+    if default and key not in rec:
+        return default[0]
     value = rec[key]
-    if type(value) is not list or set(map(type, value)) - {str}:
-        raise ValueError(f"{key!r} must be a list of strings, got {value!r}")
-    return value
-
-
-def string_field(rec: dict, key: str) -> str:
-    """``rec[key]``, which must be a JSON string: a number, list, object or
-    null there is refused, not passed through ``str()``.  Raises KeyError
-    when the field is missing and ValueError when it is not a string."""
-    value = rec[key]
-    if type(value) is not str:
-        raise ValueError(f"{key!r} must be a string, got {value!r}")
-    return value
-
-
-def string_or_int_field(rec: dict, key: str) -> str:
-    """``rec[key]``, which must be a JSON string or an integer, read as its
-    decimal string; anything else (a bool, float, list, object or null)
-    raises ValueError."""
-    value = rec[key]
-    if type(value) is int:
-        return str(value)
-    if type(value) is not str:
-        raise ValueError(f"{key!r} must be a string or an integer, got {value!r}")
+    types, item = _FIELD_KINDS[kind]
+    if type(value) not in types or item and set(
+            map(type, value.values() if type(value) is dict else value)) - {item}:
+        raise ValueError(f"{key!r} must be {kind}, got {value!r}")
     return value
 
 
@@ -189,13 +189,19 @@ class Dataset:
         return self.instances[i]
 
 
+def options_object(rec: dict) -> dict:
+    """``rec["options"]``, which must be a JSON object."""
+    options = rec["options"]
+    if type(options) is not dict:
+        raise ValueError("field 'options' must be an object")
+    return options
+
+
 def parse_record(rec: dict) -> Instance:
     """Build an Instance from one dataset record; raises KeyError for a
     missing field and ValueError for an invalid one."""
-    options_raw = rec["options"]
-    if not isinstance(options_raw, dict):
-        raise ValueError("field 'options' must be an object")
-    options = {canonical_label(k): string_field(options_raw, k) for k in options_raw}
+    options_raw = options_object(rec)
+    options = {canonical_label(k): json_field(options_raw, k, "a string") for k in options_raw}
     if len(options) != len(options_raw):
         raise ValueError("option labels collide after normalization")
     metadata = rec.get("metadata")
@@ -204,12 +210,12 @@ def parse_record(rec: dict) -> Instance:
     elif type(metadata) is not dict:
         raise ValueError(f"field 'metadata' must be an object or null, got {metadata!r}")
     return Instance(
-        id=string_or_int_field(rec, "id"),
-        question=string_field(rec, "question"),
+        id=str(json_field(rec, "id", "a string or an integer")),
+        question=json_field(rec, "question", "a string"),
         options=options,
-        answer=canonical_label(string_field(rec, "answer")),
-        analysis=string_field(rec, "analysis"),
-        metadata={k: string_or_int_field(metadata, k) for k in metadata},
+        answer=canonical_label(json_field(rec, "answer", "a string")),
+        analysis=json_field(rec, "analysis", "a string"),
+        metadata={k: str(json_field(metadata, k, "a string or an integer")) for k in metadata},
     )
 
 

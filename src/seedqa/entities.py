@@ -10,8 +10,8 @@ from typing import Callable, Iterable, Sequence
 
 from .client import ChatClient, CompletionRequest
 from .corpus import (
-    Dataset, DatasetFormatError, Instance, instance_to_record, map_in_order, parse_record,
-    qo_text, read_jsonl, string_field, string_list, write_whole,
+    Dataset, DatasetFormatError, Instance, instance_to_record, json_field, map_in_order,
+    parse_record, qo_text, read_jsonl, write_whole,
 )
 
 Extractor = Callable[[str], "set[str] | frozenset[str]"]
@@ -48,12 +48,9 @@ def normalize_text(raw: str) -> str:
 def normalize_entity(raw: str) -> str:
     """Canonical entity form: NFKC + casefold to a fixed point, then
     stripped.  Raises ValueError when nothing is left."""
-    ent = normalize_text(raw).strip()
-    if ent == raw and ent:
-        # canonical input: the loop below would not run
-        return ent
-    while ent != normalize_text(ent).strip():
-        ent = normalize_text(ent).strip()
+    prev, ent = raw, normalize_text(raw).strip()
+    while ent != prev:
+        prev, ent = ent, normalize_text(ent).strip()
     if not ent:
         raise ValueError(f"entity is empty after normalization: {raw!r}")
     return ent
@@ -289,9 +286,8 @@ class LlmExtractor:
 
 def load_extraction_exemplars(path: str) -> list[tuple[str, tuple[str, ...]]]:
     """Read ``{"text", "entities"}`` lines into (text, entities) pairs."""
-    return read_jsonl(
-        path, lambda rec: (string_field(rec, "text"), tuple(string_list(rec, "entities")))
-    )
+    return read_jsonl(path, lambda rec: (json_field(rec, "text", "a string"),
+                                         tuple(json_field(rec, "entities", "a list of strings"))))
 
 
 @dataclass(frozen=True)
@@ -374,7 +370,7 @@ def load_annotated(path: str) -> list[AnnotatedInstance]:
         path,
         lambda rec: AnnotatedInstance(
             parse_record(rec),
-            frozenset(string_list(rec, "qo_entities")),
-            frozenset(string_list(rec, "r_entities")),
+            frozenset(json_field(rec, "qo_entities", "a list of strings")),
+            frozenset(json_field(rec, "r_entities", "a list of strings")),
         ),
     )

@@ -18,7 +18,9 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .client import ChatClient, CompletionRequest, TransportError, request_digest
-from .corpus import DEFAULT_K, Dataset, Instance, map_in_order, qo_text, read_jsonl, write_whole
+from .corpus import (
+    DEFAULT_K, Dataset, Instance, json_field, map_in_order, qo_text, read_jsonl, write_whole,
+)
 from .prompts import PromptSpec, RenderedPrompt, compose
 from .textseg import tokenize
 
@@ -267,37 +269,31 @@ def save_records(records: Sequence[EvalRecord], path: str) -> None:
                        + "\n" for rec in records))
 
 
-# the JSON types a records file may hold for each EvalRecord annotation;
-# bool is not a number here, though Python counts it as an int
-_NUMBER = ({int, float, type(None)}, "a number")
-_JSON_TYPES = {
-    "str": ({str}, "a string"),
-    "str | None": ({str, type(None)}, "a string or null"),
-    "bool": ({bool}, "true or false"),
-    "dict[str, str]": ({dict}, "an object of strings"),
-    "int | None": _NUMBER,
-    "float | None": _NUMBER,
-}
+# the kind of JSON value a records file may hold for each EvalRecord annotation
+_JSON_TYPES = {"str": "a string", "str | None": "a string or null", "bool": "true or false",
+               "dict[str, str]": "an object of strings", "int | None": "a number",
+               "float | None": "a number"}
 
 
 def _parse_eval_record(rec: dict) -> EvalRecord:
-    kwargs = {}
-    for f in fields(EvalRecord):
-        if f.name not in rec:
-            continue
-        value = rec[f.name]
-        types, expected = _JSON_TYPES[f.type]
-        if type(value) not in types or (type(value) is dict
-                                        and set(map(type, value.values())) - {str}):
-            raise ValueError(f"{f.name!r} must be {expected}, got {value!r}")
-        kwargs[f.name] = value
-    return EvalRecord(**kwargs)
+    return EvalRecord(**{f.name: json_field(rec, f.name, _JSON_TYPES[f.type])
+                         for f in fields(EvalRecord) if f.name in rec})
 
 
 def load_records(path: str) -> list[EvalRecord]:
-    """Read a records file; a field of the wrong JSON type raises
-    DatasetFormatError naming ``path:line``."""
-    return read_jsonl(path, _parse_eval_record)
+    """Read a records file; a field of the wrong JSON type, or an
+    ``instance_id`` that an earlier line holds, raises DatasetFormatError
+    naming ``path:line``."""
+    seen: set[str] = set()
+
+    def parse(rec: dict) -> EvalRecord:
+        record = _parse_eval_record(rec)
+        if record.instance_id in seen:
+            raise ValueError(f"instance_id {record.instance_id!r} repeats an earlier record")
+        seen.add(record.instance_id)
+        return record
+
+    return read_jsonl(path, parse)
 
 
 # --- aggregate report ----------------------------------------------------

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .corpus import (
-    OPTION_LABELS, DatasetFormatError, data_path, read_jsonl, string_field, string_list,
+    OPTION_LABELS, DatasetFormatError, data_path, json_field, options_object, read_jsonl,
 )
 from .textseg import estimate_tokens, finish_estimate, fold_estimate
 
@@ -51,14 +51,11 @@ class PromptTemplate:
     system: str | None = None
 
     def __post_init__(self) -> None:
-        instructions = self.instructions
-        if type(instructions) is not dict or set(map(type, instructions.values())) - {str}:
-            raise ValueError(f"'instructions' must be an object of strings, got {instructions!r}")
+        json_field(vars(self), "instructions", "an object of strings")
         for f in fields(self)[1:]:
-            value = getattr(self, f.name)
-            if type(value) is not str and not (f.name == "system" and value is None):
-                raise ValueError(f"{f.name!r} must be a string, got {value!r}")
-        missing = [m for m in MODES if m not in instructions]
+            if f.name != "system" or self.system is not None:
+                json_field(vars(self), f.name, "a string")
+        missing = [m for m in MODES if m not in self.instructions]
         if missing:
             raise ValueError(f"template lacks instructions for modes: {missing}")
 
@@ -104,15 +101,13 @@ class Exemplar:
 
 
 def _parse_exemplar(rec: dict) -> Exemplar:
-    options = rec["options"]
-    if type(options) is not dict:
-        raise ValueError("field 'options' must be an object")
+    options, seeds = options_object(rec), rec.get("seeds")
     return Exemplar(
-        question=string_field(rec, "question"),
-        options={label: string_field(options, label) for label in options},
-        answer=string_field(rec, "answer"),
-        analysis=string_field(rec, "analysis") if "analysis" in rec else "",
-        seeds=tuple(string_list(rec, "seeds")) if rec.get("seeds") is not None else None,
+        question=json_field(rec, "question", "a string"),
+        options={label: json_field(options, label, "a string") for label in options},
+        answer=json_field(rec, "answer", "a string"),
+        analysis=json_field(rec, "analysis", "a string", ""),
+        seeds=None if seeds is None else tuple(json_field(rec, "seeds", "a list of strings")),
     )
 
 

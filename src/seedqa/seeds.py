@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import DEFAULT_K, read_jsonl, string_list, string_or_int_field, write_whole
+from .corpus import DEFAULT_K, json_field, read_jsonl, write_whole
 from .entities import normalize_entity
 from .graph import KnowledgeGraph
 
@@ -132,17 +132,14 @@ def save_seed_records(records: Sequence[SeedRecord], path: str) -> None:
 
 
 def _parse_seed_record(rec: dict) -> SeedRecord:
-    seeds, scores, k = string_list(rec, "seeds"), rec["scores"], rec.get("k", DEFAULT_K)
-    # bool is a subclass of int, and not a score
-    if type(scores) is not list or set(map(type, scores)) - {int}:
-        raise ValueError(f"'scores' must be a list of integers, got {scores!r}")
+    seeds = json_field(rec, "seeds", "a list of strings")
+    scores = json_field(rec, "scores", "a list of integers")
     if len(seeds) != len(scores):
         raise ValueError(f"{len(seeds)} seeds but {len(scores)} scores")
-    if type(k) is not int:
-        raise ValueError(f"'k' must be an integer, got {k!r}")
-    query = tuple(string_list(rec, "query")) if "query" in rec else ()
+    k = json_field(rec, "k", "an integer", DEFAULT_K)
+    query = tuple(json_field(rec, "query", "a list of strings", ()))
     result = SeedResult(tuple(zip(seeds, scores)), k)
-    return SeedRecord(string_or_int_field(rec, "id"), result, query)
+    return SeedRecord(str(json_field(rec, "id", "a string or an integer")), result, query)
 
 
 def load_seed_records(path: str) -> dict[str, SeedRecord]:

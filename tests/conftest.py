@@ -3,6 +3,7 @@ replay-fixture builders used across the suite."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,15 +14,18 @@ from functools import lru_cache
 
 import pytest
 
-from seedqa.client import CompletionRequest, request_digest
-from seedqa.corpus import Dataset, Instance, qo_text
+from seedqa.client import (
+    ApiStatusError, CompletionRequest, CompletionResponse, request_digest,
+)
+from seedqa.corpus import Dataset, Instance, canonical_label, qo_text
 from seedqa.entities import AnnotatedInstance, Lexicon, normalize_text
-from seedqa.evaluation import BLEU_EPSILON
+from seedqa.evaluation import BLEU_EPSILON, EvalRecord
 from seedqa.graph import GraphFormatError, KnowledgeGraph, build_graph
 from seedqa.prompts import (
-    PromptSpec, RenderedPrompt, TokenBudgetError, _exemplar_block, _question_block, compose,
+    MODES, Exemplar, PromptSpec, PromptTemplate, RenderedPrompt, TokenBudgetError,
+    _exemplar_block, _question_block, compose,
 )
-from seedqa.seeds import SeedQuery, mine_seeds
+from seedqa.seeds import DEFAULT_K, SeedQuery, SeedRecord, SeedResult, mine_seeds
 from seedqa.textseg import (
     _CJK_CLASS, LATIN_CHARS_PER_TOKEN, estimate_tokens, finish_estimate, fold_estimate, is_cjk,
     script_runs,
@@ -563,3 +567,197 @@ def write_replay_fixture(path, requests_by_id, response_by_id):
             ))
             fh.write("\n")
     return str(path)
+
+
+# --- the per-field type checks as each reader wrote them ---------------------
+# Before one table in ``corpus`` stated the JSON field kinds, each reader
+# checked its fields by hand, as below; the differential test holds the
+# table-driven readers to these.  Each function takes what the reader's
+# per-record parser took and returns what it returned.
+
+def hand_string_list(rec: dict, key: str) -> list[str]:
+    value = rec[key]
+    if type(value) is not list or set(map(type, value)) - {str}:
+        raise ValueError(f"{key!r} must be a list of strings, got {value!r}")
+    return value
+
+
+def hand_string_field(rec: dict, key: str) -> str:
+    value = rec[key]
+    if type(value) is not str:
+        raise ValueError(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
+def hand_string_or_int_field(rec: dict, key: str) -> str:
+    value = rec[key]
+    if type(value) is int:
+        return str(value)
+    if type(value) is not str:
+        raise ValueError(f"{key!r} must be a string or an integer, got {value!r}")
+    return value
+
+
+def hand_parse_record(rec: dict) -> Instance:
+    """A dataset line."""
+    options_raw = rec["options"]
+    if not isinstance(options_raw, dict):
+        raise ValueError("field 'options' must be an object")
+    options = {canonical_label(k): hand_string_field(options_raw, k) for k in options_raw}
+    if len(options) != len(options_raw):
+        raise ValueError("option labels collide after normalization")
+    metadata = rec.get("metadata")
+    if metadata is None:
+        metadata = {}
+    elif type(metadata) is not dict:
+        raise ValueError(f"field 'metadata' must be an object or null, got {metadata!r}")
+    return Instance(
+        id=hand_string_or_int_field(rec, "id"),
+        question=hand_string_field(rec, "question"),
+        options=options,
+        answer=canonical_label(hand_string_field(rec, "answer")),
+        analysis=hand_string_field(rec, "analysis"),
+        metadata={k: hand_string_or_int_field(metadata, k) for k in metadata},
+    )
+
+
+def hand_parse_annotated(rec: dict) -> AnnotatedInstance:
+    """An annotated-file line."""
+    return AnnotatedInstance(
+        hand_parse_record(rec),
+        frozenset(hand_string_list(rec, "qo_entities")),
+        frozenset(hand_string_list(rec, "r_entities")),
+    )
+
+
+def hand_parse_extraction_exemplar(rec: dict) -> tuple[str, tuple[str, ...]]:
+    """An extraction-exemplar line."""
+    return hand_string_field(rec, "text"), tuple(hand_string_list(rec, "entities"))
+
+
+def hand_parse_exemplar(rec: dict) -> Exemplar:
+    """A few-shot exemplar line."""
+    options = rec["options"]
+    if type(options) is not dict:
+        raise ValueError("field 'options' must be an object")
+    return Exemplar(
+        question=hand_string_field(rec, "question"),
+        options={label: hand_string_field(options, label) for label in options},
+        answer=hand_string_field(rec, "answer"),
+        analysis=hand_string_field(rec, "analysis") if "analysis" in rec else "",
+        seeds=tuple(hand_string_list(rec, "seeds")) if rec.get("seeds") is not None else None,
+    )
+
+
+def hand_check_template(kwargs: dict) -> dict:
+    """``PromptTemplate(**kwargs)``'s field checks; returns its fields as
+    ``dataclasses.asdict`` gives them."""
+    attrs = {"system": None, **kwargs}
+    instructions = attrs["instructions"]
+    if type(instructions) is not dict or set(map(type, instructions.values())) - {str}:
+        raise ValueError(f"'instructions' must be an object of strings, got {instructions!r}")
+    names = [f.name for f in dataclasses.fields(PromptTemplate)]
+    for name in names[1:]:
+        value = attrs[name]
+        if type(value) is not str and not (name == "system" and value is None):
+            raise ValueError(f"{name!r} must be a string, got {value!r}")
+    missing = [m for m in MODES if m not in instructions]
+    if missing:
+        raise ValueError(f"template lacks instructions for modes: {missing}")
+    return {name: attrs[name] for name in names}
+
+
+def hand_parse_seed_record(rec: dict) -> SeedRecord:
+    """A seed-sidecar line."""
+    seeds, scores, k = hand_string_list(rec, "seeds"), rec["scores"], rec.get("k", DEFAULT_K)
+    if type(scores) is not list or set(map(type, scores)) - {int}:
+        raise ValueError(f"'scores' must be a list of integers, got {scores!r}")
+    if len(seeds) != len(scores):
+        raise ValueError(f"{len(seeds)} seeds but {len(scores)} scores")
+    if type(k) is not int:
+        raise ValueError(f"'k' must be an integer, got {k!r}")
+    query = tuple(hand_string_list(rec, "query")) if "query" in rec else ()
+    result = SeedResult(tuple(zip(seeds, scores)), k)
+    return SeedRecord(hand_string_or_int_field(rec, "id"), result, query)
+
+
+_HAND_NUMBER = ({int, float, type(None)}, "a number")
+_HAND_JSON_TYPES = {
+    "str": ({str}, "a string"),
+    "str | None": ({str, type(None)}, "a string or null"),
+    "bool": ({bool}, "true or false"),
+    "dict[str, str]": ({dict}, "an object of strings"),
+    "int | None": _HAND_NUMBER,
+    "float | None": _HAND_NUMBER,
+}
+
+
+def hand_parse_eval_record(rec: dict) -> EvalRecord:
+    """A records-file line."""
+    kwargs = {}
+    for f in dataclasses.fields(EvalRecord):
+        if f.name not in rec:
+            continue
+        value = rec[f.name]
+        types, expected = _HAND_JSON_TYPES[f.type]
+        if type(value) not in types or (type(value) is dict
+                                        and set(map(type, value.values())) - {str}):
+            raise ValueError(f"{f.name!r} must be {expected}, got {value!r}")
+        kwargs[f.name] = value
+    return EvalRecord(**kwargs)
+
+
+def hand_response_from(data: dict) -> CompletionResponse:
+    """A response dict; these checks raised TypeError."""
+    text, finish = data["text"], data.get("finish_reason", "stop")
+    tokens = data.get("prompt_tokens"), data.get("response_tokens")
+    if type(text) is not str:
+        raise TypeError(f"'text' must be a string, got {text!r}")
+    if finish is not None and type(finish) is not str:
+        raise TypeError(f"'finish_reason' must be a string or null, got {finish!r}")
+    for key, value in zip(("prompt_tokens", "response_tokens"), tokens):
+        if value is not None and type(value) is not int:
+            raise TypeError(f"{key!r} must be an integer or null, got {value!r}")
+    return CompletionResponse(text, finish, *tokens)
+
+
+def hand_replay_adder(responses: dict):
+    """The replay fixture's per-line parser, filling ``responses``; it
+    read ``digest`` unchecked."""
+    def add(rec: dict) -> None:
+        digest = rec["digest"]
+        response = hand_response_from(rec)
+        if responses.setdefault(digest, response) != response:
+            raise ValueError(f"digest {digest} repeats with a different response")
+    return add
+
+
+def hand_parse_completion_body(body: str) -> CompletionResponse:
+    """A 200 reply from the completion endpoint."""
+    try:
+        data = json.loads(body)
+        choice = data["choices"][0]
+        text = choice["message"]["content"]
+        usage = {} if data.get("usage") is None else data["usage"]
+        if type(usage) is not dict:
+            raise TypeError(f"'usage' must be an object or null, got {usage!r}")
+        return hand_response_from({
+            "text": text,
+            "finish_reason": choice.get("finish_reason", "stop"),
+            "prompt_tokens": usage.get("prompt_tokens"),
+            "response_tokens": usage.get("completion_tokens"),
+        })
+    except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+        raise ApiStatusError(200, body[:2000]) from exc
+
+
+def hand_cache_get(path: str) -> CompletionResponse | None:
+    """A disk-cache entry's response, or None for an unreadable entry."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        return hand_response_from(data["response"])
+    except FileNotFoundError:
+        return None
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError):
+        return None

@@ -628,6 +628,21 @@ def test_report_on_mistyped_record_exits_1_with_location(corpus, capsys, field, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("repeat", [{}, {"correct": False, "extracted_answer": "B"}],
+                         ids=["identical", "different"])
+def test_report_refuses_repeated_instance_id(corpus, capsys, repeat):
+    # a repeated instance would be counted twice in every total and mean
+    records, _, argv = _input_case("records", corpus)
+    bad = corpus["dir"] / "repeated_records.jsonl"
+    bad.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n"
+                           for r in (records[0], records[0] | repeat)), encoding="utf-8")
+    capsys.readouterr()
+    assert main([str(bad) if a == "BAD" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:2: instance_id {records[0]['instance_id']!r} repeats an earlier record" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("metadata, reason", [
     ({"year": 2020, "discipline": None}, "'discipline' must be a string or an integer"),
     ([], "field 'metadata' must be an object or null"),

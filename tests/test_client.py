@@ -133,8 +133,11 @@ def test_replay_fixture_text_must_be_a_string(tmp_path, text):
     ({"prompt_tokens": "many"}, "'prompt_tokens' must be an integer or null"),
     ({"response_tokens": 1.5}, "'response_tokens' must be an integer or null"),
     ({"response_tokens": True}, "'response_tokens' must be an integer or null"),
+    # a digest that is not a string could never match a request
+    ({"digest": 5}, "'digest' must be a string, got 5"),
+    ({"digest": ["d1"]}, r"'digest' must be a string, got \['d1'\]"),
 ], ids=["list-finish-reason", "integer-finish-reason", "string-prompt-tokens",
-        "float-response-tokens", "bool-response-tokens"])
+        "float-response-tokens", "bool-response-tokens", "integer-digest", "list-digest"])
 def test_replay_fixture_field_types(tmp_path, fields, reason):
     fixture = tmp_path / "fix.jsonl"
     lines = [{"digest": "d1", "text": "答案：B"},
