@@ -80,6 +80,8 @@ _DEFAULTS: dict[str, Any] = {
     "reserved_tokens": DEFAULT_RESERVED_RESPONSE_TOKENS,
 }
 
+_EXTRACTORS = ("lexicon", "llm")
+
 # repeatable options per subcommand; a config file gives a list of strings,
 # or one item as a string
 _REPEATABLE = {"build-graph": ("annotated",), "run": ("group_by",), "report": ("group_by",)}
@@ -106,7 +108,7 @@ def _load_config_file(path: str | None, parser: argparse.ArgumentParser,
             data = json.load(fh)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config file is not UTF-8 text ({exc.reason})") from exc
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -156,15 +158,13 @@ def _client_from(opts: dict[str, Any]) -> ChatClient:
 def _extractor_from(opts: dict[str, Any], client: ChatClient | None = None):
     from .entities import LexiconExtractor, LlmExtractor, load_extraction_exemplars, load_lexicon
 
-    kind = opts["extractor"]
-    if kind == "lexicon":
+    # argparse checks the name against _EXTRACTORS, as a flag or a config value
+    if opts["extractor"] == "lexicon":
         return LexiconExtractor(load_lexicon(_need(opts, "lexicon")))
-    if kind == "llm":
-        exemplars = load_extraction_exemplars(
-            opts["extraction_exemplars"] or data_path("extraction_exemplars.jsonl")
-        )
-        return LlmExtractor(client or _client_from(opts), exemplars)
-    raise ConfigError(f"unknown extractor {kind!r}")
+    exemplars = load_extraction_exemplars(
+        opts["extraction_exemplars"] or data_path("extraction_exemplars.jsonl")
+    )
+    return LlmExtractor(client or _client_from(opts), exemplars)
 
 
 # --- subcommands ----------------------------------------------------------
@@ -213,6 +213,8 @@ def cmd_mine_seeds(opts: dict[str, Any]) -> int:
     from .graph import load_graph
     from .seeds import SeedQuery, SeedRecord, mine_seeds, save_seed_records
 
+    if opts["k"] < 0:
+        raise ConfigError("k must be non-negative")
     annotated = load_annotated(_need(opts, "annotated"))
     graph = load_graph(_need(opts, "graph"))
     records = []
@@ -335,7 +337,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset")
     p.add_argument("--out")
     p.add_argument("--lexicon")
-    p.add_argument("--extractor", choices=("lexicon", "llm"))
+    p.add_argument("--extractor", choices=_EXTRACTORS)
     p.add_argument("--extraction-exemplars", dest="extraction_exemplars")
     p.add_argument("--no-analysis", dest="no_analysis", action="store_const", const=True,
                    help="skip analysis-side extraction (unlabeled test sets)")
@@ -366,7 +368,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int)
     p.add_argument("--graph")
     p.add_argument("--lexicon")
-    p.add_argument("--extractor", choices=("lexicon", "llm"))
+    p.add_argument("--extractor", choices=_EXTRACTORS)
     p.add_argument("--extraction-exemplars", dest="extraction_exemplars")
     p.add_argument("--seeds", help="precomputed seeds sidecar JSONL")
     p.add_argument("--exemplars", help="few-shot exemplars JSONL")

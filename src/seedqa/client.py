@@ -12,13 +12,12 @@ import json
 import hashlib
 import logging
 import os
-import tempfile
 import threading
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable
 
-from .corpus import json_field, read_jsonl
+from .corpus import json_field, read_jsonl, write_whole
 
 log = logging.getLogger(__name__)
 
@@ -241,11 +240,10 @@ def _parse_completion_body(body: str) -> CompletionResponse:
 
 
 class _DiskCache:
-    """One JSON file per request digest, written atomically.
+    """One JSON file per request digest, mode 0o600 under the umask.
 
-    A temp file in the same directory is renamed over the final path, so a
-    reader never sees a partial entry; unparseable files are treated as
-    misses and rewritten.
+    Each entry is written whole by ``write_whole``, so a reader never sees
+    a partial entry; unparseable files are treated as misses and rewritten.
     """
 
     def __init__(self, cache_dir: str):
@@ -275,15 +273,7 @@ class _DiskCache:
             "request": _request_fields(request),
             "response": asdict(response),
         }
-        fd, tmp = tempfile.mkstemp(dir=self._dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, ensure_ascii=False)
-            os.replace(tmp, self._path(digest))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_whole(self._path(digest), (json.dumps(entry, ensure_ascii=False),), 0o600)
 
 
 class ChatClient:

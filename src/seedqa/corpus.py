@@ -27,17 +27,16 @@ R = TypeVar("R")
 
 class DatasetFormatError(ValueError):
     """An input file violates its format; the message starts with the file's
-    path, and with ``path:line`` for line-delimited JSON."""
+    path, and with ``path:line`` for a defect in one line of the file."""
 
 
-def read_jsonl(path: str, parse: Callable[[dict], T]) -> list[T]:
-    """Parse every non-blank line of a line-delimited JSON file.
+def read_lines(path: str, parse: Callable[[str], T]) -> list[T]:
+    """``parse`` of every non-blank line of a UTF-8 text file, in order.
 
-    Each line must hold a JSON object, which ``parse`` turns into a value.
-    Invalid JSON, a non-object line, or a KeyError, TypeError or ValueError
-    raised by ``parse`` becomes DatasetFormatError naming ``path:line``.  A
-    file that is not UTF-8 raises DatasetFormatError naming ``path`` alone:
-    the text is decoded in blocks, so the line is not known.
+    A KeyError, TypeError or ValueError raised by ``parse`` becomes
+    DatasetFormatError naming ``path:line``.  A file that is not UTF-8
+    raises DatasetFormatError naming ``path`` alone: the text is decoded in
+    blocks, so the line is not known.
     """
     out: list[T] = []
     try:
@@ -45,22 +44,33 @@ def read_jsonl(path: str, parse: Callable[[dict], T]) -> list[T]:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
-                where = f"{path}:{lineno}"
                 try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DatasetFormatError(f"{where}: invalid JSON ({exc})") from exc
-                if not isinstance(rec, dict):
-                    raise DatasetFormatError(f"{where}: record is not a JSON object")
-                try:
-                    out.append(parse(rec))
+                    out.append(parse(line))
                 except KeyError as exc:
-                    raise DatasetFormatError(f"{where}: missing field {exc}") from exc
+                    raise DatasetFormatError(f"{path}:{lineno}: missing field {exc}") from exc
                 except (TypeError, ValueError) as exc:
-                    raise DatasetFormatError(f"{where}: {exc}") from exc
+                    raise DatasetFormatError(f"{path}:{lineno}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return out
+
+
+def read_jsonl(path: str, parse: Callable[[dict], T]) -> list[T]:
+    """``read_lines`` for line-delimited JSON: each line must hold a JSON
+    object, which ``parse`` turns into a value.  Invalid JSON, an integer
+    over Python's digit limit included, and a non-object line are errors at
+    ``path:line`` too."""
+
+    def parse_line(line: str) -> T:
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"invalid JSON ({exc})") from exc
+        if not isinstance(rec, dict):
+            raise ValueError("record is not a JSON object")
+        return parse(rec)
+
+    return read_lines(path, parse_line)
 
 
 # JSON field kinds by the phrase errors name them with: the types a value
@@ -95,20 +105,20 @@ def json_field(rec: dict, key: str, kind: str, *default):
     return value
 
 
-def write_whole(path: str, chunks: Iterable[str]) -> None:
+def write_whole(path: str, chunks: Iterable[str], mode: int = 0o666) -> None:
     """Write the concatenated ``chunks`` to ``path`` as UTF-8, whole or not
     at all.
 
     The text goes to a temp file beside ``path`` that then replaces it, so
     a failure or a kill part-way leaves any old file as it was.  On an
     exception the temp file is removed.  As with a plain ``open(path,
-    "w")``, a symlink is written through, and a new file gets mode 0o666
-    under the umask.
+    "w")``, a symlink is written through, and the file gets ``mode`` under
+    the umask (by default 0o666, as ``open`` gives).
     """
     path = os.path.realpath(path)
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    # the kernel applies the umask to 0o666, as it does for open(path, "w")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    # the kernel applies the umask to mode, as it does for open(path, "w")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)

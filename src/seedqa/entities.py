@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Sequence
 from .client import ChatClient, CompletionRequest
 from .corpus import (
     Dataset, DatasetFormatError, Instance, instance_to_record, json_field, map_in_order,
-    parse_record, qo_text, read_jsonl, write_whole,
+    parse_record, qo_text, read_jsonl, read_lines, write_whole,
 )
 
 Extractor = Callable[[str], "set[str] | frozenset[str]"]
@@ -113,23 +113,16 @@ def load_lexicon(path: str) -> Lexicon:
     """
     # normalized surface -> the canonical entry it stands for
     owner: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                where = f"{path}:{lineno}"
-                entry, *aliases = line.split("\t")
-                try:
-                    canonical = normalize_entity(entry)
-                    surfaces = [normalize_entity(a) for a in aliases if a.strip()]
-                    for surface in (canonical, *surfaces):
-                        _claim(owner, surface, canonical)
-                except ValueError as exc:
-                    raise DatasetFormatError(f"{where}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+    def claim_line(line: str) -> None:
+        if line.lstrip().startswith("#"):
+            return
+        entry, *aliases = line.rstrip("\n").split("\t")
+        canonical = normalize_entity(entry)
+        for surface in (canonical, *(normalize_entity(a) for a in aliases if a.strip())):
+            _claim(owner, surface, canonical)
+
+    read_lines(path, claim_line)
     if not owner:
         raise DatasetFormatError(f"{path}: lexicon has no entries")
     # every surface is already normalized and checked, so skip __init__

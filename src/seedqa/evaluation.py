@@ -146,12 +146,7 @@ def rouge_l(candidate: "str | Sequence[str]", reference: "str | Sequence[str]") 
     tokenized first."""
     candidate = _as_tokens(candidate)
     reference = _as_tokens(reference)
-    lcs = _lcs_length(candidate, reference)
-    if not lcs:
-        return 0.0
-    precision = lcs / len(candidate)
-    recall = lcs / len(reference)
-    return 100.0 * 2 * precision * recall / (precision + recall)
+    return _rouge_f1(_lcs_length(candidate, reference), len(candidate), len(reference))
 
 
 def seed_quality(predicted, gold) -> tuple[float, float, float]:

@@ -243,14 +243,14 @@ def load_graph(path: str) -> KnowledgeGraph:
     try:
         trailer = json.loads(trailer_line)
         expected = trailer["sha256"]
-    except (json.JSONDecodeError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         raise GraphFormatError(f"{path}: missing or malformed checksum trailer") from exc
     actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
     if actual != expected:
         raise GraphFormatError(f"{path}: checksum mismatch (file corrupt or truncated)")
     try:
         header = json.loads(body[: body.index("\n")])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise GraphFormatError(f"{path}:1: malformed header") from exc
     if not isinstance(header, dict):
         raise GraphFormatError(f"{path}:1: header is not a JSON object")
@@ -298,13 +298,13 @@ def _read_nodes(path: str, lines: list[str]) -> list[str]:
         if (set(map(type, nodes)) <= {str} and len(nodes) == len(lines)
                 and all(map(lt, nodes, islice(nodes, 1, None)))):
             return nodes
-    except json.JSONDecodeError:
+    except ValueError:
         pass
     nodes = []
     for lineno, line in enumerate(lines, 2):
         try:
             node = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise GraphFormatError(f"{path}:{lineno}: malformed node entry") from exc
         if not isinstance(node, str):
             raise GraphFormatError(f"{path}:{lineno}: node entry {node!r} is not a string")

@@ -494,7 +494,13 @@ def _write_with_bad_line(corpus, kind, records, field, value):
     return bad
 
 
-@pytest.mark.parametrize("breakage", ("invalid_json", "not_object", "missing_field"))
+def _with_huge_int(rec: dict) -> str:
+    """``rec`` as one JSON line plus a field holding an integer over
+    Python's 4,300-digit limit for converting a string to an int."""
+    return json.dumps(rec, ensure_ascii=False)[:-1] + f', "huge_int": {"9" * 5000}}}'
+
+
+@pytest.mark.parametrize("breakage", ("invalid_json", "not_object", "missing_field", "huge_int"))
 @pytest.mark.parametrize("kind", ("dataset", "annotated", "seeds", "records", "fixture",
                                   "exemplars", "extraction_exemplars", "template"))
 def test_malformed_input_exits_1_with_location(corpus, capsys, kind, breakage):
@@ -510,10 +516,13 @@ def test_malformed_input_exits_1_with_location(corpus, capsys, kind, breakage):
         text = json.dumps(broken.get(breakage, rec), ensure_ascii=False, indent=2)
         if breakage == "invalid_json":
             text = text.replace("\n", "\noops\n", 1)
+        elif breakage == "huge_int":
+            text = _with_huge_int(rec)
         location = str(bad)
     else:
         lines = [json.dumps(r, ensure_ascii=False) for r in records]
         lines[1] = (lines[1][:-1] if breakage == "invalid_json"
+                    else _with_huge_int(rec) if breakage == "huge_int"
                     else json.dumps(broken[breakage], ensure_ascii=False))
         text = "\n".join(lines)
         location = f"{bad}:2"
@@ -708,6 +717,29 @@ def test_run_icp_negative_k_exits_1_before_any_call(corpus, capsys, monkeypatch)
     assert not (out_dir / "config.json").exists()
 
 
+def test_mine_seeds_negative_k_exits_1_before_reading_files(corpus, capsys, monkeypatch):
+    # an empty annotated file used to give exit 0 and an empty sidecar
+    import seedqa.entities as entities_mod
+    import seedqa.graph as graph_mod
+
+    _, graph_path = pipeline_to_graph(corpus)
+    ann_path = corpus["dir"] / "empty.ann.jsonl"
+    ann_path.write_text("", encoding="utf-8")
+
+    def no_read(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(entities_mod, "load_annotated", no_read)
+    monkeypatch.setattr(graph_mod, "load_graph", no_read)
+    out = corpus["dir"] / "neg_k_seeds.jsonl"
+    capsys.readouterr()
+    assert main(["mine-seeds", "--annotated", str(ann_path), "--graph", graph_path,
+                 "--out", str(out), "--k", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "k must be non-negative" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_records_non_string_reply_as_failure(corpus, monkeypatch):
     # a "content": null reply fails its instance, not the run
     import seedqa.client as client_mod
@@ -752,6 +784,16 @@ def test_config_value_of_wrong_type_exits_1_naming_file_and_key(tmp_path, capsys
     err = capsys.readouterr().err
     assert f"config file {conf}: {next(iter(entry))!r}: " in err and reason in err
     assert "Traceback" not in err
+
+
+def test_config_file_with_huge_integer_exits_1_naming_file(tmp_path, capsys):
+    # Python refuses to convert an integer string over 4,300 digits
+    conf = tmp_path / "conf.json"
+    conf.write_text(f'{{"workers": {"9" * 5000}}}', encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "--config", str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot read config file {conf}: " in err and "Traceback" not in err
 
 
 @pytest.mark.concurrency

@@ -310,6 +310,38 @@ def test_cache_files_keyed_by_digest(tmp_path):
     assert list((tmp_path / "cache").glob("*.tmp")) == []
 
 
+def test_cache_entry_on_disk_contract(tmp_path, monkeypatch):
+    # an entry is mode 0600 under a umask of 0o022, holds exactly the JSON
+    # text of digest, request fields and response, and a failed put leaves
+    # no temp file behind
+    client, _ = cached_client(tmp_path, [(200, ok_body("hi 你好")), (200, ok_body("second"))])
+    old_mask = os.umask(0o022)
+    try:
+        client.complete(REQ)
+    finally:
+        os.umask(old_mask)
+    cache_dir = tmp_path / "cache"
+    cache_file = cache_dir / f"{request_digest(REQ)}.json"
+    assert os.stat(cache_file).st_mode & 0o777 == 0o600
+    entry = {
+        "digest": request_digest(REQ),
+        "request": {"model": "m1", "prompt": "hello", "temperature": 0.0, "max_tokens": 64},
+        "response": {"text": "hi 你好", "finish_reason": "stop", "prompt_tokens": None,
+                     "response_tokens": None},
+    }
+    assert cache_file.read_bytes() == json.dumps(entry, ensure_ascii=False).encode("utf-8")
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    other = CompletionRequest(model="m1", prompt="other", max_tokens=64)
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        client.complete(other)
+    monkeypatch.undo()
+    assert sorted(p.name for p in cache_dir.iterdir()) == [cache_file.name]
+
+
 def test_cache_survives_new_client(tmp_path):
     client, calls = cached_client(tmp_path, [(200, ok_body("persisted"))])
     client.complete(REQ)

@@ -469,9 +469,9 @@ def test_write_sites_detector():
 
 
 def test_only_write_whole_and_the_cache_open_files_to_write():
-    # every output goes through write_whole; the response cache keeps its
-    # own temp file so its entries stay mode 0600
+    # every output goes through write_whole, the response cache included:
+    # it passes mode 0o600 for its entries
     sites = set()
     for path in sorted(SRC_PACKAGE.glob("*.py")):
         sites |= _write_sites(path.read_text(encoding="utf-8"), path.stem)
-    assert sites == {"corpus.write_whole", "client._DiskCache.put"}
+    assert sites == {"corpus.write_whole"}

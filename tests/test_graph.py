@@ -213,6 +213,24 @@ def test_load_rejects_corruption(tmp_path, toy_graph):
         load_graph(str(truncated))
 
 
+def test_load_rejects_trailer_over_the_integer_digit_limit(tmp_path, toy_graph, capsys):
+    path = tmp_path / "g.kg"
+    save_graph(toy_graph, str(path))
+    body = path.read_text(encoding="utf-8").splitlines(keepends=True)[:-1]
+    path.write_text("".join(body) + '{"sha256": ' + "9" * 5000 + "}\n", encoding="utf-8")
+    with pytest.raises(GraphFormatError,
+                       match=re.escape(f"{path}: missing or malformed checksum trailer")):
+        load_graph(str(path))
+
+    empty = tmp_path / "empty.ann.jsonl"
+    empty.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["mine-seeds", "--annotated", str(empty), "--graph", str(path),
+                 "--out", str(tmp_path / "seeds.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: missing or malformed checksum trailer" in err and "Traceback" not in err
+
+
 def test_load_rejects_wrong_magic_and_version(tmp_path, toy_graph):
     path = tmp_path / "g.kg"
     save_graph(toy_graph, str(path))
@@ -430,6 +448,11 @@ _CORRUPT_ROWS = [
      {1: '{"magic": "seedqa-graph", "version": 1, "nodes": "5", "edges": 5, "freqs": 2}'},
      1, "'nodes'"),
     ("header not an object", {1: "[]"}, 1, "not a JSON object"),
+    # Python refuses to convert an integer string over 4,300 digits
+    ("header size over the integer digit limit",
+     {1: '{"magic": "seedqa-graph", "version": 1, "nodes": ' + "9" * 5000 + '}'},
+     1, "malformed header"),
+    ("node entry over the integer digit limit", {2: "9" * 5000}, 2, "malformed node entry"),
     ("negative frequency index", {12: "-1\t2"}, 12, "out of range"),
     ("frequency index past the node table", {12: "5\t2"}, 12, "out of range"),
     ("repeated frequency row", {13: "2\t3"}, 13, "repeated frequency"),
