@@ -108,7 +108,7 @@ def _load_config_file(path: str | None, parser: argparse.ArgumentParser,
             data = json.load(fh)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config file is not UTF-8 text ({exc.reason})") from exc
-    except (OSError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

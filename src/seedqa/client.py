@@ -14,7 +14,7 @@ import logging
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .corpus import json_field, read_jsonl, write_whole
@@ -57,8 +57,10 @@ class ReplayMissError(ClientError):
         self.digest = digest
 
 
-@dataclass(frozen=True)
+@dataclass
 class CompletionRequest:
+    """One chat-completion call, identified by ``request_digest``."""
+
     model: str
     prompt: str
     temperature: float = 0.0
@@ -66,8 +68,10 @@ class CompletionRequest:
     system: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class CompletionResponse:
+    """The reply text, why it stopped, and the token counts when known."""
+
     text: str
     finish_reason: str = "stop"
     prompt_tokens: int | None = None
@@ -88,8 +92,10 @@ def _response_from(data: dict) -> CompletionResponse:
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class RetryPolicy:
+    """Attempts per live request, and the backoff that doubles after each."""
+
     max_attempts: int = 3
     backoff_base: float = 1.0
 
@@ -102,12 +108,14 @@ class RetryPolicy:
 
 @dataclass
 class ClientConfig:
+    """Backend choice and the settings each backend reads."""
+
     backend: str = "replay"
     model: str = DEFAULT_MODEL
     base_url: str = DEFAULT_BASE_URL
     api_key_env: str = DEFAULT_API_KEY_ENV
     temperature: float = 0.0
-    retry: RetryPolicy = RetryPolicy()
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
     timeout: float = 60.0
     cache_dir: str | None = None
     fixture_path: str | None = None
@@ -222,8 +230,9 @@ class _LiveBackend:
 
 
 def _parse_completion_body(body: str) -> CompletionResponse:
-    """The response in a 200 body; a malformed body, or a field of the wrong
-    type (``"content": null``, ``"usage": "x"``), is ``ApiStatusError(200)``."""
+    """The response in a 200 body; a malformed body, JSON nested past the
+    recursion limit included, or a field of the wrong type (``"content":
+    null``, ``"usage": "x"``), is ``ApiStatusError(200)``."""
     try:
         data = json.loads(body)
         choice = data["choices"][0]
@@ -235,7 +244,7 @@ def _parse_completion_body(body: str) -> CompletionResponse:
             "prompt_tokens": usage.get("prompt_tokens"),
             "response_tokens": usage.get("completion_tokens"),
         })
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, RecursionError, TypeError, ValueError) as exc:
         raise ApiStatusError(200, body[:2000]) from exc
 
 
@@ -243,7 +252,8 @@ class _DiskCache:
     """One JSON file per request digest, mode 0o600 under the umask.
 
     Each entry is written whole by ``write_whole``, so a reader never sees
-    a partial entry; unparseable files are treated as misses and rewritten.
+    a partial entry; unparseable files, JSON nested past the recursion
+    limit included, are treated as misses and rewritten.
     """
 
     def __init__(self, cache_dir: str):
@@ -264,7 +274,7 @@ class _DiskCache:
             with open(self._path(digest), encoding="utf-8") as fh:
                 data = json.load(fh)
             return _response_from(data["response"])
-        except (FileNotFoundError, KeyError, TypeError, ValueError):
+        except (FileNotFoundError, KeyError, RecursionError, TypeError, ValueError):
             return None
 
     def put(self, digest: str, request: CompletionRequest, response: CompletionResponse) -> None:

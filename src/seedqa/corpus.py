@@ -6,13 +6,16 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import unicodedata
 from collections import deque
 from dataclasses import dataclass, field
-from importlib import resources
 from itertools import islice
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
+
+if TYPE_CHECKING:
+    # for an annotation only: split_sample imports random when it runs, and
+    # data_path importlib.resources, so commands that call neither load neither
+    import random
 
 OPTION_LABELS = ("A", "B", "C", "D", "E")
 
@@ -58,13 +61,13 @@ def read_lines(path: str, parse: Callable[[str], T]) -> list[T]:
 def read_jsonl(path: str, parse: Callable[[dict], T]) -> list[T]:
     """``read_lines`` for line-delimited JSON: each line must hold a JSON
     object, which ``parse`` turns into a value.  Invalid JSON, an integer
-    over Python's digit limit included, and a non-object line are errors at
-    ``path:line`` too."""
+    over Python's digit limit and nesting past the recursion limit included,
+    and a non-object line are errors at ``path:line`` too."""
 
     def parse_line(line: str) -> T:
         try:
             rec = json.loads(line)
-        except ValueError as exc:
+        except (RecursionError, ValueError) as exc:
             raise ValueError(f"invalid JSON ({exc})") from exc
         if not isinstance(rec, dict):
             raise ValueError("record is not a JSON object")
@@ -130,6 +133,8 @@ def write_whole(path: str, chunks: Iterable[str], mode: int = 0o666) -> None:
 
 def data_path(name: str) -> str:
     """Path of a file shipped in the package's ``data`` directory."""
+    from importlib import resources
+
     return str(resources.files(__package__).joinpath(f"data/{name}"))
 
 
@@ -138,7 +143,7 @@ def canonical_label(raw: object) -> str:
     return unicodedata.normalize("NFKC", str(raw)).strip().upper()
 
 
-@dataclass(frozen=True)
+@dataclass
 class Instance:
     """One exam question with labeled options, gold answer, and analysis."""
 
@@ -176,9 +181,10 @@ class Instance:
         return tuple(self.options)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Dataset:
-    """Immutable ordered collection of instances with unique ids."""
+    """Ordered collection of instances with unique ids.  The ids are
+    checked once, when it is built, so nothing assigns ``instances`` later."""
 
     instances: tuple[Instance, ...]
 
@@ -299,6 +305,8 @@ def split_sample(
     """
     if not 0 <= test_size <= len(dataset):
         raise ValueError(f"test_size must be in [0, {len(dataset)}], got {test_size}")
+    import random
+
     rng = random.Random(rng_seed)
     if stratify_by is None:
         chosen = set(rng.sample(range(len(dataset)), test_size))

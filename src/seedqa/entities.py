@@ -283,7 +283,7 @@ def load_extraction_exemplars(path: str) -> list[tuple[str, tuple[str, ...]]]:
                                          tuple(json_field(rec, "entities", "a list of strings"))))
 
 
-@dataclass(frozen=True)
+@dataclass
 class AnnotatedInstance:
     """An instance plus its question-side and analysis-side entity sets."""
 

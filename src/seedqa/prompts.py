@@ -72,7 +72,7 @@ def load_template(path: str) -> PromptTemplate:
             if version != _TEMPLATE_VERSION:
                 raise ValueError(f"unsupported template version {version!r}")
             return PromptTemplate(**data)
-        except (TypeError, ValueError) as exc:
+        except (RecursionError, TypeError, ValueError) as exc:
             raise DatasetFormatError(f"{path}: {exc}") from exc
 
 
@@ -80,7 +80,7 @@ def default_template() -> PromptTemplate:
     return load_template(data_path("prompt_template.json"))
 
 
-@dataclass(frozen=True)
+@dataclass
 class Exemplar:
     """One worked example rendered ahead of the target question."""
 
@@ -161,8 +161,9 @@ class PromptSpec:
         the instruction and each prefix of those blocks, so ``prefixes[k]``
         has the first k blocks folded in; and the system message's cost.
         Not a field, so ``fields``, ``asdict``, ``==`` and ``repr`` ignore it.
-        Like the spec, the template's ``instructions`` dict must not change
-        after the first ``compose``."""
+        It is computed from the spec's and the template's fields, which is
+        why both classes stay frozen; the template's ``instructions`` dict and
+        the exemplars must not change after the first ``compose`` either."""
         template = self.template
         blocks = []
         if self.shots == "few":
@@ -176,8 +177,10 @@ class PromptSpec:
         return blocks, prefixes, system_cost
 
 
-@dataclass(frozen=True)
+@dataclass
 class RenderedPrompt:
+    """One instance's prompt, its estimated tokens and its reply allowance."""
+
     text: str
     estimated_tokens: int
     kept_exemplars: int

@@ -25,7 +25,7 @@ from .entities import normalize_entity
 from .graph import KnowledgeGraph
 
 
-@dataclass(frozen=True)
+@dataclass
 class SeedQuery:
     """Question-side entity set the miner aggregates over."""
 
@@ -37,7 +37,7 @@ class SeedQuery:
                 raise ValueError(f"query entity not in canonical form: {ent!r}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class SeedResult:
     """Mined seeds in rank order with their aggregate scores."""
 
@@ -104,7 +104,7 @@ def mine_seeds(graph: KnowledgeGraph, query: SeedQuery, k: int = DEFAULT_K) -> S
     return SeedResult(tuple((name, base + d) for d, _, name in keys), k)
 
 
-@dataclass(frozen=True)
+@dataclass
 class SeedRecord:
     """One mined result keyed by instance id, as stored in sidecar files."""
 

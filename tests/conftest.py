@@ -36,6 +36,10 @@ ENTITY_POOL = (
     "骨折", "胃炎", "哮喘", "心悸", "水肿", "黄疸", "眩晕", "腹泻",
 )
 
+# a JSON array nested 100,000 deep: past Python's recursion limit, so
+# ``json`` raises RecursionError rather than ValueError on it
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
 
 def make_annotated(iid: str, qo_ents, r_ents) -> AnnotatedInstance:
     inst = Instance(

@@ -31,7 +31,9 @@ from seedqa.graph import build_graph, load_graph
 from seedqa.prompts import PromptSpec, load_exemplars
 from seedqa.seeds import load_seed_records
 
-from conftest import pipeline_requests, synth_dataset, write_lexicon, write_replay_fixture
+from conftest import (
+    DEEP_JSON, pipeline_requests, synth_dataset, write_lexicon, write_replay_fixture,
+)
 
 
 @pytest.fixture()
@@ -494,13 +496,20 @@ def _write_with_bad_line(corpus, kind, records, field, value):
     return bad
 
 
-def _with_huge_int(rec: dict) -> str:
-    """``rec`` as one JSON line plus a field holding an integer over
-    Python's 4,300-digit limit for converting a string to an int."""
-    return json.dumps(rec, ensure_ascii=False)[:-1] + f', "huge_int": {"9" * 5000}}}'
+# raw JSON values that only the parser refuses: an integer over Python's
+# 4,300-digit limit for converting a string to an int, and an array nested
+# past the recursion limit
+_UNPARSEABLE_VALUES = {"huge_int": "9" * 5000, "deep_nesting": DEEP_JSON}
 
 
-@pytest.mark.parametrize("breakage", ("invalid_json", "not_object", "missing_field", "huge_int"))
+def _with_unparseable(rec: dict, breakage: str) -> str:
+    """``rec`` as one JSON line plus a field holding the ``breakage`` value."""
+    return (json.dumps(rec, ensure_ascii=False)[:-1]
+            + f', "{breakage}": {_UNPARSEABLE_VALUES[breakage]}}}')
+
+
+@pytest.mark.parametrize("breakage", ("invalid_json", "not_object", "missing_field", "huge_int",
+                                      "deep_nesting"))
 @pytest.mark.parametrize("kind", ("dataset", "annotated", "seeds", "records", "fixture",
                                   "exemplars", "extraction_exemplars", "template"))
 def test_malformed_input_exits_1_with_location(corpus, capsys, kind, breakage):
@@ -516,13 +525,13 @@ def test_malformed_input_exits_1_with_location(corpus, capsys, kind, breakage):
         text = json.dumps(broken.get(breakage, rec), ensure_ascii=False, indent=2)
         if breakage == "invalid_json":
             text = text.replace("\n", "\noops\n", 1)
-        elif breakage == "huge_int":
-            text = _with_huge_int(rec)
+        elif breakage in _UNPARSEABLE_VALUES:
+            text = _with_unparseable(rec, breakage)
         location = str(bad)
     else:
         lines = [json.dumps(r, ensure_ascii=False) for r in records]
         lines[1] = (lines[1][:-1] if breakage == "invalid_json"
-                    else _with_huge_int(rec) if breakage == "huge_int"
+                    else _with_unparseable(rec, breakage) if breakage in _UNPARSEABLE_VALUES
                     else json.dumps(broken[breakage], ensure_ascii=False))
         text = "\n".join(lines)
         location = f"{bad}:2"
@@ -794,6 +803,16 @@ def test_config_file_with_huge_integer_exits_1_naming_file(tmp_path, capsys):
     assert main(["run", "--config", str(conf)]) == 1
     err = capsys.readouterr().err
     assert f"cannot read config file {conf}: " in err and "Traceback" not in err
+
+
+def test_config_file_nested_past_the_recursion_limit_exits_1_naming_file(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(f'{{"workers": {DEEP_JSON}}}', encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "--config", str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot read config file {conf}: " in err and "recursion" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.concurrency

@@ -21,6 +21,8 @@ from seedqa.client import (
 )
 from seedqa.corpus import DatasetFormatError
 
+from conftest import DEEP_JSON
+
 REQ = CompletionRequest(model="m1", prompt="hello", temperature=0.0, max_tokens=64)
 
 
@@ -217,6 +219,15 @@ def test_live_malformed_success_body():
         client.complete(REQ)
 
 
+def test_live_body_nested_past_the_recursion_limit_is_status_error():
+    body = '{"choices": ' + DEEP_JSON + "}"
+    client, calls, _ = live_client([(200, body)])
+    with pytest.raises(ApiStatusError) as err:
+        client.complete(REQ)
+    assert err.value.status == 200
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("content", [None, 5, ["hi"]])
 def test_live_non_string_content_is_status_error(content):
     # the same failure as a malformed body, never a response without text
@@ -374,6 +385,17 @@ def test_non_utf8_cache_entry_refetched_and_rewritten(tmp_path):
     assert len(calls) == 2
 
 
+def test_cache_entry_nested_past_the_recursion_limit_refetched(tmp_path):
+    client, calls = cached_client(
+        tmp_path, [(200, ok_body("first")), (200, ok_body("second"))]
+    )
+    client.complete(REQ)
+    cache_file = tmp_path / "cache" / f"{request_digest(REQ)}.json"
+    cache_file.write_text('{"response": ' + DEEP_JSON + "}", encoding="utf-8")
+    assert client.complete(REQ).text == "second"
+    assert len(calls) == 2
+
+
 def test_cache_entry_without_string_text_refetched(tmp_path):
     client, calls = cached_client(
         tmp_path, [(200, ok_body("first")), (200, ok_body("second"))]
@@ -446,6 +468,14 @@ def test_concurrent_identical_requests_single_upstream(tmp_path):
 
 
 # --- config validation ---------------------------------------------------------
+
+def test_each_config_gets_its_own_default_retry_policy():
+    # RetryPolicy is not frozen, so a shared default would let one config
+    # change another's retries
+    first, second = ClientConfig(backend="live"), ClientConfig(backend="live")
+    assert first.retry is not second.retry
+    assert first.retry == second.retry == RetryPolicy()
+
 
 def test_config_validation():
     with pytest.raises(ValueError, match="backend"):

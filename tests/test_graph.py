@@ -22,6 +22,7 @@ from seedqa.graph import _CHUNK_CHARS, GraphFormatError, build_graph, load_graph
 from seedqa.seeds import SeedQuery, mine_seeds
 
 from conftest import (
+    DEEP_JSON,
     ENTITY_POOL,
     line_by_line_graph_nodes,
     line_by_line_graph_rows,
@@ -222,6 +223,20 @@ def test_load_rejects_trailer_over_the_integer_digit_limit(tmp_path, toy_graph, 
                        match=re.escape(f"{path}: missing or malformed checksum trailer")):
         load_graph(str(path))
 
+    empty = tmp_path / "empty.ann.jsonl"
+    empty.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["mine-seeds", "--annotated", str(empty), "--graph", str(path),
+                 "--out", str(tmp_path / "seeds.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: missing or malformed checksum trailer" in err and "Traceback" not in err
+
+
+def test_load_rejects_trailer_nested_past_the_recursion_limit(tmp_path, toy_graph, capsys):
+    path = tmp_path / "g.kg"
+    save_graph(toy_graph, str(path))
+    body = path.read_text(encoding="utf-8").splitlines(keepends=True)[:-1]
+    path.write_text("".join(body) + '{"sha256": ' + DEEP_JSON + "}\n", encoding="utf-8")
     empty = tmp_path / "empty.ann.jsonl"
     empty.write_text("", encoding="utf-8")
     capsys.readouterr()
@@ -453,6 +468,12 @@ _CORRUPT_ROWS = [
      {1: '{"magic": "seedqa-graph", "version": 1, "nodes": ' + "9" * 5000 + '}'},
      1, "malformed header"),
     ("node entry over the integer digit limit", {2: "9" * 5000}, 2, "malformed node entry"),
+    ("header nested past the recursion limit",
+     {1: '{"magic": "seedqa-graph", "version": 1, "nodes": ' + DEEP_JSON + '}'},
+     1, "malformed header"),
+    # the node table is parsed whole first, then line by line: both parses
+    # must refuse JSON nested past the recursion limit
+    ("node entry nested past the recursion limit", {3: DEEP_JSON}, 3, "malformed node entry"),
     ("negative frequency index", {12: "-1\t2"}, 12, "out of range"),
     ("frequency index past the node table", {12: "5\t2"}, 12, "out of range"),
     ("repeated frequency row", {13: "2\t3"}, 13, "repeated frequency"),
@@ -508,7 +529,8 @@ def test_load_rejects_corrupt_rows_with_location(tmp_path, toy_graph, capsys, ed
             "--out", str(tmp_path / "seeds.jsonl")]
     capsys.readouterr()
     assert main(argv) == 1
-    assert where in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
 
 
 def _graph_lines(rng: random.Random, n_nodes: int, n_edges: int, n_freqs: int,

@@ -7,6 +7,7 @@ modules this test process has already loaded do not count.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import json
 import os
@@ -66,9 +67,9 @@ print(json.dumps(steps))
 """
 
 
-def run_python(script: str, *args: str) -> str:
+def run_python(script: str, *args: str, options: tuple[str, ...] = ()) -> str:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+    proc = subprocess.run([sys.executable, *options, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -110,6 +111,45 @@ def run_argv(inputs, mode: str) -> list[str]:
 
 def test_import_seedqa_loads_no_submodule():
     assert probe()["package"] == []
+
+
+def test_cli_import_leaves_unused_standard_modules_unloaded():
+    # ``-S`` skips site, whose .pth files may import these first; data_path
+    # and split_sample import theirs when called, and the pool and HTTP
+    # client load only with more than one worker or a live request
+    script = """
+import sys
+import seedqa.cli
+print(sorted({"importlib.resources", "random", "concurrent.futures", "requests"}
+             & set(sys.modules)))
+"""
+    assert run_python(script, options=("-S",)) == "[]\n"
+
+
+def _dataclasses():
+    """(class node, its ``@dataclass`` decorator) for each dataclass in
+    the package's source."""
+    for path in sorted((SRC / "seedqa").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if isinstance(target, ast.Name) and target.id == "dataclass":
+                        yield node, decorator
+
+
+def test_dataclasses_are_documented_and_frozen_only_where_cached():
+    # a class without a docstring makes ``dataclass`` build one from
+    # ``inspect.signature`` at import, and a frozen class costs about twice
+    # a plain one to decorate; PromptSpec and PromptTemplate stay frozen
+    # because PromptSpec caches what it computes from both
+    found = list(_dataclasses())
+    assert {"ClientConfig", "EvalRecord", "RenderedPrompt"} <= {node.name for node, _ in found}
+    assert [node.name for node, _ in found if ast.get_docstring(node) is None] == []
+    frozen = {node.name for node, decorator in found if isinstance(decorator, ast.Call)
+              and any(kw.arg == "frozen" and ast.literal_eval(kw.value)
+                      for kw in decorator.keywords)}
+    assert frozen == {"PromptSpec", "PromptTemplate"}
 
 
 def test_standard_qa_run_never_loads_the_graph_stack(replay_inputs):
