@@ -21,17 +21,17 @@ _MODULE_EXPORTS = {
     "client": ("ChatClient", "ClientConfig", "CompletionRequest", "CompletionResponse",
                "RetryPolicy", "request_digest"),
     "corpus": ("Dataset", "DatasetFormatError", "Instance", "load_dataset", "qo_text",
-               "save_dataset", "split_sample"),
+               "split_sample"),
     "entities": ("AnnotatedInstance", "Lexicon", "LexiconExtractor", "LlmExtractor",
                  "annotate_dataset", "extract_entities_lexicon", "load_annotated",
                  "load_lexicon", "normalize_entity", "save_annotated"),
-    "evaluation": ("EvalRecord", "EvalReport", "bleu_n", "build_report", "extract_answer",
-                   "rouge_l", "rouge_n", "run_eval", "seed_quality"),
+    "evaluation": ("EvalRecord", "EvalReport", "build_report", "extract_answer", "rouge_l",
+                   "run_eval", "seed_quality"),
     "graph": ("KnowledgeGraph", "build_graph", "load_graph", "save_graph"),
     "prompts": ("Exemplar", "PromptSpec", "PromptTemplate", "RenderedPrompt", "compose",
                 "default_exemplars", "default_template"),
     "seeds": ("SeedQuery", "SeedResult", "mine_seeds"),
-    "textseg": ("estimate_tokens", "is_cjk", "script_runs", "tokenize"),
+    "textseg": ("estimate_tokens", "tokenize"),
 }
 _EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
 

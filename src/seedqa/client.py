@@ -169,8 +169,7 @@ class _ReplayBackend:
         if self._responses.setdefault(digest, response) != response:
             raise ValueError(f"digest {digest} repeats with a different response")
 
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
-        digest = request_digest(request)
+    def complete(self, request: CompletionRequest, digest: str) -> CompletionResponse:
         response = self._responses.get(digest)
         if response is None:
             raise ReplayMissError(digest)
@@ -188,7 +187,8 @@ class _LiveBackend:
         self._transport = transport or _default_transport
         self._sleep = sleeper if sleeper is not None else time.sleep
 
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
+    def complete(self, request: CompletionRequest, digest: str) -> CompletionResponse:
+        # ``digest`` keys replay lookups; a live call sends the request itself
         cfg = self._config
         url = cfg.base_url.rstrip("/") + "/chat/completions"
         headers = {"Content-Type": "application/json"}
@@ -312,12 +312,12 @@ class ChatClient:
         digest = request_digest(request)
         log.debug("request %s (%d chars)", digest[:12], len(request.prompt))
         if self._cache is None:
-            return self._backend.complete(request)
+            return self._backend.complete(request, digest)
         with self._cache.lock_for(digest):
             cached = self._cache.get(digest)
             if cached is not None:
                 log.debug("request %s served from cache", digest[:12])
                 return cached
-            response = self._backend.complete(request)
+            response = self._backend.complete(request, digest)
             self._cache.put(digest, request, response)
             return response

@@ -263,13 +263,6 @@ def instance_to_record(inst: Instance) -> dict:
     return rec
 
 
-def save_dataset(dataset: Dataset, path: str) -> None:
-    """Write one JSON object per line, whole or not at all; loading the file
-    back gives an equal dataset."""
-    write_whole(path, (json.dumps(instance_to_record(inst), ensure_ascii=False) + "\n"
-                       for inst in dataset))
-
-
 def _stratified_indices(
     dataset: Dataset, test_size: int, rng: random.Random, key: str
 ) -> set[int]:

@@ -96,32 +96,16 @@ def _rouge_f1(clipped: int, cand_total: int, ref_total: int) -> float:
     return 100.0 * 2 * precision * recall / (precision + recall)
 
 
-def bleu_n(candidate: "str | Sequence[str]", reference: "str | Sequence[str]", n: int) -> float:
-    """Cumulative BLEU-n: geometric mean of clipped precisions for orders
-    1 to n, times a brevity penalty when the candidate is shorter than the
-    reference.  Orders with zero overlap contribute BLEU_EPSILON.  String
-    arguments are tokenized first.  Each order is counted once per side,
-    by the counting helper that ``rouge_n`` and ``ngram_scores`` share."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    candidate = _as_tokens(candidate)
-    reference = _as_tokens(reference)
-    overlaps = [_overlap(candidate, reference, order) for order in range(1, n + 1)]
-    return _bleu_scores(overlaps, len(candidate), len(reference))[-1]
-
-
-def rouge_n(candidate: "str | Sequence[str]", reference: "str | Sequence[str]", n: int) -> float:
-    """ROUGE-n F1 over clipped n-gram overlap, scaled to [0, 100].
-    String arguments are tokenized first.  Order n is counted once per
-    side, by the same helper as BLEU's."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _rouge_f1(*_overlap(_as_tokens(candidate), _as_tokens(reference), n))
-
-
 def ngram_scores(candidate: Sequence[str], reference: Sequence[str]) -> tuple[float, ...]:
     """BLEU-1..4 and ROUGE-1/2 of one record, from one count of each
-    n-gram order per side; each float equals ``bleu_n``'s or ``rouge_n``'s."""
+    n-gram order per side.
+
+    BLEU-n is cumulative: the geometric mean of the clipped n-gram
+    precisions of orders 1 to n, times a brevity penalty when the candidate
+    is shorter than the reference.  An order with zero overlap, or one the
+    candidate is too short for, contributes BLEU_EPSILON; an empty
+    candidate scores 0.  ROUGE-n is the F1 of the clipped order-n overlap,
+    scaled to [0, 100]."""
     overlaps = [_overlap(candidate, reference, order) for order in (1, 2, 3, 4)]
     return (*_bleu_scores(overlaps, len(candidate), len(reference)),
             _rouge_f1(*overlaps[0]), _rouge_f1(*overlaps[1]))
@@ -150,9 +134,9 @@ def rouge_l(candidate: "str | Sequence[str]", reference: "str | Sequence[str]") 
 
 
 def seed_quality(predicted, gold) -> tuple[float, float, float]:
-    """Precision, recall, F1 of predicted seeds against gold analysis
-    entities.  Either side empty gives (0, 0, 0)."""
-    pred_set = set(predicted.entities) if hasattr(predicted, "entities") else set(predicted)
+    """Precision, recall, F1 of predicted seed entities against gold
+    analysis entities.  Either side empty gives (0, 0, 0)."""
+    pred_set = set(predicted)
     gold_set = set(gold)
     if not pred_set or not gold_set:
         return 0.0, 0.0, 0.0
@@ -266,7 +250,7 @@ def save_records(records: Sequence[EvalRecord], path: str) -> None:
 
 # the kind of JSON value a records file may hold for each EvalRecord annotation
 _JSON_TYPES = {"str": "a string", "str | None": "a string or null", "bool": "true or false",
-               "dict[str, str]": "an object of strings", "int | None": "a number",
+               "dict[str, str]": "an object of strings", "int | None": "an integer or null",
                "float | None": "a number"}
 
 
@@ -458,15 +442,15 @@ def run_eval(
             record.error = f"{type(exc).__name__}: {exc}"
             return record, isinstance(exc, TransportError)
 
-        seeds: SeedResult | None = None
+        seeds: tuple[str, ...] | None = None
         gold_entities: frozenset[str] = frozenset()
         if spec.mode == "icp":
             try:
                 if precomputed_seeds is not None:
-                    seeds = precomputed_seeds[inst.id]
+                    seeds = precomputed_seeds[inst.id].entities
                 else:
                     query = SeedQuery(frozenset(extractor(qo_text(inst))))
-                    seeds = mine_seeds(graph, query, k)
+                    seeds = mine_seeds(graph, query, k).entities
                 gold_entities = frozenset(extractor(inst.analysis))
             except Exception as exc:
                 return failed(exc)

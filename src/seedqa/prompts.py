@@ -220,15 +220,15 @@ def _exemplar_block(template: PromptTemplate, ex: Exemplar, mode: str) -> str:
     return template.block_separator.join(lines)
 
 
-def compose(instance, spec: PromptSpec, seeds=None) -> RenderedPrompt:
+def compose(instance, spec: PromptSpec, seeds: Sequence[str] | None = None) -> RenderedPrompt:
     """Render the prompt for one instance.
 
     ``instance`` needs ``question`` and ``options`` attributes.  ``seeds``
-    is required exactly when mode is "icp": a SeedResult or a sequence of
-    entity strings, rendered in order.  Few-shot exemplars that do not fit
-    the budget are dropped whole from the end; TokenBudgetError is raised
-    when instruction plus target alone exceed it, since the target question
-    is never truncated.  ``max_tokens`` gets what the context leaves.
+    is required exactly when mode is "icp": a sequence of entity strings,
+    rendered in order.  Few-shot exemplars that do not fit the budget are
+    dropped whole from the end; TokenBudgetError is raised when instruction
+    plus target alone exceed it, since the target question is never
+    truncated.  ``max_tokens`` gets what the context leaves.
 
     The estimate of every kept-exemplar count comes from one pass over the
     pieces (``fold_estimate``), equal to estimating each joined prompt
@@ -239,17 +239,14 @@ def compose(instance, spec: PromptSpec, seeds=None) -> RenderedPrompt:
     if spec.mode == "icp":
         if seeds is None:
             raise ValueError("icp composition requires seeds")
-        seed_list = list(seeds.entities) if hasattr(seeds, "entities") else list(seeds)
-    else:
-        if seeds is not None:
-            raise ValueError(f"mode {spec.mode!r} must not receive seeds")
-        seed_list = None
+    elif seeds is not None:
+        raise ValueError(f"mode {spec.mode!r} must not receive seeds")
 
     template = spec.template
     blocks, prefixes, system_cost = spec._exemplar_prefixes
     instruction = template.instructions[spec.mode]
     separator = template.section_separator
-    tail = separator + _question_block(template, instance.question, instance.options, seed_list)
+    tail = separator + _question_block(template, instance.question, instance.options, seeds)
     # folding the tail into prefixes[k] and finishing gives the estimate of
     # the prompt that keeps k exemplars
     for kept in range(len(blocks), -1, -1):

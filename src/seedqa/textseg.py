@@ -35,21 +35,6 @@ _CJK_SPLIT = re.compile(f"([{_CJK_CLASS}]+)").split
 LATIN_CHARS_PER_TOKEN = 4
 
 
-def is_cjk(ch: str) -> bool:
-    """True when the single character ``ch`` falls in a CJK block."""
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
-
-
-def script_runs(text: str) -> list[tuple[bool, str]]:
-    """Split ``text`` into maximal runs of same-script characters.
-
-    Returns ``(run_is_cjk, run_text)`` pairs in order; concatenating the
-    run texts reproduces the input exactly.
-    """
-    return [(i % 2 == 1, run) for i, run in enumerate(_CJK_SPLIT(text)) if run]
-
-
 def tokenize(text: str) -> list[str]:
     """Tokens for overlap metrics: one token per CJK character, one per
     whitespace-delimited word elsewhere."""

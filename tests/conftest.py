@@ -17,9 +17,9 @@ import pytest
 from seedqa.client import (
     ApiStatusError, CompletionRequest, CompletionResponse, request_digest,
 )
-from seedqa.corpus import Dataset, Instance, canonical_label, qo_text
+from seedqa.corpus import Dataset, Instance, canonical_label, instance_to_record, qo_text
 from seedqa.entities import AnnotatedInstance, Lexicon, normalize_text
-from seedqa.evaluation import BLEU_EPSILON, EvalRecord
+from seedqa.evaluation import BLEU_EPSILON, EvalRecord, _as_tokens, ngram_scores
 from seedqa.graph import GraphFormatError, KnowledgeGraph, build_graph
 from seedqa.prompts import (
     MODES, Exemplar, PromptSpec, PromptTemplate, RenderedPrompt, TokenBudgetError,
@@ -27,8 +27,8 @@ from seedqa.prompts import (
 )
 from seedqa.seeds import DEFAULT_K, SeedQuery, SeedRecord, SeedResult, mine_seeds
 from seedqa.textseg import (
-    _CJK_CLASS, LATIN_CHARS_PER_TOKEN, estimate_tokens, finish_estimate, fold_estimate, is_cjk,
-    script_runs,
+    _CJK_CLASS, _CJK_RANGES, LATIN_CHARS_PER_TOKEN, estimate_tokens, finish_estimate,
+    fold_estimate,
 )
 
 ENTITY_POOL = (
@@ -273,6 +273,13 @@ def fixed_point_normalize_entity(raw: str) -> str:
     return ent
 
 
+def is_cjk(ch: str) -> bool:
+    """True when the single character ``ch`` falls in a block of the CJK
+    table, tested one range at a time."""
+    cp = ord(ch)
+    return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
+
+
 def per_char_script_runs(text: str) -> list[tuple[bool, str]]:
     """Script runs found one character at a time with ``is_cjk``, the way
     segmentation worked before it became one regex."""
@@ -293,7 +300,7 @@ _TWO_GROUP_RUN = re.compile(f"([{_CJK_CLASS}]+)|([^{_CJK_CLASS}]+)")
 
 
 def two_group_script_runs(text: str) -> list[tuple[bool, str]]:
-    """Script runs as ``script_runs`` found them with the two-group pattern."""
+    """Script runs as segmentation found them with the two-group pattern."""
     return [(m.lastindex == 1, m.group()) for m in _TWO_GROUP_RUN.finditer(text)]
 
 
@@ -389,6 +396,22 @@ def brute_rouge_l(candidate, reference):
     return 100.0 * 2 * p * r / (p + r)
 
 
+def bleu_n(candidate, reference, n):
+    """Cumulative BLEU-n, n from 1 to 4, as ``ngram_scores`` returns it;
+    strings are tokenized first, by ``tokenize``."""
+    if n not in (1, 2, 3, 4):
+        raise ValueError(f"BLEU order {n} is not scored")
+    return ngram_scores(_as_tokens(candidate), _as_tokens(reference))[n - 1]
+
+
+def rouge_n(candidate, reference, n):
+    """ROUGE-n F1, n 1 or 2, as ``ngram_scores`` returns it; strings are
+    tokenized first, by ``tokenize``."""
+    if n not in (1, 2):
+        raise ValueError(f"ROUGE order {n} is not scored")
+    return ngram_scores(_as_tokens(candidate), _as_tokens(reference))[3 + n]
+
+
 def sliced_ngram_counts(tokens, n):
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
@@ -433,21 +456,18 @@ def per_order_rouge_n(candidate, reference, n):
 def runwise_estimate_tokens(text: str) -> int:
     """The token estimate summed over the script runs of the whole text."""
     return sum(len(run) if cjk else math.ceil(len(run) / LATIN_CHARS_PER_TOKEN)
-               for cjk, run in script_runs(text))
+               for cjk, run in per_char_script_runs(text))
 
 
 def reestimating_compose(instance, spec: PromptSpec, seeds=None) -> RenderedPrompt:
     """``compose`` as it fitted the budget before it estimated prefixes in
     one pass: join the whole prompt, estimate it, drop the last exemplar,
     and repeat until it fits or none is left."""
-    seed_list = None
-    if spec.mode == "icp":
-        seed_list = list(seeds.entities) if hasattr(seeds, "entities") else list(seeds)
     template = spec.template
     kept = []
     if spec.shots == "few":
         kept = [_exemplar_block(template, ex, spec.mode) for ex in spec.exemplars]
-    target = _question_block(template, instance.question, instance.options, seed_list)
+    target = _question_block(template, instance.question, instance.options, seeds)
     system_cost = runwise_estimate_tokens(template.system) if template.system else 0
     while True:
         text = template.section_separator.join(
@@ -472,18 +492,15 @@ def per_call_compose(instance, spec: PromptSpec, seeds=None) -> RenderedPrompt:
     if spec.mode == "icp":
         if seeds is None:
             raise ValueError("icp composition requires seeds")
-        seed_list = list(seeds.entities) if hasattr(seeds, "entities") else list(seeds)
-    else:
-        if seeds is not None:
-            raise ValueError(f"mode {spec.mode!r} must not receive seeds")
-        seed_list = None
+    elif seeds is not None:
+        raise ValueError(f"mode {spec.mode!r} must not receive seeds")
     template = spec.template
     blocks = []
     if spec.shots == "few":
         blocks = [_exemplar_block(template, ex, spec.mode) for ex in spec.exemplars]
     instruction = template.instructions[spec.mode]
     separator = template.section_separator
-    tail = separator + _question_block(template, instance.question, instance.options, seed_list)
+    tail = separator + _question_block(template, instance.question, instance.options, seeds)
     system_cost = estimate_tokens(template.system) if template.system else 0
     prefixes = [fold_estimate(instruction)]
     for block in blocks:
@@ -536,6 +553,14 @@ def synth_dataset(seed: int, count: int, prefix: str = "q") -> Dataset:
     return Dataset(tuple(synth_instance(rng, f"{prefix}{i}") for i in range(count)))
 
 
+def write_dataset(dataset: Dataset, path) -> str:
+    """A dataset file, one ``instance_to_record`` line per instance."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(instance_to_record(inst), ensure_ascii=False) + "\n"
+                      for inst in dataset)
+    return str(path)
+
+
 def write_lexicon(path, vocab=ENTITY_POOL):
     path.write_text("".join(f"{term}\n" for term in vocab), encoding="utf-8")
     return str(path)
@@ -550,7 +575,7 @@ def pipeline_requests(test_dataset, spec: PromptSpec, model: str, graph=None,
         seeds = None
         if spec.mode == "icp":
             query = SeedQuery(frozenset(extractor(qo_text(inst))))
-            seeds = mine_seeds(graph, query, k)
+            seeds = mine_seeds(graph, query, k).entities
         prompt = compose(inst, spec, seeds)
         requests[inst.id] = CompletionRequest(
             model=model,
@@ -685,14 +710,13 @@ def hand_parse_seed_record(rec: dict) -> SeedRecord:
     return SeedRecord(hand_string_or_int_field(rec, "id"), result, query)
 
 
-_HAND_NUMBER = ({int, float, type(None)}, "a number")
 _HAND_JSON_TYPES = {
     "str": ({str}, "a string"),
     "str | None": ({str, type(None)}, "a string or null"),
     "bool": ({bool}, "true or false"),
     "dict[str, str]": ({dict}, "an object of strings"),
-    "int | None": _HAND_NUMBER,
-    "float | None": _HAND_NUMBER,
+    "int | None": ({int, type(None)}, "an integer or null"),
+    "float | None": ({int, float, type(None)}, "a number"),
 }
 
 

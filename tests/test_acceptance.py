@@ -18,11 +18,9 @@ from seedqa.client import ChatClient, ClientConfig
 from seedqa.entities import LexiconExtractor, Lexicon, annotate_dataset
 from seedqa.evaluation import (
     EvalRecord,
-    bleu_n,
     build_report,
     load_records,
     rouge_l,
-    rouge_n,
     run_eval,
     save_records,
     save_report,
@@ -39,6 +37,7 @@ from seedqa.textseg import estimate_tokens
 
 from conftest import (
     ENTITY_POOL,
+    bleu_n,
     brute_bleu,
     brute_rouge_l,
     brute_rouge_n,
@@ -46,6 +45,7 @@ from conftest import (
     oracle_seed_ranking,
     pipeline_requests,
     random_annotated,
+    rouge_n,
     row_weights,
     synth_dataset,
     write_replay_fixture,
@@ -227,7 +227,7 @@ def test_prompt_mode_contracts_and_token_budget():
     for inst in dataset:
         from seedqa.corpus import qo_text
 
-        seeds = mine_seeds(graph, SeedQuery(frozenset(extractor(qo_text(inst)))), 10)
+        seeds = mine_seeds(graph, SeedQuery(frozenset(extractor(qo_text(inst)))), 10).entities
         for shots in ("zero", "few"):
             qa = compose(inst, PromptSpec("standard_qa", shots, exemplars=exemplars))
             cot = compose(inst, PromptSpec("cot", shots, exemplars=exemplars))

@@ -15,7 +15,6 @@ from seedqa.corpus import (
     data_path,
     instance_to_record,
     load_dataset,
-    save_dataset,
 )
 from seedqa.entities import (
     LexiconExtractor,
@@ -32,7 +31,8 @@ from seedqa.prompts import PromptSpec, load_exemplars
 from seedqa.seeds import load_seed_records
 
 from conftest import (
-    DEEP_JSON, pipeline_requests, synth_dataset, write_lexicon, write_replay_fixture,
+    DEEP_JSON, pipeline_requests, synth_dataset, write_dataset, write_lexicon,
+    write_replay_fixture,
 )
 
 
@@ -43,8 +43,8 @@ def corpus(tmp_path):
     test = synth_dataset(22, 4, prefix="te")
     train_path = tmp_path / "train.jsonl"
     test_path = tmp_path / "test.jsonl"
-    save_dataset(train, str(train_path))
-    save_dataset(test, str(test_path))
+    write_dataset(train, train_path)
+    write_dataset(test, test_path)
     lexicon_path = write_lexicon(tmp_path / "lexicon.txt")
     return {
         "dir": tmp_path,
@@ -633,7 +633,9 @@ def test_non_string_text_exits_1_with_location(corpus, capsys, kind, field, valu
     ("metadata", {"discipline": 1}, "an object of strings"),
     ("bleu_1", "x", "a number"),
     ("bleu_1", True, "a number"),
-    ("seed_count", "3", "a number"),
+    ("seed_count", "3", "an integer or null"),
+    ("seed_count", 2.5, "an integer or null"),
+    ("response_tokens", 7.25, "an integer or null"),
 ])
 def test_report_on_mistyped_record_exits_1_with_location(corpus, capsys, field, value,
                                                          expected):
@@ -820,7 +822,7 @@ def test_exit_2_on_transport_exhaustion(corpus, tmp_path, monkeypatch):
     # needs more instances than the consecutive-failure threshold
     big = synth_dataset(30, 7, prefix="tx")
     big_path = tmp_path / "big_test.jsonl"
-    save_dataset(big, str(big_path))
+    write_dataset(big, big_path)
     out_dir = corpus["dir"] / "dead_out"
 
     import seedqa.client as client_mod

@@ -17,14 +17,13 @@ from seedqa.corpus import (
     load_dataset,
     map_in_order,
     qo_text,
-    save_dataset,
     split_sample,
     write_whole,
 )
 from seedqa.evaluation import EvalRecord, build_report, save_records, save_report
 from seedqa.seeds import SeedRecord, SeedResult, save_seed_records
 
-from conftest import synth_dataset
+from conftest import synth_dataset, write_dataset
 
 VALID = {
     "id": "q1",
@@ -164,7 +163,7 @@ def test_round_trip(tmp_path):
     src = write_jsonl(tmp_path / "in.jsonl", records)
     ds = load_dataset(src)
     out = tmp_path / "out.jsonl"
-    save_dataset(ds, str(out))
+    write_dataset(ds, out)
     assert load_dataset(str(out)) == ds
     # metadata key absent when empty
     second = out.read_text(encoding="utf-8").splitlines()[1]
@@ -380,12 +379,10 @@ def _save_cases():
         "save_records": (save_records, records[:1], records, len(records)),
         "save_report": (save_report, build_report(records[:1]), build_report(records), 1),
         "save_seed_records": (save_seed_records, seeds[:1], seeds, len(seeds)),
-        "save_dataset": (save_dataset, Dataset(dataset.instances[:1]), dataset, len(dataset)),
     }
 
 
-@pytest.mark.parametrize("saver", ["save_records", "save_report", "save_seed_records",
-                                   "save_dataset"])
+@pytest.mark.parametrize("saver", ["save_records", "save_report", "save_seed_records"])
 def test_save_failure_keeps_old_file(tmp_path, monkeypatch, saver):
     save, old_value, new_value, n_dumps = _save_cases()[saver]
     path = tmp_path / "out"

@@ -158,14 +158,6 @@ def test_seeds_only_in_icp():
         compose(inst, PromptSpec("cot", "zero"), seeds=["x"])
 
 
-def test_seed_result_accepted_directly(toy_graph):
-    from seedqa.seeds import SeedQuery, mine_seeds
-
-    result = mine_seeds(toy_graph, SeedQuery(frozenset({"a", "b"})))
-    rendered = compose(toy_instance(), PromptSpec("icp", "zero"), seeds=result)
-    assert "knowledge seeds: c、d" in rendered.text
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         PromptSpec("other", "zero")

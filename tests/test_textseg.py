@@ -9,12 +9,11 @@ from seedqa.textseg import (
     estimate_tokens,
     finish_estimate,
     fold_estimate,
-    is_cjk,
-    script_runs,
     tokenize,
 )
 
 from conftest import (
+    is_cjk,
     per_char_script_runs,
     two_group_fold_estimate,
     two_group_script_runs,
@@ -22,41 +21,74 @@ from conftest import (
 )
 
 
+def splits_as_cjk(ch: str) -> bool:
+    """Whether segmentation treats the single character ``ch`` as CJK: a
+    token of its own between Latin letters, and one closed token where any
+    other character opens a run of length 1.  The per-character oracle
+    must agree."""
+    cjk = tokenize(f"x{ch}y") == ["x", ch, "y"]
+    assert fold_estimate(ch) == ((1, 0) if cjk else (0, 1)), repr(ch)
+    assert is_cjk(ch) == cjk, repr(ch)
+    return cjk
+
+
+def fold_of_runs(runs: list[tuple[bool, str]]) -> tuple[int, int]:
+    """The ``fold_estimate`` state of a text with these script runs: a
+    trailing non-CJK run stays open, every other run is charged."""
+    open_len = 0
+    if runs and not runs[-1][0]:
+        open_len = len(runs[-1][1])
+        runs = runs[:-1]
+    closed = sum(len(run) if cjk else math.ceil(len(run) / LATIN_CHARS_PER_TOKEN)
+                 for cjk, run in runs)
+    return closed, open_len
+
+
 def test_is_cjk_basic():
-    assert is_cjk("患")
-    assert is_cjk("ア")
-    assert is_cjk("한")
-    assert is_cjk("。")
-    assert is_cjk("Ａ")  # fullwidth latin counts as CJK-width
-    assert not is_cjk("a")
-    assert not is_cjk("1")
-    assert not is_cjk(" ")
-    assert not is_cjk("é")
+    assert splits_as_cjk("患")
+    assert splits_as_cjk("ア")
+    assert splits_as_cjk("한")
+    assert splits_as_cjk("。")
+    assert splits_as_cjk("Ａ")  # fullwidth latin counts as CJK-width
+    assert not splits_as_cjk("a")
+    assert not splits_as_cjk("1")
+    assert not splits_as_cjk(" ")
+    assert not splits_as_cjk("é")
 
 
 def test_is_cjk_extension_b():
-    assert is_cjk("\U00020000")
+    assert splits_as_cjk("\U00020000")
 
 
 def test_script_runs_alternation():
-    runs = script_runs("患者有diabetes病史")
-    assert runs == [(True, "患者有"), (False, "diabetes"), (True, "病史")]
+    text = "患者有diabetes病史"
+    runs = [(True, "患者有"), (False, "diabetes"), (True, "病史")]
+    assert per_char_script_runs(text) == runs
+    assert tokenize(text) == ["患", "者", "有", "diabetes", "病", "史"]
+    # 3 CJK tokens, the 8-character Latin run closed at 2 tokens, 2 more
+    assert fold_estimate(text) == fold_of_runs(runs) == (7, 0)
+    assert fold_estimate(text + "ab") == (7, 2)
 
 
 def test_script_runs_empty():
-    assert script_runs("") == []
+    assert tokenize("") == []
+    assert fold_estimate("") == (0, 0)
+    assert fold_estimate("", (3, 2)) == (3, 2)
 
 
 def test_script_runs_reassembles_and_alternates():
+    # tokens keep every non-space character in order; a CJK character is a
+    # token of its own and no other token holds one
     rng = random.Random(7)
     alphabet = "abc 12患者病史。ア한"
     for _ in range(200):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
-        runs = script_runs(text)
-        assert "".join(run for _, run in runs) == text
-        for k in range(1, len(runs)):
-            assert runs[k][0] != runs[k - 1][0]
-        assert all(run for _, run in runs)
+        tokens = tokenize(text)
+        assert "".join(tokens) == "".join(text.split())
+        for token in tokens:
+            assert token and not any(map(str.isspace, token))
+            assert len(token) == 1 or not any(map(is_cjk, token)), (text, token)
+        assert fold_estimate(text) == fold_of_runs(per_char_script_runs(text)), repr(text)
 
 
 def test_tokenize_mixed():
@@ -106,7 +138,7 @@ def test_script_runs_match_per_char_oracle_at_block_edges():
     for _ in range(4000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24)))
         runs = per_char_script_runs(text)
-        assert script_runs(text) == runs, repr(text)
+        assert fold_estimate(text) == fold_of_runs(runs), repr(text)
         words = [t for cjk, run in runs for t in (run if cjk else run.split())]
         assert tokenize(text) == words
         assert estimate_tokens(text) == sum(
@@ -140,7 +172,7 @@ def test_one_class_split_matches_two_group_oracle():
         middle = "".join(rng.choice(alphabet + astral) for _ in range(rng.randint(0, 20)))
         texts.append(rng.choice(first) + middle + rng.choice(last))
     for text in texts:
-        assert script_runs(text) == two_group_script_runs(text), repr(text)
+        assert fold_estimate(text) == fold_of_runs(two_group_script_runs(text)), repr(text)
         assert tokenize(text) == two_group_tokenize(text), repr(text)
         assert estimate_tokens(text) == finish_estimate(two_group_fold_estimate(text))
         state = (rng.randint(0, 9), rng.randint(0, 9))
