@@ -18,11 +18,13 @@ indexed in name order, so index order breaks weight ties by name.  A
 source's target indices, sorted by descending weight and then target
 index, are computed the first time the miner or ``neighbors`` asks for
 them and cached; a run that touches a few hundred sources never ranks the
-rest.  Files store counts only, in the order ``save_graph`` writes them:
-nodes by name, rows by index.  ``load_graph`` parses the node table as one
-JSON array and the row tables a chunk of whole rows at a time, and reads
-only a part that fails a check again, line by line, to name the first
-defect in file order.
+rest.  ``build_graph`` counts each source's row of targets on its own, in
+index order, and ``save_graph`` formats the node table in one call and
+each source row in one more.  Files store counts only, in the order
+``save_graph`` writes them: nodes by name, rows by index.  ``load_graph``
+parses the node table as one JSON array and the row tables a chunk of
+whole rows at a time, and reads only a part that fails a check again, line
+by line, to name the first defect in file order.
 """
 
 from __future__ import annotations
@@ -161,20 +163,32 @@ def build_graph(train: Iterable[AnnotatedInstance]) -> KnowledgeGraph:
     analysis side contains j; freq(j) counts instances whose analysis side
     contains j at all.  Both are per-instance (sets, not multisets), so
     repeating an entity inside one instance changes nothing.
+
+    Each instance appends its analysis-side indices to the row of every
+    question-side source.  Each row is then sorted and counted on its own,
+    in source index order, so the edge keys come out ascending with no
+    global table, sort or lookup pass.
     """
     sides = [(set(ann.qo_entities), set(ann.r_entities)) for ann in train]
     nodes = sorted(set().union(*chain.from_iterable(sides)))
     index = {node: i for i, node in enumerate(nodes)}
     m = len(nodes)
-    counts: Counter[int] = Counter()
+    rows: list[list[int]] = [[] for _ in range(m)]
     freq: Counter[str] = Counter()
     for qo, r in sides:
         freq.update(r)
         targets = [index[tgt] for tgt in r]
         for src in qo:
-            counts.update(map(add, repeat(index[src] * m), targets))
-    edges = array("q", sorted(counts))
-    return KnowledgeGraph(nodes, edges, array("q", map(counts.__getitem__, edges)), dict(freq))
+            rows[index[src]] += targets
+    edges, counts = array("q"), array("q")
+    for i, row in enumerate(rows):
+        if row:
+            row.sort()
+            # a Counter keeps first-seen order, here ascending target order
+            row_counts = Counter(row)
+            edges.extend(map(add, repeat(i * m), row_counts))
+            counts.extend(row_counts.values())
+    return KnowledgeGraph(nodes, edges, counts, dict(freq))
 
 
 def save_graph(graph: KnowledgeGraph, path: str) -> None:
@@ -198,13 +212,19 @@ def save_graph(graph: KnowledgeGraph, path: str) -> None:
         ensure_ascii=False,
     )
     index, m, edges, counts = graph._index, graph.m, graph._edges, graph._counts
-    # row by row, so each edge formats only its target and count
-    rows = (map(f"{i}\t{{}}\t{{}}\n".format, map(sub, edges[lo:hi], repeat(i * m)), counts[lo:hi])
-            for i, (lo, hi) in enumerate(map(graph._row, range(m))))
+    # the node table as one JSON array, one entry per line
+    node_lines = json.dumps(graph.nodes, ensure_ascii=False, separators=("\n", ":"))[1:-1]
+    # one format per source row, with its targets and counts interleaved
+    rows = []
+    for i, (lo, hi) in enumerate(map(graph._row, range(m))):
+        if lo < hi:
+            fields = [0] * (2 * (hi - lo))
+            fields[::2] = map(sub, edges[lo:hi], repeat(i * m))
+            fields[1::2] = counts[lo:hi]
+            rows.append((f"{i}\t%d\t%d\n" * (hi - lo)) % tuple(fields))
     body = "".join(chain(
-        (header, "\n"),
-        (json.dumps(node, ensure_ascii=False) + "\n" for node in graph.nodes),
-        chain.from_iterable(rows),
+        (header, "\n", node_lines, "\n" if m else ""),
+        rows,
         (f"{index[ent]}\t{graph.analysis_freq[ent]}\n"
          for ent in sorted(graph.analysis_freq)),
     ))

@@ -39,7 +39,8 @@ class SeedQuery:
 
 @dataclass
 class SeedResult:
-    """Mined seeds in rank order with their aggregate scores."""
+    """Mined seeds in rank order with their aggregate scores; each seed is a
+    distinct entity in canonical form, as the miner yields them."""
 
     seeds: tuple[tuple[str, int], ...]
     k: int = DEFAULT_K
@@ -52,6 +53,13 @@ class SeedResult:
         scores = [s for _, s in self.seeds]
         if scores != sorted(scores):
             raise ValueError("seed scores must be non-decreasing")
+        seen: set[str] = set()
+        for ent, _ in self.seeds:
+            if ent in seen:
+                raise ValueError(f"repeated seed entity {ent!r}")
+            if ent != normalize_entity(ent):
+                raise ValueError(f"seed entity not in canonical form: {ent!r}")
+            seen.add(ent)
 
     @property
     def entities(self) -> tuple[str, ...]:

@@ -9,8 +9,11 @@ import json
 import math
 import random
 import re
+from array import array
 from collections import Counter
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import add
 
 import pytest
 
@@ -122,6 +125,25 @@ def v1_graph_bytes(train) -> bytes:
         body += f"{ni}\t{freq[nodes[ni]]}\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return (body + f'{{"sha256": "{digest}"}}\n').encode("utf-8")
+
+
+def global_counter_build_graph(train) -> KnowledgeGraph:
+    """The graph builder that counted every edge key in one ``Counter``,
+    sorted the keys and looked each count up again, before the builder
+    counted one source row at a time."""
+    sides = [(set(ann.qo_entities), set(ann.r_entities)) for ann in train]
+    nodes = sorted(set().union(*chain.from_iterable(sides)))
+    index = {node: i for i, node in enumerate(nodes)}
+    m = len(nodes)
+    counts: Counter[int] = Counter()
+    freq: Counter[str] = Counter()
+    for qo, r in sides:
+        freq.update(r)
+        targets = [index[tgt] for tgt in r]
+        for src in qo:
+            counts.update(map(add, repeat(index[src] * m), targets))
+    edges = array("q", sorted(counts))
+    return KnowledgeGraph(nodes, edges, array("q", map(counts.__getitem__, edges)), dict(freq))
 
 
 def line_by_line_graph_nodes(path: str, lines: list[str]) -> list[str]:

@@ -151,6 +151,17 @@ def test_mine_seeds_sidecar_bytes_are_pinned(corpus):
     assert hashlib.sha256(seeds_path.read_bytes()).hexdigest() == SIDECAR_SHA256
 
 
+# SHA-256 of the graph file that annotate + build-graph write for the corpus
+# fixture; it moves only when what the graph counts, or how graph files are
+# written, changes
+GRAPH_SHA256 = "24637d37718f8c7b9b6d411772acf7ccfa149cb128ba42350df3439223b7b722"
+
+
+def test_build_graph_bytes_are_pinned(corpus):
+    _, graph_path = pipeline_to_graph(corpus)
+    assert hashlib.sha256(Path(graph_path).read_bytes()).hexdigest() == GRAPH_SHA256
+
+
 def run_icp(corpus, graph_path, fixture, out_name, extra=()):
     out_dir = corpus["dir"] / out_name
     code = main([
@@ -724,6 +735,47 @@ def test_run_icp_negative_k_exits_1_before_any_call(corpus, capsys, monkeypatch)
     ]) == 1
     err = capsys.readouterr().err
     assert "k must be non-negative" in err and "Traceback" not in err
+    assert calls == []
+    assert not (out_dir / "config.json").exists()
+
+
+@pytest.mark.parametrize("seeds, reason", [
+    (["高血压", "高血压"], "repeated seed entity '高血压'"),
+    (["高血压", "ASPIRIN"], "seed entity not in canonical form: 'ASPIRIN'"),
+], ids=["repeated", "not canonical"])
+def test_run_refuses_sidecar_with_bad_seed_before_any_call(corpus, capsys, monkeypatch,
+                                                           seeds, reason):
+    # a repeated seed would count twice in seed_count and render twice in
+    # the prompt, while seed_quality scores the distinct set
+    import seedqa.client as client_mod
+
+    calls = []
+
+    def transport(url, headers, payload, timeout):
+        calls.append(payload)
+        return 200, json.dumps({"choices": [{"message": {"content": "答案是A"}}]})
+
+    monkeypatch.setattr(client_mod, "_default_transport", transport)
+    _, graph_path = pipeline_to_graph(corpus)
+    seeds_path = corpus["dir"] / "bad.seeds.jsonl"
+    seeds_path.write_text(
+        json.dumps({"id": "te0", "seeds": seeds, "scores": [3, 4], "k": 10},
+                   ensure_ascii=False) + "\n", encoding="utf-8")
+    out_dir = corpus["dir"] / "bad_seed_out"
+    capsys.readouterr()
+    assert main([
+        "run",
+        "--dataset", corpus["test"],
+        "--mode", "icp",
+        "--graph", graph_path,
+        "--lexicon", corpus["lexicon"],
+        "--seeds", str(seeds_path),
+        "--backend", "live",
+        "--base-url", "http://127.0.0.1:9",
+        "--out-dir", str(out_dir),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert f"{seeds_path}:1: {reason}" in err and "Traceback" not in err
     assert calls == []
     assert not (out_dir / "config.json").exists()
 

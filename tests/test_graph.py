@@ -24,6 +24,7 @@ from seedqa.seeds import SeedQuery, mine_seeds
 from conftest import (
     DEEP_JSON,
     ENTITY_POOL,
+    global_counter_build_graph,
     line_by_line_graph_nodes,
     line_by_line_graph_rows,
     make_annotated,
@@ -278,7 +279,7 @@ def test_save_graph_writes_v1_bytes(tmp_path, toy_train):
     # instance without analysis entities leaves question-side sinks
     rng = random.Random(808)
     vocab = [*ENTITY_POOL, "aspirin", "x-ray", 'say "ah"']
-    corpora = [toy_train]
+    corpora = [toy_train, []]
     for c in range(50):
         corpora.append([
             make_annotated(
@@ -288,6 +289,16 @@ def test_save_graph_writes_v1_bytes(tmp_path, toy_train):
             )
             for i in range(rng.randint(0, 8))
         ])
+    # a few hundred instances over node names that JSON must escape (a
+    # quote, a backslash, control characters, a newline) or that lie outside
+    # the BMP, all in the node table that save_graph formats in one call
+    escapes = [*ENTITY_POOL, 'say "ah"', "back\\slash", "a\x01b", "nl\nx", "tab\tx",
+               "\x7fdel", "line\u2028sep", "\U00020000", "\U0001F600x"]
+    corpora.append([
+        make_annotated(f"e{i}", set(rng.sample(escapes, rng.randint(0, 4))),
+                       set(rng.sample(escapes, rng.randint(0, 5))))
+        for i in range(300)
+    ])
     question_sinks = analysis_only = 0
     for trial, train in enumerate(corpora):
         g = build_graph(train)
@@ -298,6 +309,56 @@ def test_save_graph_writes_v1_bytes(tmp_path, toy_train):
         question_sinks += any(not g.neighbors(n) for n in question_side)
         analysis_only += any(n not in question_side for n in g.nodes)
     assert question_sinks >= 5 and analysis_only >= 5
+    # the empty graph writes no node lines: header and trailer only
+    assert (tmp_path / "g1.kg").read_text(encoding="utf-8").count("\n") == 2
+    text = path.read_text(encoding="utf-8")
+    for escaped in ('\\"', "\\\\", "\\u0001", "\\n", "\\t", "\U00020000"):
+        assert escaped in text, escaped
+    assert load_graph(str(path)).raw_counts == g.raw_counts
+
+
+def _zipf_corpus(rng, count: int, vocab_size: int):
+    """``count`` instances whose entities follow a Zipf law over
+    ``vocab_size`` names, so the first names are hubs whose rows reach
+    hundreds of targets and sit on both sides of an instance.  Question
+    entities come from the first 70% of the names, so some of the rest are
+    analysis-only, and either side may be empty."""
+    vocab = [f"实体{i}" for i in range(vocab_size)]
+    weights = [1 / rank for rank in range(1, vocab_size + 1)]
+    cut = max(1, vocab_size * 7 // 10)
+    return [
+        make_annotated(
+            f"z{i}",
+            set(rng.choices(vocab[:cut], weights[:cut], k=rng.choice((0, 1, 3, 5, 8)))),
+            set(rng.choices(vocab, weights, k=rng.choice((0, 2, 6, 14)))),
+        )
+        for i in range(count)
+    ]
+
+
+def test_build_graph_matches_global_counter_builder():
+    rng = random.Random(2222)
+    corpora = [_zipf_corpus(rng, rng.randint(0, 60), rng.choice((5, 40, 300)))
+               for _ in range(40)]
+    corpora += [_zipf_corpus(rng, 600, 800), _zipf_corpus(rng, 6000, 2000)]
+    for trial, train in enumerate(corpora):
+        got, want = build_graph(train), global_counter_build_graph(train)
+        assert got.nodes == want.nodes, f"trial {trial}"
+        assert list(got.analysis_freq.items()) == list(want.analysis_freq.items()), (
+            f"trial {trial}")
+        for name in ("_edges", "_counts"):
+            table = getattr(got, name)
+            assert table.typecode == "q", f"trial {trial}: {name}"
+            assert table == getattr(want, name), f"trial {trial}: {name}"
+    # the largest corpus, built last, holds every case the row-at-a-time
+    # count must get right
+    big, g = corpora[-1], got
+    assert len(big) >= 6000
+    assert max(hi - lo for lo, hi in map(g._row, range(g.m))) >= 300
+    assert any(key // g.m == key % g.m for key in g._edges)
+    assert any(not ann.qo_entities for ann in big) and any(not ann.r_entities for ann in big)
+    question_side = {e for ann in big for e in ann.qo_entities}
+    assert any(n not in question_side for n in g.nodes)
 
 
 def test_save_graph_failure_keeps_old_file(tmp_path, toy_train, monkeypatch):

@@ -206,6 +206,14 @@ def test_seed_result_validation():
         SeedResult((("a", 3), ("b", 1)), k=5)
     with pytest.raises(ValueError):
         SeedResult((), k=-2)
+    with pytest.raises(ValueError, match="repeated seed entity 'a'"):
+        SeedResult((("a", 1), ("b", 2), ("a", 3)), k=5)
+    for raw in ("ASPIRIN", " aspirin", "ｈｔｎ"):
+        with pytest.raises(ValueError, match="seed entity not in canonical form"):
+            SeedResult(((raw, 1),), k=5)
+    with pytest.raises(ValueError, match="empty after normalization"):
+        SeedResult((("", 1),), k=5)
+    assert SeedResult((("aspirin", 1), ("高血压", 1)), k=2).entities == ("aspirin", "高血压")
 
 
 def test_sidecar_round_trip(tmp_path, toy_graph):
@@ -243,6 +251,13 @@ _BAD_SIDECAR_LINES = [
     ("id a float", {"id": 5.0, "seeds": [], "scores": []}, "'id' must be a string or an integer"),
     ("id repeats with other seeds", {"id": "q1", "query": ["a"], "seeds": [], "scores": []},
      "id 'q1' repeats with a different record"),
+    ("seed repeated", {"seeds": ["高血压", "高血压"], "scores": [3, 4], "k": 10},
+     "repeated seed entity '高血压'"),
+    ("seed not canonical", {"seeds": ["b", "Aspirin"], "scores": [3, 4]},
+     "seed entity not in canonical form: 'Aspirin'"),
+    ("seed padded", {"seeds": ["b ", "c"], "scores": [3, 4]},
+     "seed entity not in canonical form: 'b '"),
+    ("seed empty", {"seeds": [""], "scores": [3]}, "entity is empty after normalization"),
 ]
 
 
