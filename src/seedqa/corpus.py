@@ -33,36 +33,40 @@ class DatasetFormatError(ValueError):
     path, and with ``path:line`` for a defect in one line of the file."""
 
 
-def read_lines(path: str, parse: Callable[[str], T]) -> list[T]:
-    """``parse`` of every non-blank line of a UTF-8 text file, in order.
+def read_lines(path: str, parse: Callable[[str], T]) -> Iterator[T]:
+    """Yield ``parse`` of every non-blank line of a UTF-8 text file, in
+    order, one line at a time: a caller that needs every value at once takes
+    ``list()`` of it, and one that parses for side effects must consume it
+    to the end.  The file is opened at the first value asked for and closed
+    when the last is taken, or when the iterator is closed or collected.
 
     A KeyError, TypeError or ValueError raised by ``parse`` becomes
     DatasetFormatError naming ``path:line``.  A file that is not UTF-8
     raises DatasetFormatError naming ``path`` alone: the text is decoded in
     blocks, so the line is not known.
     """
-    out: list[T] = []
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
                 try:
-                    out.append(parse(line))
+                    value = parse(line)
                 except KeyError as exc:
                     raise DatasetFormatError(f"{path}:{lineno}: missing field {exc}") from exc
                 except (TypeError, ValueError) as exc:
                     raise DatasetFormatError(f"{path}:{lineno}: {exc}") from exc
+                yield value
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    return out
 
 
-def read_jsonl(path: str, parse: Callable[[dict], T]) -> list[T]:
-    """``read_lines`` for line-delimited JSON: each line must hold a JSON
-    object, which ``parse`` turns into a value.  Invalid JSON, an integer
-    over Python's digit limit and nesting past the recursion limit included,
-    and a non-object line are errors at ``path:line`` too."""
+def json_object_line(parse: Callable[[dict], T]) -> Callable[[str], T]:
+    """A line parser for ``read_lines`` over line-delimited JSON: each line
+    must hold a JSON object, which ``parse`` turns into a value.  Invalid
+    JSON, an integer over Python's digit limit and nesting past the
+    recursion limit included, and a non-object line raise ValueError, so
+    they are errors at ``path:line`` too."""
 
     def parse_line(line: str) -> T:
         try:
@@ -73,7 +77,13 @@ def read_jsonl(path: str, parse: Callable[[dict], T]) -> list[T]:
             raise ValueError("record is not a JSON object")
         return parse(rec)
 
-    return read_lines(path, parse_line)
+    return parse_line
+
+
+def read_jsonl(path: str, parse: Callable[[dict], T]) -> list[T]:
+    """Every value of a line-delimited JSON file, read by ``read_lines``
+    with a ``json_object_line(parse)`` parser."""
+    return list(read_lines(path, json_object_line(parse)))
 
 
 # JSON field kinds by the phrase errors name them with: the types a value

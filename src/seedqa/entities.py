@@ -122,7 +122,8 @@ def load_lexicon(path: str) -> Lexicon:
         for surface in (canonical, *(normalize_entity(a) for a in aliases if a.strip())):
             _claim(owner, surface, canonical)
 
-    read_lines(path, claim_line)
+    for _ in read_lines(path, claim_line):
+        pass
     if not owner:
         raise DatasetFormatError(f"{path}: lexicon has no entries")
     # every surface is already normalized and checked, so skip __init__
@@ -358,12 +359,15 @@ def save_annotated(annotated: Sequence[AnnotatedInstance], path: str) -> None:
     write_whole(path, lines())
 
 
-def load_annotated(path: str) -> list[AnnotatedInstance]:
-    return read_jsonl(
-        path,
-        lambda rec: AnnotatedInstance(
-            parse_record(rec),
-            frozenset(json_field(rec, "qo_entities", "a list of strings")),
-            frozenset(json_field(rec, "r_entities", "a list of strings")),
-        ),
+def parse_annotated(rec: dict) -> AnnotatedInstance:
+    """Build an AnnotatedInstance from one annotated record; raises
+    KeyError for a missing field and ValueError for an invalid one."""
+    return AnnotatedInstance(
+        parse_record(rec),
+        frozenset(json_field(rec, "qo_entities", "a list of strings")),
+        frozenset(json_field(rec, "r_entities", "a list of strings")),
     )
+
+
+def load_annotated(path: str) -> list[AnnotatedInstance]:
+    return read_jsonl(path, parse_annotated)

@@ -13,14 +13,16 @@ even negative weight, and rare ones are promoted.
 
 The graph is stored as flat integer tables: every edge once, as the key
 ``source_index * m + target_index`` in one ascending table, a raw count
-beside each key, and one idf value per node.  Nodes are
-indexed in name order, so index order breaks weight ties by name.  A
-source's target indices, sorted by descending weight and then target
-index, are computed the first time the miner or ``neighbors`` asks for
-them and cached; a run that touches a few hundred sources never ranks the
-rest.  ``build_graph`` counts each source's row of targets on its own, in
-index order, and ``save_graph`` formats the node table in one call and
-each source row in one more.  Files store counts only, in the order
+beside each key, and one idf value per node.  Nodes are indexed in name
+order, so index order breaks weight ties by name.  A source's target
+indices, sorted by descending weight and then target index, are computed
+the first time the miner or ``neighbors`` asks for them and cached; a run
+that touches a few hundred sources never ranks the rest.  ``build_graph``
+keeps only each instance's entity sets, so it can read a stream of
+annotated records one at a time, and counts each source's row of targets
+on its own, in index order.  ``save_graph`` formats the node table in one
+call and each source row in one more, and streams them to the file,
+hashing each as it is written.  Files store counts only, in the order
 ``save_graph`` writes them: nodes by name, rows by index.  ``load_graph``
 parses the node table as one JSON array and the row tables a chunk of
 whole rows at a time, and reads only a part that fails a check again, line
@@ -37,7 +39,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import chain, islice, repeat
 from operator import add, lt, mul, sub, truediv
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import write_whole
 from .entities import AnnotatedInstance
@@ -164,12 +166,14 @@ def build_graph(train: Iterable[AnnotatedInstance]) -> KnowledgeGraph:
     contains j at all.  Both are per-instance (sets, not multisets), so
     repeating an entity inside one instance changes nothing.
 
-    Each instance appends its analysis-side indices to the row of every
-    question-side source.  Each row is then sorted and counted on its own,
-    in source index order, so the edge keys come out ascending with no
-    global table, sort or lookup pass.
+    ``train`` is read once, and may be a lazy stream: only each instance's
+    own two entity sets are kept, so its text can be freed as soon as they
+    are taken.  Each instance then appends its analysis-side indices to the
+    row of every question-side source.  Each row is sorted and counted on
+    its own, in source index order, so the edge keys come out ascending
+    with no global table, sort or lookup pass.
     """
-    sides = [(set(ann.qo_entities), set(ann.r_entities)) for ann in train]
+    sides = [(ann.qo_entities, ann.r_entities) for ann in train]
     nodes = sorted(set().union(*chain.from_iterable(sides)))
     index = {node: i for i, node in enumerate(nodes)}
     m = len(nodes)
@@ -200,6 +204,11 @@ def save_graph(graph: KnowledgeGraph, path: str) -> None:
     SHA-256 of everything before it.  Weights are derived, so only counts
     are stored.  Rows are written in (source, target) index order, and the
     file is replaced whole or not at all.
+
+    The text streams to the file in chunks: the header with the node table,
+    one ``%``-format per source row with its targets and counts
+    interleaved, then the frequency rows.  Each chunk's UTF-8 bytes update
+    the digest as it is written, so no whole body is ever held.
     """
     header = json.dumps(
         {
@@ -214,22 +223,26 @@ def save_graph(graph: KnowledgeGraph, path: str) -> None:
     index, m, edges, counts = graph._index, graph.m, graph._edges, graph._counts
     # the node table as one JSON array, one entry per line
     node_lines = json.dumps(graph.nodes, ensure_ascii=False, separators=("\n", ":"))[1:-1]
-    # one format per source row, with its targets and counts interleaved
-    rows = []
-    for i, (lo, hi) in enumerate(map(graph._row, range(m))):
-        if lo < hi:
-            fields = [0] * (2 * (hi - lo))
-            fields[::2] = map(sub, edges[lo:hi], repeat(i * m))
-            fields[1::2] = counts[lo:hi]
-            rows.append((f"{i}\t%d\t%d\n" * (hi - lo)) % tuple(fields))
-    body = "".join(chain(
-        (header, "\n", node_lines, "\n" if m else ""),
-        rows,
-        (f"{index[ent]}\t{graph.analysis_freq[ent]}\n"
-         for ent in sorted(graph.analysis_freq)),
-    ))
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    write_whole(path, (body, json.dumps({"sha256": digest}), "\n"))
+
+    def body() -> Iterator[str]:
+        yield f"{header}\n{node_lines}\n" if m else f"{header}\n"
+        for i, (lo, hi) in enumerate(map(graph._row, range(m))):
+            if lo < hi:
+                fields = [0] * (2 * (hi - lo))
+                fields[::2] = map(sub, edges[lo:hi], repeat(i * m))
+                fields[1::2] = counts[lo:hi]
+                yield (f"{i}\t%d\t%d\n" * (hi - lo)) % tuple(fields)
+        yield "".join(f"{index[ent]}\t{graph.analysis_freq[ent]}\n"
+                      for ent in sorted(graph.analysis_freq))
+
+    def hashed(chunks: Iterator[str]) -> Iterator[str]:
+        digest = hashlib.sha256()
+        for chunk in chunks:
+            digest.update(chunk.encode("utf-8"))
+            yield chunk
+        yield json.dumps({"sha256": digest.hexdigest()}) + "\n"
+
+    write_whole(path, hashed(body()))
 
 
 def load_graph(path: str) -> KnowledgeGraph:

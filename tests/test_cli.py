@@ -3,7 +3,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -118,6 +120,76 @@ def test_build_graph_merges_shards(corpus, tmp_path):
     merged = load_graph(str(merged_path))
     assert merged.raw_counts == whole.raw_counts
     assert merged.analysis_freq == whole.analysis_freq
+
+
+@pytest.mark.parametrize("layout", ["one file", "two files"])
+def test_build_graph_refuses_a_repeated_instance_id(corpus, capsys, layout):
+    # the same id twice would count its instance twice, as annotate refuses it
+    ann_path, graph_path = pipeline_to_graph(corpus)
+    old = Path(graph_path).read_bytes()
+    first = Path(ann_path).read_text(encoding="utf-8").splitlines(keepends=True)[0]
+    iid = json.loads(first)["id"]
+    if layout == "one file":
+        twice = corpus["dir"] / "twice.jsonl"
+        twice.write_text(first + first, encoding="utf-8")
+        argv, where = ["--annotated", str(twice)], f"{twice}:2"
+    else:
+        argv, where = ["--annotated", ann_path, "--annotated", ann_path], f"{ann_path}:1"
+    capsys.readouterr()
+    assert main(["build-graph", *argv, "--out", graph_path]) == 1
+    err = capsys.readouterr().err
+    assert f"{where}: duplicate instance id {iid!r}" in err and "Traceback" not in err
+    assert Path(graph_path).read_bytes() == old
+    assert not list(corpus["dir"].glob("*.tmp"))
+
+
+def test_build_graph_malformed_line_in_second_file_exits_1_with_location(corpus, capsys):
+    ann_path, _ = pipeline_to_graph(corpus)
+    records = Path(ann_path).read_text(encoding="utf-8").splitlines(keepends=True)
+    shard1, shard2 = corpus["dir"] / "s1.jsonl", corpus["dir"] / "s2.jsonl"
+    shard1.write_text("".join(records[:5]), encoding="utf-8")
+    shard2.write_text("".join([records[5], "{not json\n", *records[6:]]), encoding="utf-8")
+    out = corpus["dir"] / "sharded.kg"
+    capsys.readouterr()
+    assert main(["build-graph", "--annotated", str(shard1), "--annotated", str(shard2),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{shard2}:2: invalid JSON" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _annotated_lines(count: int, analysis_chars: int) -> str:
+    """``count`` annotated records, 12 question-side and 14 analysis-side
+    entities each from a 400-term vocabulary, with analyses of
+    ``analysis_chars`` CJK characters."""
+    rng = random.Random(23)
+    vocab = [f"病{i:03d}" for i in range(400)]
+    lines = []
+    for i in range(count):
+        rec = {"id": f"m{i}", "question": "问", "options": {"A": "甲", "B": "乙"},
+               "answer": "A", "analysis": "析" * analysis_chars,
+               "qo_entities": sorted(rng.sample(vocab, 12)),
+               "r_entities": sorted(rng.sample(vocab, 14))}
+        lines.append(json.dumps(rec, ensure_ascii=False) + "\n")
+    return "".join(lines)
+
+
+def test_build_graph_memory_does_not_grow_with_the_record_text(tmp_path):
+    # build-graph holds one annotated record at a time and keeps only its
+    # entity sets, so analyses 40 times as long leave its peak as it was
+    peaks = {}
+    for chars in (100, 4000):
+        ann = tmp_path / f"a{chars}.jsonl"
+        ann.write_text(_annotated_lines(500, chars), encoding="utf-8")
+        out = tmp_path / f"g{chars}.kg"
+        tracemalloc.start()
+        try:
+            assert main(["build-graph", "--annotated", str(ann), "--out", str(out)]) == 0
+            peaks[chars] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "g100.kg").read_bytes() == (tmp_path / "g4000.kg").read_bytes()
+    assert peaks[4000] < 1.1 * peaks[100], peaks
 
 
 def test_mine_seeds_sidecar(corpus):

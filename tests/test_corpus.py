@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import ast
+import gc
 import json
 import os
 import random
 import re
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -17,13 +19,15 @@ from seedqa.corpus import (
     load_dataset,
     map_in_order,
     qo_text,
+    read_lines,
     split_sample,
     write_whole,
 )
 from seedqa.evaluation import EvalRecord, build_report, save_records, save_report
+from seedqa.graph import build_graph, save_graph
 from seedqa.seeds import SeedRecord, SeedResult, save_seed_records
 
-from conftest import synth_dataset, write_dataset
+from conftest import random_annotated, synth_dataset, write_dataset
 
 VALID = {
     "id": "q1",
@@ -297,6 +301,29 @@ def _umask() -> int:
     return mask
 
 
+def test_read_lines_yields_one_line_at_a_time_and_closes_when_stopped(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_text("a\n\nb\nc\n", encoding="utf-8")
+    parsed = []
+
+    def parse(line):
+        parsed.append(line)
+        return line.strip()
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        closed = read_lines(str(path), parse)
+        assert next(closed) == "a" and parsed == ["a\n"]
+        assert next(closed) == "b" and parsed == ["a\n", "b\n"]
+        closed.close()
+        dropped = read_lines(str(path), parse)
+        assert next(dropped) == "a"
+        del dropped
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert list(read_lines(str(path), str.strip)) == ["a", "b", "c"]
+
+
 def test_write_whole_writes_and_replaces(tmp_path):
     path = tmp_path / "out.txt"
     write_whole(str(path), ["首行\n", "", "second\n"])
@@ -375,14 +402,18 @@ def _save_cases():
                           inst.answer == "A", dict(inst.metadata)) for inst in dataset]
     seeds = [SeedRecord(inst.id, SeedResult((("高血压", 3), ("贫血", 5)), 10), ("发热",))
              for inst in dataset]
+    train = random_annotated(random.Random(31), 40)
     return {
         "save_records": (save_records, records[:1], records, len(records)),
         "save_report": (save_report, build_report(records[:1]), build_report(records), 1),
         "save_seed_records": (save_seed_records, seeds[:1], seeds, len(seeds)),
+        # the header, the node table, then the trailer, after every row is streamed
+        "save_graph": (save_graph, build_graph(train[:1]), build_graph(train), 3),
     }
 
 
-@pytest.mark.parametrize("saver", ["save_records", "save_report", "save_seed_records"])
+@pytest.mark.parametrize("saver",
+                         ["save_records", "save_report", "save_seed_records", "save_graph"])
 def test_save_failure_keeps_old_file(tmp_path, monkeypatch, saver):
     save, old_value, new_value, n_dumps = _save_cases()[saver]
     path = tmp_path / "out"

@@ -9,6 +9,7 @@ import random
 import re
 import sys
 import threading
+import tracemalloc
 from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate
@@ -392,6 +393,27 @@ def test_save_graph_failure_keeps_old_file(tmp_path, toy_train, monkeypatch):
     assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["g.kg"]
     assert load_graph(str(path)).raw_counts == build_graph(toy_train[:1]).raw_counts
+
+
+def test_save_graph_streams_the_file_without_holding_its_text(tmp_path):
+    # rows go to the file, and into the digest, one chunk at a time, so
+    # saving needs far less memory than the file holds
+    rng = random.Random(37)
+    vocab = [f"e{i:04d}" for i in range(3000)]
+    g = build_graph(make_annotated(f"s{i}", rng.sample(vocab, 12), rng.sample(vocab, 14))
+                    for i in range(800))
+    path = tmp_path / "g.kg"
+    tracemalloc.start()
+    try:
+        save_graph(g, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 1 << 20
+    assert peak < size / 2, (peak, size)
+    loaded = load_graph(str(path))
+    assert loaded.raw_counts == g.raw_counts and loaded.analysis_freq == g.analysis_freq
 
 
 def _write_with_checksum(path, lines: list[str]) -> str:
