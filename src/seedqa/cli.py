@@ -18,7 +18,6 @@ import json
 import logging
 import os
 import sys
-from itertools import chain
 from typing import Any, Sequence
 
 from . import __version__
@@ -33,9 +32,7 @@ from .client import (
     RetryPolicy,
     TransportError,
 )
-from .corpus import (
-    DEFAULT_K, data_path, json_object_line, load_dataset, read_lines, split_sample, write_whole,
-)
+from .corpus import DEFAULT_K, data_path, load_dataset, split_sample, write_whole
 from .evaluation import (
     ApiExhaustionError,
     build_report,
@@ -195,23 +192,13 @@ def cmd_annotate(opts: dict[str, Any]) -> int:
 
 
 def cmd_build_graph(opts: dict[str, Any]) -> int:
-    from .entities import AnnotatedInstance, parse_annotated
+    from .entities import read_annotated
     from .graph import build_graph, save_graph
 
     paths, out_path = _need(opts, "annotated"), _need(opts, "out")
     seen: set[str] = set()
-
-    def parse(rec: dict) -> AnnotatedInstance:
-        ann = parse_annotated(rec)
-        # a repeat, in one file or across shards, would count its instance twice
-        if ann.base.id in seen:
-            raise ValueError(f"duplicate instance id {ann.base.id!r}")
-        seen.add(ann.base.id)
-        return ann
-
     # records are parsed one at a time, and build_graph keeps only their entity sets
-    graph = build_graph(chain.from_iterable(read_lines(path, json_object_line(parse))
-                                            for path in paths))
+    graph = build_graph(read_annotated(paths, seen))
     save_graph(graph, out_path)
     log.info(
         "graph with %d nodes, %d edges from %d instances -> %s",

@@ -59,13 +59,19 @@ class ReplayMissError(ClientError):
 
 @dataclass
 class CompletionRequest:
-    """One chat-completion call, identified by ``request_digest``."""
+    """One chat-completion call.  ``digest`` is its ``request_digest``,
+    taken once at construction: a request is built anew, never assigned to,
+    so the digest always matches its fields."""
 
     model: str
     prompt: str
     temperature: float = 0.0
     max_tokens: int = 256
     system: str | None = None
+    digest: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.digest = request_digest(self)
 
 
 @dataclass
@@ -169,10 +175,10 @@ class _ReplayBackend:
         if self._responses.setdefault(digest, response) != response:
             raise ValueError(f"digest {digest} repeats with a different response")
 
-    def complete(self, request: CompletionRequest, digest: str) -> CompletionResponse:
-        response = self._responses.get(digest)
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
+        response = self._responses.get(request.digest)
         if response is None:
-            raise ReplayMissError(digest)
+            raise ReplayMissError(request.digest)
         return response
 
 
@@ -187,8 +193,7 @@ class _LiveBackend:
         self._transport = transport or _default_transport
         self._sleep = sleeper if sleeper is not None else time.sleep
 
-    def complete(self, request: CompletionRequest, digest: str) -> CompletionResponse:
-        # ``digest`` keys replay lookups; a live call sends the request itself
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
         cfg = self._config
         url = cfg.base_url.rstrip("/") + "/chat/completions"
         headers = {"Content-Type": "application/json"}
@@ -277,13 +282,13 @@ class _DiskCache:
         except (FileNotFoundError, KeyError, RecursionError, TypeError, ValueError):
             return None
 
-    def put(self, digest: str, request: CompletionRequest, response: CompletionResponse) -> None:
+    def put(self, request: CompletionRequest, response: CompletionResponse) -> None:
         entry = {
-            "digest": digest,
+            "digest": request.digest,
             "request": _request_fields(request),
             "response": asdict(response),
         }
-        write_whole(self._path(digest), (json.dumps(entry, ensure_ascii=False),), 0o600)
+        write_whole(self._path(request.digest), (json.dumps(entry, ensure_ascii=False),), 0o600)
 
 
 class ChatClient:
@@ -308,16 +313,21 @@ class ChatClient:
         else:
             self._backend = _LiveBackend(config, transport, sleeper)
 
+    def request(self, prompt: str, max_tokens: int, system: str | None = None) -> CompletionRequest:
+        """A request for ``prompt`` at this client's model and temperature."""
+        return CompletionRequest(self.config.model, prompt, self.config.temperature,
+                                 max_tokens, system)
+
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        digest = request_digest(request)
+        digest = request.digest
         log.debug("request %s (%d chars)", digest[:12], len(request.prompt))
         if self._cache is None:
-            return self._backend.complete(request, digest)
+            return self._backend.complete(request)
         with self._cache.lock_for(digest):
             cached = self._cache.get(digest)
             if cached is not None:
                 log.debug("request %s served from cache", digest[:12])
                 return cached
-            response = self._backend.complete(request, digest)
-            self._cache.put(digest, request, response)
+            response = self._backend.complete(request)
+            self._cache.put(request, response)
             return response

@@ -6,12 +6,12 @@ import json
 import unicodedata
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .client import ChatClient, CompletionRequest
+from .client import ChatClient
 from .corpus import (
-    Dataset, DatasetFormatError, Instance, instance_to_record, json_field, map_in_order,
-    parse_record, qo_text, read_jsonl, read_lines, write_whole,
+    Dataset, DatasetFormatError, Instance, instance_to_record, json_field, json_object_line,
+    map_in_order, parse_record, qo_text, read_jsonl, read_lines, write_whole,
 )
 
 Extractor = Callable[[str], "set[str] | frozenset[str]"]
@@ -268,13 +268,7 @@ class LlmExtractor:
 
     def __call__(self, text: str) -> set[str]:
         prompt = build_extraction_prompt(text, self.exemplars)
-        request = CompletionRequest(
-            model=self.client.config.model,
-            prompt=prompt,
-            temperature=self.client.config.temperature,
-            max_tokens=EXTRACTION_MAX_TOKENS,
-        )
-        response = self.client.complete(request)
+        response = self.client.complete(self.client.request(prompt, EXTRACTION_MAX_TOKENS))
         return parse_entity_response(response.text)
 
 
@@ -359,15 +353,26 @@ def save_annotated(annotated: Sequence[AnnotatedInstance], path: str) -> None:
     write_whole(path, lines())
 
 
-def parse_annotated(rec: dict) -> AnnotatedInstance:
-    """Build an AnnotatedInstance from one annotated record; raises
-    KeyError for a missing field and ValueError for an invalid one."""
-    return AnnotatedInstance(
-        parse_record(rec),
-        frozenset(json_field(rec, "qo_entities", "a list of strings")),
-        frozenset(json_field(rec, "r_entities", "a list of strings")),
-    )
+def read_annotated(paths: Iterable[str], seen: set[str]) -> Iterator[AnnotatedInstance]:
+    """Parse the annotated records of each file in ``paths`` in turn, one
+    at a time, adding each instance id to ``seen``.  A missing or invalid
+    field, or an id already in ``seen`` (a repeat would count its instance
+    twice), raises DatasetFormatError naming ``path:line``."""
+
+    def parse(rec: dict) -> AnnotatedInstance:
+        ann = AnnotatedInstance(
+            parse_record(rec),
+            frozenset(json_field(rec, "qo_entities", "a list of strings")),
+            frozenset(json_field(rec, "r_entities", "a list of strings")),
+        )
+        if ann.base.id in seen:
+            raise ValueError(f"duplicate instance id {ann.base.id!r}")
+        seen.add(ann.base.id)
+        return ann
+
+    for path in paths:
+        yield from read_lines(path, json_object_line(parse))
 
 
 def load_annotated(path: str) -> list[AnnotatedInstance]:
-    return read_jsonl(path, parse_annotated)
+    return list(read_annotated((path,), set()))

@@ -17,7 +17,7 @@ from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .client import ChatClient, CompletionRequest, TransportError, request_digest
+from .client import ChatClient, TransportError
 from .corpus import (
     DEFAULT_K, Dataset, Instance, json_field, map_in_order, qo_text, read_jsonl, write_whole,
 )
@@ -455,14 +455,8 @@ def run_eval(
             except Exception as exc:
                 return failed(exc)
         prompt: RenderedPrompt = compose(inst, spec, seeds)
-        request = CompletionRequest(
-            model=client.config.model,
-            prompt=prompt.text,
-            temperature=client.config.temperature,
-            max_tokens=prompt.max_tokens,
-            system=prompt.system,
-        )
-        record.prompt_digest = request_digest(request)
+        request = client.request(prompt.text, prompt.max_tokens, prompt.system)
+        record.prompt_digest = request.digest
         try:
             response = client.complete(request)
         except Exception as exc:

@@ -9,6 +9,7 @@ import json
 import math
 import random
 import re
+import sys
 from array import array
 from collections import Counter
 from functools import lru_cache
@@ -618,6 +619,21 @@ def write_replay_fixture(path, requests_by_id, response_by_id):
             ))
             fh.write("\n")
     return str(path)
+
+
+def count_request_digests(monkeypatch) -> list[CompletionRequest]:
+    """The requests that ``request_digest`` hashes from now on, through any
+    ``seedqa`` module's name for it."""
+    real, hashed = request_digest, []
+
+    def counting(request: CompletionRequest) -> str:
+        hashed.append(request)
+        return real(request)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("seedqa") and vars(module).get("request_digest") is real:
+            monkeypatch.setattr(module, "request_digest", counting)
+    return hashed
 
 
 # --- the per-field type checks as each reader wrote them ---------------------

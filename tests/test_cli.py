@@ -143,6 +143,30 @@ def test_build_graph_refuses_a_repeated_instance_id(corpus, capsys, layout):
     assert not list(corpus["dir"].glob("*.tmp"))
 
 
+@pytest.mark.parametrize("old_sidecar", [False, True])
+def test_mine_seeds_refuses_a_repeated_instance_id(corpus, capsys, old_sidecar):
+    # the file concatenated with itself would mine every instance twice
+    ann_path, graph_path = pipeline_to_graph(corpus)
+    text = Path(ann_path).read_text(encoding="utf-8")
+    count = len(text.splitlines())
+    iid = json.loads(text.splitlines()[0])["id"]
+    twice = corpus["dir"] / "twice.ann.jsonl"
+    twice.write_text(text + text, encoding="utf-8")
+    out = corpus["dir"] / "twice.seeds.jsonl"
+    if old_sidecar:
+        assert main(["mine-seeds", "--annotated", ann_path, "--graph", graph_path,
+                     "--out", str(out)]) == 0
+    old = out.read_bytes() if out.exists() else None
+    capsys.readouterr()
+    assert main(["mine-seeds", "--annotated", str(twice), "--graph", graph_path,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{twice}:{count + 1}: duplicate instance id {iid!r}" in err
+    assert "Traceback" not in err
+    assert (out.read_bytes() if out.exists() else None) == old
+    assert not list(corpus["dir"].glob("*.tmp"))
+
+
 def test_build_graph_malformed_line_in_second_file_exits_1_with_location(corpus, capsys):
     ann_path, _ = pipeline_to_graph(corpus)
     records = Path(ann_path).read_text(encoding="utf-8").splitlines(keepends=True)

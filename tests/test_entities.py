@@ -27,7 +27,7 @@ from seedqa.entities import (
 )
 from seedqa.corpus import DatasetFormatError
 
-from conftest import all_lengths_extract, fixed_point_normalize_entity
+from conftest import all_lengths_extract, count_request_digests, fixed_point_normalize_entity
 
 
 # --- normalization ---------------------------------------------------------
@@ -355,6 +355,15 @@ def test_llm_extractor_identical_inputs_single_upstream_call(tmp_path):
     assert len(calls) == 1
 
 
+def test_llm_extractor_hashes_each_request_once(tmp_path, monkeypatch):
+    prompts = {build_extraction_prompt(text, EXEMPLARS): "头痛" for text in ("头痛", "呕吐")}
+    client = replay_client_for(tmp_path, prompts)
+    hashed = count_request_digests(monkeypatch)
+    extractor = LlmExtractor(client, EXEMPLARS)
+    assert extractor("头痛") == extractor("呕吐") == {"头痛"}
+    assert [req.prompt for req in hashed] == list(prompts)
+
+
 # --- dataset annotation -------------------------------------------------------
 
 def make_dataset():
@@ -489,4 +498,14 @@ def test_load_annotated_requires_entity_fields(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(rec, ensure_ascii=False) + "\n", encoding="utf-8")
     with pytest.raises(DatasetFormatError, match="qo_entities"):
+        load_annotated(str(path))
+
+
+def test_load_annotated_refuses_a_repeated_instance_id(tmp_path):
+    # a repeat would be mined, or counted into a graph, twice
+    lex = Lexicon(["高血压", "贫血", "糖尿病", "缺铁性贫血"])
+    annotated = annotate_dataset(make_dataset(), LexiconExtractor(lex))
+    path = tmp_path / "ann.jsonl"
+    save_annotated([*annotated, annotated[0]], str(path))
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}:3: duplicate instance id 'q0'")):
         load_annotated(str(path))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from seedqa.client import ChatClient, ClientConfig, RetryPolicy, TransportError
+from seedqa.client import ChatClient, ClientConfig, RetryPolicy, TransportError, request_digest
 from seedqa.entities import LexiconExtractor, Lexicon
 from seedqa.evaluation import (
     ApiExhaustionError,
@@ -37,6 +37,7 @@ from conftest import (
     brute_bleu,
     brute_rouge_l,
     brute_rouge_n,
+    count_request_digests,
     dp_lcs_length,
     per_order_bleu_n,
     per_order_rouge_n,
@@ -501,6 +502,7 @@ def test_run_eval_per_instance_failures_recorded(tmp_path):
     assert failed[0].instance_id == test[0].id
     assert failed[0].correct is False
     assert "ReplayMissError" in failed[0].error
+    assert failed[0].error.endswith(f"no response for digest {failed[0].prompt_digest}")
     assert report.errors == 1
 
 
@@ -566,6 +568,44 @@ def test_run_eval_transport_exhaustion_aborts(tmp_path):
         run_eval(test, client, spec)
     assert len(err.value.records) == 5
     assert all(r.error for r in err.value.records)
+
+
+def counting_client(backend, cache_dir=None):
+    """A client of ``backend`` whose transport answers every prompt, and the
+    list of prompts the transport was called with."""
+    prompts: list[str] = []
+
+    def transport(url, headers, payload, timeout):
+        prompts.append(payload["messages"][-1]["content"])
+        return 200, json.dumps({"choices": [{"message": {"content": "答案是A。"}}]})
+
+    config = ClientConfig(backend=backend, cache_dir=cache_dir)
+    return ChatClient(config, transport=transport, sleeper=lambda s: None), prompts
+
+
+@pytest.mark.parametrize("backend", ["replay", "cached-live", "live"])
+def test_run_eval_hashes_each_request_once(tmp_path, monkeypatch, backend):
+    # the record's prompt_digest and the fixture or cache key are one value
+    test, _, _, spec, client = replay_setup(tmp_path, "cot")
+    if backend != "replay":
+        client, _ = counting_client(backend, str(tmp_path / "cache"))
+    hashed = count_request_digests(monkeypatch)
+    records, _ = run_eval(test, client, spec)
+    assert [request_digest(req) for req in hashed] == [r.prompt_digest for r in records]
+    assert all(r.error is None for r in records)
+
+
+def test_cached_live_rerun_answers_every_request_from_the_cache(tmp_path):
+    test, spec = synth_dataset(7, 5), PromptSpec("cot", "zero")
+    cache_dir = tmp_path / "cache"
+    client, prompts = counting_client("cached-live", str(cache_dir))
+    first, first_report = run_eval(test, client, spec)
+    assert len(prompts) == len(test)
+    rerun_client, rerun_prompts = counting_client("cached-live", str(cache_dir))
+    again, again_report = run_eval(test, rerun_client, spec)
+    assert rerun_prompts == []
+    assert again == first and again_report == first_report
+    assert {r.prompt_digest for r in first} == {p.stem for p in cache_dir.glob("*.json")}
 
 
 def live_setup(count, failing=(), max_attempts=1, delay=0.0):
