@@ -24,13 +24,16 @@ on its own, in index order.  ``save_graph`` formats the node table in one
 call and each source row in one more, and streams them to the file,
 hashing each as it is written.  Files store counts only, in the order
 ``save_graph`` writes them: nodes by name, rows by index.  ``load_graph``
-parses the node table as one JSON array and the row tables a chunk of
-whole rows at a time, and reads only a part that fails a check again, line
-by line, to name the first defect in file order.
+reads the file once, as bytes, hashes its body in place and decodes only
+the node lines and the row table.  It parses the node table as one JSON
+array and the row tables a chunk of whole rows at a time, and reads only a
+part that fails a check again, line by line, to name the first defect in
+file order.
 """
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import math
@@ -38,11 +41,11 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from itertools import chain, islice, repeat
-from operator import add, lt, mul, sub, truediv
+from operator import add, eq, lt, mul, sub, truediv
 from typing import Iterable, Iterator, Sequence
 
 from .corpus import write_whole
-from .entities import AnnotatedInstance
+from .entities import AnnotatedInstance, normalize_entity
 
 _MAGIC = "seedqa-graph"
 _FORMAT_VERSION = 1
@@ -50,6 +53,8 @@ _FORMAT_VERSION = 1
 _DROP_NUMBERS = str.maketrans("", "", "0123456789-")
 # row tables are parsed this many characters (whole rows) at a time
 _CHUNK_CHARS = 1 << 16
+# a file's UTF-8 is checked this many bytes at a time
+_UTF8_BLOCK = 1 << 16
 # the largest count an array("q") table holds
 _MAX_COUNT = (1 << 63) - 1
 
@@ -249,40 +254,54 @@ def load_graph(path: str) -> KnowledgeGraph:
     """Read a graph file, verifying checksum, version, and table sizes.
 
     Any mismatch raises GraphFormatError; a partial graph is never
-    returned.  Node entries must be strictly ascending by name, edge rows
-    by (source, target) index and frequency rows by node index, as
-    ``save_graph`` writes them.  A defect in one line (the header, a node
-    entry that is not a JSON string, a row with the wrong number of fields
-    or a field that is not an ASCII decimal integer, a node index outside
-    the node table, a count below 1 or above 2^63 - 1, an entry or row that
+    returned.  Node entries must be strictly ascending by name and in
+    canonical form (``normalize_entity``), edge rows by (source, target)
+    index and frequency rows by node index, as ``save_graph`` writes them.
+    A defect in one line (the header, a node entry that is not a JSON
+    string or not canonical, a row with the wrong number of fields or a
+    field that is not an ASCII decimal integer, a node index outside the
+    node table, a count below 1 or above 2^63 - 1, an entry or row that
     repeats the one before it or comes below it) is reported as
     ``path:line: reason`` with the 1-based file line of the first defect in
-    file order.  One reader parses the row tables a chunk of whole rows at
-    a time and reads only a chunk that fails a check again, row by row.
-    Weights are derived from the stored counts when a source is first read.
+    file order.
+
+    The file is read once, as bytes, and its line endings are read as text
+    mode reads them (CRLF and a lone CR end a line).  Its UTF-8 is
+    checked a block at a time and the body is hashed in place, so no
+    decoded copy of the whole file is held; only the node lines and the row
+    table are decoded.  One reader parses the row tables a chunk of whole
+    rows at a time and reads only a chunk that fails a check again, row by
+    row.  Weights are derived from the stored counts when a source is first
+    read.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    decode = codecs.getincrementaldecoder("utf-8")().decode
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with memoryview(data) as view:
+            for pos in range(0, len(view), _UTF8_BLOCK):
+                decode(view[pos : pos + _UTF8_BLOCK])
+        decode(b"", final=True)
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     # the trailer is the last line; everything before it is the body
-    end = len(text) - text.endswith("\n")
-    cut = text.rfind("\n", 0, end)
+    end = len(data) - data.endswith(b"\n")
+    cut = data.rfind(b"\n", 0, end)
     if cut < 0:
         raise GraphFormatError(f"{path}: too short to be a graph file")
-    body, trailer_line = text[: cut + 1], text[cut + 1 : end]
-    del text
     try:
-        trailer = json.loads(trailer_line)
+        trailer = json.loads(data[cut + 1 : end].decode("utf-8"))
         expected = trailer["sha256"]
     except (ValueError, TypeError, KeyError, RecursionError) as exc:
         raise GraphFormatError(f"{path}: missing or malformed checksum trailer") from exc
-    actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    with memoryview(data) as view:
+        actual = hashlib.sha256(view[: cut + 1]).hexdigest()
     if actual != expected:
         raise GraphFormatError(f"{path}: checksum mismatch (file corrupt or truncated)")
+    head = data.index(b"\n")
     try:
-        header = json.loads(body[: body.index("\n")])
+        header = json.loads(data[:head].decode("utf-8"))
     except (RecursionError, ValueError) as exc:
         raise GraphFormatError(f"{path}:1: malformed header") from exc
     if not isinstance(header, dict):
@@ -301,13 +320,19 @@ def load_graph(path: str) -> KnowledgeGraph:
             )
     n_nodes, n_edges, n_freqs = header["nodes"], header["edges"], header["freqs"]
     expected_lines = 1 + n_nodes + n_edges + n_freqs
-    n_lines = body.count("\n")
+    n_lines = data.count(b"\n", 0, cut + 1)
     if n_lines != expected_lines:
         raise GraphFormatError(
             f"{path}: expected {expected_lines} lines before trailer, got {n_lines}"
         )
-    _, *node_lines, table = body.split("\n", 1 + n_nodes)
-    del body
+    # the node lines end where the row table starts
+    start = head + 1
+    for _ in range(n_nodes):
+        start = data.index(b"\n", start) + 1
+    with memoryview(data) as view:
+        node_lines = str(view[head + 1 : start], "utf-8")
+        table = str(view[start : cut + 1], "utf-8")
+    del data
     nodes = _read_nodes(path, node_lines)
     # the frequency rows are the last n_freqs lines of the table
     split = len(table)
@@ -321,26 +346,33 @@ def load_graph(path: str) -> KnowledgeGraph:
     return KnowledgeGraph(nodes, edges, counts, analysis_freq)
 
 
-def _read_nodes(path: str, lines: list[str]) -> list[str]:
-    """The node table from its file lines, the first on file line 2.  The
-    lines are parsed as one JSON array; only when that fails, or gives
-    other than one string per line in ascending order, are they read again
-    one by one to name the first bad line."""
+def _read_nodes(path: str, text: str) -> list[str]:
+    """The node table from its file lines, ``text``, the first on file line
+    2.  The lines are parsed as one JSON array; only when that fails, or
+    gives other than one canonical string per line in ascending order, are
+    they read again one by one to name the first bad line."""
     try:
-        nodes = json.loads("[" + ",".join(lines) + "]")
-        if (set(map(type, nodes)) <= {str} and len(nodes) == len(lines)
+        nodes = json.loads("[" + text[:-1].replace("\n", ",") + "]")
+        if (set(map(type, nodes)) <= {str} and len(nodes) == text.count("\n")
+                and all(map(eq, nodes, map(normalize_entity, nodes)))
                 and all(map(lt, nodes, islice(nodes, 1, None)))):
             return nodes
     except (RecursionError, ValueError):
         pass
     nodes = []
-    for lineno, line in enumerate(lines, 2):
+    for lineno, line in enumerate(text.split("\n")[:-1], 2):
         try:
             node = json.loads(line)
         except (RecursionError, ValueError) as exc:
             raise GraphFormatError(f"{path}:{lineno}: malformed node entry") from exc
         if not isinstance(node, str):
             raise GraphFormatError(f"{path}:{lineno}: node entry {node!r} is not a string")
+        try:
+            canonical = normalize_entity(node) == node
+        except ValueError:
+            canonical = False
+        if not canonical:
+            raise GraphFormatError(f"{path}:{lineno}: node entry {node!r} not in canonical form")
         if nodes and node <= nodes[-1]:
             reason = (f"repeated node entry {node!r}" if node == nodes[-1]
                       else f"node entry {node!r} out of order")
@@ -382,13 +414,19 @@ def _read_chunk(chunk: str, width: int, kind: str, n_nodes: int,
             raise ValueError
         # json also rejects fields such as 007
         values = json.loads("[" + chunk[:-1].replace("\t", ",").replace("\n", ",") + "]")
-        *indices, column = columns = [values[i::width] for i in range(width)]
-        if not (min(map(min, indices)) >= 0 and max(map(max, indices)) < n_nodes
-                and min(column) >= 1 and max(column) <= _MAX_COUNT):
-            raise ValueError
-        new = (list(map(add, map(mul, columns[0], repeat(n_nodes)), columns[1]))
-               if width == 3 else columns[0])
-        if not all(map(lt, chain((last,), new), new)):
+        if width == 3:
+            sources, targets, column = values[::3], values[1::3], values[2::3]
+            if not (min(targets) >= 0 and max(targets) < n_nodes):
+                raise ValueError
+            new = list(map(add, map(mul, sources, repeat(n_nodes)), targets))
+        else:
+            new = sources = values[::2]
+            column = values[1::2]
+        # keys that ascend from ``last`` (at least -1) keep every source index
+        # at or above 0, and at or below the last row's once the targets are
+        # in range, so only the last source is checked
+        if not (sources[-1] < n_nodes and min(column) >= 1 and max(column) <= _MAX_COUNT
+                and last < new[0] and all(map(lt, new, islice(new, 1, None)))):
             raise ValueError
     except ValueError:
         new, column = [], []
@@ -400,8 +438,8 @@ def _read_chunk(chunk: str, width: int, kind: str, n_nodes: int,
                 break
             new.append(last)
             column.append(count)
-    keys.extend(new)
-    counts.extend(column)
+    keys.fromlist(new)
+    counts.fromlist(column)
     return reason
 
 

@@ -150,8 +150,9 @@ def global_counter_build_graph(train) -> KnowledgeGraph:
 def line_by_line_graph_nodes(path: str, lines: list[str]) -> list[str]:
     """Parse a graph file's node table one line at a time, the way the
     loader did before it parsed the table as one JSON array.  ``lines[0]``
-    is file line 2, and each entry must be above the one before it.
-    Returns the nodes, or raises GraphFormatError naming the first
+    is file line 2; each entry must be in canonical form (the
+    ``fixed_point_normalize_entity`` fixed point) and above the one before
+    it.  Returns the nodes, or raises GraphFormatError naming the first
     defective line."""
     nodes: list[str] = []
     for lineno, line in enumerate(lines, 2):
@@ -161,6 +162,12 @@ def line_by_line_graph_nodes(path: str, lines: list[str]) -> list[str]:
             raise GraphFormatError(f"{path}:{lineno}: malformed node entry") from exc
         if not isinstance(node, str):
             raise GraphFormatError(f"{path}:{lineno}: node entry {node!r} is not a string")
+        try:
+            canonical = fixed_point_normalize_entity(node) == node
+        except ValueError:
+            canonical = False
+        if not canonical:
+            raise GraphFormatError(f"{path}:{lineno}: node entry {node!r} not in canonical form")
         if nodes and node == nodes[-1]:
             raise GraphFormatError(f"{path}:{lineno}: repeated node entry {node!r}")
         if nodes and node < nodes[-1]:

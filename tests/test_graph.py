@@ -19,6 +19,7 @@ import pytest
 import seedqa.corpus as corpus_module
 import seedqa.graph as graph_module
 from seedqa.cli import main
+from seedqa.entities import save_annotated
 from seedqa.graph import _CHUNK_CHARS, GraphFormatError, build_graph, load_graph, save_graph
 from seedqa.seeds import SeedQuery, mine_seeds
 
@@ -416,6 +417,103 @@ def test_save_graph_streams_the_file_without_holding_its_text(tmp_path):
     assert loaded.raw_counts == g.raw_counts and loaded.analysis_freq == g.analysis_freq
 
 
+def test_load_graph_needs_less_than_twice_the_file_beyond_what_it_keeps(tmp_path):
+    # the file is read once and hashed in place, and only its node lines and
+    # row table are decoded, so no second copy of the text is ever held
+    rng = random.Random(41)
+    vocab = [f"病例{i:04d}" for i in range(3000)]
+    g = build_graph(make_annotated(f"s{i}", rng.sample(vocab, 12), rng.sample(vocab, 14))
+                    for i in range(800))
+    path = tmp_path / "g.kg"
+    save_graph(g, str(path))
+    tracemalloc.start()
+    try:
+        loaded = load_graph(str(path))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 1 << 20
+    assert peak - kept < 2 * size, (peak, kept, size)
+    assert loaded.raw_counts == g.raw_counts and loaded.analysis_freq == g.analysis_freq
+
+
+def _cjk_graph_file(tmp_path):
+    """A graph with long CJK node names, saved; returns it and its path.
+    Its node table alone spans several 64 KiB blocks, so some multibyte
+    characters straddle any block boundary."""
+    rng = random.Random(43)
+    vocab = [f"{'病' * 20}{i:04d}" for i in range(2500)]
+    g = build_graph(make_annotated(f"s{i}", rng.sample(vocab, 8), rng.sample(vocab, 10))
+                    for i in range(600))
+    path = tmp_path / "cjk.kg"
+    save_graph(g, str(path))
+    return g, path
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_load_reads_line_endings_as_text_mode_does(tmp_path, newline):
+    # "\r\n" and a lone "\r" end a line as "\n" does, so a copy with other
+    # line endings loads the same tables under the same checksum, and a
+    # defect is named at the same line
+    g, path = _cjk_graph_file(tmp_path)
+    converted = tmp_path / "converted.kg"
+    converted.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    loaded = load_graph(str(converted))
+    assert loaded.nodes == g.nodes
+    assert loaded.raw_counts == g.raw_counts and loaded.analysis_freq == g.analysis_freq
+
+    lines = path.read_text(encoding="utf-8").splitlines()[:-1]
+    lines[-1] = lines[-1].split("\t")[0] + "\t0"
+    corrupt_path = tmp_path / "corrupt.kg"
+    corrupt = _write_with_checksum(corrupt_path, lines)
+    corrupt_path.write_bytes(corrupt_path.read_bytes().replace(b"\n", newline.encode()))
+    with pytest.raises(GraphFormatError,
+                       match=re.escape(f"{corrupt}:{len(lines)}: frequency must be at least 1")):
+        load_graph(corrupt)
+
+
+@pytest.mark.parametrize("where, bad, reason", [
+    ("node table", b'"\xff', "invalid start byte"),
+    ("row table", b"\t\xe9\xab", "invalid continuation byte"),
+    ("end of the file", None, "unexpected end of data"),
+])
+def test_load_checks_utf8_before_the_checksum(tmp_path, where, bad, reason):
+    # every file here also fails its checksum: the UTF-8 check fires first,
+    # and names the path alone
+    g, path = _cjk_graph_file(tmp_path)
+    data = path.read_bytes()
+    if bad is None:
+        data = data + "病".encode("utf-8")[:2]
+    elif where == "node table":
+        at = data.index(b"\n") + 1
+        data = data[:at] + bad + data[at + 1 :]
+    else:
+        at = data.rindex(b"\t", 0, len(data) - 200)
+        data = data[:at] + bad + data[at + 1 :]
+    broken = tmp_path / "broken.kg"
+    broken.write_bytes(data)
+    with pytest.raises(GraphFormatError,
+                       match=re.escape(f"{broken}: not UTF-8 text ({reason})") + "$"):
+        load_graph(str(broken))
+
+
+def test_load_rejects_a_non_ascii_digit_deep_in_the_edge_table(tmp_path):
+    # past the first chunk, and after multibyte node names: the row is named
+    # at its file line, whatever its byte offset
+    g, path = _cjk_graph_file(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines()[:-1]
+    lineno = 1 + g.m + g.edge_count - 3
+    source, target, _ = lines[lineno - 1].split("\t")
+    lines[lineno - 1] = f"{source}\t{target}\t２"
+    corrupt = _write_with_checksum(tmp_path / "corrupt.kg", lines)
+    assert len("\n".join(lines[1 + g.m : lineno])) > 2 * _CHUNK_CHARS
+    where = f"{corrupt}:{lineno}: malformed edge row {lines[lineno - 1]!r}: "
+    with pytest.raises(GraphFormatError,
+                       match=re.escape(where + "fields must be ASCII decimal integers")):
+        load_graph(corrupt)
+
+
 def _write_with_checksum(path, lines: list[str]) -> str:
     """Write ``lines`` as a graph file body under a valid checksum trailer."""
     body = "".join(f"{text}\n" for text in lines)
@@ -745,7 +843,7 @@ def test_load_matches_line_by_line_node_oracle(tmp_path):
         lines = [json.dumps(node, ensure_ascii=rng.random() < 0.5) for node in nodes]
         for _ in range(rng.randint(1, 3)):
             i = rng.randrange(len(lines))
-            edit = rng.randrange(7)
+            edit = rng.randrange(8)
             if edit == 0:  # not a string
                 lines[i] = rng.choice(("5", "null", "true", '["a"]', '{"a": 1}', "1.5"))
             elif edit == 1:  # repeats another line, maybe itself
@@ -758,6 +856,8 @@ def test_load_matches_line_by_line_node_oracle(tmp_path):
                 lines[i] = '"a"]'
             elif edit == 5:
                 lines[i] = ""
+            elif edit == 6:  # a string, but not in canonical form
+                lines[i] = json.dumps(rng.choice(("ASPIRIN", " aspirin", "ａ", "")))
             else:  # padded, and as valid as before
                 lines[i] = f" {lines[i]}\t"
         header = json.dumps({"magic": "seedqa-graph", "version": 1,
@@ -771,12 +871,12 @@ def test_load_matches_line_by_line_node_oracle(tmp_path):
                 load_graph(path)
             assert str(err.value) == str(exc), f"trial {trial}"
             reason = str(exc).split(": ", 1)[1]
-            outcomes[next(kind for kind in ("malformed", "not a string", "repeated",
-                                            "out of order") if kind in reason)] += 1
+            outcomes[next(kind for kind in ("malformed", "not a string", "canonical",
+                                            "repeated", "out of order") if kind in reason)] += 1
             continue
         assert load_graph(path).nodes == tuple(expected), f"trial {trial}"
         outcomes["loaded"] += 1
-    assert len(outcomes) == 5 and min(outcomes.values()) >= 10, outcomes
+    assert len(outcomes) == 6 and min(outcomes.values()) >= 10, outcomes
 
 
 def test_load_rejects_node_table_out_of_name_order(tmp_path):
@@ -803,3 +903,26 @@ def test_load_rejects_node_table_out_of_name_order(tmp_path):
             load_graph(shuffled)
         rejected += 1
     assert rejected >= 15
+
+
+@pytest.mark.parametrize("entry", ["ASPIRIN", " aspirin", ""], ids=["cased", "padded", "empty"])
+def test_load_rejects_a_node_entry_not_in_canonical_form(tmp_path, capsys, entry):
+    # a node the miner could offer as a seed must be canonical: the load
+    # fails at the entry's line, not later at a seed without the graph's name
+    header = json.dumps({"magic": "seedqa-graph", "version": 1, "nodes": 2, "edges": 1,
+                         "freqs": 1})
+    path = _write_with_checksum(tmp_path / "g.kg", [
+        header, json.dumps(entry), json.dumps("高血压", ensure_ascii=False), "1\t0\t1", "0\t1",
+    ])
+    where = f"{path}:2: node entry {entry!r} not in canonical form"
+    with pytest.raises(GraphFormatError, match=re.escape(where) + "$"):
+        load_graph(path)
+
+    annotated = tmp_path / "test.ann.jsonl"
+    save_annotated([make_annotated("q1", {"高血压"}, set())], str(annotated))
+    capsys.readouterr()
+    assert main(["mine-seeds", "--annotated", str(annotated), "--graph", path,
+                 "--out", str(tmp_path / "seeds.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+    assert not (tmp_path / "seeds.jsonl").exists()
