@@ -5,7 +5,9 @@ run, report.  All options may come from a JSON config file (``--config``);
 explicit flags win over the file, which wins over built-in defaults.
 Diagnostics go to stderr, machine-readable output goes to files, and exit
 codes are 0 (success), 1 (fatal configuration or I/O problem), and 2
-(upstream API failures exhausted the retry budget).
+(upstream API failures exhausted the retry budget).  Exit 2 is decided in
+two places: ``cmd_annotate``, when an extraction call gave up on its
+transport, and ``cmd_run``, after too many consecutive transport failures.
 
 The entity, graph and seed modules are imported inside the subcommands
 that use them, so a ``standard_qa`` or ``cot`` run never loads them.
@@ -25,7 +27,6 @@ from .client import (
     BACKENDS,
     ChatClient,
     ClientConfig,
-    ClientError,
     DEFAULT_API_KEY_ENV,
     DEFAULT_BASE_URL,
     DEFAULT_MODEL,
@@ -322,26 +323,27 @@ def build_parser() -> _Parser:
     client_opts = argparse.ArgumentParser(add_help=False)
     client_opts.add_argument("--backend", choices=BACKENDS)
     client_opts.add_argument("--model")
-    client_opts.add_argument("--base-url", dest="base_url")
-    client_opts.add_argument("--api-key-env", dest="api_key_env",
-                             help="environment variable holding the API key")
+    client_opts.add_argument("--base-url")
+    client_opts.add_argument("--api-key-env", help="environment variable holding the API key")
     client_opts.add_argument("--fixture", help="replay fixture JSONL")
-    client_opts.add_argument("--cache-dir", dest="cache_dir")
-    client_opts.add_argument("--max-attempts", dest="max_attempts", type=int)
-    client_opts.add_argument("--backoff-base", dest="backoff_base", type=float)
+    client_opts.add_argument("--cache-dir")
+    client_opts.add_argument("--max-attempts", type=int)
+    client_opts.add_argument("--backoff-base", type=float)
     client_opts.add_argument("--timeout", type=float)
 
-    p = sub.add_parser("annotate", parents=[common, client_opts],
+    dataset_opts = argparse.ArgumentParser(add_help=False)
+    dataset_opts.add_argument("--dataset")
+    dataset_opts.add_argument("--lexicon")
+    dataset_opts.add_argument("--extractor", choices=_EXTRACTORS)
+    dataset_opts.add_argument("--extraction-exemplars")
+    dataset_opts.add_argument("--workers", type=int)
+
+    p = sub.add_parser("annotate", parents=[common, client_opts, dataset_opts],
                        help="extract entity sets for every instance")
-    p.add_argument("--dataset")
     p.add_argument("--out")
-    p.add_argument("--lexicon")
-    p.add_argument("--extractor", choices=_EXTRACTORS)
-    p.add_argument("--extraction-exemplars", dest="extraction_exemplars")
-    p.add_argument("--no-analysis", dest="no_analysis", action="store_const", const=True,
+    p.add_argument("--no-analysis", action="store_const", const=True,
                    help="skip analysis-side extraction (unlabeled test sets)")
-    p.add_argument("--on-error", dest="on_error", choices=("raise", "skip"))
-    p.add_argument("--workers", type=int)
+    p.add_argument("--on-error", choices=("raise", "skip"))
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("build-graph", parents=[common],
@@ -358,36 +360,31 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int)
     p.set_defaults(func=cmd_mine_seeds)
 
-    p = sub.add_parser("run", parents=[common, client_opts],
+    p = sub.add_parser("run", parents=[common, client_opts, dataset_opts],
                        help="evaluate a dataset end to end")
-    p.add_argument("--dataset")
-    p.add_argument("--out-dir", dest="out_dir")
+    p.add_argument("--out-dir")
     p.add_argument("--mode", choices=MODES)
     p.add_argument("--shots", choices=SHOTS)
     p.add_argument("--k", type=int)
     p.add_argument("--graph")
-    p.add_argument("--lexicon")
-    p.add_argument("--extractor", choices=_EXTRACTORS)
-    p.add_argument("--extraction-exemplars", dest="extraction_exemplars")
     p.add_argument("--seeds", help="precomputed seeds sidecar JSONL")
     p.add_argument("--exemplars", help="few-shot exemplars JSONL")
     p.add_argument("--template", help="prompt template JSON")
-    p.add_argument("--group-by", dest="group_by", action="append",
+    p.add_argument("--group-by", action="append",
                    help="metadata key for per-group tables (repeatable)")
-    p.add_argument("--workers", type=int)
     p.add_argument("--seed", type=int, help="RNG seed for test subsampling")
-    p.add_argument("--test-size", dest="test_size", type=int)
-    p.add_argument("--stratify-by", dest="stratify_by")
+    p.add_argument("--test-size", type=int)
+    p.add_argument("--stratify-by")
     p.add_argument("--temperature", type=float)
-    p.add_argument("--context-tokens", dest="context_tokens", type=int)
-    p.add_argument("--reserved-tokens", dest="reserved_tokens", type=int)
+    p.add_argument("--context-tokens", type=int)
+    p.add_argument("--reserved-tokens", type=int)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", parents=[common],
                        help="rebuild an aggregate report from a records file")
     p.add_argument("--records")
     p.add_argument("--out")
-    p.add_argument("--group-by", dest="group_by", action="append")
+    p.add_argument("--group-by", action="append")
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -411,9 +408,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 value = config.get(key) if flag is None else flag
                 opts[key] = _DEFAULTS.get(key) if value is None else value
         return args.func(opts)
-    except ClientError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -220,15 +220,13 @@ class _LiveBackend:
                 status, body = self._transport(url, headers, payload, cfg.timeout)
             except Exception as exc:
                 last_error = f"transport failure: {exc}"
-                log.warning("attempt %d/%d failed: %s", attempt + 1, cfg.retry.max_attempts, last_error)
-                continue
-            if status == 200:
-                return _parse_completion_body(body)
-            if status in _RETRYABLE_STATUS:
+            else:
+                if status == 200:
+                    return _parse_completion_body(body)
+                if status not in _RETRYABLE_STATUS:
+                    raise ApiStatusError(status, body)
                 last_error = f"retryable status {status}"
-                log.warning("attempt %d/%d failed: %s", attempt + 1, cfg.retry.max_attempts, last_error)
-                continue
-            raise ApiStatusError(status, body)
+            log.warning("attempt %d/%d failed: %s", attempt + 1, cfg.retry.max_attempts, last_error)
         raise TransportError(
             f"gave up after {cfg.retry.max_attempts} attempts ({last_error})"
         )

@@ -293,14 +293,6 @@ class AnnotatedInstance:
                     raise ValueError(f"entity not in canonical form: {ent!r}")
 
 
-def annotate_instance(
-    inst: Instance, extractor: Extractor, include_analysis: bool = True
-) -> AnnotatedInstance:
-    qo = frozenset(extractor(qo_text(inst)))
-    r = frozenset(extractor(inst.analysis)) if include_analysis else frozenset()
-    return AnnotatedInstance(inst, qo, r)
-
-
 def annotate_dataset(
     dataset: Dataset,
     extractor: Extractor,
@@ -324,7 +316,9 @@ def annotate_dataset(
 
     def work(inst: Instance) -> AnnotatedInstance | AnnotationError:
         try:
-            return annotate_instance(inst, extractor, include_analysis)
+            qo = frozenset(extractor(qo_text(inst)))
+            r = frozenset(extractor(inst.analysis)) if include_analysis else frozenset()
+            return AnnotatedInstance(inst, qo, r)
         except Exception as exc:
             return AnnotationError(inst.id, exc)
 

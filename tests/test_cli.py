@@ -11,12 +11,13 @@ from pathlib import Path
 import pytest
 
 from seedqa import __version__
-from seedqa.cli import main
+from seedqa.cli import build_parser, main
 from seedqa.corpus import (
     DatasetFormatError,
     data_path,
     instance_to_record,
     load_dataset,
+    split_sample,
 )
 from seedqa.entities import (
     LexiconExtractor,
@@ -308,6 +309,17 @@ def test_run_and_report_end_to_end(corpus):
     assert rebuilt.read_bytes() == report_path.read_bytes()
 
 
+def test_run_test_size_subsamples_the_dataset(corpus):
+    _, graph_path = pipeline_to_graph(corpus)
+    fixture = prepare_replay(corpus, graph_path)
+    code, out_dir = run_icp(corpus, graph_path, fixture, "out",
+                            ("--test-size", "2", "--seed", "7"))
+    assert code == 0
+    sample, _ = split_sample(load_dataset(corpus["test"]), 2, 7)
+    lines = (out_dir / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["instance_id"] for line in lines] == [inst.id for inst in sample]
+
+
 def test_run_config_round_trip(corpus):
     _, graph_path = pipeline_to_graph(corpus)
     fixture = prepare_replay(corpus, graph_path)
@@ -327,6 +339,29 @@ def test_run_config_round_trip(corpus):
     ]) == 0
     assert (out2 / "records.jsonl").read_bytes() == (out_dir / "records.jsonl").read_bytes()
     assert (out2 / "report.json").read_bytes() == (out_dir / "report.json").read_bytes()
+
+
+_CLIENT_KEYS = ["api_key_env", "backend", "backoff_base", "base_url", "cache_dir", "fixture",
+                "max_attempts", "model", "timeout"]
+_COMMON_KEYS = ["command", "config", "func", "verbose"]
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("annotate", _CLIENT_KEYS + ["dataset", "extraction_exemplars", "extractor", "lexicon",
+                                 "no_analysis", "on_error", "out", "workers"]),
+    ("build-graph", ["annotated", "out"]),
+    ("mine-seeds", ["annotated", "graph", "k", "out"]),
+    ("run", _CLIENT_KEYS + ["context_tokens", "dataset", "exemplars", "extraction_exemplars",
+                            "extractor", "graph", "group_by", "k", "lexicon", "mode", "out_dir",
+                            "reserved_tokens", "seed", "seeds", "shots", "stratify_by",
+                            "temperature", "template", "test_size", "workers"]),
+    ("report", ["group_by", "out", "records"]),
+])
+def test_option_set_per_command_is_pinned(command, keys):
+    parsed = vars(build_parser().parse_args([command]))
+    assert sorted(parsed) == sorted(_COMMON_KEYS + keys)
+    # no option has a built-in value at parse time: main fills in _DEFAULTS
+    assert {k for k, v in parsed.items() if v is not None} == {"command", "func", "verbose"}
 
 
 @pytest.mark.parametrize("command", ["run", "annotate"])
@@ -529,6 +564,12 @@ def test_exit_1_on_config_errors(corpus, capsys):
     assert "graph" in capsys.readouterr().err
     assert main(["annotate", "--dataset", "missing.jsonl", "--lexicon",
                  corpus["lexicon"], "--out", "o.jsonl"]) == 1
+    out = corpus["dir"] / "never.ann.jsonl"
+    capsys.readouterr()
+    assert main(["annotate", "--dataset", corpus["test"], "--lexicon", corpus["lexicon"],
+                 "--out", str(out), "--workers", "0"]) == 1
+    assert "error: workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
     assert main(["run", "--dataset", corpus["test"], "--out-dir", "x",
                  "--backend", "replay"]) == 1            # replay without fixture
     assert main(["bogus-command"]) == 1
@@ -942,6 +983,16 @@ def test_config_value_of_wrong_type_exits_1_naming_file_and_key(tmp_path, capsys
     assert main([command, "--config", str(conf)]) == 1
     err = capsys.readouterr().err
     assert f"config file {conf}: {next(iter(entry))!r}: " in err and reason in err
+    assert "Traceback" not in err
+
+
+def test_config_file_not_an_object_exits_1_naming_file(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text("[]", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "--config", str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: config file {conf} must hold a JSON object" in err
     assert "Traceback" not in err
 
 

@@ -180,20 +180,26 @@ def test_live_success_parses_response():
     assert calls[0]["url"].endswith("/chat/completions")
 
 
-def test_live_retries_429_then_succeeds():
+def _warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+
+
+def test_live_retries_429_then_succeeds(caplog):
     client, calls, sleeps = live_client([(429, "slow down"), (200, ok_body())])
     assert client.complete(REQ).text == "hi"
     assert len(calls) == 2
     assert sleeps == [1.0]
+    assert _warnings(caplog) == ["attempt 1/3 failed: retryable status 429"]
 
 
-def test_live_retries_transport_exception():
+def test_live_retries_transport_exception(caplog):
     client, calls, _ = live_client([ConnectionError("boom"), (200, ok_body())])
     assert client.complete(REQ).text == "hi"
     assert len(calls) == 2
+    assert _warnings(caplog) == ["attempt 1/3 failed: transport failure: boom"]
 
 
-def test_live_exponential_backoff_then_gives_up():
+def test_live_exponential_backoff_then_gives_up(caplog):
     client, calls, sleeps = live_client(
         [(503, ""), (503, ""), (503, ""), (503, "")], max_attempts=4, backoff=0.5
     )
@@ -201,6 +207,7 @@ def test_live_exponential_backoff_then_gives_up():
         client.complete(REQ)
     assert len(calls) == 4
     assert sleeps == [0.5, 1.0, 2.0]
+    assert _warnings(caplog) == [f"attempt {i}/4 failed: retryable status 503" for i in (1, 2, 3, 4)]
 
 
 def test_live_non_retryable_status_fails_fast():

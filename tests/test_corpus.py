@@ -66,6 +66,16 @@ def test_load_normalizes_labels(tmp_path):
     assert ds[0].answer == "B"
 
 
+def test_load_rejects_labels_that_collide_after_normalization(tmp_path):
+    rec = dict(VALID, id="q2")
+    rec["options"] = {"A": "甲", "Ａ": "乙"}
+    rec["answer"] = "A"
+    path = write_jsonl(tmp_path / "d.jsonl", [VALID, rec])
+    with pytest.raises(DatasetFormatError,
+                       match=re.escape(f"{path}:2: option labels collide after normalization")):
+        load_dataset(path)
+
+
 def test_load_skips_blank_lines(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text(

@@ -417,6 +417,8 @@ def test_annotate_error_policies():
 
     with pytest.raises(ValueError):
         annotate_dataset(make_dataset(), failing, on_error="ignore")
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        annotate_dataset(make_dataset(), failing, workers=0)
 
 
 @pytest.mark.concurrency

@@ -270,9 +270,23 @@ def test_load_rejects_wrong_magic_and_version(tmp_path, toy_graph):
 
 def test_load_rejects_non_graph_file(tmp_path):
     path = tmp_path / "not.kg"
-    path.write_text("hello\nworld\n", encoding="utf-8")
-    with pytest.raises(GraphFormatError):
-        load_graph(str(path))
+    for text, reason in (("hello\nworld\n", "missing or malformed checksum trailer"),
+                         ("hello\n", "too short to be a graph file")):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(GraphFormatError, match=re.escape(f"{path}: {reason}")):
+            load_graph(str(path))
+
+
+def test_load_rejects_header_counting_an_edge_too_many(tmp_path, toy_graph):
+    # the checksum is valid, so only the line count can catch it
+    lines = _toy_file_lines(tmp_path, toy_graph)
+    header = json.loads(lines[0])
+    header["edges"] += 1
+    lines[0] = json.dumps(header)
+    path = _write_with_checksum(tmp_path / "long.kg", lines)
+    with pytest.raises(GraphFormatError,
+                       match=re.escape(f"{path}: expected 14 lines before trailer, got 13")):
+        load_graph(path)
 
 
 def test_save_graph_writes_v1_bytes(tmp_path, toy_train):
@@ -688,6 +702,26 @@ _CORRUPT_ROWS = [
     ("bad character after a repeated edge", {7: "0\t2\t2", 8: "0\t2\t5", 9: "1\t2\t1_0"}, 8,
      "repeated edge"),
     ("bad character after a zero count", {8: "0\t3\t0", 11: "4\t3\t+1"}, 8, "at least 1"),
+    # a row field over Python's 4,300-digit limit for int() is out of range
+    ("edge count over the integer digit limit", {7: "0\t2\t" + "9" * 5000}, 7,
+     "edge count too large in '0"),
+    ("negative edge count over the integer digit limit", {7: "0\t2\t-" + "9" * 5000}, 7,
+     "edge count must be at least 1, got '0"),
+    ("target index over the integer digit limit", {7: "0\t" + "9" * 5000 + "\t2"}, 7,
+     "node index out of range in edge row '0"),
+    ("negative source index over the integer digit limit", {7: "-" + "9" * 5000 + "\t2\t2"}, 7,
+     "node index out of range in edge row '-9"),
+    ("frequency over the integer digit limit", {12: "2\t" + "9" * 5000}, 12,
+     "frequency too large in '2"),
+    ("negative frequency over the integer digit limit", {12: "2\t-" + "9" * 5000}, 12,
+     "frequency must be at least 1, got '2"),
+    ("frequency index over the integer digit limit", {12: "9" * 5000 + "\t2"}, 12,
+     "node index out of range in frequency row '9"),
+    # leading zeros count toward the limit but not toward the value
+    ("zero-padded zero count over the integer digit limit", {8: "0\t3\t" + "0" * 5000}, 8,
+     "edge count must be at least 1"),
+    ("zero-padded index over the integer digit limit", {12: "0" * 4999 + "3\t2", 13: "2\t2"}, 13,
+     r"frequency row '2\t2' out of order"),
 ]
 
 
@@ -701,8 +735,9 @@ def test_load_rejects_corrupt_rows_with_location(tmp_path, toy_graph, capsys, ed
         lines[lineno - 1] = text
     path = _write_with_checksum(tmp_path / "corrupt.kg", lines)
     where = f"{path}:{line}: "
-    with pytest.raises(GraphFormatError, match=re.escape(where) + ".*" + re.escape(reason)):
+    with pytest.raises(GraphFormatError, match=re.escape(where) + ".*" + re.escape(reason)) as exc:
         load_graph(path)
+    assert "set_int_max_str_digits" not in str(exc.value)
 
     empty = tmp_path / "empty.ann.jsonl"
     empty.write_text("", encoding="utf-8")

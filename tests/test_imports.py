@@ -11,6 +11,7 @@ import ast
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -237,11 +238,72 @@ def test_unknown_name_raises_attribute_error():
         from seedqa import no_such_name  # noqa: F401
 
 
+# every module of the package and of the benchmark, which CI also runs
+SOURCES = sorted((SRC / "seedqa").glob("*.py")) + sorted((SRC.parent / "bench").rglob("*.py"))
+
+# standard-library names that Python 3.11 or later added: modules, module
+# attributes, builtins and methods
+NEWER_MODULES = {"tomllib"}
+NEWER_ATTRIBUTES = {
+    "datetime": {"UTC"}, "hashlib": {"file_digest"}, "enum": {"StrEnum"},
+    "asyncio": {"TaskGroup"}, "typing": {"Self", "LiteralString", "assert_never"},
+    "contextlib": {"chdir"}, "operator": {"call"}, "math": {"cbrt", "exp2"},
+    "itertools": {"batched"},
+}
+NEWER_BUILTINS = {"ExceptionGroup", "BaseExceptionGroup"}
+NEWER_METHODS = {"add_note"}
+# an atomic group or a possessive quantifier, which 3.10's re refuses
+NEWER_REGEX = re.compile(r"\(\?>|(?<!\\)[*+?}]\+")
+
+
+def newer_than_3_10(source: str) -> list[str]:
+    """The standard-library names and regex syntax in ``source`` that
+    Python 3.10 lacks, each as it is used."""
+    nodes = list(ast.walk(ast.parse(source, feature_version=(3, 10))))
+    modules: dict[str, str] = {}  # local name -> module, from each import
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+            found += [alias.name for alias in node.names if alias.name in NEWER_MODULES]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in NEWER_MODULES:
+                found.append(node.module)
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if alias.name in NEWER_ATTRIBUTES.get(node.module, ())]
+    for node in nodes:
+        if isinstance(node, ast.Attribute):
+            module = modules.get(node.value.id) if isinstance(node.value, ast.Name) else None
+            if node.attr in NEWER_METHODS or node.attr in NEWER_ATTRIBUTES.get(module, ()):
+                found.append(f"{module or ''}.{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in NEWER_BUILTINS:
+            found.append(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found += NEWER_REGEX.findall(node.value)
+    return found
+
+
 def test_source_parses_as_python_3_10():
     """Every module parses with Python 3.10's grammar, the oldest version
-    ``requires-python`` admits and CI lists.  This checks syntax only: a
-    standard-library name or behaviour that 3.10 lacks is not caught."""
-    paths = sorted((SRC / "seedqa").glob("*.py"))
-    assert len(paths) >= 10
-    for path in paths:
+    ``requires-python`` admits and CI lists.  This checks syntax only;
+    ``test_source_uses_no_stdlib_newer_than_3_10`` checks names."""
+    assert len(SOURCES) >= 15
+    for path in SOURCES:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_source_uses_no_stdlib_newer_than_3_10():
+    for path in SOURCES:
+        assert newer_than_3_10(path.read_text(encoding="utf-8")) == [], path
+    # the check finds each kind of use
+    source = """
+import datetime as dt, tomllib
+from typing import Self
+from itertools import batched
+import re
+dt.UTC, exc.add_note("x"), ExceptionGroup, re.compile(r"(?>a)b*+c")
+"""
+    assert sorted(newer_than_3_10(source)) == sorted([
+        "tomllib", "typing.Self", "itertools.batched", "datetime.UTC", ".add_note",
+        "ExceptionGroup", "(?>", "*+",
+    ])
