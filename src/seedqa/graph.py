@@ -446,7 +446,8 @@ def _read_chunk(chunk: str, width: int, kind: str, n_nodes: int,
 def _int_past_limit(field: str) -> int:
     """``int(field)`` for a signed ASCII decimal of any length, with a value
     of more digits than ``_MAX_COUNT`` read as one past it: out of every
-    range a row field is checked against."""
+    range a row field is checked against, and never handed to ``int()``,
+    which refuses more than 4,300 digits."""
     digits = field.lstrip("-0")
     value = _MAX_COUNT + 1 if len(digits) > len(str(_MAX_COUNT)) else int(digits or "0")
     return -value if field.startswith("-") else value
@@ -461,10 +462,7 @@ def _row_values(row: str, width: int, kind: str, n_nodes: int, last: int) -> tup
     # int() also takes "1_0", padded fields and non-ASCII digits
     if not all(f.isascii() and f[f.startswith("-"):].isdigit() for f in fields):
         raise ValueError(f"malformed {kind} row {row!r}: fields must be ASCII decimal integers")
-    try:
-        *indices, count = map(int, fields)
-    except ValueError:  # a field over Python's 4,300-digit limit for int()
-        *indices, count = map(_int_past_limit, fields)
+    *indices, count = map(_int_past_limit, fields)
     what = "edge count" if kind == "edge" else kind
     if not all(0 <= i < n_nodes for i in indices):
         raise ValueError(f"node index out of range in {kind} row {row!r}")
