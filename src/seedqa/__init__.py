@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 # defining module -> its public names
 _MODULE_EXPORTS = {
     "client": ("ChatClient", "ClientConfig", "CompletionRequest", "CompletionResponse",
-               "RetryPolicy", "request_digest"),
+               "request_digest"),
     "corpus": ("Dataset", "DatasetFormatError", "Instance", "load_dataset", "qo_text",
                "split_sample"),
     "entities": ("AnnotatedInstance", "Lexicon", "LexiconExtractor", "LlmExtractor",

@@ -20,19 +20,11 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from typing import Any, Sequence
 
 from . import __version__
-from .client import (
-    BACKENDS,
-    ChatClient,
-    ClientConfig,
-    DEFAULT_API_KEY_ENV,
-    DEFAULT_BASE_URL,
-    DEFAULT_MODEL,
-    RetryPolicy,
-    TransportError,
-)
+from .client import BACKENDS, ChatClient, ClientConfig, TransportError
 from .corpus import DEFAULT_K, data_path, load_dataset, split_sample, write_whole
 from .evaluation import (
     ApiExhaustionError,
@@ -69,14 +61,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# Built-in option values; an option missing here defaults to None.
+# Built-in option values; an option missing here defaults to None.  The
+# client options are ClientConfig's fields, with its defaults.
+_CLIENT_FIELDS = fields(ClientConfig)
 _DEFAULTS: dict[str, Any] = {
+    **{f.name: f.default for f in _CLIENT_FIELDS},
     "seed": 0, "mode": "standard_qa", "shots": "zero", "k": DEFAULT_K, "group_by": (),
     "extractor": "lexicon", "on_error": "raise", "workers": 1,
-    "backend": ClientConfig.backend, "model": DEFAULT_MODEL, "base_url": DEFAULT_BASE_URL,
-    "api_key_env": DEFAULT_API_KEY_ENV, "temperature": ClientConfig.temperature,
-    "max_attempts": RetryPolicy.max_attempts, "backoff_base": RetryPolicy.backoff_base,
-    "timeout": ClientConfig.timeout,
     "context_tokens": DEFAULT_CONTEXT_TOKENS,
     "reserved_tokens": DEFAULT_RESERVED_RESPONSE_TOKENS,
 }
@@ -141,19 +132,9 @@ def _load_config_file(path: str | None, parser: argparse.ArgumentParser,
 
 
 def _client_from(opts: dict[str, Any]) -> ChatClient:
-    config = ClientConfig(
-        backend=opts["backend"],
-        model=opts["model"],
-        base_url=opts["base_url"],
-        api_key_env=opts["api_key_env"],
-        # annotate has no --temperature flag
-        temperature=opts.get("temperature", _DEFAULTS["temperature"]),
-        retry=RetryPolicy(max_attempts=opts["max_attempts"], backoff_base=opts["backoff_base"]),
-        timeout=opts["timeout"],
-        cache_dir=opts["cache_dir"],
-        fixture_path=opts["fixture"],
-    )
-    return ChatClient(config)
+    # a field with no option of the command (annotate's temperature) keeps its default
+    settings = {f.name: opts[f.name] for f in _CLIENT_FIELDS if f.name in opts}
+    return ChatClient(ClientConfig(**settings, fixture_path=opts["fixture"]))
 
 
 def _extractor_from(opts: dict[str, Any], client: ChatClient | None = None):

@@ -22,9 +22,6 @@ from .corpus import json_field, read_jsonl, write_whole
 log = logging.getLogger(__name__)
 
 BACKENDS = ("live", "cached-live", "replay")
-DEFAULT_MODEL = "gpt-3.5-turbo-0613"
-DEFAULT_BASE_URL = "https://api.openai.com/v1"
-DEFAULT_API_KEY_ENV = "SEEDQA_API_KEY"
 
 # (status, body) tuple returned by a transport callable
 Transport = Callable[[str, dict, dict, float], "tuple[int, str]"]
@@ -99,34 +96,27 @@ def _response_from(data: dict) -> CompletionResponse:
 
 
 @dataclass
-class RetryPolicy:
-    """Attempts per live request, and the backoff that doubles after each."""
+class ClientConfig:
+    """Backend choice and the settings each backend reads.  The live
+    backends make up to ``max_attempts`` attempts per request, waiting
+    ``backoff_base`` seconds before the second and doubling after each."""
 
+    backend: str = "replay"
+    model: str = "gpt-3.5-turbo-0613"
+    base_url: str = "https://api.openai.com/v1"
+    api_key_env: str = "SEEDQA_API_KEY"
+    temperature: float = 0.0
     max_attempts: int = 3
     backoff_base: float = 1.0
+    timeout: float = 60.0
+    cache_dir: str | None = None
+    fixture_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.backoff_base < 0:
             raise ValueError("backoff_base must be >= 0")
-
-
-@dataclass
-class ClientConfig:
-    """Backend choice and the settings each backend reads."""
-
-    backend: str = "replay"
-    model: str = DEFAULT_MODEL
-    base_url: str = DEFAULT_BASE_URL
-    api_key_env: str = DEFAULT_API_KEY_ENV
-    temperature: float = 0.0
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    timeout: float = 60.0
-    cache_dir: str | None = None
-    fixture_path: str | None = None
-
-    def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
         if self.backend == "cached-live" and not self.cache_dir:
@@ -213,9 +203,9 @@ class _LiveBackend:
             "max_tokens": request.max_tokens,
         }
         last_error = "no attempt made"
-        for attempt in range(cfg.retry.max_attempts):
+        for attempt in range(cfg.max_attempts):
             if attempt:
-                self._sleep(cfg.retry.backoff_base * (2 ** (attempt - 1)))
+                self._sleep(cfg.backoff_base * (2 ** (attempt - 1)))
             try:
                 status, body = self._transport(url, headers, payload, cfg.timeout)
             except Exception as exc:
@@ -226,10 +216,8 @@ class _LiveBackend:
                 if status not in _RETRYABLE_STATUS:
                     raise ApiStatusError(status, body)
                 last_error = f"retryable status {status}"
-            log.warning("attempt %d/%d failed: %s", attempt + 1, cfg.retry.max_attempts, last_error)
-        raise TransportError(
-            f"gave up after {cfg.retry.max_attempts} attempts ({last_error})"
-        )
+            log.warning("attempt %d/%d failed: %s", attempt + 1, cfg.max_attempts, last_error)
+        raise TransportError(f"gave up after {cfg.max_attempts} attempts ({last_error})")
 
 
 def _parse_completion_body(body: str) -> CompletionResponse:

@@ -250,14 +250,19 @@ def load_dataset(path: str) -> Dataset:
 
     Each non-blank line is one record: ``{id, question, options, answer,
     analysis, metadata?}``.  Option labels and the answer are normalized to
-    uppercase A..E.  Malformed lines raise DatasetFormatError naming the
-    line number and field.
+    uppercase A..E.  Malformed lines, and a line whose id an earlier line
+    holds, raise DatasetFormatError naming the line number and field.
     """
-    instances = read_jsonl(path, parse_record)
-    try:
-        return Dataset(tuple(instances))
-    except ValueError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from exc
+    seen: set[str] = set()
+
+    def parse(rec: dict) -> Instance:
+        inst = parse_record(rec)
+        if inst.id in seen:
+            raise ValueError(f"duplicate instance id {inst.id!r}")
+        seen.add(inst.id)
+        return inst
+
+    return Dataset(tuple(read_jsonl(path, parse)))
 
 
 def instance_to_record(inst: Instance) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from string import Formatter
 from typing import Sequence
 
 from .corpus import (
@@ -26,6 +27,11 @@ DEFAULT_CONTEXT_TOKENS = 4097
 DEFAULT_RESERVED_RESPONSE_TOKENS = 256
 
 _TEMPLATE_VERSION = 1
+
+# the names compose formats each block with; the other template fields are literal
+_BLOCK_FIELDS = {"question_block": ("question",), "option_line": ("label", "text"),
+                 "seeds_block": ("seeds",), "analysis_block": ("analysis",),
+                 "answer_block": ("answer",)}
 
 
 class TokenBudgetError(ValueError):
@@ -58,6 +64,20 @@ class PromptTemplate:
         missing = [m for m in MODES if m not in self.instructions]
         if missing:
             raise ValueError(f"template lacks instructions for modes: {missing}")
+        # a block compose could not format fails here: an unknown or positional
+        # field, an unbalanced brace, or a spec or conversion a string refuses
+        for name, names in _BLOCK_FIELDS.items():
+            block = getattr(self, name)
+            try:
+                for _, key, spec, _ in Formatter().parse(block):
+                    if key is not None and key not in names:
+                        takes = ", ".join(f"{{{n}}}" for n in names)
+                        raise ValueError(f"unknown field {{{key}}}; it takes only {takes}")
+                    if spec and "{" in spec:
+                        raise ValueError(f"field {{{key}}} has a field in its format spec")
+                block.format(**dict.fromkeys(names, ""))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
 
 
 def load_template(path: str) -> PromptTemplate:

@@ -6,6 +6,7 @@ import json
 import random
 import re
 import tracemalloc
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from seedqa.entities import (
     load_extraction_exemplars,
     load_lexicon,
 )
-from seedqa.client import CompletionRequest, TransportError, request_digest
+from seedqa.client import ClientConfig, CompletionRequest, TransportError, request_digest
 from seedqa.evaluation import EvalRecord, record_to_dict
 from seedqa.graph import build_graph, load_graph
 from seedqa.prompts import PromptSpec, load_exemplars
@@ -425,6 +426,58 @@ def test_run_config_json_is_pinned(corpus):
     assert text == json.dumps(expected, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
+class _ClientBuilt(Exception):
+    """Raised by the stand-in ChatClient once it has the config."""
+
+
+# every client setting at a value other than its default, by option name
+_CLIENT_OPTIONS = {
+    "backend": "cached-live", "model": "m-pinned", "base_url": "http://localhost:9/v9",
+    "api_key_env": "PINNED_KEY", "temperature": 0.5, "max_attempts": 5, "backoff_base": 0.25,
+    "timeout": 7.5, "cache_dir": "pinned-cache", "fixture": "pinned.jsonl",
+}
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize("command", ["run", "annotate"])
+def test_client_settings_reach_the_client(corpus, tmp_path, monkeypatch, command, source):
+    built = []
+
+    def capture(config):
+        built.append(config)
+        raise _ClientBuilt
+
+    monkeypatch.setattr("seedqa.cli.ChatClient", capture)
+    options = dict(_CLIENT_OPTIONS)
+    if command == "annotate":
+        # annotate has no --temperature; a config file's entry is ignored
+        if source == "flags":
+            del options["temperature"]
+        argv = ["annotate", "--dataset", corpus["train"], "--extractor", "llm",
+                "--out", str(tmp_path / "ann.jsonl")]
+    else:
+        argv = ["run", "--dataset", corpus["test"], "--out-dir", str(tmp_path / "out")]
+    if source == "flags":
+        argv += [f"--{key.replace('_', '-')}={value}" for key, value in options.items()]
+    else:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(options), encoding="utf-8")
+        argv += ["--config", str(conf)]
+    with pytest.raises(_ClientBuilt):
+        main(argv)
+    expected = {key: value for key, value in _CLIENT_OPTIONS.items() if key != "fixture"}
+    expected["fixture_path"] = _CLIENT_OPTIONS["fixture"]
+    if command == "annotate":
+        expected["temperature"] = 0.0
+    assert asdict(built[0]) == expected
+
+
+def test_every_client_setting_but_the_fixture_is_a_run_option():
+    settings = {f.name for f in fields(ClientConfig)} - {"fixture_path"}
+    assert settings <= set(vars(build_parser().parse_args(["run"])))
+    assert len(settings) == 9
+
+
 @pytest.mark.parametrize("flags, entries, key, expected", [
     (["--mode", "standard_qa"], {"mode": "icp"}, "mode", "standard_qa"),
     # an explicit falsy value still beats the file
@@ -574,6 +627,24 @@ def test_exit_1_on_config_errors(corpus, capsys):
                  "--backend", "replay"]) == 1            # replay without fixture
     assert main(["bogus-command"]) == 1
     assert main(["run", "--bogus-flag", "y"]) == 1
+
+
+@pytest.mark.parametrize("question_block", ["Q: {question} {oops}", "Q: {0}", "Q: {question"])
+def test_run_refuses_template_placeholder_before_writing_config(corpus, capsys,
+                                                                question_block):
+    with open(data_path("prompt_template.json"), encoding="utf-8") as fh:
+        template = json.load(fh) | {"question_block": question_block}
+    tpl = corpus["dir"] / "t.json"
+    tpl.write_text(json.dumps(template, ensure_ascii=False), encoding="utf-8")
+    fixture = corpus["dir"] / "empty.jsonl"
+    fixture.write_text("", encoding="utf-8")
+    out_dir = corpus["dir"] / "out"
+    capsys.readouterr()
+    assert main(["run", "--dataset", corpus["test"], "--out-dir", str(out_dir),
+                 "--fixture", str(fixture), "--template", str(tpl)]) == 1
+    err = capsys.readouterr().err
+    assert f"{tpl}: question_block: " in err and "Traceback" not in err
+    assert not (out_dir / "config.json").exists()
 
 
 def test_exit_1_on_malformed_dataset(tmp_path, corpus):

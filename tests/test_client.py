@@ -15,7 +15,6 @@ from seedqa.client import (
     CompletionRequest,
     CompletionResponse,
     ReplayMissError,
-    RetryPolicy,
     TransportError,
     request_digest,
 )
@@ -51,11 +50,8 @@ def make_transport(script):
 def live_client(script, max_attempts=3, backoff=1.0, **kwargs):
     transport, calls = make_transport(script)
     sleeps = []
-    config = ClientConfig(
-        backend="live",
-        retry=RetryPolicy(max_attempts=max_attempts, backoff_base=backoff),
-        **kwargs,
-    )
+    config = ClientConfig(backend="live", max_attempts=max_attempts, backoff_base=backoff,
+                          **kwargs)
     client = ChatClient(config, transport=transport, sleeper=sleeps.append)
     return client, calls, sleeps
 
@@ -476,23 +472,15 @@ def test_concurrent_identical_requests_single_upstream(tmp_path):
 
 # --- config validation ---------------------------------------------------------
 
-def test_each_config_gets_its_own_default_retry_policy():
-    # RetryPolicy is not frozen, so a shared default would let one config
-    # change another's retries
-    first, second = ClientConfig(backend="live"), ClientConfig(backend="live")
-    assert first.retry is not second.retry
-    assert first.retry == second.retry == RetryPolicy()
-
-
 def test_config_validation():
     with pytest.raises(ValueError, match="backend"):
         ClientConfig(backend="offline")
     with pytest.raises(ValueError, match="cache_dir"):
         ClientConfig(backend="cached-live")
     with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
+        ClientConfig(backend="live", max_attempts=0)
     with pytest.raises(ValueError):
-        RetryPolicy(backoff_base=-1)
+        ClientConfig(backend="live", backoff_base=-1)
 
 
 # --- system message --------------------------------------------------------

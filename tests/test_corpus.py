@@ -151,8 +151,15 @@ def test_load_rejects_answer_not_in_options(tmp_path):
 
 
 def test_load_rejects_duplicate_ids(tmp_path):
-    with pytest.raises(DatasetFormatError, match="duplicate"):
-        load_dataset(write_jsonl(tmp_path / "d.jsonl", [VALID, VALID]))
+    # the later line is named, as for every other defect of one line
+    other = VALID | {"id": "other"}
+    path = write_jsonl(tmp_path / "d.jsonl", [VALID, other, VALID])
+    with pytest.raises(DatasetFormatError,
+                       match=re.escape(f"{path}:3: duplicate instance id {VALID['id']!r}")):
+        load_dataset(path)
+    # a Dataset built directly checks its ids too
+    with pytest.raises(ValueError, match="duplicate instance id 'q1'"):
+        Dataset((make_instance("q1"), make_instance("q1")))
 
 
 def test_load_rejects_empty_texts(tmp_path):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from seedqa.client import ChatClient, ClientConfig, RetryPolicy, TransportError, request_digest
+from seedqa.client import ChatClient, ClientConfig, TransportError, request_digest
 from seedqa.entities import LexiconExtractor, Lexicon
 from seedqa.evaluation import (
     ApiExhaustionError,
@@ -560,9 +560,7 @@ def test_run_eval_transport_exhaustion_aborts(tmp_path):
     def failing_transport(url, headers, payload, timeout):
         raise ConnectionError("network down")
 
-    config = ClientConfig(
-        backend="live", retry=RetryPolicy(max_attempts=1, backoff_base=0.0)
-    )
+    config = ClientConfig(backend="live", max_attempts=1, backoff_base=0.0)
     client = ChatClient(config, transport=failing_transport, sleeper=lambda s: None)
     with pytest.raises(ApiExhaustionError) as err:
         run_eval(test, client, spec)
@@ -635,9 +633,7 @@ def live_setup(count, failing=(), max_attempts=1, delay=0.0):
             raise ConnectionError("network down")
         return 200, json.dumps({"choices": [{"message": {"content": "答案是A。"}}]})
 
-    config = ClientConfig(
-        backend="live", retry=RetryPolicy(max_attempts=max_attempts, backoff_base=0.0)
-    )
+    config = ClientConfig(backend="live", max_attempts=max_attempts, backoff_base=0.0)
     client = ChatClient(config, transport=transport, sleeper=lambda s: None)
     return test, spec, client, calls, concurrency
 
@@ -652,7 +648,7 @@ def test_run_eval_non_string_reply_fails_one_instance():
         content = None if payload["messages"][-1]["content"] == null_prompt else "答案是A。"
         return 200, json.dumps({"choices": [{"message": {"content": content}}]})
 
-    config = ClientConfig(backend="live", retry=RetryPolicy(max_attempts=1))
+    config = ClientConfig(backend="live", max_attempts=1)
     client = ChatClient(config, transport=transport, sleeper=lambda s: None)
     records, report = run_eval(test, client, spec)
     assert [r.instance_id for r in records] == [i.id for i in test]

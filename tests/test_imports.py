@@ -34,8 +34,7 @@ GRAPH_STACK = {"seedqa.entities", "seedqa.graph", "seedqa.seeds"}
 # every public name the package exports, and its modules, which stay
 # reachable as attributes
 PUBLIC_NAMES = {
-    "ChatClient", "ClientConfig", "CompletionRequest", "CompletionResponse", "RetryPolicy",
-    "request_digest",
+    "ChatClient", "ClientConfig", "CompletionRequest", "CompletionResponse", "request_digest",
     "Dataset", "DatasetFormatError", "Instance", "load_dataset", "qo_text", "split_sample",
     "AnnotatedInstance", "Lexicon", "LexiconExtractor", "LlmExtractor", "annotate_dataset",
     "extract_entities_lexicon", "load_annotated", "load_lexicon", "normalize_entity",
@@ -71,7 +70,7 @@ print(json.dumps(steps))
 def run_python(script: str, *args: str, options: tuple[str, ...] = ()) -> str:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, *options, "-c", script, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, encoding="utf-8", timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

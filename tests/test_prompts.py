@@ -406,6 +406,20 @@ def test_template_defect_names_path(tmp_path, payload):
         load_template(str(path))
 
 
+@pytest.mark.parametrize("question_block, reason", (
+    ("Q: {question} {oops}", "question_block: unknown field {oops}; it takes only {question}"),
+    ("Q: {0}", "question_block: unknown field {0}; it takes only {question}"),
+    ("Q: {question", "question_block: expected '}' before end of string"),
+))
+def test_template_placeholder_compose_cannot_fill_names_path(tmp_path, question_block, reason):
+    # refused on load, not as a KeyError or IndexError inside compose
+    path = tmp_path / "tpl.json"
+    payload = {**_PACKAGED_TEMPLATE, "question_block": question_block}
+    path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: {reason}")):
+        load_template(str(path))
+
+
 def test_load_exemplars_file(tmp_path):
     recs = [
         {"question": "问", "options": {"A": "x", "B": "y"}, "answer": "A",
