@@ -138,11 +138,11 @@ def _client_from(opts: dict[str, Any]) -> ChatClient:
 
 
 def _extractor_from(opts: dict[str, Any], client: ChatClient | None = None):
-    from .entities import LexiconExtractor, LlmExtractor, load_extraction_exemplars, load_lexicon
+    from .entities import LlmExtractor, load_extraction_exemplars, load_lexicon
 
     # argparse checks the name against _EXTRACTORS, as a flag or a config value
     if opts["extractor"] == "lexicon":
-        return LexiconExtractor(load_lexicon(_need(opts, "lexicon")))
+        return load_lexicon(_need(opts, "lexicon"))
     exemplars = load_extraction_exemplars(
         opts["extraction_exemplars"] or data_path("extraction_exemplars.jsonl")
     )

@@ -1,9 +1,12 @@
 """Chat-completion client with live, cached-live, and replay backends.
 
-Every request is identified by the SHA-256 of its canonical JSON form, so
-the disk cache and replay fixtures key on content, not on call order.
-Replay runs never open a network connection, which is what makes the
-evaluation pipeline reproducible offline.
+``ChatClient`` answers a replay request from the fixture file and sends a
+live one itself, through its transport, with retries and backoff; the
+cached-live backend keeps each live reply on disk.  Every request is
+identified by the SHA-256 of its canonical JSON form, so the disk cache
+and replay fixtures key on content, not on call order.  Replay runs never
+open a network connection, which is what makes the evaluation pipeline
+reproducible offline.  The client's errors are RuntimeErrors.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import json
 import hashlib
 import logging
+import math
 import os
 import threading
 import time
@@ -29,15 +33,11 @@ Transport = Callable[[str, dict, dict, float], "tuple[int, str]"]
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 
 
-class ClientError(RuntimeError):
-    """Base class for completion client failures."""
-
-
-class TransportError(ClientError):
+class TransportError(RuntimeError):
     """Network failure or retryable status that survived all retries."""
 
 
-class ApiStatusError(ClientError):
+class ApiStatusError(RuntimeError):
     """Non-retryable HTTP status from the completion endpoint."""
 
     def __init__(self, status: int, body: str):
@@ -46,7 +46,7 @@ class ApiStatusError(ClientError):
         self.body = body
 
 
-class ReplayMissError(ClientError):
+class ReplayMissError(RuntimeError):
     """The replay fixture has no entry for a request digest."""
 
     def __init__(self, digest: str):
@@ -115,8 +115,13 @@ class ClientConfig:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0")
+        # written so that NaN fails each check too
+        if not 0 <= self.backoff_base < math.inf:
+            raise ValueError("backoff_base must be finite and >= 0")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be finite and > 0")
+        if not math.isfinite(self.temperature):
+            raise ValueError("temperature must be finite")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
         if self.backend == "cached-live" and not self.cache_dir:
@@ -170,54 +175,6 @@ class _ReplayBackend:
         if response is None:
             raise ReplayMissError(request.digest)
         return response
-
-
-class _LiveBackend:
-    def __init__(
-        self,
-        config: ClientConfig,
-        transport: Transport | None = None,
-        sleeper: Callable[[float], None] | None = None,
-    ):
-        self._config = config
-        self._transport = transport or _default_transport
-        self._sleep = sleeper if sleeper is not None else time.sleep
-
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
-        cfg = self._config
-        url = cfg.base_url.rstrip("/") + "/chat/completions"
-        headers = {"Content-Type": "application/json"}
-        # the key is read from the environment at call time and is never
-        # logged or persisted anywhere
-        api_key = os.environ.get(cfg.api_key_env)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-        messages = []
-        if request.system is not None:
-            messages.append({"role": "system", "content": request.system})
-        messages.append({"role": "user", "content": request.prompt})
-        payload = {
-            "model": request.model,
-            "messages": messages,
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-        }
-        last_error = "no attempt made"
-        for attempt in range(cfg.max_attempts):
-            if attempt:
-                self._sleep(cfg.backoff_base * (2 ** (attempt - 1)))
-            try:
-                status, body = self._transport(url, headers, payload, cfg.timeout)
-            except Exception as exc:
-                last_error = f"transport failure: {exc}"
-            else:
-                if status == 200:
-                    return _parse_completion_body(body)
-                if status not in _RETRYABLE_STATUS:
-                    raise ApiStatusError(status, body)
-                last_error = f"retryable status {status}"
-            log.warning("attempt %d/%d failed: %s", attempt + 1, cfg.max_attempts, last_error)
-        raise TransportError(f"gave up after {cfg.max_attempts} attempts ({last_error})")
 
 
 def _parse_completion_body(body: str) -> CompletionResponse:
@@ -293,11 +250,10 @@ class ChatClient:
         sleeper: Callable[[float], None] | None = None,
     ):
         self.config = config
+        self._transport = transport or _default_transport
+        self._sleep = sleeper if sleeper is not None else time.sleep
         self._cache = _DiskCache(config.cache_dir) if config.backend == "cached-live" else None
-        if config.backend == "replay":
-            self._backend = _ReplayBackend(config.fixture_path)
-        else:
-            self._backend = _LiveBackend(config, transport, sleeper)
+        self._replay = _ReplayBackend(config.fixture_path) if config.backend == "replay" else None
 
     def request(self, prompt: str, max_tokens: int, system: str | None = None) -> CompletionRequest:
         """A request for ``prompt`` at this client's model and temperature."""
@@ -307,13 +263,50 @@ class ChatClient:
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         digest = request.digest
         log.debug("request %s (%d chars)", digest[:12], len(request.prompt))
+        if self._replay is not None:
+            return self._replay.complete(request)
         if self._cache is None:
-            return self._backend.complete(request)
+            return self._complete_live(request)
         with self._cache.lock_for(digest):
             cached = self._cache.get(digest)
             if cached is not None:
                 log.debug("request %s served from cache", digest[:12])
                 return cached
-            response = self._backend.complete(request)
+            response = self._complete_live(request)
             self._cache.put(request, response)
             return response
+
+    def _complete_live(self, request: CompletionRequest) -> CompletionResponse:
+        cfg = self.config
+        url = cfg.base_url.rstrip("/") + "/chat/completions"
+        headers = {"Content-Type": "application/json"}
+        # the key is read from the environment at call time and is never
+        # logged or persisted anywhere
+        api_key = os.environ.get(cfg.api_key_env)
+        if api_key:
+            headers["Authorization"] = f"Bearer {api_key}"
+        messages = []
+        if request.system is not None:
+            messages.append({"role": "system", "content": request.system})
+        messages.append({"role": "user", "content": request.prompt})
+        payload = {
+            "model": request.model,
+            "messages": messages,
+            "temperature": request.temperature,
+            "max_tokens": request.max_tokens,
+        }
+        for attempt in range(cfg.max_attempts):  # at least one
+            if attempt:
+                self._sleep(cfg.backoff_base * (2 ** (attempt - 1)))
+            try:
+                status, body = self._transport(url, headers, payload, cfg.timeout)
+            except Exception as exc:
+                last_error = f"transport failure: {exc}"
+            else:
+                if status == 200:
+                    return _parse_completion_body(body)
+                if status not in _RETRYABLE_STATUS:
+                    raise ApiStatusError(status, body)
+                last_error = f"retryable status {status}"
+            log.warning("attempt %d/%d failed: %s", attempt + 1, cfg.max_attempts, last_error)
+        raise TransportError(f"gave up after {cfg.max_attempts} attempts ({last_error})")

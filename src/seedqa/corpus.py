@@ -61,16 +61,21 @@ def read_lines(path: str, parse: Callable[[str], T]) -> Iterator[T]:
         raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def json_object_line(parse: Callable[[dict], T]) -> Callable[[str], T]:
     """A line parser for ``read_lines`` over line-delimited JSON: each line
     must hold a JSON object, which ``parse`` turns into a value.  Invalid
-    JSON, an integer over Python's digit limit and nesting past the
-    recursion limit included, and a non-object line raise ValueError, so
-    they are errors at ``path:line`` too."""
+    JSON, an integer over Python's digit limit, nesting past the recursion
+    limit and the non-standard ``NaN``, ``Infinity`` and ``-Infinity``
+    included, and a non-object line raise ValueError, so they are errors at
+    ``path:line`` too."""
 
     def parse_line(line: str) -> T:
         try:
-            rec = json.loads(line)
+            rec = json.loads(line, parse_constant=_refuse_constant)
         except (RecursionError, ValueError) as exc:
             raise ValueError(f"invalid JSON ({exc})") from exc
         if not isinstance(rec, dict):

@@ -57,27 +57,21 @@ def normalize_entity(raw: str) -> str:
 
 
 class Lexicon:
-    """Closed vocabulary of canonical entities with optional surface aliases.
+    """Closed vocabulary of canonical entities, and the extractor that
+    finds them in a text.
 
     All surfaces are stored in normalized form; matching happens on
     normalized text, so lookups are case- and width-insensitive.  Each
     first character maps to the lengths of the surfaces that start with it,
-    longest first, so a scan position looks up only those.  An alias
-    under two entries, or one that is another entry, raises ValueError, as
-    ``load_lexicon`` refuses the same content.
+    longest first, so a scan position looks up only those.  Surface aliases
+    come from a lexicon file, through ``load_lexicon``.
     """
 
-    def __init__(self, entries: Iterable[str], aliases: dict[str, str] | None = None):
+    def __init__(self, entries: Iterable[str]):
         canon = {normalize_entity(e) for e in entries}
         if not canon:
             raise ValueError("lexicon has no entries")
-        surface_map = {e: e for e in canon}
-        for alias, target in (aliases or {}).items():
-            target_n = normalize_entity(target)
-            if target_n not in canon:
-                raise ValueError(f"alias {alias!r} targets unknown entity {target!r}")
-            _claim(surface_map, normalize_entity(alias), target_n)
-        self._index(surface_map)
+        self._index({e: e for e in canon})
 
     def _index(self, surface_map: dict[str, str]) -> None:
         """Keep ``surface_map`` (normalized surface -> canonical entry,
@@ -90,15 +84,9 @@ class Lexicon:
         # first character -> lengths of the surfaces starting with it, longest first
         self._lengths = {c: sorted(ls, reverse=True) for c, ls in by_first.items()}
 
-
-def _claim(owner: dict[str, str], surface: str, canonical: str) -> None:
-    """Record in ``owner`` that ``surface`` stands for ``canonical``; raise
-    ValueError naming the surface when it already stands for another
-    entry."""
-    prior = owner.setdefault(surface, canonical)
-    if prior != canonical:
-        what = "a canonical entry" if prior == surface else f"an alias of {prior!r}"
-        raise ValueError(f"{surface!r} is already {what}")
+    def __call__(self, text: str) -> set[str]:
+        # the module function is looked up per call, so a wrap of it sees this call
+        return extract_entities_lexicon(text, self)
 
 
 def load_lexicon(path: str) -> Lexicon:
@@ -120,7 +108,10 @@ def load_lexicon(path: str) -> Lexicon:
         entry, *aliases = line.rstrip("\n").split("\t")
         canonical = normalize_entity(entry)
         for surface in (canonical, *(normalize_entity(a) for a in aliases if a.strip())):
-            _claim(owner, surface, canonical)
+            prior = owner.setdefault(surface, canonical)
+            if prior != canonical:
+                what = "a canonical entry" if prior == surface else f"an alias of {prior!r}"
+                raise ValueError(f"{surface!r} is already {what}")
 
     for _ in read_lines(path, claim_line):
         pass
@@ -155,16 +146,6 @@ def extract_entities_lexicon(text: str, lexicon: Lexicon) -> set[str]:
         else:
             i += 1
     return found
-
-
-class LexiconExtractor:
-    """Extractor callable backed by a fixed lexicon."""
-
-    def __init__(self, lexicon: Lexicon):
-        self.lexicon = lexicon
-
-    def __call__(self, text: str) -> set[str]:
-        return extract_entities_lexicon(text, self.lexicon)
 
 
 ENTITY_INSTRUCTION = (

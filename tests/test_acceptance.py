@@ -15,7 +15,7 @@ import time
 import pytest
 
 from seedqa.client import ChatClient, ClientConfig
-from seedqa.entities import LexiconExtractor, Lexicon, annotate_dataset
+from seedqa.entities import Lexicon, annotate_dataset
 from seedqa.evaluation import (
     EvalRecord,
     build_report,
@@ -147,7 +147,7 @@ def replay_run(tmp_path, workers=1):
     """The 20-instance icp replay run: 13 correct, 4 wrong and 3 unresolved
     responses.  Returns the bytes of its records.jsonl and report.json."""
     train = synth_dataset(101, 12, prefix="tr")
-    extractor = LexiconExtractor(Lexicon(frozenset(ENTITY_POOL)))
+    extractor = Lexicon(frozenset(ENTITY_POOL))
     graph = build_graph(annotate_dataset(train, extractor))
 
     test = synth_dataset(102, 20, prefix="t")
@@ -219,9 +219,9 @@ def test_prompt_mode_contracts_and_token_budget():
     the default token budget."""
     dataset = synth_dataset(103, 8)
     graph = build_graph(
-        annotate_dataset(dataset, LexiconExtractor(Lexicon(frozenset(ENTITY_POOL))))
+        annotate_dataset(dataset, Lexicon(frozenset(ENTITY_POOL)))
     )
-    extractor = LexiconExtractor(Lexicon(frozenset(ENTITY_POOL)))
+    extractor = Lexicon(frozenset(ENTITY_POOL))
     exemplars = default_exemplars()
 
     for inst in dataset:

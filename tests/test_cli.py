@@ -21,7 +21,6 @@ from seedqa.corpus import (
     split_sample,
 )
 from seedqa.entities import (
-    LexiconExtractor,
     annotate_dataset,
     build_extraction_prompt,
     load_annotated,
@@ -79,7 +78,7 @@ def pipeline_to_graph(corpus):
 def prepare_replay(corpus, graph_path, mode="icp", shots="zero"):
     test = load_dataset(corpus["test"])
     graph = load_graph(graph_path)
-    extractor = LexiconExtractor(load_lexicon(corpus["lexicon"]))
+    extractor = load_lexicon(corpus["lexicon"])
     spec = PromptSpec(mode, shots)
     requests = pipeline_requests(
         test, spec, "gpt-3.5-turbo-0613", graph=graph, extractor=extractor
@@ -97,7 +96,7 @@ def test_annotate_build_graph_outputs(corpus):
     assert all(a.qo_entities for a in annotated)
     # CLI output equals the library pipeline run directly
     train = load_dataset(corpus["train"])
-    direct = annotate_dataset(train, LexiconExtractor(load_lexicon(corpus["lexicon"])))
+    direct = annotate_dataset(train, load_lexicon(corpus["lexicon"]))
     assert annotated == direct
     graph = load_graph(graph_path)
     assert graph.nodes == build_graph(direct).nodes
@@ -647,6 +646,27 @@ def test_run_refuses_template_placeholder_before_writing_config(corpus, capsys,
     assert not (out_dir / "config.json").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--timeout", "0"), ("--timeout", "nan"),
+                                         ("--backoff-base", "inf"), ("--temperature", "nan")])
+def test_run_refuses_client_setting_before_writing_config(corpus, capsys, monkeypatch, flag,
+                                                           value):
+    # a live request would fail inside the HTTP library, be retried as a
+    # transport failure and end the run with exit 2
+    import seedqa.client
+
+    sent = []
+    monkeypatch.setattr(seedqa.client, "_default_transport", lambda *args: sent.append(args))
+    out_dir = corpus["dir"] / "out"
+    capsys.readouterr()
+    assert main(["run", "--dataset", corpus["test"], "--out-dir", str(out_dir),
+                 "--backend", "live", f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert flag[2:].replace("-", "_") in err
+    assert not (out_dir / "config.json").exists()
+    assert sent == []
+
+
 def test_exit_1_on_malformed_dataset(tmp_path, corpus):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "x"}\n', encoding="utf-8")
@@ -760,6 +780,25 @@ def test_malformed_input_exits_1_with_location(corpus, capsys, kind, breakage):
     err = capsys.readouterr().err
     assert location in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("constant", ("NaN", "Infinity", "-Infinity"))
+@pytest.mark.parametrize("kind", ("dataset", "annotated", "seeds", "records", "fixture",
+                                  "exemplars", "extraction_exemplars"))
+def test_non_standard_json_constant_exits_1_with_location(corpus, capsys, kind, constant):
+    # Python's json module reads these three, but they are not JSON: a records
+    # line holding one reached report.json as a bare NaN or Infinity
+    records, field, argv = _input_case(kind, corpus)
+    lines = [json.dumps(r, ensure_ascii=False) for r in records]
+    lines[1] = lines[1][:-1] + f', "{field}": {constant}}}'
+    bad = corpus["dir"] / f"bad_{kind}.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([str(bad) if a == "BAD" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:2: invalid JSON ({constant} is not a JSON value)" in err
+    assert "Traceback" not in err
+    assert not (corpus["dir"] / "r.json").exists()
 
 
 @pytest.mark.parametrize("kind", ("dataset", "annotated", "seeds", "records", "fixture",

@@ -100,6 +100,27 @@ def test_replay_hit_and_miss(tmp_path):
     assert err.value.digest == request_digest(other)
 
 
+def test_replay_complete_is_looked_up_on_the_class(tmp_path, monkeypatch):
+    # a wrap of the method on the class, installed after the client is
+    # built, sees every replay request
+    from seedqa.client import _ReplayBackend
+
+    fixture = tmp_path / "fix.jsonl"
+    fixture.write_text(json.dumps({"digest": REQ.digest, "text": "答案：B"}) + "\n",
+                       encoding="utf-8")
+    client = ChatClient(ClientConfig(backend="replay", fixture_path=str(fixture)))
+    seen = []
+    unwrapped = _ReplayBackend.complete
+
+    def wrapped(self, request):
+        seen.append(request.digest)
+        return unwrapped(self, request)
+
+    monkeypatch.setattr(_ReplayBackend, "complete", wrapped)
+    assert client.complete(REQ).text == "答案：B"
+    assert seen == [REQ.digest]
+
+
 def test_replay_duplicate_digests(tmp_path):
     line = {"digest": request_digest(REQ), "text": "答案：B"}
     fixture = tmp_path / "fix.jsonl"
@@ -481,6 +502,19 @@ def test_config_validation():
         ClientConfig(backend="live", max_attempts=0)
     with pytest.raises(ValueError):
         ClientConfig(backend="live", backoff_base=-1)
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("timeout", 0.0), ("timeout", -1.0), ("timeout", float("nan")), ("timeout", float("inf")),
+    ("backoff_base", float("nan")), ("backoff_base", float("inf")),
+    ("temperature", float("nan")), ("temperature", float("inf")),
+    ("temperature", float("-inf")),
+])
+def test_config_refuses_settings_the_transport_or_sleep_cannot_take(setting, value):
+    # each one failed only at request time, as a transport failure or an
+    # error from time.sleep
+    with pytest.raises(ValueError, match=f"^{setting} must be finite"):
+        ClientConfig(backend="live", **{setting: value})
 
 
 # --- system message --------------------------------------------------------

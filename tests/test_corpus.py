@@ -19,6 +19,7 @@ from seedqa.corpus import (
     load_dataset,
     map_in_order,
     qo_text,
+    read_jsonl,
     read_lines,
     split_sample,
     write_whole,
@@ -89,6 +90,20 @@ def test_load_rejects_bad_json(tmp_path):
     path.write_text('{"id": "q1"\n', encoding="utf-8")
     with pytest.raises(DatasetFormatError, match=r":1"):
         load_dataset(str(path))
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_read_jsonl_refuses_non_standard_constants(tmp_path, constant):
+    # Python's json module accepts these, but they are not JSON, and a value
+    # read from one would be written back out as invalid JSON
+    path = tmp_path / "r.jsonl"
+    path.write_text(f'{{"x": 1.5}}\n{{"x": [{constant}]}}\n', encoding="utf-8")
+    with pytest.raises(DatasetFormatError,
+                       match=re.escape(f"{path}:2: invalid JSON ({constant} is not a JSON value)")):
+        read_jsonl(str(path), dict)
+    # the same word as a string is a string
+    path.write_text(f'{{"x": "{constant}"}}\n', encoding="utf-8")
+    assert read_jsonl(str(path), dict) == [{"x": constant}]
 
 
 def test_load_reports_line_and_field(tmp_path):

@@ -13,7 +13,6 @@ from seedqa.entities import (
     AnnotationError,
     EntityParseError,
     Lexicon,
-    LexiconExtractor,
     LlmExtractor,
     annotate_dataset,
     build_extraction_prompt,
@@ -27,7 +26,9 @@ from seedqa.entities import (
 )
 from seedqa.corpus import DatasetFormatError
 
-from conftest import all_lengths_extract, count_request_digests, fixed_point_normalize_entity
+from conftest import (
+    all_lengths_extract, count_request_digests, fixed_point_normalize_entity, write_lexicon,
+)
 
 
 # --- normalization ---------------------------------------------------------
@@ -91,11 +92,6 @@ def test_lexicon_requires_entries():
         Lexicon([])
 
 
-def test_lexicon_alias_must_target_entry():
-    with pytest.raises(ValueError, match="unknown"):
-        Lexicon(["高血压"], {"HTN": "糖尿病"})
-
-
 def test_lexicon_file_round_trip(tmp_path):
     path = tmp_path / "lex.txt"
     path.write_text(
@@ -129,16 +125,13 @@ def test_load_lexicon_errors_name_path_and_line(tmp_path, text, where, surface):
     assert surface in str(err.value)
 
 
-@pytest.mark.parametrize("entries, aliases, text, surface", [
+@pytest.mark.parametrize("text, surface", [
     # one alias under two entries: neither the first nor the last wins
-    (["高血压", "糖尿病"], {"HTN": "高血压", "htn": "糖尿病"}, "高血压\tHTN\n糖尿病\thtn\n", "'htn'"),
+    ("高血压\tHTN\n糖尿病\thtn\n", "'htn'"),
     # an alias that is another canonical entry
-    (["高血压", "糖尿病"], {"高血压": "糖尿病"}, "高血压\n糖尿病\t高血压\n", "'高血压'"),
+    ("高血压\n糖尿病\t高血压\n", "'高血压'"),
 ], ids=["alias under two entries", "alias that is an entry"])
-def test_lexicon_and_load_lexicon_reject_the_same_conflicts(tmp_path, entries, aliases, text,
-                                                           surface):
-    with pytest.raises(ValueError, match=surface):
-        Lexicon(entries, aliases)
+def test_load_lexicon_rejects_conflicting_aliases(tmp_path, text, surface):
     path = tmp_path / "lex.txt"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}:2: {surface}"):
@@ -174,8 +167,8 @@ def test_extract_dedupes_and_casefolds():
     assert found == {"aspirin", "高血压"}
 
 
-def test_extract_via_alias():
-    lex = Lexicon(["高血压"], {"HTN": "高血压"})
+def test_extract_via_alias(tmp_path):
+    lex = load_lexicon(write_lexicon(tmp_path / "lex.txt", ["高血压\tHTN"]))
     assert extract_entities_lexicon("病史：htn多年", lex) == {"高血压"}
 
 
@@ -189,10 +182,26 @@ def test_extractor_option_order_invariant():
     base = dict(question="患者有高血压", answer="A", analysis="考虑糖尿病引起的贫血。")
     a = Instance(id="x", options={"A": "糖尿病", "B": "贫血"}, **base)
     b = Instance(id="x", options={"B": "贫血", "A": "糖尿病"}, **base)
-    ext = LexiconExtractor(lex)
     from seedqa.corpus import qo_text
 
-    assert ext(qo_text(a)) == ext(qo_text(b)) == {"高血压", "糖尿病", "贫血"}
+    assert lex(qo_text(a)) == lex(qo_text(b)) == {"高血压", "糖尿病", "贫血"}
+
+
+def test_lexicon_call_goes_through_the_module_function(monkeypatch):
+    # a wrap of the module function, as the benchmark's spans install, sees
+    # every extraction the lexicon makes
+    import seedqa.entities
+
+    calls = []
+
+    def spy(text, lexicon):
+        calls.append((text, lexicon))
+        return extract_entities_lexicon(text, lexicon)
+
+    lex = Lexicon(["高血压"])
+    monkeypatch.setattr(seedqa.entities, "extract_entities_lexicon", spy)
+    assert lex("患者有高血压") == {"高血压"}
+    assert calls == [("患者有高血压", lex)]
 
 
 def test_extract_surface_past_the_end_of_text():
@@ -204,8 +213,9 @@ def test_extract_surface_past_the_end_of_text():
     assert extract_entities_lexicon("a", lex) == set()
 
 
-def test_lexicon_indexes_lengths_by_first_character():
-    lex = Lexicon(["高血压", "高血压脑出血", "高烧", "ab"], {"ＡＢＣ": "ab", "𠀀x": "高烧"})
+def test_lexicon_indexes_lengths_by_first_character(tmp_path):
+    lines = ["高血压", "高血压脑出血", "高烧\t𠀀x", "ab\tＡＢＣ"]
+    lex = load_lexicon(write_lexicon(tmp_path / "lex.txt", lines))
     assert lex._lengths == {"高": [6, 3, 2], "a": [3, 2], "𠀀": [2]}
 
 
@@ -216,7 +226,7 @@ _SURFACE_POOL = ("高", "血", "压", "脑", "a", "b", "Ａ", "ß", "ss", "㎒",
                  "😀", "e\u0301", "é", " ")
 
 
-def _random_lexicon(rng: random.Random) -> Lexicon | None:
+def _random_lexicon(rng: random.Random, path) -> Lexicon | None:
     def piece(lo, hi):
         return "".join(rng.choice(_SURFACE_POOL) for _ in range(rng.randint(lo, hi)))
 
@@ -225,17 +235,19 @@ def _random_lexicon(rng: random.Random) -> Lexicon | None:
     entries += [e[: rng.randint(1, len(e))] for e in rng.sample(entries, len(entries) // 2)]
     entries += [e + piece(1, 3) for e in rng.sample(entries, len(entries) // 2)]
     aliases = {piece(1, 4): rng.choice(entries) for _ in range(rng.randint(0, 4))}
+    # each entry's line lists the aliases that target it
+    lines = ["\t".join([e, *(a for a, t in aliases.items() if t == e)]) for e in entries]
     try:
-        return Lexicon(entries, aliases)
-    except ValueError:  # an empty entry or an alias that clashes
+        return load_lexicon(write_lexicon(path, lines))
+    except DatasetFormatError:  # an empty entry or an alias that clashes
         return None
 
 
-def test_extract_matches_all_lengths_scan_fuzz():
+def test_extract_matches_all_lengths_scan_fuzz(tmp_path):
     rng = random.Random(1975)
     checked = matched = 0
     while checked < 600:
-        lex = _random_lexicon(rng)
+        lex = _random_lexicon(rng, tmp_path / "lex.txt")
         if lex is None:
             continue
         surfaces = sorted(lex._surface_map)
@@ -385,7 +397,7 @@ def make_dataset():
 
 def test_annotate_dataset_order_and_sides():
     lex = Lexicon(["高血压", "贫血", "糖尿病", "缺铁性贫血"])
-    annotated = annotate_dataset(make_dataset(), LexiconExtractor(lex))
+    annotated = annotate_dataset(make_dataset(), lex)
     assert [a.base.id for a in annotated] == ["q0", "q1"]
     assert annotated[0].qo_entities == {"高血压", "糖尿病"}
     assert annotated[0].r_entities == {"高血压"}
@@ -394,7 +406,7 @@ def test_annotate_dataset_order_and_sides():
 
 def test_annotate_without_analysis_side():
     lex = Lexicon(["高血压", "糖尿病"])
-    annotated = annotate_dataset(make_dataset(), LexiconExtractor(lex), include_analysis=False)
+    annotated = annotate_dataset(make_dataset(), lex, include_analysis=False)
     assert all(a.r_entities == frozenset() for a in annotated)
     assert annotated[0].qo_entities
 
@@ -446,14 +458,14 @@ def test_annotate_raise_stops_at_first_failure(workers):
 @pytest.mark.concurrency
 def test_annotate_workers_match_sequential():
     lex = Lexicon(["高血压", "贫血", "糖尿病"])
-    seq = annotate_dataset(make_dataset(), LexiconExtractor(lex), workers=1)
-    par = annotate_dataset(make_dataset(), LexiconExtractor(lex), workers=4)
+    seq = annotate_dataset(make_dataset(), lex, workers=1)
+    par = annotate_dataset(make_dataset(), lex, workers=4)
     assert seq == par
 
 
 def test_annotated_file_round_trip(tmp_path):
     lex = Lexicon(["高血压", "贫血", "糖尿病", "缺铁性贫血"])
-    annotated = annotate_dataset(make_dataset(), LexiconExtractor(lex))
+    annotated = annotate_dataset(make_dataset(), lex)
     path = tmp_path / "ann.jsonl"
     save_annotated(annotated, str(path))
     again = load_annotated(str(path))
@@ -466,7 +478,7 @@ def test_annotated_file_round_trip(tmp_path):
 
 def test_save_annotated_failure_keeps_old_file(tmp_path, monkeypatch):
     lex = Lexicon(["高血压", "贫血", "糖尿病", "缺铁性贫血"])
-    annotated = annotate_dataset(make_dataset(), LexiconExtractor(lex)) * 2000
+    annotated = annotate_dataset(make_dataset(), lex) * 2000
     path = tmp_path / "ann.jsonl"
     save_annotated(annotated[:1], str(path))
     old = path.read_bytes()
@@ -506,7 +518,7 @@ def test_load_annotated_requires_entity_fields(tmp_path):
 def test_load_annotated_refuses_a_repeated_instance_id(tmp_path):
     # a repeat would be mined, or counted into a graph, twice
     lex = Lexicon(["高血压", "贫血", "糖尿病", "缺铁性贫血"])
-    annotated = annotate_dataset(make_dataset(), LexiconExtractor(lex))
+    annotated = annotate_dataset(make_dataset(), lex)
     path = tmp_path / "ann.jsonl"
     save_annotated([*annotated, annotated[0]], str(path))
     with pytest.raises(DatasetFormatError, match=re.escape(f"{path}:3: duplicate instance id 'q0'")):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from seedqa.client import ChatClient, ClientConfig, TransportError, request_digest
-from seedqa.entities import LexiconExtractor, Lexicon
+from seedqa.entities import Lexicon
 from seedqa.evaluation import (
     ApiExhaustionError,
     EvalRecord,
@@ -393,8 +393,7 @@ from conftest import ENTITY_POOL
 
 def replay_setup(tmp_path, mode="cot", shots="zero", count=4):
     test = synth_dataset(7, count)
-    lexicon = Lexicon(ENTITY_POOL)
-    extractor = LexiconExtractor(lexicon)
+    extractor = Lexicon(ENTITY_POOL)
     train = synth_dataset(8, 10)
     from seedqa.entities import annotate_dataset
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import seedqa
-from seedqa.entities import LexiconExtractor, annotate_dataset, load_lexicon
+from seedqa.entities import annotate_dataset, load_lexicon
 from seedqa.graph import build_graph, save_graph
 from seedqa.prompts import PromptSpec
 
@@ -36,7 +36,7 @@ GRAPH_STACK = {"seedqa.entities", "seedqa.graph", "seedqa.seeds"}
 PUBLIC_NAMES = {
     "ChatClient", "ClientConfig", "CompletionRequest", "CompletionResponse", "request_digest",
     "Dataset", "DatasetFormatError", "Instance", "load_dataset", "qo_text", "split_sample",
-    "AnnotatedInstance", "Lexicon", "LexiconExtractor", "LlmExtractor", "annotate_dataset",
+    "AnnotatedInstance", "Lexicon", "LlmExtractor", "annotate_dataset",
     "extract_entities_lexicon", "load_annotated", "load_lexicon", "normalize_entity",
     "save_annotated",
     "EvalRecord", "EvalReport", "build_report", "extract_answer", "rouge_l", "run_eval",
@@ -88,7 +88,7 @@ def replay_inputs(tmp_path):
     test_path = tmp_path / "test.jsonl"
     write_dataset(test, test_path)
     lexicon_path = write_lexicon(tmp_path / "lexicon.txt")
-    extractor = LexiconExtractor(load_lexicon(lexicon_path))
+    extractor = load_lexicon(lexicon_path)
     graph = build_graph(annotate_dataset(train, extractor))
     graph_path = tmp_path / "graph.kg"
     save_graph(graph, str(graph_path))
