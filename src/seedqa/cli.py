@@ -152,24 +152,25 @@ def _extractor_from(opts: dict[str, Any], client: ChatClient | None = None):
 # --- subcommands ----------------------------------------------------------
 
 def cmd_annotate(opts: dict[str, Any]) -> int:
-    from .entities import AnnotationError, annotate_dataset, save_annotated
+    from .entities import AnnotationError, annotate_stream, save_annotated
 
     dataset = load_dataset(_need(opts, "dataset"))
     out_path = _need(opts, "out")
     extractor = _extractor_from(opts)
+    annotated = annotate_stream(
+        dataset,
+        extractor,
+        include_analysis=not opts["no_analysis"],
+        on_error=opts["on_error"],
+        workers=opts["workers"],
+    )
+    # each record is written as it is annotated; a failure leaves no output
     try:
-        annotated = annotate_dataset(
-            dataset,
-            extractor,
-            include_analysis=not opts["no_analysis"],
-            on_error=opts["on_error"],
-            workers=opts["workers"],
-        )
+        count = save_annotated(annotated, out_path)
     except AnnotationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc.cause, TransportError) else 1
-    save_annotated(annotated, out_path)
-    log.info("annotated %d/%d instances -> %s", len(annotated), len(dataset), out_path)
+    log.info("annotated %d/%d instances -> %s", count, len(dataset), out_path)
     return 0
 
 

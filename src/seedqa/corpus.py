@@ -5,6 +5,7 @@ a thread pool."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import unicodedata
 from collections import deque
@@ -65,17 +66,25 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON value")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"number {text} is out of range for a float")
+    return value
+
+
 def json_object_line(parse: Callable[[dict], T]) -> Callable[[str], T]:
     """A line parser for ``read_lines`` over line-delimited JSON: each line
     must hold a JSON object, which ``parse`` turns into a value.  Invalid
     JSON, an integer over Python's digit limit, nesting past the recursion
     limit and the non-standard ``NaN``, ``Infinity`` and ``-Infinity``
-    included, and a non-object line raise ValueError, so they are errors at
-    ``path:line`` too."""
+    included, a number too large for a float (``1e400``, which ``float``
+    reads as infinity), and a non-object line raise ValueError, so they are
+    errors at ``path:line`` too."""
 
     def parse_line(line: str) -> T:
         try:
-            rec = json.loads(line, parse_constant=_refuse_constant)
+            rec = json.loads(line, parse_constant=_refuse_constant, parse_float=_finite_float)
         except (RecursionError, ValueError) as exc:
             raise ValueError(f"invalid JSON ({exc})") from exc
         if not isinstance(rec, dict):

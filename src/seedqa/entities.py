@@ -274,21 +274,23 @@ class AnnotatedInstance:
                     raise ValueError(f"entity not in canonical form: {ent!r}")
 
 
-def annotate_dataset(
+def annotate_stream(
     dataset: Dataset,
     extractor: Extractor,
     include_analysis: bool = True,
     on_error: str = "raise",
     workers: int = 1,
-) -> list[AnnotatedInstance]:
-    """Annotate every instance, preserving dataset order.
+) -> Iterator[AnnotatedInstance]:
+    """Annotate every instance, in dataset order, one at a time as the
+    result is asked for.
 
     ``on_error`` is "raise" (abort on the first failing instance in input
     order, starting no instance after it beyond the ``workers`` already
-    submitted) or "skip" (drop failing instances).  Instances are annotated
-    on a pool of ``workers`` threads, or at one worker in the calling
-    thread with no pool; more than one only pays off with a network-backed
-    extractor.
+    submitted) or "skip" (drop failing instances); both it and ``workers``
+    are checked at the call, before any instance is annotated.  Instances
+    are annotated on a pool of ``workers`` threads, or at one worker in the
+    calling thread with no pool; more than one only pays off with a
+    network-backed extractor.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
@@ -303,29 +305,46 @@ def annotate_dataset(
         except Exception as exc:
             return AnnotationError(inst.id, exc)
 
-    out: list[AnnotatedInstance] = []
-    with closing(map_in_order(work, dataset, workers)) as results:
-        for res in results:
-            if isinstance(res, AnnotationError):
-                if on_error == "raise":
-                    raise res
-                continue
-            out.append(res)
-    return out
+    def annotated() -> Iterator[AnnotatedInstance]:
+        with closing(map_in_order(work, dataset, workers)) as results:
+            for res in results:
+                if isinstance(res, AnnotationError):
+                    if on_error == "raise":
+                        raise res
+                    continue
+                yield res
+
+    return annotated()
 
 
-def save_annotated(annotated: Sequence[AnnotatedInstance], path: str) -> None:
+def annotate_dataset(
+    dataset: Dataset,
+    extractor: Extractor,
+    include_analysis: bool = True,
+    on_error: str = "raise",
+    workers: int = 1,
+) -> list[AnnotatedInstance]:
+    """Every annotated instance of ``annotate_stream``, in dataset order."""
+    return list(annotate_stream(dataset, extractor, include_analysis, on_error, workers))
+
+
+def save_annotated(annotated: Iterable[AnnotatedInstance], path: str) -> int:
     """Write annotated records, whole or not at all: the dataset record plus
-    sorted entity lists."""
+    sorted entity lists.  ``annotated`` may be a lazy stream: each record is
+    written as it is taken.  Returns the number of records written."""
+    count = 0
 
-    def lines():
+    def lines() -> Iterator[str]:
+        nonlocal count
         for ann in annotated:
             rec = instance_to_record(ann.base)
             rec["qo_entities"] = sorted(ann.qo_entities)
             rec["r_entities"] = sorted(ann.r_entities)
+            count += 1
             yield json.dumps(rec, ensure_ascii=False) + "\n"
 
     write_whole(path, lines())
+    return count
 
 
 def read_annotated(paths: Iterable[str], seen: set[str]) -> Iterator[AnnotatedInstance]:

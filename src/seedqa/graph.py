@@ -18,17 +18,18 @@ order, so index order breaks weight ties by name.  A source's target
 indices, sorted by descending weight and then target index, are computed
 the first time the miner or ``neighbors`` asks for them and cached; a run
 that touches a few hundred sources never ranks the rest.  ``build_graph``
-keeps only each instance's entity sets, so it can read a stream of
-annotated records one at a time, and counts each source's row of targets
-on its own, in index order.  ``save_graph`` formats the node table in one
-call and each source row in one more, and streams them to the file,
-hashing each as it is written.  Files store counts only, in the order
-``save_graph`` writes them: nodes by name, rows by index.  ``load_graph``
-reads the file once, as bytes, hashes its body in place and decodes only
-the node lines and the row table.  It parses the node table as one JSON
-array and the row tables a chunk of whole rows at a time, and reads only a
-part that fails a check again, line by line, to name the first defect in
-file order.
+keeps only each instance's entities, as tuples that hold one string per
+distinct name, so it can read a stream of annotated records one at a
+time.  It counts each source's row of targets on its own, in index order,
+and frees each instance and each row once it is counted.  ``save_graph``
+formats the node table in one call and each source row in one more, and
+streams them to the file, hashing each as it is written.  Files store
+counts only, in the order ``save_graph`` writes them: nodes by name, rows
+by index.  ``load_graph`` reads the file once, as bytes, hashes its body
+in place and decodes only the node lines and the row table.  It parses the
+node table as one JSON array and the row tables a chunk of whole rows at a
+time, and reads only a part that fails a check again, line by line, to
+name the first defect in file order.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import math
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import add, eq, lt, mul, sub, truediv
 from typing import Iterable, Iterator, Sequence
 
@@ -172,25 +173,33 @@ def build_graph(train: Iterable[AnnotatedInstance]) -> KnowledgeGraph:
     repeating an entity inside one instance changes nothing.
 
     ``train`` is read once, and may be a lazy stream: only each instance's
-    own two entity sets are kept, so its text can be freed as soon as they
-    are taken.  Each instance then appends its analysis-side indices to the
-    row of every question-side source.  Each row is sorted and counted on
-    its own, in source index order, so the edge keys come out ascending
-    with no global table, sort or lookup pass.
+    own two entity sets are kept, as tuples in the sets' order, so its text
+    can be freed as soon as they are taken.  Each entity is mapped through
+    one dict, so every distinct name is held as one string however many
+    instances name it.  Each instance then appends its analysis-side
+    indices to the row of every question-side source, and is freed.  Each
+    row is sorted and counted on its own, in source index order, and freed,
+    so the edge keys come out ascending with no global table, sort or
+    lookup pass.
     """
-    sides = [(ann.qo_entities, ann.r_entities) for ann in train]
-    nodes = sorted(set().union(*chain.from_iterable(sides)))
+    names: dict[str, str] = {}
+    name = names.setdefault
+    sides = [(tuple(map(name, ann.qo_entities, ann.qo_entities)),
+              tuple(map(name, ann.r_entities, ann.r_entities))) for ann in train]
+    nodes = sorted(names)
     index = {node: i for i, node in enumerate(nodes)}
     m = len(nodes)
-    rows: list[list[int]] = [[] for _ in range(m)]
+    rows: list[list[int] | None] = [[] for _ in range(m)]
     freq: Counter[str] = Counter()
-    for qo, r in sides:
+    for k, (qo, r) in enumerate(sides):
+        sides[k] = None
         freq.update(r)
         targets = [index[tgt] for tgt in r]
         for src in qo:
             rows[index[src]] += targets
     edges, counts = array("q"), array("q")
-    for i, row in enumerate(rows):
+    for i in range(m):
+        row, rows[i] = rows[i], None
         if row:
             row.sort()
             # a Counter keeps first-seen order, here ascending target order

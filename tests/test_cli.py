@@ -1205,7 +1205,10 @@ def test_annotate_rejects_conflicting_lexicon(corpus, capsys, text):
     assert "Traceback" not in err
 
 
-def test_annotate_with_llm_extractor(corpus, tmp_path):
+def _llm_annotate_argv(corpus, tmp_path, out_path, miss: str | None = None) -> list[str]:
+    """``annotate --extractor llm`` on the test set, with one exemplar and a
+    replay fixture that answers "发热、头痛" to each extraction request,
+    except both requests of the instance ``miss``."""
     from seedqa.corpus import qo_text
 
     extraction_exemplars = [("患者发热。", ["发热"])]
@@ -1214,23 +1217,21 @@ def test_annotate_with_llm_extractor(corpus, tmp_path):
         json.dumps({"text": "患者发热。", "entities": ["发热"]}, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
-    test = load_dataset(corpus["test"])
     fixture_lines = []
-    for inst in test:
+    for inst in load_dataset(corpus["test"]):
         for text in (qo_text(inst), inst.analysis):
             prompt = build_extraction_prompt(text, extraction_exemplars)
             digest = request_digest(CompletionRequest(
                 model="gpt-3.5-turbo-0613", prompt=prompt,
                 temperature=0.0, max_tokens=256,
             ))
-            fixture_lines.append(json.dumps(
-                {"digest": digest, "text": "发热、头痛"}, ensure_ascii=False
-            ))
+            if inst.id != miss:
+                fixture_lines.append(json.dumps(
+                    {"digest": digest, "text": "发热、头痛"}, ensure_ascii=False
+                ))
     fixture = tmp_path / "extract_fixture.jsonl"
     fixture.write_text("\n".join(fixture_lines) + "\n", encoding="utf-8")
-
-    out_path = tmp_path / "llm_ann.jsonl"
-    assert main([
+    return [
         "annotate",
         "--dataset", corpus["test"],
         "--extractor", "llm",
@@ -1238,9 +1239,50 @@ def test_annotate_with_llm_extractor(corpus, tmp_path):
         "--backend", "replay",
         "--fixture", str(fixture),
         "--out", str(out_path),
-    ]) == 0
+    ]
+
+
+def test_annotate_with_llm_extractor(corpus, tmp_path):
+    out_path = tmp_path / "llm_ann.jsonl"
+    assert main(_llm_annotate_argv(corpus, tmp_path, out_path)) == 0
     annotated = load_annotated(str(out_path))
     assert all(a.qo_entities == {"发热", "头痛"} for a in annotated)
+
+
+def test_annotate_streams_into_its_output(corpus, tmp_path, monkeypatch, capsys):
+    # the output is opened before the first extraction, so an unwritable
+    # --out fails with no request made, and a failure part-way leaves the
+    # old file as it was, with no temp file beside it
+    import seedqa.client as client_mod
+    import seedqa.entities as entities_mod
+
+    calls = []
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, *a: calls.append(name) or method(self, *a))
+
+    counted(entities_mod.LlmExtractor, "__call__")
+    counted(client_mod.ChatClient, "complete")
+    missing = tmp_path / "missing" / "ann.jsonl"
+    capsys.readouterr()
+    assert main(_llm_annotate_argv(corpus, tmp_path, missing)) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and str(missing.parent) in err
+    assert "Traceback" not in err
+    assert calls == []
+
+    out_path = tmp_path / "ann.jsonl"
+    out_path.write_bytes(b"old\n")
+    argv = _llm_annotate_argv(corpus, tmp_path, out_path, miss="te2")
+    assert main([*argv, "--on-error", "raise"]) == 1
+    err = capsys.readouterr().err
+    assert "error: annotation failed for instance 'te2'" in err
+    assert "Traceback" not in err
+    # te0 and te1 are each asked twice, and te2 once before its miss
+    assert calls.count("__call__") == 5
+    assert out_path.read_bytes() == b"old\n"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 @pytest.mark.parametrize("backend, code", (("replay", 1), ("live", 2)))

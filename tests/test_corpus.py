@@ -106,6 +106,31 @@ def test_read_jsonl_refuses_non_standard_constants(tmp_path, constant):
     assert read_jsonl(str(path), dict) == [{"x": constant}]
 
 
+@pytest.mark.parametrize("number", ["1e400", "-1e400"])
+def test_jsonl_readers_refuse_a_number_too_large_for_a_float(tmp_path, number):
+    # float() reads these as infinity, which a report would write back as a
+    # bare Infinity, so a records file and a dataset both fail at the line
+    from seedqa.evaluation import load_records
+
+    message = f":2: invalid JSON (number {number} is out of range for a float)"
+    records = tmp_path / "records.jsonl"
+    save_records([EvalRecord(f"q{i}", "cot", "zero", "d", "答案是A", "A", "A", True)
+                  for i in range(2)], str(records))
+    first, second = records.read_text(encoding="utf-8").splitlines()
+    records.write_text(f'{first}\n{second[:-1]}, "rouge_l": {number}}}\n', encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{records}{message}")):
+        load_records(str(records))
+    dataset = write_jsonl(tmp_path / "d.jsonl",
+                          [VALID, VALID | {"id": "q2", "difficulty": 0.5}])
+    text = Path(dataset).read_text(encoding="utf-8").replace("0.5", number)
+    Path(dataset).write_text(text, encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{dataset}{message}")):
+        load_dataset(dataset)
+    # a large float that is finite still reads
+    Path(dataset).write_text(text.replace(number, "1e300"), encoding="utf-8")
+    assert len(load_dataset(dataset)) == 2
+
+
 def test_load_reports_line_and_field(tmp_path):
     rec = {k: v for k, v in VALID.items() if k != "question"}
     path = write_jsonl(tmp_path / "d.jsonl", [VALID | {"id": "q0"}, rec])

@@ -377,6 +377,28 @@ def test_build_graph_matches_global_counter_builder():
     assert any(n not in question_side for n in g.nodes)
 
 
+def test_build_graph_keeps_one_string_per_distinct_entity():
+    # a file reader makes a new string for every entity of every record; the
+    # builder keeps one per distinct name and frees each instance and row
+    # once counted, so its peak stays near the size of the graph it returns
+    corpus = _zipf_corpus(random.Random(2323), 6000, 2000)
+
+    def read_back():
+        for ann in corpus:
+            yield make_annotated(ann.base.id, {"".join(list(e)) for e in ann.qo_entities},
+                                 {"".join(list(e)) for e in ann.r_entities})
+
+    tracemalloc.start()
+    try:
+        g = build_graph(read_back())
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * kept, (peak, kept)
+    want = global_counter_build_graph(corpus)
+    assert g.nodes == want.nodes and g._edges == want._edges and g._counts == want._counts
+
+
 def test_save_graph_failure_keeps_old_file(tmp_path, toy_train, monkeypatch):
     path = tmp_path / "g.kg"
     save_graph(build_graph(toy_train[:1]), str(path))
