@@ -274,9 +274,10 @@ def cmd_run(opts: dict[str, Any]) -> int:
 
     save_records(records, os.path.join(out_dir, "records.jsonl"))
     save_report(report, os.path.join(out_dir, "report.json"))
+    accuracy = "n/a" if report.accuracy_pct is None else f"{report.accuracy_pct}%"
     log.info(
-        "evaluated %d instances: accuracy %s%%, %d unresolved, %d errors -> %s",
-        report.total, report.accuracy_pct, report.unresolved, report.errors, out_dir,
+        "evaluated %d instances: accuracy %s, %d unresolved, %d errors -> %s",
+        report.total, accuracy, report.unresolved, report.errors, out_dir,
     )
     return 0
 

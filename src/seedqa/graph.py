@@ -14,10 +14,12 @@ even negative weight, and rare ones are promoted.
 The graph is stored as flat integer tables: every edge once, as the key
 ``source_index * m + target_index`` in one ascending table, a raw count
 beside each key, and one idf value per node.  Nodes are indexed in name
-order, so index order breaks weight ties by name.  A source's target
-indices, sorted by descending weight and then target index, are computed
-the first time the miner or ``neighbors`` asks for them and cached; a run
-that touches a few hundred sources never ranks the rest.  ``build_graph``
+order, so index order breaks weight ties by name.  A source's ranking,
+its target indices sorted by descending weight and then target index, is
+computed the first time the miner or ``neighbors`` asks for it and cached
+as one dict from target index to 1-based rank, in rank order: the miner
+reads its head in order and looks up single ranks in it.  A run that
+touches a few hundred sources never ranks the rest.  ``build_graph``
 keeps only each instance's entities, as tuples that hold one string per
 distinct name, so it can read a stream of annotated records one at a
 time.  It counts each source's row of targets on its own, in index order,
@@ -89,10 +91,10 @@ class KnowledgeGraph:
         self._edges = edges
         self._counts = counts
         self._idf = [math.log10(m / (1 + analysis_freq.get(node, 0))) for node in self.nodes]
-        # source index -> its ranked target indices, filled on first use; two
-        # threads may rank the same source at once, and either equal tuple
-        # may stay
-        self._ranked: dict[int, tuple[int, ...]] = {}
+        # source index -> {target index: 1-based rank}, in rank order, filled
+        # on first use; two threads may rank the same source at once, and
+        # either equal dict may stay
+        self._ranked: dict[int, dict[int, int]] = {}
 
     @property
     def m(self) -> int:
@@ -116,11 +118,12 @@ class KnowledgeGraph:
             for (s, t), count in zip(map(divmod, self._edges, repeat(self.m)), self._counts)
         }
 
-    def _rank(self, i: int) -> tuple[int, ...]:
+    def _rank(self, i: int) -> dict[int, int]:
         """Source ``i``'s target indices, heaviest first, ties by target
-        name; computed on the first call for each source and cached."""
-        ids = self._ranked.get(i)
-        if ids is None:
+        name, each mapped to its 1-based rank; computed on the first call
+        for each source and cached."""
+        ranks = self._ranked.get(i)
+        if ranks is None:
             lo, hi = self._row(i)
             targets = list(map(sub, self._edges[lo:hi], repeat(i * self.m)))
             counts = self._counts[lo:hi]
@@ -130,8 +133,8 @@ class KnowledgeGraph:
                                            map(self._idf.__getitem__, targets))))
             # stable, so equal weights keep the index order, which is name order
             targets.sort(key=weight.__getitem__, reverse=True)
-            ids = self._ranked[i] = tuple(targets)
-        return ids
+            ranks = self._ranked[i] = dict(zip(targets, range(1, len(targets) + 1)))
+        return ranks
 
     def _weights(self, i: int, targets: Iterable[int]) -> dict[int, float]:
         """The weight of the edge from source ``i`` to each of ``targets``
@@ -157,11 +160,11 @@ class KnowledgeGraph:
         i = self._index.get(entity)
         if i is None:
             return ()
-        ids = self._rank(i)
+        ranks = self._rank(i)
         lo, hi = self._row(i)
         count = dict(zip(map(sub, self._edges[lo:hi], repeat(i * self.m)), self._counts[lo:hi]))
-        weight = self._weights(i, ids)
-        return tuple((self.nodes[t], weight[t], count[t]) for t in ids)
+        weight = self._weights(i, ranks)
+        return tuple((self.nodes[t], weight[t], count[t]) for t in ranks)
 
 
 def build_graph(train: Iterable[AnnotatedInstance]) -> KnowledgeGraph:

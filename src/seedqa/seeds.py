@@ -6,18 +6,22 @@ list, or |neighbors(x)| + 1 when x does not point at it.  Candidates are
 ordered by the sum of those ranks (lower is better); the finite penalty
 keeps sums comparable when some member has no edge to the candidate.
 
-The miner works on integer node indices: it reads each member's cached
-ranking once into a dense per-node sum, finds the k-th smallest sum, and
-keys only the candidates at or below it; tie-break weights are summed in
-sorted member order, and node names are looked up for those candidates
-alone.
+The miner works on integer node indices and answers the top-k query with
+Fagin, Lotem and Naor's threshold algorithm: it reads the members' cached
+rankings from the head, scores each candidate it meets exactly by one rank
+lookup per member, and stops once no candidate it has not met can reach
+the k-th smallest score.  Tie-break weights are summed in sorted member
+order for finalists whose scores tie, and node names are looked up for the
+finalists alone.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import Sequence
 
 from .corpus import DEFAULT_K, json_field, read_jsonl, write_whole
@@ -81,35 +85,46 @@ def mine_seeds(graph: KnowledgeGraph, query: SeedQuery, k: int = DEFAULT_K) -> S
     weight from the query, then ascending entity string, so results are
     fully deterministic.  An empty query or pool gives an empty result.
 
-    One pass over the members' ranked target indices adds, per candidate,
-    its rank minus that member's penalty to the sum of all penalties.  Only
-    candidates at or below the k-th smallest sum are keyed; their weights
-    are added in sorted member order so float tie-breaks do not move.
+    The members' rankings are read to a depth ``d`` that starts at ``k``
+    and doubles each round, up to the longest ranking.  Each candidate met
+    for the first time is scored exactly.  One not met yet sits below rank
+    ``d`` in every ranking that holds it and pays the penalty elsewhere, so
+    it scores at least ``sum(min(d + 1, len + 1))`` over the members; once
+    the k-th smallest score met is below that bound, none can reach or tie
+    it and the miner stops.  Tie-break weights are summed, in sorted member
+    order, only for finalists whose scores tie.  In the worst case, ``k``
+    at least the pool size, the first round reads every ranking and scores
+    the whole pool with |X| rank lookups per candidate.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     members = [graph._index.get(x) for x in sorted(query.entities)]
-    ranked = [() if i is None else graph._rank(i) for i in members]
-    base = 0
-    delta = [0] * graph.m
-    for ids in ranked:
-        penalty = len(ids) + 1
-        base += penalty
-        for score, t in enumerate(ids, 1 - penalty):
-            delta[t] += score
-    pool = set().union(*ranked).difference(members)
-    top = heapq.nsmallest(k, map(delta.__getitem__, pool))
+    ranks = [{} if i is None else graph._rank(i) for i in members]
+    penalties = [len(r) + 1 for r in ranks]
+    longest = max(penalties, default=1) - 1
+    score: dict[int, int] = {}
+    top: list[int] = []
+    depth = 0
+    while k and depth < longest:
+        depth, read = min(2 * depth or k, longest), depth
+        new = set().union(*(islice(r, read, depth) for r in ranks)).difference(score, members)
+        score.update(zip(new, map(sum, zip(*[map(r.get, new, repeat(p))
+                                             for r, p in zip(ranks, penalties)]))))
+        top = heapq.nsmallest(k, score.values())
+        if len(top) == k and top[-1] < sum(map(min, repeat(depth + 1), penalties)):
+            break
     if not top:
         return SeedResult((), k)
-    finalists = [t for t in pool if delta[t] <= top[-1]]
-    wsum = dict.fromkeys(finalists, 0.0)
-    for i, ids in zip(members, ranked):
-        if ids:
-            for t, w in graph._weights(i, finalists).items():
+    finalists = [t for t, s in score.items() if s <= top[-1]]
+    ties = Counter(map(score.__getitem__, finalists))
+    wsum = {t: 0.0 for t in finalists if ties[score[t]] > 1}
+    for i, r in zip(members, ranks):
+        if r and wsum:
+            for t, w in graph._weights(i, wsum).items():
                 wsum[t] += w
     nodes = graph.nodes
-    keys = sorted((delta[t], -wsum[t], nodes[t]) for t in finalists)[:k]
-    return SeedResult(tuple((name, base + d) for d, _, name in keys), k)
+    keys = sorted((score[t], -wsum.get(t, 0.0), nodes[t]) for t in finalists)[:k]
+    return SeedResult(tuple((name, s) for s, _, name in keys), k)
 
 
 @dataclass

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import logging
 import random
 import re
 import tracemalloc
@@ -318,6 +319,19 @@ def test_run_test_size_subsamples_the_dataset(corpus):
     sample, _ = split_sample(load_dataset(corpus["test"]), 2, 7)
     lines = (out_dir / "records.jsonl").read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["instance_id"] for line in lines] == [inst.id for inst in sample]
+
+
+def test_run_with_no_instances_logs_accuracy_na(corpus, caplog):
+    _, graph_path = pipeline_to_graph(corpus)
+    fixture = prepare_replay(corpus, graph_path)
+    with caplog.at_level(logging.INFO, logger="seedqa.cli"):
+        code, out_dir = run_icp(corpus, graph_path, fixture, "out", ("--test-size", "0"))
+    assert code == 0
+    summary = [r.getMessage() for r in caplog.records if r.getMessage().startswith("evaluated")]
+    assert summary == [f"evaluated 0 instances: accuracy n/a, 0 unresolved, 0 errors -> {out_dir}"]
+    # report.json still states the missing accuracy as null
+    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    assert report["total"] == 0 and report["accuracy_pct"] is None
 
 
 def test_run_config_round_trip(corpus):

@@ -116,7 +116,8 @@ class _FixedLists:
         return tuple((t, w, 1) for t, w in self.lists.get(entity, ()))
 
     def _rank(self, i):
-        return tuple(self._index[t] for t, _, _ in self.neighbors(self.nodes[i]))
+        row = self.neighbors(self.nodes[i])
+        return {self._index[t]: rank for rank, (t, _, _) in enumerate(row, 1)}
 
     def _weights(self, i, targets):
         row = {self._index[t]: w for t, w, _ in self.neighbors(self.nodes[i])}
@@ -134,6 +135,37 @@ def test_mine_seeds_sums_tie_weights_in_sorted_member_order():
         "d": (("q", 0.15), ("p", 0.1)),
     })
     assert mine_seeds(graph, SeedQuery(frozenset("abcd")), k=2).seeds == (("p", 6), ("q", 6))
+
+
+def test_mine_seeds_reads_on_while_an_unseen_candidate_can_tie_the_cut():
+    # with k=1 the first round reads one entry per list: p and q, both
+    # 1 + 3 = 4.  The bound for an unseen candidate is then 2 + 2 = 4, and
+    # x, at rank 2 in both lists, does score 4 and carries the most
+    # incoming weight, so it wins the tie.  Stopping at a bound equal to
+    # the k-th score would return p.
+    graph = _FixedLists({
+        "a": (("p", 0.5), ("x", 0.4)),
+        "b": (("q", 0.5), ("x", 0.4)),
+    })
+    assert mine_seeds(graph, SeedQuery(frozenset("ab")), k=1).seeds == (("x", 4),)
+    assert mine_seeds(graph, SeedQuery(frozenset("ab")), k=3).seeds == (
+        ("x", 4), ("p", 4), ("q", 4))
+
+
+def test_mine_seeds_with_k_beyond_the_pool_reads_every_list():
+    # the lists end before k candidates are met, so the whole pool of
+    # three is scored; b is a member, so it is no candidate, and the
+    # unknown member adds its penalty of 1 to every score.  p and r tie at
+    # 7, and r carries more incoming weight.
+    graph = _FixedLists({
+        "a": (("b", 0.3), ("q", 0.2), ("p", 0.1)),
+        "b": (("q", 0.3), ("r", 0.2)),
+    })
+    query = SeedQuery(frozenset({"a", "b", "ghost"}))
+    expected = (("q", 2 + 1 + 1), ("r", 4 + 2 + 1), ("p", 3 + 3 + 1))
+    for k in (3, 4, 10):
+        assert mine_seeds(graph, query, k).seeds == expected
+    assert mine_seeds(graph, query, 2).seeds == expected[:2]
 
 
 def test_mine_seeds_excludes_query_members(toy_graph):
@@ -361,14 +393,18 @@ def test_mine_seeds_matches_sorted_pool_miner_fuzz(tmp_path):
 def test_mine_seeds_concurrent_on_cold_graph_is_race_free(tmp_path):
     # eight threads mine overlapping queries on one freshly loaded graph,
     # so they rank the same cold sources at once; every result must equal
-    # the single-thread one
+    # the single-thread one.  Every other query asks for more seeds than
+    # the graph has nodes, so its miner reads its members' rankings whole
+    # while other threads are still building them.
     rng = random.Random(4711)
     vocab = [f"e{i:03d}" for i in range(120)]
     path = tmp_path / "g.kg"
     save_graph(build_graph(random_annotated(rng, 300, vocab)), str(path))
     reference = load_graph(str(path))
     queries = [SeedQuery(frozenset(rng.sample(vocab[:40], rng.randint(2, 8)))) for _ in range(40)]
-    expected = [mine_seeds(reference, q, 10) for q in queries]
+    ks = [10, len(vocab) + 1] * (len(queries) // 2)
+    expected = [mine_seeds(reference, q, k) for q, k in zip(queries, ks)]
+    assert max(len(expected[j]) for j in range(1, len(queries), 2)) > 10
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -382,7 +418,8 @@ def test_mine_seeds_concurrent_on_cold_graph_is_race_free(tmp_path):
                 # each thread starts at its own query and wraps around
                 got: list = [None] * len(queries)
                 for j in range(slot * 5, slot * 5 + len(queries)):
-                    got[j % len(queries)] = mine_seeds(cold, queries[j % len(queries)], 10)
+                    got[j % len(queries)] = mine_seeds(cold, queries[j % len(queries)],
+                                                       ks[j % len(queries)])
                 results[slot] = got
 
             threads = [threading.Thread(target=mine, args=(slot,)) for slot in range(8)]
