@@ -6,6 +6,7 @@ import json
 import unicodedata
 from contextlib import closing
 from dataclasses import dataclass
+from operator import eq
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .client import ChatClient
@@ -56,6 +57,16 @@ def normalize_entity(raw: str) -> str:
     return ent
 
 
+def all_canonical(entities: Sequence[str]) -> bool:
+    """Whether ``normalize_entity`` returns each string unchanged, by one
+    ``normalize_text`` pass over them all, joined by line feeds, across
+    which NFKC and casefolding never act.  True is certain; False is not a
+    verdict on any one string, which a caller checks on its own."""
+    joined = "\n".join(entities)
+    return (all(entities) and all(map(eq, entities, map(str.strip, entities)))
+            and normalize_text(joined) == joined)
+
+
 class Lexicon:
     """Closed vocabulary of canonical entities, and the extractor that
     finds them in a text.
@@ -94,27 +105,64 @@ def load_lexicon(path: str) -> Lexicon:
     followed by tab-separated aliases.  Blank lines, blank alias fields and
     lines starting with '#' are skipped.
 
-    A blank entry field, an alias listed under two canonical entries, and
-    an alias that is also a canonical entry raise DatasetFormatError naming
-    ``path:line``; a file that is not UTF-8 raises it naming ``path`` alone,
-    since the text is decoded in blocks.
+    A blank entry field, an alias listed under two canonical entries, an
+    alias that is also a canonical entry, and a line that starts with
+    U+FEFF (the UTF-8 byte order mark that some editors save at the start
+    of a file) raise DatasetFormatError naming ``path:line``; a file that
+    is not UTF-8 raises it naming ``path`` alone, since the text is decoded
+    in blocks.
+
+    The file is read whole.  A file with no tab and no '#' whose lines
+    ``all_canonical`` accepts is one entry per line.  Any other file is
+    normalized in one ``normalize_text`` pass: NFKC and casefolding never
+    make, drop or act across a line feed or a tab, so a field's canonical
+    form is its span of the normalized text, unless that span is empty or
+    stripping would change it, and only a line holding such a field is
+    normalized field by field.  A file that fails a check is read again
+    line by line, through ``read_lines``, which names the first defect.
     """
     # normalized surface -> the canonical entry it stands for
     owner: dict[str, str] = {}
 
-    def claim_line(line: str) -> None:
-        if line.lstrip().startswith("#"):
-            return
-        entry, *aliases = line.rstrip("\n").split("\t")
-        canonical = normalize_entity(entry)
-        for surface in (canonical, *(normalize_entity(a) for a in aliases if a.strip())):
+    def claim(canonical: str, surfaces: Iterable[str]) -> None:
+        for surface in surfaces:
             prior = owner.setdefault(surface, canonical)
             if prior != canonical:
                 what = "a canonical entry" if prior == surface else f"an alias of {prior!r}"
                 raise ValueError(f"{surface!r} is already {what}")
 
-    for _ in read_lines(path, claim_line):
-        pass
+    def claim_line(line: str) -> None:
+        if line.startswith("\ufeff"):
+            raise ValueError("line starts with a UTF-8 byte order mark (U+FEFF)")
+        if line.lstrip().startswith("#"):
+            return
+        entry, *aliases = line.rstrip("\n").split("\t")
+        canonical = normalize_entity(entry)
+        claim(canonical, (canonical, *(normalize_entity(a) for a in aliases if a.strip())))
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        if text.startswith("\ufeff") or "\n\ufeff" in text:
+            raise ValueError  # refused by claim_line
+        lines = text.split("\n")
+        entries = list(filter(None, lines))
+        if "\t" not in text and "#" not in text and all_canonical(entries):
+            # one canonical entry on each line that is not empty
+            owner.update(zip(entries, entries))
+        else:
+            for raw, line in zip(lines, normalize_text(text).split("\n"), strict=True):
+                if not raw.strip() or raw.lstrip().startswith("#"):
+                    continue
+                fields = line.split("\t")
+                if all(fields) and all(map(eq, fields, map(str.strip, fields))):
+                    claim(fields[0], fields)
+                else:
+                    claim_line(raw)
+    except ValueError:
+        owner.clear()
+        for _ in read_lines(path, claim_line):
+            pass
     if not owner:
         raise DatasetFormatError(f"{path}: lexicon has no entries")
     # every surface is already normalized and checked, so skip __init__

@@ -28,10 +28,12 @@ formats the node table in one call and each source row in one more, and
 streams them to the file, hashing each as it is written.  Files store
 counts only, in the order ``save_graph`` writes them: nodes by name, rows
 by index.  ``load_graph`` reads the file once, as bytes, hashes its body
-in place and decodes only the node lines and the row table.  It parses the
-node table as one JSON array and the row tables a chunk of whole rows at a
-time, and reads only a part that fails a check again, line by line, to
-name the first defect in file order.
+in place and decodes only the node lines and the row table; it rewrites
+line endings only in a file that holds a CR byte.  It parses the node
+table as one JSON array, checks that every node is canonical with one
+normalization pass over the table, and parses the row tables a chunk of
+whole rows at a time.  It reads only a part that fails a check again, line
+by line, to name the first defect in file order.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from itertools import islice, repeat
-from operator import add, eq, lt, mul, sub, truediv
+from operator import add, lt, mul, sub, truediv
 from typing import Iterable, Iterator, Sequence
 
 from .corpus import write_whole
-from .entities import AnnotatedInstance, normalize_entity
+from .entities import AnnotatedInstance, all_canonical, normalize_entity
 
 _MAGIC = "seedqa-graph"
 _FORMAT_VERSION = 1
@@ -129,11 +131,13 @@ class KnowledgeGraph:
             counts = self._counts[lo:hi]
             total = sum(counts)
             # (count / total) * idf[t], as in _weights
-            weight = dict(zip(targets, map(mul, map(truediv, counts, repeat(total)),
-                                           map(self._idf.__getitem__, targets))))
-            # stable, so equal weights keep the index order, which is name order
-            targets.sort(key=weight.__getitem__, reverse=True)
-            ranks = self._ranked[i] = dict(zip(targets, range(1, len(targets) + 1)))
+            weight = list(map(mul, map(truediv, counts, repeat(total)),
+                              map(self._idf.__getitem__, targets)))
+            # row positions, heaviest first; stable, so equal weights keep the
+            # index order, which is name order
+            order = sorted(range(len(targets)), key=weight.__getitem__, reverse=True)
+            ranks = self._ranked[i] = dict(zip(map(targets.__getitem__, order),
+                                               range(1, len(targets) + 1)))
         return ranks
 
     def _weights(self, i: int, targets: Iterable[int]) -> dict[int, float]:
@@ -278,17 +282,18 @@ def load_graph(path: str) -> KnowledgeGraph:
     file order.
 
     The file is read once, as bytes, and its line endings are read as text
-    mode reads them (CRLF and a lone CR end a line).  Its UTF-8 is
-    checked a block at a time and the body is hashed in place, so no
-    decoded copy of the whole file is held; only the node lines and the row
-    table are decoded.  One reader parses the row tables a chunk of whole
-    rows at a time and reads only a chunk that fails a check again, row by
-    row.  Weights are derived from the stored counts when a source is first
-    read.
+    mode reads them (CRLF and a lone CR end a line); a file with no CR byte
+    is not copied to rewrite them.  Its UTF-8 is checked a block at a time
+    and the body is hashed in place, so no decoded copy of the whole file is
+    held; only the node lines and the row table are decoded.  One reader
+    parses the row tables a chunk of whole rows at a time and reads only a
+    chunk that fails a check again, row by row.  Weights are derived from
+    the stored counts when a source is first read.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     decode = codecs.getincrementaldecoder("utf-8")().decode
     try:
         with memoryview(data) as view:
@@ -360,13 +365,15 @@ def load_graph(path: str) -> KnowledgeGraph:
 
 def _read_nodes(path: str, text: str) -> list[str]:
     """The node table from its file lines, ``text``, the first on file line
-    2.  The lines are parsed as one JSON array; only when that fails, or
-    gives other than one canonical string per line in ascending order, are
-    they read again one by one to name the first bad line."""
+    2.  The lines are parsed as one JSON array, and ``all_canonical`` checks
+    the nodes in one normalization pass over them all; only when either
+    fails, or the array holds other than one string per line in ascending
+    order, are the lines read again one by one, each node checked with
+    ``normalize_entity``, to name the first bad line."""
     try:
         nodes = json.loads("[" + text[:-1].replace("\n", ",") + "]")
         if (set(map(type, nodes)) <= {str} and len(nodes) == text.count("\n")
-                and all(map(eq, nodes, map(normalize_entity, nodes)))
+                and all_canonical(nodes)
                 and all(map(lt, nodes, islice(nodes, 1, None)))):
             return nodes
     except (RecursionError, ValueError):

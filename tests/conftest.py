@@ -21,7 +21,10 @@ import pytest
 from seedqa.client import (
     ApiStatusError, CompletionRequest, CompletionResponse, request_digest,
 )
-from seedqa.corpus import Dataset, Instance, canonical_label, instance_to_record, qo_text
+from seedqa.corpus import (
+    Dataset, DatasetFormatError, Instance, canonical_label, instance_to_record, qo_text,
+    read_lines,
+)
 from seedqa.entities import AnnotatedInstance, Lexicon, normalize_text
 from seedqa.evaluation import BLEU_EPSILON, EvalRecord, _as_tokens, ngram_scores
 from seedqa.graph import GraphFormatError, KnowledgeGraph, build_graph
@@ -301,6 +304,43 @@ def fixed_point_normalize_entity(raw: str) -> str:
     if not ent:
         raise ValueError(f"entity is empty after normalization: {raw!r}")
     return ent
+
+
+# characters that NFKC, casefolding or stripping change, that only some
+# readers split lines on, or that start a file saved with a byte order mark
+UNICODE_PALETTE = ("İ", "ﬃ", "\u0345", "\u0085", "\u2028", "\u3000", "\xa0", "＃", "\ufeff",
+                   "ß", "Ａ", "㎒", "\u00a8", "\u0308", "Ω")
+
+
+def line_by_line_load_lexicon(path: str) -> Lexicon:
+    """Read a lexicon file the way ``load_lexicon`` did before it normalized
+    the whole text in one pass: a line at a time through ``read_lines``,
+    each field normalized on its own (the ``fixed_point_normalize_entity``
+    fixed point), the first defect raised as DatasetFormatError naming
+    ``path:line``."""
+    owner: dict[str, str] = {}
+
+    def claim_line(line: str) -> None:
+        if line.startswith("\ufeff"):
+            raise ValueError("line starts with a UTF-8 byte order mark (U+FEFF)")
+        if line.lstrip().startswith("#"):
+            return
+        entry, *aliases = line.rstrip("\n").split("\t")
+        canonical = fixed_point_normalize_entity(entry)
+        for surface in (canonical,
+                        *(fixed_point_normalize_entity(a) for a in aliases if a.strip())):
+            prior = owner.setdefault(surface, canonical)
+            if prior != canonical:
+                what = "a canonical entry" if prior == surface else f"an alias of {prior!r}"
+                raise ValueError(f"{surface!r} is already {what}")
+
+    for _ in read_lines(path, claim_line):
+        pass
+    if not owner:
+        raise DatasetFormatError(f"{path}: lexicon has no entries")
+    lexicon = Lexicon.__new__(Lexicon)
+    lexicon._index(owner)
+    return lexicon
 
 
 def is_cjk(ch: str) -> bool:

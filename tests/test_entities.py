@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 
+import seedqa.entities as entities_module
 from seedqa.client import ChatClient, ClientConfig, CompletionRequest, request_digest
 from seedqa.corpus import Dataset, Instance
 from seedqa.entities import (
@@ -14,6 +16,7 @@ from seedqa.entities import (
     EntityParseError,
     Lexicon,
     LlmExtractor,
+    all_canonical,
     annotate_dataset,
     build_extraction_prompt,
     extract_entities_lexicon,
@@ -27,7 +30,8 @@ from seedqa.entities import (
 from seedqa.corpus import DatasetFormatError
 
 from conftest import (
-    all_lengths_extract, count_request_digests, fixed_point_normalize_entity, write_lexicon,
+    ENTITY_POOL, UNICODE_PALETTE, all_lengths_extract, count_request_digests,
+    fixed_point_normalize_entity, line_by_line_load_lexicon, write_lexicon,
 )
 
 
@@ -147,6 +151,133 @@ def test_load_lexicon_accepts_repeats_that_agree(tmp_path):
     assert lex.entries == {"高血压", "aspirin"}
     # ASPIRIN normalizes to its own entry, so it is not listed as an alias
     assert lex._surface_map == {"高血压": "高血压", "aspirin": "aspirin", "htn": "高血压"}
+
+
+def test_load_lexicon_refuses_a_byte_order_mark(tmp_path):
+    # a file saved with a UTF-8 BOM would keep U+FEFF on its first entry,
+    # and no text would match that entry
+    path = tmp_path / "lex.txt"
+    path.write_text("\ufeff高血压\n糖尿病\n", encoding="utf-8")
+    where = f"{path}:1: line starts with a UTF-8 byte order mark (U+FEFF)"
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(where)}$"):
+        load_lexicon(str(path))
+    # the mark is refused as a line's first character anywhere, as the
+    # line-by-line reader refuses it
+    path.write_text("# c\n高血压\n\ufeff糖尿病\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}:3: "):
+        load_lexicon(str(path))
+    # inside a line it is a character of the entry, as before
+    path.write_text("高血压\n糖\ufeff尿病\n", encoding="utf-8")
+    assert load_lexicon(str(path)).entries == {"高血压", "糖\ufeff尿病"}
+
+
+def _palette_text(rng: random.Random, lo: int, hi: int) -> str:
+    pool = (*UNICODE_PALETTE, *ENTITY_POOL[:3], "Aspirin", "htn", "a", " ", "\t", "\n")
+    return "".join(rng.choice(pool) for _ in range(rng.randint(lo, hi)))
+
+
+def test_all_canonical_never_accepts_what_normalize_entity_rejects():
+    # lists drawn from characters that NFKC, casefolding or stripping
+    # change, half of them normalized first so that the check also accepts:
+    # the one pass over the joined list accepts only lists whose every
+    # string normalize_entity returns unchanged
+    rng = random.Random(3107)
+    outcomes: Counter[str] = Counter()
+    for trial in range(3000):
+        strings = [_palette_text(rng, 0, 4) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.5:
+            strings = [s if not s.strip() else normalize_entity(s) for s in strings]
+            if rng.random() < 0.5:
+                i = rng.randrange(len(strings))
+                cut = rng.randint(0, len(strings[i]))
+                strings[i] = strings[i][:cut] + rng.choice(UNICODE_PALETTE) + strings[i][cut:]
+        each = []
+        for s in strings:
+            try:
+                each.append(normalize_entity(s) == s)
+            except ValueError:
+                each.append(False)
+        accepted = all_canonical(strings)
+        assert all(each) or not accepted, (trial, strings)
+        outcomes["accepted" if accepted else "rejected"] += 1
+    assert outcomes["accepted"] >= 300 and outcomes["rejected"] >= 1500, outcomes
+
+
+_LEXICON_TERMS = ("高血压", "糖尿病", "头痛", "Aspirin", "ASPIRIN", "HTN", "htn", "ß", "ss",
+                  "ﬃ", "ffi", "İ", "i\u0307", "㎒", "mhz", "Ｃ#")
+
+
+def _mutated_lexicon(rng: random.Random) -> bytes:
+    """A lexicon file's bytes: lines of terms and aliases from a small pool,
+    so aliases repeat and clash, edited with palette characters, blank and
+    comment lines, blank alias fields, CR, CRLF and lone-CR line ends, a
+    leading byte order mark or a byte that is not UTF-8."""
+    lines = rng.sample(_LEXICON_TERMS, rng.randint(1, 6))
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(lines))
+        op = rng.randrange(7)
+        if op == 0:  # a palette character anywhere in the line
+            cut = rng.randint(0, len(lines[i]))
+            lines[i] = lines[i][:cut] + rng.choice(UNICODE_PALETTE) + lines[i][cut:]
+        elif op == 1:  # a repeat that agrees
+            lines.insert(i, lines[i])
+        elif op == 2:  # blank alias fields, as trailing tabs pad a table
+            lines[i] += "\t" * rng.randint(1, 2) + rng.choice(("", " ", "\u3000", "\xa0"))
+        elif op == 3:  # a blank or comment line, or one that only looks like either
+            lines.insert(i, rng.choice(("", "  ", "\t", "\xa0", "\u2028", "# note", "  # note",
+                                        "＃ note", "\u0085")))
+        elif op == 4:  # padding around the entry
+            lines[i] = rng.choice((" ", "\u3000", "\xa0")) + lines[i] + rng.choice(("", " "))
+        elif op == 5:  # one more alias, which may be another entry's
+            lines[i] += "\t" + rng.choice(_LEXICON_TERMS)
+        else:  # a blank entry field before the aliases
+            lines[i] = rng.choice(("", " ", "\u3000")) + "\t" + lines[i]
+    end = rng.choice(("\n", "\r\n", "\r"))
+    data = (end.join(lines) + rng.choice(("", end))).encode("utf-8")
+    if rng.random() < 0.08:
+        data = "\ufeff".encode("utf-8") + data
+    if rng.random() < 0.05:
+        cut = rng.randint(0, len(data))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+def test_load_lexicon_matches_line_by_line_oracle_fuzz(tmp_path, monkeypatch):
+    # the one-pass load gives the lexicon that reading the file a line at a
+    # time gives, or the same error; a file that loads is read once, and a
+    # defective one is read again line by line to name the defect
+    re_reads: list[str] = []
+    read_lines = entities_module.read_lines
+
+    def counting_read_lines(path, parse):
+        re_reads.append(path)
+        return read_lines(path, parse)
+
+    monkeypatch.setattr(entities_module, "read_lines", counting_read_lines)
+    rng = random.Random(6271)
+    outcomes: Counter[str] = Counter()
+    path = str(tmp_path / "lex.txt")
+    for trial in range(600):
+        with open(path, "wb") as fh:
+            fh.write(_mutated_lexicon(rng))
+        re_reads.clear()
+        try:
+            expected = line_by_line_load_lexicon(path)
+        except DatasetFormatError as exc:
+            with pytest.raises(DatasetFormatError) as err:
+                load_lexicon(path)
+            assert str(err.value) == str(exc), f"trial {trial}"
+            assert re_reads == [path], f"trial {trial}"
+            outcomes[next(kind for kind in ("byte order mark", "UTF-8", "empty", "already")
+                          if kind in str(exc))] += 1
+            continue
+        lex = load_lexicon(path)
+        assert re_reads == [], f"trial {trial}"
+        assert lex.entries == expected.entries, f"trial {trial}"
+        assert lex._surface_map == expected._surface_map, f"trial {trial}"
+        assert lex._lengths == expected._lengths, f"trial {trial}"
+        outcomes["loaded"] += 1
+    assert len(outcomes) == 5 and min(outcomes.values()) >= 15, outcomes
 
 
 def test_extract_longest_match_wins():

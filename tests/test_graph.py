@@ -19,13 +19,14 @@ import pytest
 import seedqa.corpus as corpus_module
 import seedqa.graph as graph_module
 from seedqa.cli import main
-from seedqa.entities import save_annotated
+from seedqa.entities import normalize_entity, save_annotated
 from seedqa.graph import _CHUNK_CHARS, GraphFormatError, build_graph, load_graph, save_graph
 from seedqa.seeds import SeedQuery, mine_seeds
 
 from conftest import (
     DEEP_JSON,
     ENTITY_POOL,
+    UNICODE_PALETTE,
     global_counter_build_graph,
     line_by_line_graph_nodes,
     line_by_line_graph_rows,
@@ -934,6 +935,33 @@ def test_load_matches_line_by_line_node_oracle(tmp_path):
         assert load_graph(path).nodes == tuple(expected), f"trial {trial}"
         outcomes["loaded"] += 1
     assert len(outcomes) == 6 and min(outcomes.values()) >= 10, outcomes
+
+
+def test_load_names_the_line_of_one_non_canonical_node(tmp_path):
+    # a saved graph whose node table gains one palette character, resealed
+    # under a fresh checksum: the one-pass check over the whole table fails,
+    # and the line-by-line read names that node's line
+    rng = random.Random(8093)
+    for trial in range(60):
+        g = build_graph(random_annotated(rng, rng.randint(2, 25)))
+        path = tmp_path / f"g{trial}.kg"
+        save_graph(g, str(path))
+        lines = path.read_text(encoding="utf-8").split("\n")[:-2]
+        i = rng.randrange(g.m)
+        while True:
+            node = g.nodes[i]
+            cut = rng.randint(0, len(node))
+            bad = node[:cut] + rng.choice(UNICODE_PALETTE) + node[cut:]
+            try:
+                if normalize_entity(bad) != bad:
+                    break
+            except ValueError:
+                break
+        lines[1 + i] = json.dumps(bad, ensure_ascii=rng.random() < 0.5)
+        resealed = _write_with_checksum(tmp_path / f"r{trial}.kg", lines)
+        where = f"{resealed}:{i + 2}: node entry {bad!r} not in canonical form"
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(where)}$"):
+            load_graph(resealed)
 
 
 def test_load_rejects_node_table_out_of_name_order(tmp_path):
