@@ -293,56 +293,58 @@ def cmd_report(opts: dict[str, Any]) -> int:
 
 # --- parser ---------------------------------------------------------------
 
-def _common_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file with option defaults")
-    p.add_argument("-v", "--verbose", action="count", default=0,
-                   help="repeat for debug logging")
+def build_parser() -> _Parser:
+    parser = _Parser(prog="seedqa", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
 
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file with option defaults")
+    common.add_argument("-v", "--verbose", action="count", default=0,
+                        help="repeat for debug logging")
 
-def _client_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=BACKENDS)
-    p.add_argument("--model")
-    p.add_argument("--base-url")
-    p.add_argument("--api-key-env", help="environment variable holding the API key")
-    p.add_argument("--fixture", help="replay fixture JSONL")
-    p.add_argument("--cache-dir")
-    p.add_argument("--max-attempts", type=int)
-    p.add_argument("--backoff-base", type=float)
-    p.add_argument("--timeout", type=float)
+    client_opts = argparse.ArgumentParser(add_help=False)
+    client_opts.add_argument("--backend", choices=BACKENDS)
+    client_opts.add_argument("--model")
+    client_opts.add_argument("--base-url")
+    client_opts.add_argument("--api-key-env", help="environment variable holding the API key")
+    client_opts.add_argument("--fixture", help="replay fixture JSONL")
+    client_opts.add_argument("--cache-dir")
+    client_opts.add_argument("--max-attempts", type=int)
+    client_opts.add_argument("--backoff-base", type=float)
+    client_opts.add_argument("--timeout", type=float)
 
+    dataset_opts = argparse.ArgumentParser(add_help=False)
+    dataset_opts.add_argument("--dataset")
+    dataset_opts.add_argument("--lexicon")
+    dataset_opts.add_argument("--extractor", choices=_EXTRACTORS)
+    dataset_opts.add_argument("--extraction-exemplars")
+    dataset_opts.add_argument("--workers", type=int)
 
-def _dataset_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset")
-    p.add_argument("--lexicon")
-    p.add_argument("--extractor", choices=_EXTRACTORS)
-    p.add_argument("--extraction-exemplars")
-    p.add_argument("--workers", type=int)
-
-
-def _annotate_options(p: argparse.ArgumentParser) -> None:
-    _client_options(p)
-    _dataset_options(p)
+    p = sub.add_parser("annotate", parents=[common, client_opts, dataset_opts],
+                       help="extract entity sets for every instance")
     p.add_argument("--out")
     p.add_argument("--no-analysis", action="store_const", const=True,
                    help="skip analysis-side extraction (unlabeled test sets)")
     p.add_argument("--on-error", choices=("raise", "skip"))
+    p.set_defaults(func=cmd_annotate)
 
-
-def _build_graph_options(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("build-graph", parents=[common],
+                       help="accumulate the co-occurrence graph from annotated files")
     p.add_argument("--annotated", action="append")
     p.add_argument("--out")
+    p.set_defaults(func=cmd_build_graph)
 
-
-def _mine_seeds_options(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("mine-seeds", parents=[common],
+                       help="mine knowledge seeds for each annotated instance")
     p.add_argument("--annotated")
     p.add_argument("--graph")
     p.add_argument("--out")
     p.add_argument("--k", type=int)
+    p.set_defaults(func=cmd_mine_seeds)
 
-
-def _run_options(p: argparse.ArgumentParser) -> None:
-    _client_options(p)
-    _dataset_options(p)
+    p = sub.add_parser("run", parents=[common, client_opts, dataset_opts],
+                       help="evaluate a dataset end to end")
     p.add_argument("--out-dir")
     p.add_argument("--mode", choices=MODES)
     p.add_argument("--shots", choices=SHOTS)
@@ -359,48 +361,21 @@ def _run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--temperature", type=float)
     p.add_argument("--context-tokens", type=int)
     p.add_argument("--reserved-tokens", type=int)
+    p.set_defaults(func=cmd_run)
 
-
-def _report_options(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("report", parents=[common],
+                       help="rebuild an aggregate report from a records file")
     p.add_argument("--records")
     p.add_argument("--out")
     p.add_argument("--group-by", action="append")
+    p.set_defaults(func=cmd_report)
 
-
-# subcommand -> (help line, the options after the common ones, handler)
-_COMMANDS = {
-    "annotate": ("extract entity sets for every instance", _annotate_options, cmd_annotate),
-    "build-graph": ("accumulate the co-occurrence graph from annotated files",
-                    _build_graph_options, cmd_build_graph),
-    "mine-seeds": ("mine knowledge seeds for each annotated instance",
-                   _mine_seeds_options, cmd_mine_seeds),
-    "run": ("evaluate a dataset end to end", _run_options, cmd_run),
-    "report": ("rebuild an aggregate report from a records file", _report_options, cmd_report),
-}
-
-
-def build_parser(command: str | None = None) -> _Parser:
-    """The command-line parser.  When ``command`` names a subcommand, only
-    that subcommand's parser is built, which parses and prints its help as
-    the full parser does; otherwise every subcommand's is, for the
-    top-level help, ``--version`` and an unknown or missing command."""
-    parser = _Parser(prog="seedqa", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_options, func) in _COMMANDS.items():
-        if command == name or command not in _COMMANDS:
-            p = sub.add_parser(name, help=help_line)
-            _common_options(p)
-            add_options(p)
-            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        if argv is None:
-            argv = sys.argv[1:]
-        parser = build_parser(argv[0] if argv else None)
+        parser = build_parser()
         args = parser.parse_args(argv)
         level = logging.DEBUG if getattr(args, "verbose", 0) else logging.INFO
         logging.basicConfig(

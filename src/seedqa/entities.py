@@ -112,24 +112,14 @@ def load_lexicon(path: str) -> Lexicon:
     is not UTF-8 raises it naming ``path`` alone, since the text is decoded
     in blocks.
 
-    The file is read whole.  A file with no tab and no '#' whose lines
-    ``all_canonical`` accepts is one entry per line.  Any other file is
-    normalized in one ``normalize_text`` pass: NFKC and casefolding never
-    make, drop or act across a line feed or a tab, so a field's canonical
-    form is its span of the normalized text, unless that span is empty or
-    stripping would change it, and only a line holding such a field is
-    normalized field by field.  A file that fails a check is read again
-    line by line, through ``read_lines``, which names the first defect.
+    The file is read whole.  A file with no tab, '#' or U+FEFF whose
+    non-empty lines ``all_canonical`` accepts is one entry per line, taken
+    as it stands; any other file is read line by line, through
+    ``read_lines``, each field normalized on its own, which names the first
+    defect.
     """
     # normalized surface -> the canonical entry it stands for
     owner: dict[str, str] = {}
-
-    def claim(canonical: str, surfaces: Iterable[str]) -> None:
-        for surface in surfaces:
-            prior = owner.setdefault(surface, canonical)
-            if prior != canonical:
-                what = "a canonical entry" if prior == surface else f"an alias of {prior!r}"
-                raise ValueError(f"{surface!r} is already {what}")
 
     def claim_line(line: str) -> None:
         if line.startswith("\ufeff"):
@@ -138,29 +128,24 @@ def load_lexicon(path: str) -> Lexicon:
             return
         entry, *aliases = line.rstrip("\n").split("\t")
         canonical = normalize_entity(entry)
-        claim(canonical, (canonical, *(normalize_entity(a) for a in aliases if a.strip())))
+        for surface in (canonical, *(normalize_entity(a) for a in aliases if a.strip())):
+            prior = owner.setdefault(surface, canonical)
+            if prior != canonical:
+                what = "a canonical entry" if prior == surface else f"an alias of {prior!r}"
+                raise ValueError(f"{surface!r} is already {what}")
 
+    entries = None
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        if text.startswith("\ufeff") or "\n\ufeff" in text:
-            raise ValueError  # refused by claim_line
-        lines = text.split("\n")
-        entries = list(filter(None, lines))
-        if "\t" not in text and "#" not in text and all_canonical(entries):
-            # one canonical entry on each line that is not empty
-            owner.update(zip(entries, entries))
-        else:
-            for raw, line in zip(lines, normalize_text(text).split("\n"), strict=True):
-                if not raw.strip() or raw.lstrip().startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if all(fields) and all(map(eq, fields, map(str.strip, fields))):
-                    claim(fields[0], fields)
-                else:
-                    claim_line(raw)
-    except ValueError:
-        owner.clear()
+        if "\t" not in text and "#" not in text and "\ufeff" not in text:
+            entries = list(filter(None, text.split("\n")))
+    except UnicodeDecodeError:
+        pass  # read_lines names the file
+    if entries is not None and all_canonical(entries):
+        # one canonical entry on each line that is not empty
+        owner.update(zip(entries, entries))
+    else:
         for _ in read_lines(path, claim_line):
             pass
     if not owner:

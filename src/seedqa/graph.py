@@ -131,13 +131,11 @@ class KnowledgeGraph:
             counts = self._counts[lo:hi]
             total = sum(counts)
             # (count / total) * idf[t], as in _weights
-            weight = list(map(mul, map(truediv, counts, repeat(total)),
-                              map(self._idf.__getitem__, targets)))
-            # row positions, heaviest first; stable, so equal weights keep the
-            # index order, which is name order
-            order = sorted(range(len(targets)), key=weight.__getitem__, reverse=True)
-            ranks = self._ranked[i] = dict(zip(map(targets.__getitem__, order),
-                                               range(1, len(targets) + 1)))
+            weight = dict(zip(targets, map(mul, map(truediv, counts, repeat(total)),
+                                           map(self._idf.__getitem__, targets))))
+            # stable, so equal weights keep the index order, which is name order
+            targets.sort(key=weight.__getitem__, reverse=True)
+            ranks = self._ranked[i] = dict(zip(targets, range(1, len(targets) + 1)))
         return ranks
 
     def _weights(self, i: int, targets: Iterable[int]) -> dict[int, float]:

@@ -313,10 +313,9 @@ UNICODE_PALETTE = ("İ", "ﬃ", "\u0345", "\u0085", "\u2028", "\u3000", "\xa0", 
 
 
 def line_by_line_load_lexicon(path: str) -> Lexicon:
-    """Read a lexicon file the way ``load_lexicon`` did before it normalized
-    the whole text in one pass: a line at a time through ``read_lines``,
-    each field normalized on its own (the ``fixed_point_normalize_entity``
-    fixed point), the first defect raised as DatasetFormatError naming
+    """Read a lexicon file a line at a time through ``read_lines``, each
+    field normalized on its own (the ``fixed_point_normalize_entity`` fixed
+    point), the first defect raised as DatasetFormatError naming
     ``path:line``."""
     owner: dict[str, str] = {}
 

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-import seedqa.cli as cli_module
 from seedqa import __version__
 from seedqa.cli import build_parser, main
 from seedqa.corpus import (
@@ -1335,21 +1334,6 @@ def test_version_flag():
 _COMMAND_NAMES = ("annotate", "build-graph", "mine-seeds", "run", "report")
 
 
-@pytest.mark.parametrize("command", _COMMAND_NAMES)
-def test_subcommand_help_matches_the_all_commands_parser(command, capsys):
-    # main builds only the parser of the subcommand its first argument
-    # names; that parser prints the help the full parser prints
-    with pytest.raises(SystemExit) as exit_info:
-        build_parser().parse_args([command, "--help"])
-    assert exit_info.value.code == 0
-    full = capsys.readouterr().out
-    with pytest.raises(SystemExit) as exit_info:
-        main([command, "--help"])
-    assert exit_info.value.code == 0
-    assert capsys.readouterr().out == full
-    assert f"usage: seedqa {command} " in full
-
-
 def test_top_level_help_and_unknown_command_name_every_subcommand(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--help"])
@@ -1360,32 +1344,6 @@ def test_top_level_help_and_unknown_command_name_every_subcommand(capsys):
     err = capsys.readouterr().err
     assert "invalid choice: 'nosuch'" in err and "Traceback" not in err
     assert all(f"'{command}'" in err for command in _COMMAND_NAMES)
-
-
-def test_config_value_parses_through_the_one_subcommand_parser(tmp_path, monkeypatch):
-    # each config value is read as its flag, by the parser main built for
-    # the invoked subcommand alone
-    built = []
-    real_build_parser = cli_module.build_parser
-
-    def recording_build_parser(command=None):
-        built.append(command)
-        return real_build_parser(command)
-
-    monkeypatch.setattr(cli_module, "build_parser", recording_build_parser)
-    records = tmp_path / "records.jsonl"
-    records.write_text(json.dumps({
-        "instance_id": "q1", "mode": "cot", "shots": "zero", "prompt_digest": "d",
-        "response_text": "A", "extracted_answer": "A", "gold_answer": "A", "correct": True,
-        "metadata": {"discipline": "内科"},
-    }, ensure_ascii=False) + "\n", encoding="utf-8")
-    conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"records": str(records), "group_by": "discipline"}),
-                    encoding="utf-8")
-    out = tmp_path / "report.json"
-    assert main(["report", "--config", str(conf), "--out", str(out)]) == 0
-    assert built == ["report"]
-    assert list(json.loads(out.read_text(encoding="utf-8"))["groups"]) == ["discipline"]
 
 
 def test_annotate_refuses_a_lexicon_saved_with_a_byte_order_mark(tmp_path, capsys):
