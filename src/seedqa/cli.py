@@ -25,7 +25,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .client import BACKENDS, ChatClient, ClientConfig, TransportError
-from .corpus import DEFAULT_K, data_path, load_dataset, split_sample, write_whole
+from .corpus import DEFAULT_K, data_path, load_dataset, lone_surrogate, split_sample, write_whole
 from .evaluation import (
     ApiExhaustionError,
     build_report,
@@ -97,13 +97,17 @@ def _load_config_file(path: str | None, parser: argparse.ArgumentParser,
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
+        data = json.loads(text)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config file is not UTF-8 text ({exc.reason})") from exc
     except (OSError, RecursionError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    lone = lone_surrogate(text)
+    if lone is not None:
+        raise ConfigError(f"{path}:{lone[0]}: {lone[1]}")
     options = vars(args).keys() - set(_NOT_OPTIONS)
     repeatable = _REPEATABLE.get(args.command, ())
     config = {}

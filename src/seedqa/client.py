@@ -4,7 +4,9 @@
 live one itself, through its transport, with retries and backoff; the
 cached-live backend keeps each live reply on disk.  Every request is
 identified by the SHA-256 of its canonical JSON form, so the disk cache
-and replay fixtures key on content, not on call order.  Replay runs never
+and replay fixtures key on content, not on call order.  The digest uses
+the interpreter's built-in SHA-256 where it is present, so a run without a
+graph never loads OpenSSL, which ``hashlib`` would.  Replay runs never
 open a network connection, which is what makes the evaluation pipeline
 reproducible offline.  The client's errors are RuntimeErrors.
 """
@@ -12,7 +14,6 @@ reproducible offline.  The client's errors are RuntimeErrors.
 from __future__ import annotations
 
 import json
-import hashlib
 import logging
 import math
 import os
@@ -21,7 +22,17 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
-from .corpus import json_field, read_jsonl, write_whole
+from .corpus import json_field, lone_surrogate, read_jsonl, write_whole
+
+# the interpreter's own SHA-256: importing hashlib would load OpenSSL's
+# libcrypto, which a run without a graph needs for nothing else
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # a build without the built-in hashes, such as a FIPS build
+        from hashlib import sha256
 
 log = logging.getLogger(__name__)
 
@@ -149,7 +160,7 @@ def request_digest(request: CompletionRequest) -> str:
     canonical = json.dumps(
         _request_fields(request), sort_keys=True, ensure_ascii=False, separators=(",", ":")
     )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _default_transport(url: str, headers: dict, payload: dict, timeout: float) -> tuple[int, str]:
@@ -179,10 +190,13 @@ class _ReplayBackend:
 
 def _parse_completion_body(body: str) -> CompletionResponse:
     """The response in a 200 body; a malformed body, JSON nested past the
-    recursion limit included, or a field of the wrong type (``"content":
-    null``, ``"usage": "x"``), is ``ApiStatusError(200)``."""
+    recursion limit or a string with an unpaired surrogate
+    (``lone_surrogate``) included, or a field of the wrong type
+    (``"content": null``, ``"usage": "x"``), is ``ApiStatusError(200)``."""
     try:
         data = json.loads(body)
+        if lone_surrogate(body) is not None:
+            raise ValueError("unpaired surrogate")
         choice = data["choices"][0]
         text = choice["message"]["content"]
         usage = json_field(data, "usage", "an object or null", None) or {}
@@ -201,7 +215,8 @@ class _DiskCache:
 
     Each entry is written whole by ``write_whole``, so a reader never sees
     a partial entry; unparseable files, JSON nested past the recursion
-    limit included, are treated as misses and rewritten.
+    limit and a string with an unpaired surrogate included, are treated as
+    misses and rewritten.
     """
 
     def __init__(self, cache_dir: str):
@@ -220,7 +235,10 @@ class _DiskCache:
     def get(self, digest: str) -> CompletionResponse | None:
         try:
             with open(self._path(digest), encoding="utf-8") as fh:
-                data = json.load(fh)
+                text = fh.read()
+            data = json.loads(text)
+            if lone_surrogate(text) is not None:
+                return None
             return _response_from(data["response"])
         except (FileNotFoundError, KeyError, RecursionError, TypeError, ValueError):
             return None

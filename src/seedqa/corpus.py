@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import unicodedata
 from collections import deque
 from dataclasses import dataclass, field
@@ -73,14 +74,41 @@ def _finite_float(text: str) -> float:
     return value
 
 
+# a JSON string; scanned from the start of valid JSON, every match is one,
+# and none spans a line, since a string cannot hold a raw line feed
+_JSON_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+# the escape of a UTF-16 surrogate, U+D800 to U+DFFF
+_SURROGATE_ESCAPE = r"\\u[dD][89a-fA-F]"
+
+
+def lone_surrogate(text: str) -> tuple[int, str] | None:
+    """The 1-based line of ``text``, valid JSON, that holds the first
+    string whose ``\\u`` escapes leave an unpaired surrogate, which UTF-8
+    cannot encode, and a reason naming it; None when no string does.  An
+    escaped pair such as ``"\\ud83d\\ude00"`` is one character, and legal.
+    Only text that holds the escape of a surrogate is scanned, so text
+    written with every other non-ASCII character escaped costs one search."""
+    if "\\u" in text and re.search(_SURROGATE_ESCAPE, text):
+        for match in re.finditer(_JSON_STRING, text):
+            if re.search(_SURROGATE_ESCAPE, match.group()):
+                try:
+                    json.loads(match.group()).encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    return (text.count("\n", 0, match.start()) + 1,
+                            f"unpaired surrogate \\u{ord(exc.object[exc.start]):04x} "
+                            f"in a JSON string")
+    return None
+
+
 def json_object_line(parse: Callable[[dict], T]) -> Callable[[str], T]:
     """A line parser for ``read_lines`` over line-delimited JSON: each line
     must hold a JSON object, which ``parse`` turns into a value.  Invalid
     JSON, an integer over Python's digit limit, nesting past the recursion
     limit and the non-standard ``NaN``, ``Infinity`` and ``-Infinity``
     included, a number too large for a float (``1e400``, which ``float``
-    reads as infinity), and a non-object line raise ValueError, so they are
-    errors at ``path:line`` too."""
+    reads as infinity), a string that holds an unpaired surrogate
+    (``lone_surrogate``), and a non-object line raise ValueError, so they
+    are errors at ``path:line`` too."""
 
     def parse_line(line: str) -> T:
         try:
@@ -89,6 +117,9 @@ def json_object_line(parse: Callable[[dict], T]) -> Callable[[str], T]:
             raise ValueError(f"invalid JSON ({exc})") from exc
         if not isinstance(rec, dict):
             raise ValueError("record is not a JSON object")
+        lone = lone_surrogate(line)
+        if lone is not None:
+            raise ValueError(lone[1])
         return parse(rec)
 
     return parse_line

@@ -301,6 +301,10 @@ class AnnotatedInstance:
     r_entities: frozenset[str]
 
     def __post_init__(self) -> None:
+        # one normalization pass over both sides; only a record it does not
+        # clear is checked entity by entity, to name the first bad one
+        if all_canonical((*self.qo_entities, *self.r_entities)):
+            return
         for side in (self.qo_entities, self.r_entities):
             for ent in side:
                 if ent != normalize_entity(ent):

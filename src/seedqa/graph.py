@@ -49,7 +49,7 @@ from itertools import islice, repeat
 from operator import add, lt, mul, sub, truediv
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import write_whole
+from .corpus import lone_surrogate, write_whole
 from .entities import AnnotatedInstance, all_canonical, normalize_entity
 
 _MAGIC = "seedqa-graph"
@@ -366,13 +366,15 @@ def _read_nodes(path: str, text: str) -> list[str]:
     2.  The lines are parsed as one JSON array, and ``all_canonical`` checks
     the nodes in one normalization pass over them all; only when either
     fails, or the array holds other than one string per line in ascending
-    order, are the lines read again one by one, each node checked with
+    order, or a string with an unpaired surrogate (``lone_surrogate``), are
+    the lines read again one by one, each node checked with
     ``normalize_entity``, to name the first bad line."""
     try:
         nodes = json.loads("[" + text[:-1].replace("\n", ",") + "]")
         if (set(map(type, nodes)) <= {str} and len(nodes) == text.count("\n")
                 and all_canonical(nodes)
-                and all(map(lt, nodes, islice(nodes, 1, None)))):
+                and all(map(lt, nodes, islice(nodes, 1, None)))
+                and lone_surrogate(text) is None):
             return nodes
     except (RecursionError, ValueError):
         pass
@@ -384,6 +386,9 @@ def _read_nodes(path: str, text: str) -> list[str]:
             raise GraphFormatError(f"{path}:{lineno}: malformed node entry") from exc
         if not isinstance(node, str):
             raise GraphFormatError(f"{path}:{lineno}: node entry {node!r} is not a string")
+        lone = lone_surrogate(line)
+        if lone is not None:
+            raise GraphFormatError(f"{path}:{lineno}: malformed node entry ({lone[1]})")
         try:
             canonical = normalize_entity(node) == node
         except ValueError:

@@ -16,7 +16,8 @@ from string import Formatter
 from typing import Sequence
 
 from .corpus import (
-    OPTION_LABELS, DatasetFormatError, data_path, json_field, options_object, read_jsonl,
+    OPTION_LABELS, DatasetFormatError, data_path, json_field, lone_surrogate, options_object,
+    read_jsonl,
 )
 from .textseg import estimate_tokens, finish_estimate, fold_estimate
 
@@ -82,18 +83,26 @@ class PromptTemplate:
 
 def load_template(path: str) -> PromptTemplate:
     """Read a template JSON object; any defect, a field of the wrong type
-    included, raises DatasetFormatError naming ``path``."""
+    included, raises DatasetFormatError naming ``path``, and a string that
+    holds an unpaired surrogate (``lone_surrogate``) names ``path:line``."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-            if not isinstance(data, dict):
-                raise ValueError("template is not a JSON object")
-            version = data.pop("version", None)
-            if version != _TEMPLATE_VERSION:
-                raise ValueError(f"unsupported template version {version!r}")
-            return PromptTemplate(**data)
-        except (RecursionError, TypeError, ValueError) as exc:
+            text = fh.read()
+            data = json.loads(text)
+        except (RecursionError, ValueError) as exc:
             raise DatasetFormatError(f"{path}: {exc}") from exc
+    lone = lone_surrogate(text)
+    if lone is not None:
+        raise DatasetFormatError(f"{path}:{lone[0]}: {lone[1]}")
+    try:
+        if not isinstance(data, dict):
+            raise ValueError("template is not a JSON object")
+        version = data.pop("version", None)
+        if version != _TEMPLATE_VERSION:
+            raise ValueError(f"unsupported template version {version!r}")
+        return PromptTemplate(**data)
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from exc
 
 
 def default_template() -> PromptTemplate:

@@ -815,6 +815,45 @@ def test_non_standard_json_constant_exits_1_with_location(corpus, capsys, kind, 
     assert not (corpus["dir"] / "r.json").exists()
 
 
+@pytest.mark.parametrize("kind", ("dataset", "run_dataset", "annotated", "seeds", "records",
+                                  "fixture", "exemplars", "extraction_exemplars", "template",
+                                  "config"))
+def test_unpaired_surrogate_exits_1_with_location(corpus, capsys, kind):
+    # UTF-8 cannot encode an escaped lone surrogate: a dataset question that
+    # held one loaded, and the run failed after writing config.json, naming
+    # no file; an escaped pair in the line before is one character, and legal
+    records, field, argv = _input_case(
+        "dataset" if kind in ("run_dataset", "config") else kind, corpus)
+    d = corpus["dir"]
+    replay = ["--backend", "replay", "--fixture", str(d / "empty_fixture.jsonl")]
+    if kind == "run_dataset":
+        argv = ["run", "--dataset", "BAD", "--out-dir", str(d / "out"), *replay]
+    if kind in ("template", "config"):
+        # one JSON object spread over lines, written with every non-ASCII
+        # character escaped; the line of the string is named
+        obj = records[0] | {field: "\U0001f600 \ud800"}
+        if kind == "config":
+            argv = ["run", "--config", "BAD", "--out-dir", str(d / "out")]
+            obj = {"dataset": corpus["test"], "backend": "replay", "fixture": replay[-1],
+                   "model": "\U0001f600", "system": "\ud800"}
+        text = json.dumps(obj, indent=2)
+        line = text[:text.index("\\ud800")].count("\n") + 1
+    else:
+        lines = [json.dumps(r, ensure_ascii=False) for r in records]
+        lines[0] = lines[0][:-1] + ', "note": "\\ud83d\\ude00"}'
+        lines[1] = lines[1][:-1] + f', "{field}": "x\\ud800"}}'
+        text, line = "\n".join(lines) + "\n", 2
+    bad = d / f"bad_{kind}.json"
+    bad.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main([str(bad) if a == "BAD" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:{line}: unpaired surrogate \\ud800 in a JSON string" in err
+    assert "Traceback" not in err
+    assert not (d / "out" / "config.json").exists()
+    assert not (d / "r.json").exists()
+
+
 @pytest.mark.parametrize("kind", ("dataset", "annotated", "seeds", "records", "fixture",
                                   "exemplars", "extraction_exemplars", "template",
                                   "lexicon", "graph", "config"))

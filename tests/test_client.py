@@ -252,6 +252,19 @@ def test_live_body_nested_past_the_recursion_limit_is_status_error():
     assert len(calls) == 1
 
 
+def test_live_reply_with_an_unpaired_surrogate_is_status_error():
+    # UTF-8 cannot encode the reply, so no record or cache entry could hold
+    # it; an escaped surrogate pair is one character, and reads
+    body = ok_body("x").replace('"x"', '"x\\ud800"')
+    client, calls, _ = live_client([(200, body)])
+    with pytest.raises(ApiStatusError) as err:
+        client.complete(REQ)
+    assert err.value.status == 200
+    assert len(calls) == 1
+    client, _, _ = live_client([(200, ok_body("x").replace('"x"', '"\\ud83d\\ude00"'))])
+    assert client.complete(REQ).text == "\U0001f600"
+
+
 @pytest.mark.parametrize("content", [None, 5, ["hi"]])
 def test_live_non_string_content_is_status_error(content):
     # the same failure as a malformed body, never a response without text
@@ -417,6 +430,19 @@ def test_cache_entry_nested_past_the_recursion_limit_refetched(tmp_path):
     cache_file = tmp_path / "cache" / f"{request_digest(REQ)}.json"
     cache_file.write_text('{"response": ' + DEEP_JSON + "}", encoding="utf-8")
     assert client.complete(REQ).text == "second"
+    assert len(calls) == 2
+
+
+def test_cache_entry_with_an_unpaired_surrogate_refetched(tmp_path):
+    client, calls = cached_client(
+        tmp_path, [(200, ok_body("first")), (200, ok_body("second"))]
+    )
+    client.complete(REQ)
+    cache_file = tmp_path / "cache" / f"{request_digest(REQ)}.json"
+    text = cache_file.read_text(encoding="utf-8")
+    cache_file.write_text(text.replace('"first"', '"fir\\udc00st"'), encoding="utf-8")
+    assert client.complete(REQ).text == "second"
+    assert json.loads(cache_file.read_text(encoding="utf-8"))["response"]["text"] == "second"
     assert len(calls) == 2
 
 

@@ -17,6 +17,7 @@ from seedqa.corpus import (
     DatasetFormatError,
     Instance,
     load_dataset,
+    lone_surrogate,
     map_in_order,
     qo_text,
     read_jsonl,
@@ -129,6 +130,46 @@ def test_jsonl_readers_refuse_a_number_too_large_for_a_float(tmp_path, number):
     # a large float that is finite still reads
     Path(dataset).write_text(text.replace(number, "1e300"), encoding="utf-8")
     assert len(load_dataset(dataset)) == 2
+
+
+@pytest.mark.parametrize("escape, lone", [
+    (r"\ud800", "d800"), (r"\udfff", "dfff"), (r"x\ude00\ud83d", "de00"),
+    (r"\ud83d\ud83d\ude00", "d83d"), (r"\\\ud800", "d800"), (r"\uDBFF", "dbff"),
+], ids=["high", "low", "reversed-pair", "high-before-pair", "after-escaped-backslash",
+        "upper-case"])
+def test_jsonl_readers_refuse_an_unpaired_surrogate(tmp_path, escape, lone):
+    # no UTF-8 file can hold one: a dataset that carried one loaded, and the
+    # run failed at its first write, naming no file
+    text = json.dumps(VALID, ensure_ascii=False)
+    path = tmp_path / "d.jsonl"
+    path.write_text(f"{text}\n{text.replace('最常见', escape)}\n", encoding="utf-8")
+    message = f"{path}:2: unpaired surrogate \\u{lone} in a JSON string"
+    with pytest.raises(DatasetFormatError, match=re.escape(message) + "$"):
+        load_dataset(str(path))
+    # a key is a string too
+    path.write_text(f'{{"x{escape}": 1}}\n', encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}:1: unpaired")):
+        read_jsonl(str(path), dict)
+
+
+def test_jsonl_readers_keep_escaped_pairs_and_other_escapes(tmp_path):
+    # an escaped pair is one character; an escaped backslash before "ud800"
+    # is text; and a file written with every non-ASCII character escaped
+    # reads as the same records
+    path = tmp_path / "r.jsonl"
+    path.write_text('{"x": "\\ud83d\\ude00", "y": "\\\\ud800", "z": "\\u00e9"}\n',
+                    encoding="utf-8")
+    assert read_jsonl(str(path), dict) == [{"x": "\U0001f600", "y": "\\ud800", "z": "é"}]
+    path.write_text(json.dumps(VALID) + "\n", encoding="utf-8")
+    assert read_jsonl(str(path), dict) == [VALID]
+
+
+def test_lone_surrogate_names_the_line_of_the_first():
+    text = '{\n  "a": "\\u00e9",\n  "b": ["\\ud83d\\ude00", "\\udc00"],\n  "c": "\\ud800"\n}'
+    assert lone_surrogate(text) == (3, "unpaired surrogate \\udc00 in a JSON string")
+    assert lone_surrogate(text.replace("\\udc00", "\\u00e9")) == (
+        4, "unpaired surrogate \\ud800 in a JSON string")
+    assert lone_surrogate('"\\ud83d\\ude00"') is lone_surrogate(json.dumps(VALID)) is None
 
 
 def test_load_reports_line_and_field(tmp_path):

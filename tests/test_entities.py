@@ -636,6 +636,25 @@ def test_annotated_rejects_non_canonical_entities():
         AnnotatedInstance(inst, frozenset({"ASPIRIN"}), frozenset())
 
 
+def test_annotated_names_the_first_non_canonical_entity_when_it_is_the_last(tmp_path):
+    # one normalization pass checks both sides; when it fails, the entities
+    # are checked one by one, question side first, to name the bad one
+    from seedqa.corpus import DatasetFormatError, instance_to_record
+
+    inst = make_dataset()[0]
+    with pytest.raises(ValueError, match=r"^entity not in canonical form: 'ASPIRIN'$"):
+        AnnotatedInstance(inst, frozenset({"高血压", "头痛"}), frozenset({"发热", "ASPIRIN"}))
+    with pytest.raises(ValueError, match=r"^entity not in canonical form: 'FEVER'$"):
+        AnnotatedInstance(inst, frozenset({"FEVER"}), frozenset({"ASPIRIN"}))
+    rec = instance_to_record(inst) | {"qo_entities": ["高血压"],
+                                      "r_entities": ["发热", "头痛", "ASPIRIN"]}
+    path = tmp_path / "ann.jsonl"
+    path.write_text(json.dumps(rec, ensure_ascii=False) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError,
+                       match=re.escape(f"{path}:1: entity not in canonical form: 'ASPIRIN'")):
+        load_annotated(str(path))
+
+
 def test_load_annotated_requires_entity_fields(tmp_path):
     from seedqa.corpus import DatasetFormatError, instance_to_record
 

@@ -589,6 +589,17 @@ def test_load_rejects_rows_out_of_index_order(tmp_path):
     assert rejected >= 15
 
 
+def test_load_accepts_an_escaped_surrogate_pair(tmp_path, toy_graph):
+    # the pair is one character, as save_graph would write it unescaped
+    lines = _toy_file_lines(tmp_path, toy_graph)
+    lines[2] = '"b\\ud83d\\ude00"'
+    loaded = load_graph(_write_with_checksum(tmp_path / "pair.kg", lines))
+    assert loaded.nodes == ("a", "b\U0001f600", "c", "d", "e")
+    rename = {"b": "b\U0001f600"}
+    assert loaded.raw_counts == {(rename.get(s, s), rename.get(t, t)): n
+                                 for (s, t), n in toy_graph.raw_counts.items()}
+
+
 def test_load_accepts_leading_zeros(tmp_path, toy_graph):
     # int() reads "007" as 7, and so does the loader
     lines = _toy_file_lines(tmp_path, toy_graph)
@@ -692,6 +703,11 @@ _CORRUPT_ROWS = [
     # the node table is parsed whole first, then line by line: both parses
     # must refuse JSON nested past the recursion limit
     ("node entry nested past the recursion limit", {3: DEEP_JSON}, 3, "malformed node entry"),
+    # save_graph could never write one: UTF-8 cannot encode it
+    ("node entry with an unpaired surrogate", {3: '"b\\ud800"'}, 3,
+     "malformed node entry (unpaired surrogate \\ud800 in a JSON string)"),
+    ("unpaired surrogate after a non-canonical node", {2: '"A"', 3: '"b\\ud800"'}, 2,
+     "node entry 'A' not in canonical form"),
     ("negative frequency index", {12: "-1\t2"}, 12, "out of range"),
     ("frequency index past the node table", {12: "5\t2"}, 12, "out of range"),
     ("repeated frequency row", {13: "2\t3"}, 13, "repeated frequency"),

@@ -8,6 +8,7 @@ modules this test process has already loaded do not count.
 from __future__ import annotations
 
 import ast
+import hashlib
 import inspect
 import json
 import os
@@ -31,6 +32,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 GRAPH_STACK = {"seedqa.entities", "seedqa.graph", "seedqa.seeds"}
 
+# hashlib loads OpenSSL's libcrypto through _hashlib; only the graph's
+# checksum uses it
+OPENSSL = {"hashlib", "_hashlib"}
+
 # every public name the package exports, and its modules, which stay
 # reachable as attributes
 PUBLIC_NAMES = {
@@ -50,12 +55,14 @@ PUBLIC_NAMES = {
 MODULES = {"client", "corpus", "entities", "evaluation", "graph", "prompts", "seeds",
            "textseg"}
 
-# prints the seedqa modules loaded after each step as one JSON object
+# prints the seedqa modules, and hashlib and _hashlib, loaded after each
+# step as one JSON object
 PROBE = """
 import json, sys
 
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith("seedqa."))
+    return sorted(m for m in sys.modules
+                  if m.startswith("seedqa.") or m in ("hashlib", "_hashlib"))
 
 import seedqa
 steps = {"package": loaded()}
@@ -120,10 +127,40 @@ def test_cli_import_leaves_unused_standard_modules_unloaded():
     script = """
 import sys
 import seedqa.cli
-print(sorted({"importlib.resources", "random", "concurrent.futures", "requests"}
-             & set(sys.modules)))
+print(sorted({"importlib.resources", "random", "concurrent.futures", "requests", "hashlib",
+              "_hashlib"} & set(sys.modules)))
 """
     assert run_python(script, options=("-S",)) == "[]\n"
+
+
+# prints the module that request_digest's SHA-256 comes from, whether
+# hashlib is loaded, and the digest of one request; with the argument
+# "fallback" the interpreter's built-in SHA-256 modules are blocked first
+DIGEST_PROBE = """
+import json, sys
+if sys.argv[1:] == ["fallback"]:
+    sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from seedqa.client import CompletionRequest, request_digest, sha256
+digest = request_digest(CompletionRequest("m1", "hello", 0.0, 64))
+print(json.dumps([sha256.__module__, "hashlib" in sys.modules, digest]))
+"""
+
+# the digest that tests/test_client.py computes for the same request
+HELLO_DIGEST = hashlib.sha256(
+    b'{"max_tokens":64,"model":"m1","prompt":"hello","temperature":0.0}').hexdigest()
+
+
+def test_request_digest_uses_the_built_in_sha256():
+    module, hashlib_loaded, digest = json.loads(run_python(DIGEST_PROBE, options=("-S",)))
+    assert module == ("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+    assert (hashlib_loaded, digest) == (False, HELLO_DIGEST)
+
+
+def test_request_digest_falls_back_to_hashlib():
+    # as on a build without the built-in hashes, such as a FIPS build
+    module, hashlib_loaded, digest = json.loads(run_python(DIGEST_PROBE, "fallback"))
+    assert hashlib_loaded and module != "_sha2" and module != "_sha256"
+    assert digest == HELLO_DIGEST
 
 
 def _dataclasses():
@@ -154,9 +191,9 @@ def test_dataclasses_are_documented_and_frozen_only_where_cached():
 
 def test_standard_qa_run_never_loads_the_graph_stack(replay_inputs):
     steps = probe(run_argv(replay_inputs, "standard_qa"))
-    assert not GRAPH_STACK & set(steps["cli"])
+    assert not (GRAPH_STACK | OPENSSL) & set(steps["cli"])
     assert steps["code"] == 0
-    assert not GRAPH_STACK & set(steps["main"])
+    assert not (GRAPH_STACK | OPENSSL) & set(steps["main"])
     records = replay_inputs["dir"] / "standard_qa" / "records.jsonl"
     assert len(records.read_text(encoding="utf-8").splitlines()) == 3
 
@@ -164,7 +201,8 @@ def test_standard_qa_run_never_loads_the_graph_stack(replay_inputs):
 def test_icp_run_loads_the_graph_stack(replay_inputs):
     steps = probe(run_argv(replay_inputs, "icp"))
     assert steps["code"] == 0
-    assert GRAPH_STACK <= set(steps["main"])
+    # the graph's checksum is still taken with hashlib
+    assert GRAPH_STACK | {"hashlib"} <= set(steps["main"])
     records = (replay_inputs["dir"] / "icp" / "records.jsonl").read_text(encoding="utf-8")
     assert all(json.loads(line)["seed_count"] is not None for line in records.splitlines())
 
