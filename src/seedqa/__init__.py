@@ -22,9 +22,9 @@ _MODULE_EXPORTS = {
                "request_digest"),
     "corpus": ("Dataset", "DatasetFormatError", "Instance", "load_dataset", "qo_text",
                "split_sample"),
-    "entities": ("AnnotatedInstance", "Lexicon", "LlmExtractor", "annotate_dataset",
-                 "extract_entities_lexicon", "load_annotated", "load_lexicon",
-                 "normalize_entity", "save_annotated"),
+    "entities": ("AnnotatedInstance", "Lexicon", "LlmExtractor", "annotate_stream",
+                 "extract_entities_lexicon", "load_lexicon", "normalize_entity",
+                 "save_annotated"),
     "evaluation": ("EvalRecord", "EvalReport", "build_report", "extract_answer", "rouge_l",
                    "run_eval", "seed_quality"),
     "graph": ("KnowledgeGraph", "build_graph", "load_graph", "save_graph"),

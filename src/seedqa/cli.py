@@ -195,26 +195,37 @@ def cmd_build_graph(opts: dict[str, Any]) -> int:
 
 
 def cmd_mine_seeds(opts: dict[str, Any]) -> int:
-    from .entities import load_annotated
+    from .entities import read_annotated
     from .graph import load_graph
     from .seeds import SeedQuery, SeedRecord, mine_seeds, save_seed_records
 
     if opts["k"] < 0:
         raise ConfigError("k must be non-negative")
-    annotated = load_annotated(_need(opts, "annotated"))
-    graph = load_graph(_need(opts, "graph"))
-    records = []
-    for ann in annotated:
-        result = mine_seeds(graph, SeedQuery(ann.qo_entities), opts["k"])
-        records.append(SeedRecord(ann.base.id, result, tuple(sorted(ann.qo_entities))))
-    out_path = _need(opts, "out")
-    save_seed_records(records, out_path)
-    log.info("mined seeds for %d instances -> %s", len(records), out_path)
+    ann_path, graph_path, out_path = (_need(opts, key) for key in ("annotated", "graph", "out"))
+    # the graph is read first, so when both files are bad the error names it
+    graph = load_graph(graph_path)
+    seen: set[str] = set()
+    # records are parsed one at a time, each mined as the sidecar takes it
+    save_seed_records((
+        SeedRecord(ann.base.id, mine_seeds(graph, SeedQuery(ann.qo_entities), opts["k"]),
+                   tuple(sorted(ann.qo_entities)))
+        for ann in read_annotated((ann_path,), seen)
+    ), out_path)
+    log.info("mined seeds for %d instances -> %s", len(seen), out_path)
     return 0
 
 
 def cmd_run(opts: dict[str, Any]) -> int:
     out_dir = _need(opts, "out_dir")
+    # config.json is UTF-8: an option that holds bytes UTF-8 cannot encode,
+    # such as a path argument that is not UTF-8, fails before any file is read
+    for key, value in opts.items():
+        try:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ConfigError(f"--{key.replace('_', '-')} is not UTF-8 text: {value!r}") from exc
+    config = json.dumps({**opts, "version": __version__, "command": "run"},
+                        ensure_ascii=False, indent=2, sort_keys=True)
     dataset = load_dataset(_need(opts, "dataset"))
     if opts["test_size"] is not None:
         dataset, _ = split_sample(dataset, opts["test_size"], opts["seed"], opts["stratify_by"])
@@ -255,8 +266,6 @@ def cmd_run(opts: dict[str, Any]) -> int:
 
     check_run_inputs(dataset, spec, graph, extractor, opts["k"], precomputed, opts["workers"])
     os.makedirs(out_dir, exist_ok=True)
-    config = json.dumps({**opts, "version": __version__, "command": "run"},
-                        ensure_ascii=False, indent=2, sort_keys=True)
     write_whole(os.path.join(out_dir, "config.json"), (config, "\n"))
 
     try:

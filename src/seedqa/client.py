@@ -255,7 +255,7 @@ class _DiskCache:
 class ChatClient:
     """Thread-safe completion client.
 
-    Callers bound concurrency (``run_eval`` and ``annotate_dataset`` call
+    Callers bound concurrency (``run_eval`` and ``annotate_stream`` call
     it from at most ``workers`` threads).  With the cached-live backend,
     concurrent identical requests are serialized per digest so the
     upstream call happens once.

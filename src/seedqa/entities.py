@@ -354,17 +354,6 @@ def annotate_stream(
     return annotated()
 
 
-def annotate_dataset(
-    dataset: Dataset,
-    extractor: Extractor,
-    include_analysis: bool = True,
-    on_error: str = "raise",
-    workers: int = 1,
-) -> list[AnnotatedInstance]:
-    """Every annotated instance of ``annotate_stream``, in dataset order."""
-    return list(annotate_stream(dataset, extractor, include_analysis, on_error, workers))
-
-
 def save_annotated(annotated: Iterable[AnnotatedInstance], path: str) -> int:
     """Write annotated records, whole or not at all: the dataset record plus
     sorted entity lists.  ``annotated`` may be a lazy stream: each record is
@@ -403,7 +392,3 @@ def read_annotated(paths: Iterable[str], seen: set[str]) -> Iterator[AnnotatedIn
 
     for path in paths:
         yield from read_lines(path, json_object_line(parse))
-
-
-def load_annotated(path: str) -> list[AnnotatedInstance]:
-    return list(read_annotated((path,), set()))

@@ -16,10 +16,10 @@ The graph is stored as flat integer tables: every edge once, as the key
 beside each key, and one idf value per node.  Nodes are indexed in name
 order, so index order breaks weight ties by name.  A source's ranking,
 its target indices sorted by descending weight and then target index, is
-computed the first time the miner or ``neighbors`` asks for it and cached
-as one dict from target index to 1-based rank, in rank order: the miner
-reads its head in order and looks up single ranks in it.  A run that
-touches a few hundred sources never ranks the rest.  ``build_graph``
+computed the first time the miner asks for it and cached as one dict
+from target index to 1-based rank, in rank order: the miner reads its
+head in order and looks up single ranks in it.  A run that touches a few
+hundred sources never ranks the rest.  ``build_graph``
 keeps only each instance's entities, as tuples that hold one string per
 distinct name, so it can read a stream of annotated records one at a
 time.  It counts each source's row of targets on its own, in index order,
@@ -150,23 +150,6 @@ class KnowledgeGraph:
             if pos < hi and edges[pos] == base + t:
                 out[t] = (counts[pos] / total) * idf[t]
         return out
-
-    def neighbors(self, entity: str) -> tuple[tuple[str, float, int], ...]:
-        """Outgoing ``(target, weight, raw_count)`` rows, heaviest first,
-        ties by target.
-
-        A node with no outgoing edges (or an unknown entity) gets ``()``;
-        callers treat both the same way.  The order is the cached ranking
-        the miner reads.
-        """
-        i = self._index.get(entity)
-        if i is None:
-            return ()
-        ranks = self._rank(i)
-        lo, hi = self._row(i)
-        count = dict(zip(map(sub, self._edges[lo:hi], repeat(i * self.m)), self._counts[lo:hi]))
-        weight = self._weights(i, ranks)
-        return tuple((self.nodes[t], weight[t], count[t]) for t in ranks)
 
 
 def build_graph(train: Iterable[AnnotatedInstance]) -> KnowledgeGraph:

@@ -2,7 +2,7 @@
 
 Given a question's entity set X, every entity reachable from X gets one
 rank per member x: its 1-based position in x's weight-sorted neighbor
-list, or |neighbors(x)| + 1 when x does not point at it.  Candidates are
+list, or that list's length + 1 when x does not point at it.  Candidates are
 ordered by the sum of those ranks (lower is better); the finite penalty
 keeps sums comparable when some member has no edge to the candidate.
 
@@ -22,7 +22,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice, repeat
-from typing import Sequence
+from typing import Iterable
 
 from .corpus import DEFAULT_K, json_field, read_jsonl, write_whole
 from .entities import normalize_entity
@@ -136,9 +136,10 @@ class SeedRecord:
     query: tuple[str, ...] = field(default_factory=tuple)
 
 
-def save_seed_records(records: Sequence[SeedRecord], path: str) -> None:
+def save_seed_records(records: Iterable[SeedRecord], path: str) -> None:
     """Sidecar JSONL: {"id", "query", "seeds", "scores", "k"} per line,
-    written whole or not at all."""
+    written whole or not at all.  ``records`` may be a lazy stream: each
+    record is written as it is taken."""
     write_whole(path, (
         json.dumps(
             {

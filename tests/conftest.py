@@ -103,10 +103,32 @@ def naive_graph_stats(train):
     return m, raw, freq, weights
 
 
+@lru_cache(maxsize=8)
+def _raw_counts(graph: KnowledgeGraph) -> dict[tuple[str, str], int]:
+    """``graph.raw_counts``, built once for each graph: it is immutable, and
+    the property builds the whole table at every read."""
+    return graph.raw_counts
+
+
+def ranked_row(graph: KnowledgeGraph, entity: str) -> tuple[tuple[str, float, int], ...]:
+    """``entity``'s outgoing ``(target, weight, raw_count)`` rows in the
+    order the miner reads them, heaviest first and ties by target, read
+    through what the miner reads (``_index``, ``_rank`` and ``_weights``)
+    and ``raw_counts``.  A node with no outgoing edges and an unknown
+    entity both give ``()``."""
+    i = graph._index.get(entity)
+    if i is None:
+        return ()
+    ranks = graph._rank(i)
+    weight = graph._weights(i, ranks)
+    raw = _raw_counts(graph)
+    return tuple((graph.nodes[t], weight[t], raw[(entity, graph.nodes[t])]) for t in ranks)
+
+
 def row_weights(graph: KnowledgeGraph) -> dict[tuple[str, str], float]:
-    """Edge weights read off the graph's neighbor rows, keyed like the
+    """Edge weights read off the graph's ranked rows, keyed like the
     oracle's table."""
-    return {(src, tgt): w for src in graph.nodes for tgt, w, _ in graph.neighbors(src)}
+    return {(src, tgt): w for src in graph.nodes for tgt, w, _ in ranked_row(graph, src)}
 
 
 def v1_graph_bytes(train) -> bytes:
@@ -249,18 +271,19 @@ def oracle_seed_ranking(nodes, weights, query: set, k: int):
     return [(ent, score) for score, _, ent in scored[:k]]
 
 
-def sorted_pool_mine_seeds(graph: KnowledgeGraph, weights, query: SeedQuery, k: int):
+def sorted_pool_mine_seeds(weights, query: SeedQuery, k: int):
     """The miner before its one-pass form: per-member rank maps, every
-    candidate scored member by member, and a full sort of the pool.
-    Tie-break weights come from ``weights``, the oracle's table."""
+    candidate scored member by member, and a full sort of the pool.  Rank
+    maps and tie-break weights both come from ``weights``, the oracle's
+    table, so no ranking code is shared with the graph."""
     members = sorted(query.entities)
     rank_maps: dict[str, dict[str, int]] = {}
     list_sizes: dict[str, int] = {}
     pool: set[str] = set()
     for x in members:
-        neighbors = graph.neighbors(x)
-        rank_maps[x] = {tgt: pos for pos, (tgt, _, _) in enumerate(neighbors, 1)}
-        list_sizes[x] = len(neighbors)
+        row = sorted((-w, tgt) for (src, tgt), w in weights.items() if src == x)
+        rank_maps[x] = {tgt: pos for pos, (_, tgt) in enumerate(row, 1)}
+        list_sizes[x] = len(row)
         pool.update(rank_maps[x])
     pool -= query.entities
 

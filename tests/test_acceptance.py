@@ -15,7 +15,7 @@ import time
 import pytest
 
 from seedqa.client import ChatClient, ClientConfig
-from seedqa.entities import Lexicon, annotate_dataset
+from seedqa.entities import Lexicon, annotate_stream
 from seedqa.evaluation import (
     EvalRecord,
     build_report,
@@ -148,7 +148,7 @@ def replay_run(tmp_path, workers=1):
     responses.  Returns the bytes of its records.jsonl and report.json."""
     train = synth_dataset(101, 12, prefix="tr")
     extractor = Lexicon(frozenset(ENTITY_POOL))
-    graph = build_graph(annotate_dataset(train, extractor))
+    graph = build_graph(annotate_stream(train, extractor))
 
     test = synth_dataset(102, 20, prefix="t")
     spec = PromptSpec("icp", "zero")
@@ -219,7 +219,7 @@ def test_prompt_mode_contracts_and_token_budget():
     the default token budget."""
     dataset = synth_dataset(103, 8)
     graph = build_graph(
-        annotate_dataset(dataset, Lexicon(frozenset(ENTITY_POOL)))
+        annotate_stream(dataset, Lexicon(frozenset(ENTITY_POOL)))
     )
     extractor = Lexicon(frozenset(ENTITY_POOL))
     exemplars = default_exemplars()

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import logging
+import os
 import random
 import re
 import tracemalloc
@@ -22,11 +23,11 @@ from seedqa.corpus import (
     split_sample,
 )
 from seedqa.entities import (
-    annotate_dataset,
+    annotate_stream,
     build_extraction_prompt,
-    load_annotated,
     load_extraction_exemplars,
     load_lexicon,
+    read_annotated,
 )
 from seedqa.client import ClientConfig, CompletionRequest, TransportError, request_digest
 from seedqa.evaluation import EvalRecord, record_to_dict
@@ -92,12 +93,12 @@ def prepare_replay(corpus, graph_path, mode="icp", shots="zero"):
 
 def test_annotate_build_graph_outputs(corpus):
     ann_path, graph_path = pipeline_to_graph(corpus)
-    annotated = load_annotated(ann_path)
+    annotated = list(read_annotated((ann_path,), set()))
     assert len(annotated) == 10
     assert all(a.qo_entities for a in annotated)
     # CLI output equals the library pipeline run directly
     train = load_dataset(corpus["train"])
-    direct = annotate_dataset(train, load_lexicon(corpus["lexicon"]))
+    direct = list(annotate_stream(train, load_lexicon(corpus["lexicon"])))
     assert annotated == direct
     graph = load_graph(graph_path)
     assert graph.nodes == build_graph(direct).nodes
@@ -167,6 +168,53 @@ def test_mine_seeds_refuses_a_repeated_instance_id(corpus, capsys, old_sidecar):
     assert "Traceback" not in err
     assert (out.read_bytes() if out.exists() else None) == old
     assert not list(corpus["dir"].glob("*.tmp"))
+
+
+def test_mine_seeds_names_the_graph_when_both_inputs_are_bad(corpus, capsys):
+    # the graph is loaded before the first annotated record is read
+    ann_path, graph_path = pipeline_to_graph(corpus)
+    lines = Path(ann_path).read_text(encoding="utf-8").splitlines(keepends=True)
+    bad_ann = corpus["dir"] / "bad.ann.jsonl"
+    bad_ann.write_text("".join([lines[0], "{not json\n", *lines[1:]]), encoding="utf-8")
+    corrupt = corpus["dir"] / "corrupt.kg"
+    data = bytearray(Path(graph_path).read_bytes())
+    data[len(data) // 2] ^= 1
+    corrupt.write_bytes(bytes(data))
+    out = corpus["dir"] / "both_bad.seeds.jsonl"
+    capsys.readouterr()
+    assert main(["mine-seeds", "--annotated", str(bad_ann), "--graph", str(corrupt),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {corrupt}: checksum mismatch" in err
+    assert str(bad_ann) not in err and "Traceback" not in err
+    assert not out.exists()
+    assert not list(corpus["dir"].glob("*.tmp"))
+    # with the graph mended, the annotated line is named
+    assert main(["mine-seeds", "--annotated", str(bad_ann), "--graph", graph_path,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad_ann}:2:" in err and "Traceback" not in err
+    assert not out.exists()
+    assert not list(corpus["dir"].glob("*.tmp"))
+
+
+@pytest.mark.parametrize("option", ["out-dir", "template"])
+def test_run_option_that_is_not_utf8_exits_1_naming_it(corpus, capsys, option):
+    # a path argument whose bytes are not UTF-8 reaches the program as a
+    # lone surrogate, which config.json, written as UTF-8, cannot hold
+    not_utf8 = str(corpus["dir"] / os.fsdecode(b"o\xff"))
+    out_dir = not_utf8 if option == "out-dir" else str(corpus["dir"] / "out")
+    argv = ["run", "--dataset", corpus["test"], "--out-dir", out_dir,
+            "--backend", "replay", "--fixture", os.devnull]
+    if option == "template":
+        argv += ["--template", not_utf8]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: --{option} is not UTF-8 text: {not_utf8!r}" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in corpus["dir"].iterdir()) == [
+        "lexicon.txt", "test.jsonl", "train.jsonl"]
 
 
 def test_build_graph_malformed_line_in_second_file_exits_1_with_location(corpus, capsys):
@@ -899,7 +947,8 @@ def test_string_for_a_list_of_strings_exits_1_with_location(corpus, capsys, kind
     records, _, argv = _input_case(kind, corpus)
     bad = _write_with_bad_line(corpus, kind, records, field, "高血压")
     where = f"{bad}:2: '{field}' must be a list of strings"
-    loader = {"annotated": load_annotated, "exemplars": load_exemplars,
+    loader = {"annotated": lambda path: list(read_annotated((path,), set())),
+              "exemplars": load_exemplars,
               "extraction_exemplars": load_extraction_exemplars, "seeds": load_seed_records}
     with pytest.raises(DatasetFormatError, match=re.escape(where)):
         loader[kind](str(bad))
@@ -1089,10 +1138,10 @@ def test_mine_seeds_negative_k_exits_1_before_reading_files(corpus, capsys, monk
     ann_path = corpus["dir"] / "empty.ann.jsonl"
     ann_path.write_text("", encoding="utf-8")
 
-    def no_read(path):
+    def no_read(path, *rest):
         raise AssertionError(f"{path} was read")
 
-    monkeypatch.setattr(entities_mod, "load_annotated", no_read)
+    monkeypatch.setattr(entities_mod, "read_annotated", no_read)
     monkeypatch.setattr(graph_mod, "load_graph", no_read)
     out = corpus["dir"] / "neg_k_seeds.jsonl"
     capsys.readouterr()
@@ -1298,7 +1347,7 @@ def _llm_annotate_argv(corpus, tmp_path, out_path, miss: str | None = None) -> l
 def test_annotate_with_llm_extractor(corpus, tmp_path):
     out_path = tmp_path / "llm_ann.jsonl"
     assert main(_llm_annotate_argv(corpus, tmp_path, out_path)) == 0
-    annotated = load_annotated(str(out_path))
+    annotated = list(read_annotated((str(out_path),), set()))
     assert all(a.qo_entities == {"发热", "头痛"} for a in annotated)
 
 

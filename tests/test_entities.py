@@ -17,14 +17,14 @@ from seedqa.entities import (
     Lexicon,
     LlmExtractor,
     all_canonical,
-    annotate_dataset,
+    annotate_stream,
     build_extraction_prompt,
     extract_entities_lexicon,
-    load_annotated,
     load_lexicon,
     normalize_entity,
     normalize_text,
     parse_entity_response,
+    read_annotated,
     save_annotated,
 )
 from seedqa.corpus import DatasetFormatError
@@ -528,7 +528,7 @@ def make_dataset():
 
 def test_annotate_dataset_order_and_sides():
     lex = Lexicon(["高血压", "贫血", "糖尿病", "缺铁性贫血"])
-    annotated = annotate_dataset(make_dataset(), lex)
+    annotated = list(annotate_stream(make_dataset(), lex))
     assert [a.base.id for a in annotated] == ["q0", "q1"]
     assert annotated[0].qo_entities == {"高血压", "糖尿病"}
     assert annotated[0].r_entities == {"高血压"}
@@ -537,7 +537,7 @@ def test_annotate_dataset_order_and_sides():
 
 def test_annotate_without_analysis_side():
     lex = Lexicon(["高血压", "糖尿病"])
-    annotated = annotate_dataset(make_dataset(), lex, include_analysis=False)
+    annotated = list(annotate_stream(make_dataset(), lex, include_analysis=False))
     assert all(a.r_entities == frozenset() for a in annotated)
     assert annotated[0].qo_entities
 
@@ -551,17 +551,17 @@ def test_annotate_error_policies():
         return {"x"}
 
     with pytest.raises(AnnotationError) as err:
-        annotate_dataset(make_dataset(), failing)
+        list(annotate_stream(make_dataset(), failing))
     assert err.value.instance_id == "q1"
     assert err.value.cause is boom
 
-    kept = annotate_dataset(make_dataset(), failing, on_error="skip")
+    kept = list(annotate_stream(make_dataset(), failing, on_error="skip"))
     assert [a.base.id for a in kept] == ["q0"]
 
     with pytest.raises(ValueError):
-        annotate_dataset(make_dataset(), failing, on_error="ignore")
+        annotate_stream(make_dataset(), failing, on_error="ignore")
     with pytest.raises(ValueError, match="workers must be >= 1"):
-        annotate_dataset(make_dataset(), failing, workers=0)
+        annotate_stream(make_dataset(), failing, workers=0)
 
 
 @pytest.mark.concurrency
@@ -581,7 +581,7 @@ def test_annotate_raise_stops_at_first_failure(workers):
         raise RuntimeError("extractor down")
 
     with pytest.raises(AnnotationError) as err:
-        annotate_dataset(dataset, failing, workers=workers)
+        list(annotate_stream(dataset, failing, workers=workers))
     assert err.value.instance_id == "q0"
     assert 1 <= len(calls) <= workers
 
@@ -589,17 +589,17 @@ def test_annotate_raise_stops_at_first_failure(workers):
 @pytest.mark.concurrency
 def test_annotate_workers_match_sequential():
     lex = Lexicon(["高血压", "贫血", "糖尿病"])
-    seq = annotate_dataset(make_dataset(), lex, workers=1)
-    par = annotate_dataset(make_dataset(), lex, workers=4)
+    seq = list(annotate_stream(make_dataset(), lex, workers=1))
+    par = list(annotate_stream(make_dataset(), lex, workers=4))
     assert seq == par
 
 
 def test_annotated_file_round_trip(tmp_path):
     lex = Lexicon(["高血压", "贫血", "糖尿病", "缺铁性贫血"])
-    annotated = annotate_dataset(make_dataset(), lex)
+    annotated = list(annotate_stream(make_dataset(), lex))
     path = tmp_path / "ann.jsonl"
     save_annotated(annotated, str(path))
-    again = load_annotated(str(path))
+    again = list(read_annotated((str(path),), set()))
     assert again == annotated
     # entity lists are sorted, so a rewrite is byte-identical
     second = tmp_path / "ann2.jsonl"
@@ -609,7 +609,7 @@ def test_annotated_file_round_trip(tmp_path):
 
 def test_save_annotated_failure_keeps_old_file(tmp_path, monkeypatch):
     lex = Lexicon(["高血压", "贫血", "糖尿病", "缺铁性贫血"])
-    annotated = annotate_dataset(make_dataset(), lex) * 2000
+    annotated = list(annotate_stream(make_dataset(), lex)) * 2000
     path = tmp_path / "ann.jsonl"
     save_annotated(annotated[:1], str(path))
     old = path.read_bytes()
@@ -627,7 +627,7 @@ def test_save_annotated_failure_keeps_old_file(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert path.read_bytes() == old
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ann.jsonl"]
-    assert load_annotated(str(path)) == annotated[:1]
+    assert list(read_annotated((str(path),), set())) == annotated[:1]
 
 
 def test_annotated_rejects_non_canonical_entities():
@@ -652,7 +652,7 @@ def test_annotated_names_the_first_non_canonical_entity_when_it_is_the_last(tmp_
     path.write_text(json.dumps(rec, ensure_ascii=False) + "\n", encoding="utf-8")
     with pytest.raises(DatasetFormatError,
                        match=re.escape(f"{path}:1: entity not in canonical form: 'ASPIRIN'")):
-        load_annotated(str(path))
+        list(read_annotated((str(path),), set()))
 
 
 def test_load_annotated_requires_entity_fields(tmp_path):
@@ -662,14 +662,14 @@ def test_load_annotated_requires_entity_fields(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(rec, ensure_ascii=False) + "\n", encoding="utf-8")
     with pytest.raises(DatasetFormatError, match="qo_entities"):
-        load_annotated(str(path))
+        list(read_annotated((str(path),), set()))
 
 
 def test_load_annotated_refuses_a_repeated_instance_id(tmp_path):
     # a repeat would be mined, or counted into a graph, twice
     lex = Lexicon(["高血压", "贫血", "糖尿病", "缺铁性贫血"])
-    annotated = annotate_dataset(make_dataset(), lex)
+    annotated = list(annotate_stream(make_dataset(), lex))
     path = tmp_path / "ann.jsonl"
     save_annotated([*annotated, annotated[0]], str(path))
     with pytest.raises(DatasetFormatError, match=re.escape(f"{path}:3: duplicate instance id 'q0'")):
-        load_annotated(str(path))
+        list(read_annotated((str(path),), set()))

@@ -395,9 +395,9 @@ def replay_setup(tmp_path, mode="cot", shots="zero", count=4):
     test = synth_dataset(7, count)
     extractor = Lexicon(ENTITY_POOL)
     train = synth_dataset(8, 10)
-    from seedqa.entities import annotate_dataset
+    from seedqa.entities import annotate_stream
 
-    graph = build_graph(annotate_dataset(train, extractor))
+    graph = build_graph(annotate_stream(train, extractor))
     spec = PromptSpec(mode, shots)
     requests = pipeline_requests(
         test, spec, "gpt-3.5-turbo-0613",

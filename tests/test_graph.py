@@ -33,6 +33,7 @@ from conftest import (
     make_annotated,
     naive_graph_stats,
     random_annotated,
+    ranked_row,
     row_weights,
     v1_graph_bytes,
 )
@@ -64,7 +65,7 @@ def test_toy_missing_edges_are_absent(toy_graph):
     assert ("a", "b") not in toy_graph.raw_counts
     assert ("c", "a") not in toy_graph.raw_counts
     assert ("nope", "a") not in toy_graph.raw_counts
-    assert "b" not in [t for t, _, _ in toy_graph.neighbors("a")]
+    assert "b" not in [t for t, _, _ in ranked_row(toy_graph, "a")]
 
 
 def test_toy_weights_match_formula(toy_graph):
@@ -88,27 +89,27 @@ def test_per_instance_counting_ignores_repeats():
 
 
 def test_neighbors_sorted_desc_weight_then_entity(toy_graph):
-    assert toy_graph.neighbors("a") == (("c", W_AC, 2), ("d", W_AD, 1))
-    assert toy_graph.neighbors("b") == (("d", W_BD, 2), ("c", W_BC, 1))
+    assert ranked_row(toy_graph, "a") == (("c", W_AC, 2), ("d", W_AD, 1))
+    assert ranked_row(toy_graph, "b") == (("d", W_BD, 2), ("c", W_BC, 1))
 
 
 def test_neighbors_tie_breaks_lexicographically():
     # two targets with identical counts and frequencies tie on weight
     train = [make_annotated("i1", {"x"}, {"n2", "n1"})]
     g = build_graph(train)
-    assert [t for t, _, _ in g.neighbors("x")] == ["n1", "n2"]
+    assert [t for t, _, _ in ranked_row(g, "x")] == ["n1", "n2"]
 
 
 def test_neighbors_of_sink_and_unknown(toy_graph):
-    assert toy_graph.neighbors("c") == ()
-    assert toy_graph.neighbors("missing") == ()
+    assert ranked_row(toy_graph, "c") == ()
+    assert ranked_row(toy_graph, "missing") == ()
 
 
 def test_empty_graph():
     g = build_graph([])
     assert g.m == 0
     assert g.edge_count == 0
-    assert g.neighbors("anything") == ()
+    assert ranked_row(g, "anything") == ()
 
 
 def test_analysis_only_entities_counted_in_m():
@@ -139,7 +140,7 @@ def test_fuzz_against_naive_oracle():
                 ((t, w, raw[(s, t)]) for (s, t), w in weights.items() if s == src),
                 key=lambda row: (-row[1], row[0]),
             )
-            assert list(g.neighbors(src)) == expected_rows, f"trial {trial} source {src}"
+            assert list(ranked_row(g, src)) == expected_rows, f"trial {trial} source {src}"
 
 
 def test_save_load_round_trip(tmp_path, toy_graph):
@@ -149,7 +150,7 @@ def test_save_load_round_trip(tmp_path, toy_graph):
     assert loaded.nodes == toy_graph.nodes
     assert loaded.raw_counts == toy_graph.raw_counts
     assert loaded.analysis_freq == toy_graph.analysis_freq
-    assert all(loaded.neighbors(n) == toy_graph.neighbors(n) for n in toy_graph.nodes)
+    assert all(ranked_row(loaded, n) == ranked_row(toy_graph, n) for n in toy_graph.nodes)
     # a second save is byte-identical
     second = tmp_path / "g2.kg"
     save_graph(loaded, str(second))
@@ -175,13 +176,13 @@ def test_save_load_round_trip_fuzz(tmp_path):
         assert loaded.raw_counts == g.raw_counts
         assert loaded.analysis_freq == g.analysis_freq
         for node in (*g.nodes, "未知"):
-            assert loaded.neighbors(node) == g.neighbors(node), f"trial {trial}: {node}"
+            assert ranked_row(loaded, node) == ranked_row(g, node), f"trial {trial}: {node}"
         # every row holds exactly its source's edges
-        rows = {(s, t): c for s in loaded.nodes for t, _, c in loaded.neighbors(s)}
+        rows = {(s, t): c for s in loaded.nodes for t, _, c in ranked_row(loaded, s)}
         assert rows == g.raw_counts, f"trial {trial}"
         if trial == 25:
             assert g.nodes[0] == first and g.nodes[-1] == last
-            assert loaded.neighbors(first) == () and loaded.neighbors(last)
+            assert ranked_row(loaded, first) == () and ranked_row(loaded, last)
         for _ in range(3):
             members = rng.sample(g.nodes, min(len(g.nodes), rng.randint(1, 3)))
             query = SeedQuery(frozenset(members) | {"未知"})
@@ -323,7 +324,7 @@ def test_save_graph_writes_v1_bytes(tmp_path, toy_train):
         save_graph(g, str(path))
         assert path.read_bytes() == v1_graph_bytes(train), f"trial {trial}"
         question_side = {e for ann in train for e in ann.qo_entities}
-        question_sinks += any(not g.neighbors(n) for n in question_side)
+        question_sinks += any(not ranked_row(g, n) for n in question_side)
         analysis_only += any(n not in question_side for n in g.nodes)
     assert question_sinks >= 5 and analysis_only >= 5
     # the empty graph writes no node lines: header and trailer only
@@ -607,23 +608,29 @@ def test_load_accepts_leading_zeros(tmp_path, toy_graph):
     loaded = load_graph(_write_with_checksum(tmp_path / "zeros.kg", lines))
     assert loaded.raw_counts == toy_graph.raw_counts
     assert loaded.analysis_freq == toy_graph.analysis_freq
-    assert all(loaded.neighbors(n) == toy_graph.neighbors(n) for n in toy_graph.nodes)
+    assert all(ranked_row(loaded, n) == ranked_row(toy_graph, n) for n in toy_graph.nodes)
 
 
 @pytest.mark.concurrency
 def test_neighbors_concurrent_first_use_is_race_free(tmp_path):
-    # eight threads rank the same cold sources at once, switching as often
-    # as the interpreter allows; every read, including the repeated ones
-    # that may find another thread's cache entry, must see the
-    # single-thread rows
+    # eight threads use the same cold sources at once, switching as often
+    # as the interpreter allows: four read their ranked rows, and four mine
+    # each one's whole ranking as a one-member query.  Every result,
+    # including the repeated ones that may find another thread's cache
+    # entry, must equal the single-thread one
     rng = random.Random(99)
     vocab = [f"e{i:03d}" for i in range(120)]
     path = tmp_path / "g.kg"
     save_graph(build_graph(random_annotated(rng, 300, vocab)), str(path))
     reference = load_graph(str(path))
-    sources = [node for node in reference.nodes if reference.neighbors(node)]
-    expected = [reference.neighbors(node) for node in sources for _ in range(3)]
+    sources = [node for node in reference.nodes if ranked_row(reference, node)]
     assert len(sources) >= 100
+
+    def mine(graph, node):
+        return mine_seeds(graph, SeedQuery(frozenset({node})), k=len(vocab))
+
+    uses = (ranked_row, mine)
+    expected = [[use(reference, node) for node in sources for _ in range(3)] for use in uses]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -632,18 +639,19 @@ def test_neighbors_concurrent_first_use_is_race_free(tmp_path):
             barrier = threading.Barrier(8, timeout=30)
             results: list[list | None] = [None] * 8
 
-            def rank(slot: int) -> None:
+            def use_all(slot: int) -> None:
                 barrier.wait()
-                results[slot] = [cold.neighbors(node) for node in sources for _ in range(3)]
+                use = uses[slot % 2]
+                results[slot] = [use(cold, node) for node in sources for _ in range(3)]
 
-            threads = [threading.Thread(target=rank, args=(slot,)) for slot in range(8)]
+            threads = [threading.Thread(target=use_all, args=(slot,)) for slot in range(8)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
-            assert all(got == expected for got in results)
-            assert [cold.neighbors(node) for node in sources for _ in range(3)] == expected
+            assert all(got == expected[slot % 2] for slot, got in enumerate(results))
+            assert [ranked_row(cold, node) for node in sources for _ in range(3)] == expected[0]
     finally:
         sys.setswitchinterval(interval)
 

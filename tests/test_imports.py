@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import seedqa
-from seedqa.entities import annotate_dataset, load_lexicon
+from seedqa.entities import annotate_stream, load_lexicon
 from seedqa.graph import build_graph, save_graph
 from seedqa.prompts import PromptSpec
 
@@ -41,9 +41,8 @@ OPENSSL = {"hashlib", "_hashlib"}
 PUBLIC_NAMES = {
     "ChatClient", "ClientConfig", "CompletionRequest", "CompletionResponse", "request_digest",
     "Dataset", "DatasetFormatError", "Instance", "load_dataset", "qo_text", "split_sample",
-    "AnnotatedInstance", "Lexicon", "LlmExtractor", "annotate_dataset",
-    "extract_entities_lexicon", "load_annotated", "load_lexicon", "normalize_entity",
-    "save_annotated",
+    "AnnotatedInstance", "Lexicon", "LlmExtractor", "annotate_stream",
+    "extract_entities_lexicon", "load_lexicon", "normalize_entity", "save_annotated",
     "EvalRecord", "EvalReport", "build_report", "extract_answer", "rouge_l", "run_eval",
     "seed_quality",
     "KnowledgeGraph", "build_graph", "load_graph", "save_graph",
@@ -96,7 +95,7 @@ def replay_inputs(tmp_path):
     write_dataset(test, test_path)
     lexicon_path = write_lexicon(tmp_path / "lexicon.txt")
     extractor = load_lexicon(lexicon_path)
-    graph = build_graph(annotate_dataset(train, extractor))
+    graph = build_graph(annotate_stream(train, extractor))
     graph_path = tmp_path / "graph.kg"
     save_graph(graph, str(graph_path))
     requests = {}

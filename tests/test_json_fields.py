@@ -19,7 +19,7 @@ from conftest import (
 )
 from seedqa.client import _DiskCache, _parse_completion_body, _ReplayBackend
 from seedqa.corpus import DatasetFormatError, json_field, load_dataset, read_jsonl
-from seedqa.entities import load_annotated, load_extraction_exemplars
+from seedqa.entities import load_extraction_exemplars, read_annotated
 from seedqa.evaluation import EvalRecord, load_records, record_to_dict
 from seedqa.prompts import PromptTemplate, default_template, load_exemplars
 from seedqa.seeds import load_seed_records
@@ -88,7 +88,8 @@ LINE_KINDS = {
     "dataset": (_DATASET, _DATASET_PATHS, _read_lines(load_dataset),
                 _hand_lines(hand_parse_record)),
     "annotated": (_DATASET | {"qo_entities": ["高血压"], "r_entities": ["脑出血"]},
-                  (*_DATASET_PATHS, "qo_entities", "r_entities"), load_annotated,
+                  (*_DATASET_PATHS, "qo_entities", "r_entities"),
+                  _read_lines(lambda path: read_annotated((path,), set())),
                   _hand_lines(hand_parse_annotated)),
     "exemplars": ({"question": "问", "options": {"A": "x", "B": "y"}, "answer": "B",
                    "analysis": "解", "seeds": ["p", "q"]},

@@ -25,6 +25,7 @@ from conftest import (
     naive_graph_stats,
     oracle_seed_ranking,
     random_annotated,
+    ranked_row,
     row_weights,
     sorted_pool_mine_seeds,
 )
@@ -37,8 +38,8 @@ def seeds_of(graph, *members, k=10):
 def test_rank_of_present_edges(toy_graph):
     # a's list is [c, d]; b's list is [d, c]; a one-member query scores
     # each candidate by its rank alone
-    assert [t for t, _, _ in toy_graph.neighbors("a")] == ["c", "d"]
-    assert [t for t, _, _ in toy_graph.neighbors("b")] == ["d", "c"]
+    assert [t for t, _, _ in ranked_row(toy_graph, "a")] == ["c", "d"]
+    assert [t for t, _, _ in ranked_row(toy_graph, "b")] == ["d", "c"]
     assert seeds_of(toy_graph, "a") == (("c", 1), ("d", 2))
     assert seeds_of(toy_graph, "b") == (("d", 1), ("c", 2))
 
@@ -54,7 +55,7 @@ def test_rank_of_absent_edge_penalty(toy_graph):
         make_annotated("i1", {"u"}, {"p", "q", "r"}),
         make_annotated("i2", {"v"}, {"s"}),
     ])
-    assert [t for t, _, _ in g.neighbors("u")] == ["p", "q", "r"]
+    assert [t for t, _, _ in ranked_row(g, "u")] == ["p", "q", "r"]
     # s and r tie at 5; s carries more incoming weight (u splits its row
     # three ways), so it comes first
     assert seeds_of(g, "u", "v") == (("p", 3), ("q", 4), ("s", 5), ("r", 5))
@@ -92,8 +93,8 @@ def test_mine_seeds_tie_breaks_by_incoming_weight():
         make_annotated("i9", {"w4"}, set()),
     ]
     g = build_graph(train)
-    assert [t for t, _, _ in g.neighbors("u")] == ["p", "q"]
-    assert [t for t, _, _ in g.neighbors("v")] == ["q", "p"]
+    assert [t for t, _, _ in ranked_row(g, "u")] == ["p", "q"]
+    assert [t for t, _, _ in ranked_row(g, "v")] == ["q", "p"]
     result = mine_seeds(g, SeedQuery(frozenset({"u", "v"})), k=10)
     assert result.scores == (3, 3)
     w = row_weights(g)
@@ -112,15 +113,12 @@ class _FixedLists:
         self.m = len(self.nodes)
         self._index = {node: i for i, node in enumerate(self.nodes)}
 
-    def neighbors(self, entity):
-        return tuple((t, w, 1) for t, w in self.lists.get(entity, ()))
-
     def _rank(self, i):
-        row = self.neighbors(self.nodes[i])
-        return {self._index[t]: rank for rank, (t, _, _) in enumerate(row, 1)}
+        row = self.lists.get(self.nodes[i], ())
+        return {self._index[t]: rank for rank, (t, _) in enumerate(row, 1)}
 
     def _weights(self, i, targets):
-        row = {self._index[t]: w for t, w, _ in self.neighbors(self.nodes[i])}
+        row = {self._index[t]: w for t, w in self.lists.get(self.nodes[i], ())}
         return {t: row[t] for t in targets if t in row}
 
 
@@ -335,7 +333,7 @@ def test_mine_seeds_matches_sorted_pool_miner_on_zipf_graph():
     ]
     g = build_graph(train)
     assert g.edge_count > 2500
-    sinks = [n for n in g.nodes if not g.neighbors(n)]
+    sinks = [n for n in g.nodes if not ranked_row(g, n)]
     assert sinks
     weights = naive_graph_stats(train)[3]
     for trial in range(60):
@@ -347,7 +345,7 @@ def test_mine_seeds_matches_sorted_pool_miner_on_zipf_graph():
         q = SeedQuery(frozenset(query))
         for k in (0, 1, 10, 50):
             got = list(mine_seeds(g, q, k).seeds)
-            assert got == sorted_pool_mine_seeds(g, weights, q, k), (trial, sorted(query), k)
+            assert got == sorted_pool_mine_seeds(weights, q, k), (trial, sorted(query), k)
 
 
 def test_mine_seeds_matches_sorted_pool_miner_fuzz(tmp_path):
@@ -370,9 +368,9 @@ def test_mine_seeds_matches_sorted_pool_miner_fuzz(tmp_path):
         idf = [math.log10(m / (1 + freq.get(node, 0))) for node in g.nodes]
         seen["zero idf"] += 0.0 in idf
         seen["negative idf"] += min(idf) < 0
-        row_values = [[w for t, w, _ in g.neighbors(node)] for node in g.nodes]
+        row_values = [[w for t, w, _ in ranked_row(g, node)] for node in g.nodes]
         seen["equal weights"] += any(len(set(row)) < len(row) for row in row_values)
-        sinks = [node for node in g.nodes if not g.neighbors(node)]
+        sinks = [node for node in g.nodes if not ranked_row(g, node)]
         for _ in range(4):
             query = set(rng.sample(g.nodes, rng.randint(1, min(5, g.m))))
             if rng.random() < 0.3:
@@ -380,10 +378,10 @@ def test_mine_seeds_matches_sorted_pool_miner_fuzz(tmp_path):
             if sinks and rng.random() < 0.3:
                 query.add(rng.choice(sinks))
             q = SeedQuery(frozenset(query))
-            pool = len(sorted_pool_mine_seeds(g, weights, q, g.m))
+            pool = len(sorted_pool_mine_seeds(weights, q, g.m))
             for k in (0, 1, 3, pool, pool + 5):
                 got = mine_seeds(g, q, k)
-                expected = sorted_pool_mine_seeds(g, weights, q, k)
+                expected = sorted_pool_mine_seeds(weights, q, k)
                 assert list(got.seeds) == expected, (trial, sorted(query), k)
                 seen["k beyond pool"] += k > pool > 0
     assert min(seen.values()) >= 5, seen
