@@ -9,8 +9,13 @@ codes are 0 (success), 1 (fatal configuration or I/O problem), and 2
 two places: ``cmd_annotate``, when an extraction call gave up on its
 transport, and ``cmd_run``, after too many consecutive transport failures.
 
-The entity, graph and seed modules are imported inside the subcommands
-that use them, so a ``standard_qa`` or ``cot`` run never loads them.
+At module level only the client and corpus modules are imported, which
+building the parser and dispatching need.  Every other module is imported
+inside the subcommands that use it: the evaluation and prompt modules (and
+the tokenizer they load) by ``run`` and ``report``, and the entity, graph
+and seed modules by annotate, build-graph, mine-seeds and ``icp`` runs.  So
+the three commands that prepare the seeds never load the evaluation stack,
+and a ``standard_qa`` or ``cot`` run never loads the graph stack.
 """
 
 from __future__ import annotations
@@ -25,26 +30,9 @@ from typing import Any, Sequence
 
 from . import __version__
 from .client import BACKENDS, ChatClient, ClientConfig, TransportError
-from .corpus import DEFAULT_K, data_path, load_dataset, lone_surrogate, split_sample, write_whole
-from .evaluation import (
-    ApiExhaustionError,
-    build_report,
-    check_run_inputs,
-    load_records,
-    run_eval,
-    save_records,
-    save_report,
-)
-from .prompts import (
-    DEFAULT_CONTEXT_TOKENS,
-    DEFAULT_RESERVED_RESPONSE_TOKENS,
-    MODES,
-    SHOTS,
-    PromptSpec,
-    default_exemplars,
-    default_template,
-    load_exemplars,
-    load_template,
+from .corpus import (
+    DEFAULT_CONTEXT_TOKENS, DEFAULT_K, DEFAULT_RESERVED_RESPONSE_TOKENS, MODES, SHOTS, data_path,
+    load_dataset, lone_surrogate, split_sample, write_whole,
 )
 
 log = logging.getLogger(__name__)
@@ -216,6 +204,13 @@ def cmd_mine_seeds(opts: dict[str, Any]) -> int:
 
 
 def cmd_run(opts: dict[str, Any]) -> int:
+    from .evaluation import (
+        ApiExhaustionError, check_run_inputs, run_eval, save_records, save_report,
+    )
+    from .prompts import (
+        PromptSpec, default_exemplars, default_template, load_exemplars, load_template,
+    )
+
     out_dir = _need(opts, "out_dir")
     # config.json is UTF-8: an option that holds bytes UTF-8 cannot encode,
     # such as a path argument that is not UTF-8, fails before any file is read
@@ -254,8 +249,9 @@ def cmd_run(opts: dict[str, Any]) -> int:
         template=template,
     )
 
+    # like --graph, the sidecar is read only by the mode that uses it
     precomputed = None
-    if opts["seeds"]:
+    if mode == "icp" and opts["seeds"]:
         from .seeds import load_seed_records
 
         precomputed = {i: rec.result for i, rec in load_seed_records(opts["seeds"]).items()}
@@ -296,6 +292,8 @@ def cmd_run(opts: dict[str, Any]) -> int:
 
 
 def cmd_report(opts: dict[str, Any]) -> int:
+    from .evaluation import build_report, load_records, save_report
+
     records = load_records(_need(opts, "records"))
     report = build_report(records, opts["group_by"])
     out_path = _need(opts, "out")

@@ -21,8 +21,14 @@ if TYPE_CHECKING:
 
 OPTION_LABELS = ("A", "B", "C", "D", "E")
 
-# knowledge seeds mined per question; defined here, where the CLI, the
-# evaluation loop and the miner can all read it without loading the miner
+# the option values the CLI's parser offers and defaults to, defined here so
+# that building it loads neither the prompt nor the seed module: the prompt
+# modes and shot settings, the context split, and the knowledge seeds mined
+# per question, which the evaluation loop and the miner also read
+MODES = ("standard_qa", "cot", "icp")
+SHOTS = ("zero", "few")
+DEFAULT_CONTEXT_TOKENS = 4097
+DEFAULT_RESERVED_RESPONSE_TOKENS = 256
 DEFAULT_K = 10
 
 

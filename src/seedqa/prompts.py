@@ -16,16 +16,10 @@ from string import Formatter
 from typing import Sequence
 
 from .corpus import (
-    OPTION_LABELS, DatasetFormatError, data_path, json_field, lone_surrogate, options_object,
-    read_jsonl,
+    DEFAULT_CONTEXT_TOKENS, DEFAULT_RESERVED_RESPONSE_TOKENS, MODES, OPTION_LABELS, SHOTS,
+    DatasetFormatError, data_path, json_field, lone_surrogate, options_object, read_jsonl,
 )
 from .textseg import estimate_tokens, finish_estimate, fold_estimate
-
-MODES = ("standard_qa", "cot", "icp")
-SHOTS = ("zero", "few")
-
-DEFAULT_CONTEXT_TOKENS = 4097
-DEFAULT_RESERVED_RESPONSE_TOKENS = 256
 
 _TEMPLATE_VERSION = 1
 

@@ -759,9 +759,12 @@ def _input_case(kind, corpus):
         return records, "qo_entities", ["build-graph", "--annotated", "BAD",
                                          "--out", str(d / "g.kg")]
     if kind == "seeds":
+        # only an icp run reads the sidecar
         records = [{"id": r["id"], "query": [], "seeds": [], "scores": [], "k": 10}
                    for r in test_records]
-        return records, "scores", [*run, "--seeds", "BAD"]
+        _, graph_path = pipeline_to_graph(corpus)
+        return records, "scores", [*run, "--mode", "icp", "--graph", graph_path,
+                                   "--lexicon", corpus["lexicon"], "--seeds", "BAD"]
     if kind == "records":
         records = [
             record_to_dict(EvalRecord(r["id"], "cot", "zero", "d", "答案是A", "A", "A", True))

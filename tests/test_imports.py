@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import seedqa
+from seedqa.corpus import load_dataset
 from seedqa.entities import annotate_stream, load_lexicon
 from seedqa.graph import build_graph, save_graph
 from seedqa.prompts import PromptSpec
@@ -31,6 +32,9 @@ from conftest import (
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 GRAPH_STACK = {"seedqa.entities", "seedqa.graph", "seedqa.seeds"}
+
+# what scores answers and composes prompts; only run and report load it
+EVALUATION_STACK = {"seedqa.evaluation", "seedqa.prompts", "seedqa.textseg"}
 
 # hashlib loads OpenSSL's libcrypto through _hashlib; only the graph's
 # checksum uses it
@@ -119,6 +123,23 @@ def test_import_seedqa_loads_no_submodule():
     assert probe()["package"] == []
 
 
+def test_seed_preparing_commands_never_load_the_evaluation_stack(replay_inputs):
+    d = replay_inputs["dir"]
+    ann, graph, sidecar = (str(d / name) for name in ("te.ann.jsonl", "te.kg", "te.seeds.jsonl"))
+    commands = (
+        ["annotate", "--dataset", replay_inputs["test"], "--lexicon", replay_inputs["lexicon"],
+         "--out", ann],
+        ["build-graph", "--annotated", ann, "--out", graph],
+        ["mine-seeds", "--annotated", ann, "--graph", graph, "--out", sidecar],
+    )
+    for argv in commands:
+        steps = probe(argv)
+        assert not EVALUATION_STACK & set(steps["cli"])
+        assert steps["code"] == 0, argv[0]
+        assert not EVALUATION_STACK & set(steps["main"]), argv[0]
+    assert len(Path(sidecar).read_text(encoding="utf-8").splitlines()) == 3
+
+
 def test_cli_import_leaves_unused_standard_modules_unloaded():
     # ``-S`` skips site, whose .pth files may import these first; data_path
     # and split_sample import theirs when called, and the pool and HTTP
@@ -197,6 +218,32 @@ def test_standard_qa_run_never_loads_the_graph_stack(replay_inputs):
     assert len(records.read_text(encoding="utf-8").splitlines()) == 3
 
 
+def test_cot_run_neither_reads_nor_checks_a_seeds_sidecar(replay_inputs):
+    # a sidecar that only icp reads, as a shared --config may give: a missing
+    # file, and one mined with another k, leave the run as it is without one
+    d = replay_inputs["dir"]
+    test = load_dataset(replay_inputs["test"])
+    requests = pipeline_requests(test, PromptSpec("cot", "zero"), "gpt-3.5-turbo-0613")
+    fixture = write_replay_fixture(d / "cot_fixture.jsonl", requests,
+                                   dict.fromkeys(requests, "头痛，故答案是A"))
+    sidecar = d / "k10.seeds.jsonl"
+    sidecar.write_text("".join(
+        json.dumps({"id": inst.id, "query": [], "seeds": [], "scores": [], "k": 10}) + "\n"
+        for inst in test), encoding="utf-8")
+    records = {}
+    for name, extra in (("plain", ()), ("missing", ("--seeds", str(d / "missing.jsonl"))),
+                        ("other_k", ("--seeds", str(sidecar), "--k", "3"))):
+        argv = ["run", "--dataset", replay_inputs["test"], "--mode", "cot", "--backend",
+                "replay", "--fixture", fixture, "--out-dir", str(d / name), *extra]
+        steps = probe(argv)
+        assert steps["code"] == 0, name
+        assert not (GRAPH_STACK | OPENSSL) & set(steps["main"]), name
+        records[name] = (d / name / "records.jsonl").read_bytes()
+    assert records["missing"] == records["other_k"] == records["plain"]
+    assert [json.loads(line)["extracted_answer"] for line in records["plain"].splitlines()] \
+        == ["A"] * 3
+
+
 def test_icp_run_loads_the_graph_stack(replay_inputs):
     steps = probe(run_argv(replay_inputs, "icp"))
     assert steps["code"] == 0
@@ -260,11 +307,20 @@ def test_public_api_is_whole():
 
 
 def test_default_k_is_defined_once():
-    from seedqa import cli, corpus, evaluation, seeds
+    from seedqa import cli, corpus, evaluation, prompts, seeds
 
     run_eval_k = inspect.signature(evaluation.run_eval).parameters["k"].default
     assert seeds.DEFAULT_K is corpus.DEFAULT_K == 10
     assert cli._DEFAULTS["k"] == run_eval_k == corpus.DEFAULT_K
+    # so are the other values the parser offers, which corpus holds for it
+    # as it holds DEFAULT_K
+    for name in ("MODES", "SHOTS", "DEFAULT_CONTEXT_TOKENS", "DEFAULT_RESERVED_RESPONSE_TOKENS"):
+        assert getattr(prompts, name) is getattr(corpus, name), name
+    spec = prompts.PromptSpec(cli._DEFAULTS["mode"], cli._DEFAULTS["shots"])
+    assert (spec.mode, spec.shots) == (corpus.MODES[0], corpus.SHOTS[0])
+    assert (cli._DEFAULTS["context_tokens"], cli._DEFAULTS["reserved_tokens"]) \
+        == (spec.context_tokens, spec.reserved_tokens) \
+        == (corpus.DEFAULT_CONTEXT_TOKENS, corpus.DEFAULT_RESERVED_RESPONSE_TOKENS)
 
 
 def test_unknown_name_raises_attribute_error():
