@@ -305,7 +305,10 @@ def cmd_report(opts: dict[str, Any]) -> int:
 # --- parser ---------------------------------------------------------------
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="seedqa", description=__doc__)
+    parser = _Parser(prog="seedqa", description=(
+        "Mine knowledge seeds from an entity co-occurrence graph and evaluate multiple-choice "
+        "QA with them.  Flags win over a JSON --config file.  Exit codes: 0 success, "
+        "1 configuration or I/O error, 2 API retries exhausted."))
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -388,12 +391,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        level = logging.DEBUG if getattr(args, "verbose", 0) else logging.INFO
-        logging.basicConfig(
-            stream=sys.stderr,
-            level=level,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
+        logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s",
+                            level=logging.DEBUG if args.verbose else logging.INFO)
         # each option: the explicit flag, else the config file, else _DEFAULTS
         config = _load_config_file(args.config, parser, args)
         opts = {}

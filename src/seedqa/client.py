@@ -4,10 +4,9 @@
 live one itself, through its transport, with retries and backoff; the
 cached-live backend keeps each live reply on disk.  Every request is
 identified by the SHA-256 of its canonical JSON form, so the disk cache
-and replay fixtures key on content, not on call order.  The digest uses
-the interpreter's built-in SHA-256 where it is present, so a run without a
-graph never loads OpenSSL, which ``hashlib`` would.  Replay runs never
-open a network connection, which is what makes the evaluation pipeline
+and replay fixtures key on content, not on call order.  The digest is
+``corpus.sha256``, the graph checksum's hash too.  Replay runs never open
+a network connection, which is what makes the evaluation pipeline
 reproducible offline.  The client's errors are RuntimeErrors.
 """
 
@@ -22,17 +21,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
-from .corpus import json_field, lone_surrogate, read_jsonl, write_whole
-
-# the interpreter's own SHA-256: importing hashlib would load OpenSSL's
-# libcrypto, which a run without a graph needs for nothing else
-try:
-    from _sha2 import sha256  # Python 3.12 and later
-except ImportError:
-    try:
-        from _sha256 import sha256  # Python 3.10 and 3.11
-    except ImportError:  # a build without the built-in hashes, such as a FIPS build
-        from hashlib import sha256
+from .corpus import json_field, lone_surrogate, read_jsonl, sha256, write_whole
 
 log = logging.getLogger(__name__)
 

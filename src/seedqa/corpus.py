@@ -1,6 +1,6 @@
 """Multiple-choice QA datasets: loading, validation, splitting, writing an
-output file whole, and mapping a function over instances in input order on
-a thread pool."""
+output file whole, the one SHA-256, and mapping a function over instances
+in input order on a thread pool."""
 
 from __future__ import annotations
 
@@ -167,6 +167,16 @@ def json_field(rec: dict, key: str, kind: str, *default):
             map(type, value.values() if type(value) is dict else value)) - {item}:
         raise ValueError(f"{key!r} must be {kind}, got {value!r}")
     return value
+
+
+# the one SHA-256, of requests and graphs; hashlib would load OpenSSL's libcrypto
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # a build without the built-in hashes, such as a FIPS build
+        from hashlib import sha256
 
 
 def write_whole(path: str, chunks: Iterable[str], mode: int = 0o666) -> None:

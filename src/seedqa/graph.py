@@ -19,13 +19,13 @@ its target indices sorted by descending weight and then target index, is
 computed the first time the miner asks for it and cached as one dict
 from target index to 1-based rank, in rank order: the miner reads its
 head in order and looks up single ranks in it.  A run that touches a few
-hundred sources never ranks the rest.  ``build_graph``
-keeps only each instance's entities, as tuples that hold one string per
-distinct name, so it can read a stream of annotated records one at a
-time.  It counts each source's row of targets on its own, in index order,
-and frees each instance and each row once it is counted.  ``save_graph``
-formats the node table in one call and each source row in one more, and
-streams them to the file, hashing each as it is written.  Files store
+hundred sources never ranks the rest.  ``build_graph`` keeps only each
+instance's entities, as tuples that hold one string per distinct name, so
+it can read a stream of annotated records one at a time.  It counts each
+source's row of targets on its own, in index order, and frees each
+instance and each row once it is counted.  ``save_graph`` formats the node
+table in one call and each source row in one more, and streams them to the
+file, hashing each with ``corpus.sha256`` as it is written.  Files store
 counts only, in the order ``save_graph`` writes them: nodes by name, rows
 by index.  ``load_graph`` reads the file once, as bytes, hashes its body
 in place and decodes only the node lines and the row table; it rewrites
@@ -39,7 +39,6 @@ by line, to name the first defect in file order.
 from __future__ import annotations
 
 import codecs
-import hashlib
 import json
 import math
 from array import array
@@ -49,7 +48,7 @@ from itertools import islice, repeat
 from operator import add, lt, mul, sub, truediv
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import lone_surrogate, write_whole
+from .corpus import lone_surrogate, sha256, write_whole
 from .entities import AnnotatedInstance, all_canonical, normalize_entity
 
 _MAGIC = "seedqa-graph"
@@ -113,7 +112,7 @@ class KnowledgeGraph:
 
     @property
     def raw_counts(self) -> dict[tuple[str, str], int]:
-        """Raw count of every edge, keyed by (source, target)."""
+        """Raw count of every edge, keyed by (source, target), built anew per read: read it once."""
         nodes = self.nodes
         return {
             (nodes[s], nodes[t]): count
@@ -238,7 +237,7 @@ def save_graph(graph: KnowledgeGraph, path: str) -> None:
                       for ent in sorted(graph.analysis_freq))
 
     def hashed(chunks: Iterator[str]) -> Iterator[str]:
-        digest = hashlib.sha256()
+        digest = sha256()
         for chunk in chunks:
             digest.update(chunk.encode("utf-8"))
             yield chunk
@@ -294,7 +293,7 @@ def load_graph(path: str) -> KnowledgeGraph:
     except (ValueError, TypeError, KeyError, RecursionError) as exc:
         raise GraphFormatError(f"{path}: missing or malformed checksum trailer") from exc
     with memoryview(data) as view:
-        actual = hashlib.sha256(view[: cut + 1]).hexdigest()
+        actual = sha256(view[: cut + 1]).hexdigest()
     if actual != expected:
         raise GraphFormatError(f"{path}: checksum mismatch (file corrupt or truncated)")
     head = data.index(b"\n")

@@ -434,6 +434,16 @@ def test_max_in_flight_flag_is_gone(command, capsys):
     assert "--workers" in help_text and "--max-in-flight" not in help_text
 
 
+def test_help_is_for_users_not_about_the_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    for command in ("annotate", "build-graph", "mine-seeds", "run", "report"):
+        assert command in help_text
+    assert "cmd_" not in help_text
+
+
 def test_config_file_string_for_repeatable_option_is_one_item(corpus, tmp_path):
     ann_path, graph_path = pipeline_to_graph(corpus)
     conf = tmp_path / "graph_conf.json"

@@ -36,8 +36,8 @@ GRAPH_STACK = {"seedqa.entities", "seedqa.graph", "seedqa.seeds"}
 # what scores answers and composes prompts; only run and report load it
 EVALUATION_STACK = {"seedqa.evaluation", "seedqa.prompts", "seedqa.textseg"}
 
-# hashlib loads OpenSSL's libcrypto through _hashlib; only the graph's
-# checksum uses it
+# hashlib loads OpenSSL's libcrypto through _hashlib; no command loads it,
+# as every digest takes the interpreter's built-in SHA-256
 OPENSSL = {"hashlib", "_hashlib"}
 
 # every public name the package exports, and its modules, which stay
@@ -59,9 +59,12 @@ MODULES = {"client", "corpus", "entities", "evaluation", "graph", "prompts", "se
            "textseg"}
 
 # prints the seedqa modules, and hashlib and _hashlib, loaded after each
-# step as one JSON object
+# step as one JSON object; with a second argument "fallback" the
+# interpreter's built-in SHA-256 modules are blocked first
 PROBE = """
 import json, sys
+if sys.argv[2:] == ["fallback"]:
+    sys.modules["_sha2"] = sys.modules["_sha256"] = None
 
 def loaded():
     return sorted(m for m in sys.modules
@@ -85,9 +88,9 @@ def run_python(script: str, *args: str, options: tuple[str, ...] = ()) -> str:
     return proc.stdout
 
 
-def probe(argv=None) -> dict:
+def probe(argv=None, fallback: bool = False) -> dict:
     args = () if argv is None else (json.dumps(argv),)
-    return json.loads(run_python(PROBE, *args))
+    return json.loads(run_python(PROBE, *args, *("fallback",) * fallback))
 
 
 @pytest.fixture()
@@ -134,9 +137,9 @@ def test_seed_preparing_commands_never_load_the_evaluation_stack(replay_inputs):
     )
     for argv in commands:
         steps = probe(argv)
-        assert not EVALUATION_STACK & set(steps["cli"])
+        assert not (EVALUATION_STACK | OPENSSL) & set(steps["cli"])
         assert steps["code"] == 0, argv[0]
-        assert not EVALUATION_STACK & set(steps["main"]), argv[0]
+        assert not (EVALUATION_STACK | OPENSSL) & set(steps["main"]), argv[0]
     assert len(Path(sidecar).read_text(encoding="utf-8").splitlines()) == 3
 
 
@@ -181,6 +184,34 @@ def test_request_digest_falls_back_to_hashlib():
     module, hashlib_loaded, digest = json.loads(run_python(DIGEST_PROBE, "fallback"))
     assert hashlib_loaded and module != "_sha2" and module != "_sha256"
     assert digest == HELLO_DIGEST
+
+
+def test_graph_checksum_falls_back_to_hashlib(replay_inputs):
+    # as on a build without the built-in hashes, such as a FIPS build: the
+    # seed-preparing commands and an icp run from a sidecar write the same
+    # bytes, and only the blocked run loads hashlib
+    d = replay_inputs["dir"]
+    written = {}
+    for fallback in (False, True):
+        out = d / ("fallback" if fallback else "built_in")
+        ann, graph, sidecar = (str(out / name) for name in ("te.ann.jsonl", "te.kg", "te.seeds"))
+        commands = (
+            ["annotate", "--dataset", replay_inputs["test"], "--lexicon",
+             replay_inputs["lexicon"], "--out", ann],
+            ["build-graph", "--annotated", ann, "--out", graph],
+            # mined on the fixture's graph, so the icp run's prompts are the fixture's
+            ["mine-seeds", "--annotated", ann, "--graph", replay_inputs["graph"],
+             "--out", sidecar],
+            [*run_argv(replay_inputs, "icp")[:-1], str(out / "icp"), "--seeds", sidecar],
+        )
+        out.mkdir()
+        for argv in commands:
+            steps = probe(argv, fallback)
+            assert steps["code"] == 0, (argv[0], fallback)
+            assert ("hashlib" in steps["main"]) == fallback, (argv[0], fallback)
+        written[fallback] = [Path(path).read_bytes()
+                             for path in (graph, sidecar, out / "icp" / "records.jsonl")]
+    assert written[True] == written[False]
 
 
 def _dataclasses():
@@ -247,8 +278,9 @@ def test_cot_run_neither_reads_nor_checks_a_seeds_sidecar(replay_inputs):
 def test_icp_run_loads_the_graph_stack(replay_inputs):
     steps = probe(run_argv(replay_inputs, "icp"))
     assert steps["code"] == 0
-    # the graph's checksum is still taken with hashlib
-    assert GRAPH_STACK | {"hashlib"} <= set(steps["main"])
+    assert GRAPH_STACK <= set(steps["main"])
+    # the graph's checksum takes the built-in SHA-256, as request digests do
+    assert not OPENSSL & set(steps["main"])
     records = (replay_inputs["dir"] / "icp" / "records.jsonl").read_text(encoding="utf-8")
     assert all(json.loads(line)["seed_count"] is not None for line in records.splitlines())
 
