@@ -80,6 +80,10 @@ def _finite_float(text: str) -> float:
     return value
 
 
+# json.loads with these hooks would build a decoder per line
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant, parse_float=_finite_float)
+
+
 # a JSON string; scanned from the start of valid JSON, every match is one,
 # and none spans a line, since a string cannot hold a raw line feed
 _JSON_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
@@ -114,11 +118,16 @@ def json_object_line(parse: Callable[[dict], T]) -> Callable[[str], T]:
     included, a number too large for a float (``1e400``, which ``float``
     reads as infinity), a string that holds an unpaired surrogate
     (``lone_surrogate``), and a non-object line raise ValueError, so they
-    are errors at ``path:line`` too."""
+    are errors at ``path:line`` too.  Lines are read by one shared decoder,
+    and a line that starts with U+FEFF is refused as ``json.loads`` refuses
+    it."""
 
     def parse_line(line: str) -> T:
         try:
-            rec = json.loads(line, parse_constant=_refuse_constant, parse_float=_finite_float)
+            if line.startswith("\ufeff"):
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                                           line, 0)
+            rec = _DECODER.decode(line)
         except (RecursionError, ValueError) as exc:
             raise ValueError(f"invalid JSON ({exc})") from exc
         if not isinstance(rec, dict):

@@ -18,8 +18,10 @@ order, so index order breaks weight ties by name.  A source's ranking,
 its target indices sorted by descending weight and then target index, is
 computed the first time the miner asks for it and cached as one dict
 from target index to 1-based rank, in rank order: the miner reads its
-head in order and looks up single ranks in it.  A run that touches a few
-hundred sources never ranks the rest.  ``build_graph`` keeps only each
+head in order and looks up single ranks in it.  Every cached ranking
+takes its targets and ranks from one tuple of the ints ``0..m``, so it
+holds no int objects of its own.  A run that touches a few hundred
+sources never ranks the rest.  ``build_graph`` keeps only each
 instance's entities, as tuples that hold one string per distinct name, so
 it can read a stream of annotated records one at a time.  It counts each
 source's row of targets on its own, in index order, and frees each
@@ -28,12 +30,13 @@ table in one call and each source row in one more, and streams them to the
 file, hashing each with ``corpus.sha256`` as it is written.  Files store
 counts only, in the order ``save_graph`` writes them: nodes by name, rows
 by index.  ``load_graph`` reads the file once, as bytes, hashes its body
-in place and decodes only the node lines and the row table; it rewrites
-line endings only in a file that holds a CR byte.  It parses the node
-table as one JSON array, checks that every node is canonical with one
-normalization pass over the table, and parses the row tables a chunk of
-whole rows at a time.  It reads only a part that fails a check again, line
-by line, to name the first defect in file order.
+in place and decodes only the node lines; it rewrites line endings only
+in a file that holds a CR byte.  It parses the node table as one JSON
+array, checks that every node is canonical with one normalization pass
+over the table, and parses the row tables from the bytes a chunk of whole
+rows at a time, into tables sized once from the header.  It reads only a
+part that fails a check again, line by line (a chunk of rows decoded
+first), to name the first defect in file order.
 """
 
 from __future__ import annotations
@@ -53,9 +56,10 @@ from .entities import AnnotatedInstance, all_canonical, normalize_entity
 
 _MAGIC = "seedqa-graph"
 _FORMAT_VERSION = 1
-# what is left of a well-formed row once its digits and signs are deleted
-_DROP_NUMBERS = str.maketrans("", "", "0123456789-")
-# row tables are parsed this many characters (whole rows) at a time
+# the bytes deleted from a well-formed row to leave only its tabs and line feed
+_NUMBER_BYTES = b"0123456789-"
+# row tables are parsed this many bytes (whole rows) at a time; a
+# well-formed table is ASCII, so that is as many characters
 _CHUNK_CHARS = 1 << 16
 # a file's UTF-8 is checked this many bytes at a time
 _UTF8_BLOCK = 1 << 16
@@ -75,7 +79,8 @@ class KnowledgeGraph:
     once, in ascending key order, as ``_edges``, with its raw count at the
     same position of ``_counts``, and keeps both tables as given.  The
     builder and the loader check the tables; the constructor trusts them.
-    Weights are computed per source, when it is first ranked.
+    Weights are computed per source, when it is first ranked; the
+    rankings take their targets and ranks from one tuple of the ints 0..m.
     """
 
     def __init__(
@@ -96,6 +101,9 @@ class KnowledgeGraph:
         # on first use; two threads may rank the same source at once, and
         # either equal dict may stay
         self._ranked: dict[int, dict[int, int]] = {}
+        # _index's values, then m, since a row can hold every node; built at
+        # the first ranking, so a graph that is only built and saved holds none
+        self._ints: tuple[int, ...] | None = None
 
     @property
     def m(self) -> int:
@@ -125,8 +133,12 @@ class KnowledgeGraph:
         for each source and cached."""
         ranks = self._ranked.get(i)
         if ranks is None:
+            ints = self._ints
+            if ints is None:
+                ints = self._ints = (*self._index.values(), self.m)
             lo, hi = self._row(i)
-            targets = list(map(sub, self._edges[lo:hi], repeat(i * self.m)))
+            targets = list(map(ints.__getitem__,
+                               map(sub, self._edges[lo:hi], repeat(i * self.m))))
             counts = self._counts[lo:hi]
             total = sum(counts)
             # (count / total) * idf[t], as in _weights
@@ -134,7 +146,7 @@ class KnowledgeGraph:
                                            map(self._idf.__getitem__, targets))))
             # stable, so equal weights keep the index order, which is name order
             targets.sort(key=weight.__getitem__, reverse=True)
-            ranks = self._ranked[i] = dict(zip(targets, range(1, len(targets) + 1)))
+            ranks = self._ranked[i] = dict(zip(targets, islice(ints, 1, None)))
         return ranks
 
     def _weights(self, i: int, targets: Iterable[int]) -> dict[int, float]:
@@ -265,10 +277,11 @@ def load_graph(path: str) -> KnowledgeGraph:
     mode reads them (CRLF and a lone CR end a line); a file with no CR byte
     is not copied to rewrite them.  Its UTF-8 is checked a block at a time
     and the body is hashed in place, so no decoded copy of the whole file is
-    held; only the node lines and the row table are decoded.  One reader
-    parses the row tables a chunk of whole rows at a time and reads only a
-    chunk that fails a check again, row by row.  Weights are derived from
-    the stored counts when a source is first read.
+    held; only the node lines are decoded.  One reader parses the row tables
+    from the bytes a chunk of whole rows at a time, into tables sized once
+    from the header, and decodes and reads only a chunk that fails a check
+    again, row by row.  Weights are derived from the stored counts when a
+    source is first read.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -327,18 +340,16 @@ def load_graph(path: str) -> KnowledgeGraph:
     for _ in range(n_nodes):
         start = data.index(b"\n", start) + 1
     with memoryview(data) as view:
-        node_lines = str(view[head + 1 : start], "utf-8")
-        table = str(view[start : cut + 1], "utf-8")
-    del data
-    nodes = _read_nodes(path, node_lines)
-    # the frequency rows are the last n_freqs lines of the table
-    split = len(table)
+        nodes = _read_nodes(path, str(view[head + 1 : start], "utf-8"))
+    # the frequency rows are the last n_freqs lines of the table, which
+    # starts after a line feed
+    split = cut + 1
     for _ in range(n_freqs):
-        split = table.rfind("\n", 0, split - 1) + 1
+        split = data.rfind(b"\n", start - 1, split - 1) + 1
     first_row = 2 + n_nodes
-    edges, counts = _read_rows(path, table, 0, split, first_row, "edge", n_nodes)
-    freq_nodes, freqs = _read_rows(path, table, split, len(table), first_row + n_edges,
-                                   "frequency", n_nodes)
+    edges, counts = _read_rows(path, data, start, split, first_row, "edge", n_nodes, n_edges)
+    freq_nodes, freqs = _read_rows(path, data, split, cut + 1, first_row + n_edges,
+                                   "frequency", n_nodes, n_freqs)
     analysis_freq = dict(zip(map(nodes.__getitem__, freq_nodes), freqs))
     return KnowledgeGraph(nodes, edges, counts, analysis_freq)
 
@@ -385,41 +396,47 @@ def _read_nodes(path: str, text: str) -> list[str]:
     return nodes
 
 
-def _read_rows(path: str, table: str, start: int, stop: int, first_line: int, kind: str,
-               n_nodes: int) -> tuple[array, array]:
-    """The ``kind`` rows ("edge" or "frequency") in ``table[start:stop]``,
-    the first on file line ``first_line``: each row's key (``src·m + tgt``,
-    or the node index), strictly ascending, and the counts in key order.
-    The first bad row raises GraphFormatError."""
+def _read_rows(path: str, data: bytes, start: int, stop: int, first_line: int, kind: str,
+               n_nodes: int, n_rows: int) -> tuple[array, array]:
+    """The ``n_rows`` ``kind`` rows ("edge" or "frequency") in the UTF-8
+    bytes ``data[start:stop]``, the first on file line ``first_line``: each
+    row's key (``src·m + tgt``, or the node index), strictly ascending, and
+    the counts in key order.  Both tables are allocated once, at
+    ``n_rows``, and filled a chunk of whole rows at a time.  The first bad
+    row raises GraphFormatError."""
     width = 3 if kind == "edge" else 2
-    keys, counts = array("q"), array("q")
-    pos = start
+    keys, counts = array("q", [0]) * n_rows, array("q", [0]) * n_rows
+    done, pos = 0, start
     while pos < stop:
-        end = stop if stop - pos <= _CHUNK_CHARS else table.index("\n", pos + _CHUNK_CHARS) + 1
-        reason = _read_chunk(table[pos:end], width, kind, n_nodes, keys, counts)
+        end = stop if stop - pos <= _CHUNK_CHARS else data.index(b"\n", pos + _CHUNK_CHARS) + 1
+        done, reason = _read_chunk(data[pos:end], width, kind, n_nodes, keys, counts, done)
         if reason is not None:
-            raise GraphFormatError(f"{path}:{first_line + len(keys)}: {reason}")
+            raise GraphFormatError(f"{path}:{first_line + done}: {reason}")
         pos = end
     return keys, counts
 
 
-def _read_chunk(chunk: str, width: int, kind: str, n_nodes: int,
-                keys: array, counts: array) -> str | None:
-    """Extend ``keys`` and ``counts`` by the key and count of each row in
-    ``chunk``; each key must be above the one before it.  The chunk is
-    parsed at once; only when it fails a check is it read row by row, up to
-    its first bad row, whose defect is returned."""
+def _read_chunk(chunk: bytes, width: int, kind: str, n_nodes: int,
+                keys: array, counts: array, done: int) -> tuple[int, str | None]:
+    """Write the key and count of each row in ``chunk``, whole rows of
+    UTF-8 bytes, into ``keys`` and ``counts`` from position ``done``; each
+    key must be above the one before it.  The bytes are parsed at once; only
+    when they fail a check are they decoded and read row by row, up to the
+    first bad row.  Returns the position after the rows written, and the
+    first bad row's defect or None."""
     reason = None
-    last = keys[-1] if keys else -1
+    last = keys[done - 1] if done else -1
     try:
         # each row must keep exactly its tabs, so a short row cannot hide
         # behind a long one
-        if chunk.translate(_DROP_NUMBERS) != ("\t" * (width - 1) + "\n") * chunk.count("\n"):
+        if (chunk.translate(None, _NUMBER_BYTES)
+                != (b"\t" * (width - 1) + b"\n") * chunk.count(b"\n")):
             raise ValueError
         # json also rejects fields such as 007
-        values = json.loads("[" + chunk[:-1].replace("\t", ",").replace("\n", ",") + "]")
+        values = json.loads(b"[" + chunk[:-1].replace(b"\t", b",").replace(b"\n", b",") + b"]")
         if width == 3:
             sources, targets, column = values[::3], values[1::3], values[2::3]
+            del values  # the slices hold every value read from here on
             if not (min(targets) >= 0 and max(targets) < n_nodes):
                 raise ValueError
             new = list(map(add, map(mul, sources, repeat(n_nodes)), targets))
@@ -434,7 +451,7 @@ def _read_chunk(chunk: str, width: int, kind: str, n_nodes: int,
             raise ValueError
     except ValueError:
         new, column = [], []
-        for row in chunk[:-1].split("\n"):
+        for row in chunk[:-1].decode("utf-8").split("\n"):
             try:
                 last, count = _row_values(row, width, kind, n_nodes, last)
             except ValueError as exc:
@@ -442,9 +459,9 @@ def _read_chunk(chunk: str, width: int, kind: str, n_nodes: int,
                 break
             new.append(last)
             column.append(count)
-    keys.fromlist(new)
-    counts.fromlist(column)
-    return reason
+    keys[done : done + len(new)] = array("q", new)
+    counts[done : done + len(new)] = array("q", column)
+    return done + len(new), reason
 
 
 def _int_past_limit(field: str) -> int:

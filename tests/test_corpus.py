@@ -12,10 +12,12 @@ from pathlib import Path
 
 import pytest
 
+import seedqa.corpus as corpus_module
 from seedqa.corpus import (
     Dataset,
     DatasetFormatError,
     Instance,
+    json_object_line,
     load_dataset,
     lone_surrogate,
     map_in_order,
@@ -29,7 +31,7 @@ from seedqa.evaluation import EvalRecord, build_report, save_records, save_repor
 from seedqa.graph import build_graph, save_graph
 from seedqa.seeds import SeedRecord, SeedResult, save_seed_records
 
-from conftest import random_annotated, synth_dataset, write_dataset
+from conftest import DEEP_JSON, random_annotated, synth_dataset, write_dataset
 
 VALID = {
     "id": "q1",
@@ -130,6 +132,52 @@ def test_jsonl_readers_refuse_a_number_too_large_for_a_float(tmp_path, number):
     # a large float that is finite still reads
     Path(dataset).write_text(text.replace(number, "1e300"), encoding="utf-8")
     assert len(load_dataset(dataset)) == 2
+
+
+def test_json_object_line_reads_each_line_as_json_loads_does():
+    # one shared decoder reads every line; each value and each reason is the
+    # one json.loads with the same hooks gives, a leading byte order mark
+    # included
+    def per_call(line: str):
+        try:
+            rec = json.loads(line, parse_constant=corpus_module._refuse_constant,
+                             parse_float=corpus_module._finite_float)
+        except (RecursionError, ValueError) as exc:
+            return f"invalid JSON ({exc})"
+        return rec if isinstance(rec, dict) else "record is not a JSON object"
+
+    def shared(line: str):
+        try:
+            return parse(line)
+        except ValueError as exc:
+            return str(exc)
+
+    parse = json_object_line(lambda rec: rec)
+    pieces = ['{"a": 1}', '{"a": [1.5, -2e3, true, null]}', '{"a": {"b": "\\u00e9"}}', "[1]",
+              '"x"', "7", '{"a": NaN}', "Infinity", '{"a": -1e400}', '{"a": 1e300}',
+              '{"a": ' + "9" * 5000 + "}", "\ufeff", "\ufeff ", " ", "\t", "\n", "x", "{", "}",
+              ",", '{"a": 1 "b": 2}', DEEP_JSON]
+    rng = random.Random(2626)
+    for trial in range(400):
+        line = "".join(rng.choices(pieces, k=rng.randint(1, 3)))
+        assert shared(line) == per_call(line), f"trial {trial}: {line[:40]!r}"
+
+
+def test_jsonl_readers_refuse_a_line_that_starts_with_a_byte_order_mark(tmp_path):
+    # a file saved with a BOM fails at its first line; a BOM inside a line
+    # is read as it always was
+    text = json.dumps(VALID, ensure_ascii=False)
+    path = tmp_path / "d.jsonl"
+    path.write_text(f"\ufeff{text}\n", encoding="utf-8")
+    message = (f"{path}:1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): "
+               f"line 1 column 1 (char 0))")
+    with pytest.raises(DatasetFormatError, match=re.escape(message) + "$"):
+        load_dataset(str(path))
+    path.write_text(f'{{"x": 1}}\n{{"x": "\ufeff"}}\n \ufeff{{"x": 2}}\n', encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}:3: invalid JSON (Expecting")):
+        read_jsonl(str(path), dict)
+    path.write_text(f'{{"x": 1}}\n{{"x": "\ufeff"}}\n', encoding="utf-8")
+    assert read_jsonl(str(path), dict) == [{"x": 1}, {"x": "\ufeff"}]
 
 
 @pytest.mark.parametrize("escape, lone", [

@@ -10,6 +10,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate
@@ -20,7 +21,14 @@ import seedqa.corpus as corpus_module
 import seedqa.graph as graph_module
 from seedqa.cli import main
 from seedqa.entities import normalize_entity, save_annotated
-from seedqa.graph import _CHUNK_CHARS, GraphFormatError, build_graph, load_graph, save_graph
+from seedqa.graph import (
+    _CHUNK_CHARS,
+    GraphFormatError,
+    KnowledgeGraph,
+    build_graph,
+    load_graph,
+    save_graph,
+)
 from seedqa.seeds import SeedQuery, mine_seeds
 
 from conftest import (
@@ -103,6 +111,46 @@ def test_neighbors_tie_breaks_lexicographically():
 def test_neighbors_of_sink_and_unknown(toy_graph):
     assert ranked_row(toy_graph, "c") == ()
     assert ranked_row(toy_graph, "missing") == ()
+
+
+def test_a_row_that_holds_every_node_ranks_to_m():
+    # the rankings share the ints 0..m, and a row that points at every node,
+    # itself included, ranks its last target m; more nodes than the
+    # interpreter caches small ints for
+    rng = random.Random(53)
+    vocab = [f"n{i:03d}" for i in range(300)]
+    train = [make_annotated("all", {"n007"}, set(vocab)),
+             *(make_annotated(f"s{i}", set(), rng.sample(vocab, rng.randint(1, 40)))
+               for i in range(60))]
+    g = build_graph(train)
+    m, raw, _, weights = naive_graph_stats(train)
+    expected = sorted(((t, w, raw[(s, t)]) for (s, t), w in weights.items() if s == "n007"),
+                      key=lambda row: (-row[1], row[0]))
+    assert g.m == m == len(expected) == 300
+    assert list(ranked_row(g, "n007")) == expected
+    assert list(g._rank(g._index["n007"]).values()) == list(range(1, m + 1))
+
+
+def test_ranking_every_row_adds_no_int_objects():
+    # a ranked entry costs its dict slot, about 37 bytes; an int object of
+    # its own for the target and for the rank, as in a ranking that counted
+    # its own range, would take it to about 80
+    rng = random.Random(59)
+    m = 1500
+    nodes = [f"n{i:04d}" for i in range(m)]
+    sources = rng.sample(range(m), 40)
+    keys = sorted(s * m + t for s in sources for t in rng.sample(range(m), rng.randint(300, 1000)))
+    g = KnowledgeGraph(nodes, array("q", keys), array("q", (rng.randint(1, 9) for _ in keys)),
+                       {node: rng.randint(0, 50) for node in nodes})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        entries = sum(len(g._rank(i)) for i in sources)
+        added = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert entries == len(keys)
+    assert added < 50 * entries, added / entries
 
 
 def test_empty_graph():
@@ -476,6 +524,37 @@ def test_load_graph_needs_less_than_twice_the_file_beyond_what_it_keeps(tmp_path
     assert loaded.raw_counts == g.raw_counts and loaded.analysis_freq == g.analysis_freq
 
 
+def test_load_graph_parses_rows_from_the_bytes_into_tables_sized_once(tmp_path, monkeypatch):
+    # the row table is never decoded.  Up to its first parsed row the load
+    # has held the file's bytes, the node table and one block of the UTF-8
+    # check; a decoded copy of the rows beside the bytes held twice the file.
+    # While it parses, it holds the bytes, the tables it returns and one
+    # chunk's lists and ints, about 12 chunks' size.  The tables are
+    # allocated once, at the header's sizes, with no spare capacity
+    rng = random.Random(61)
+    path = _write_with_checksum(tmp_path / "g.kg", _graph_lines(rng, 400, 30000, 400, 99))
+    size = os.path.getsize(path)
+    read_rows, peaks = graph_module._read_rows, []
+
+    def peak_then_read_rows(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return read_rows(*args)
+
+    monkeypatch.setattr(graph_module, "_read_rows", peak_then_read_rows)
+    tracemalloc.start()
+    try:
+        loaded = load_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = (loaded._edges, loaded._counts)
+    assert size > 4 * _CHUNK_CHARS and loaded.edge_count == 30000
+    assert peaks[0] < size + 3 * _CHUNK_CHARS, (peaks[0] - size) / _CHUNK_CHARS
+    held = sum(t.__sizeof__() for t in tables)
+    assert peak - held < size + 14 * _CHUNK_CHARS, (peak - held - size) / _CHUNK_CHARS
+    assert all(t.__sizeof__() == array("q").__sizeof__() + t.itemsize * len(t) for t in tables)
+
+
 def _cjk_graph_file(tmp_path):
     """A graph with long CJK node names, saved; returns it and its path.
     Its node table alone spans several 64 KiB blocks, so some multibyte
@@ -499,6 +578,7 @@ def test_load_reads_line_endings_as_text_mode_does(tmp_path, newline):
     converted.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
     loaded = load_graph(str(converted))
     assert loaded.nodes == g.nodes
+    assert loaded._edges == g._edges and loaded._counts == g._counts
     assert loaded.raw_counts == g.raw_counts and loaded.analysis_freq == g.analysis_freq
 
     lines = path.read_text(encoding="utf-8").splitlines()[:-1]
@@ -912,6 +992,54 @@ def test_load_matches_line_by_line_oracle(tmp_path):
         }, f"trial {trial}"
         assert loaded.analysis_freq == {nodes[i]: f for (i,), f in freqs.items()}, f"trial {trial}"
     assert min(outcomes.values()) >= 3 and len(outcomes) == 6, outcomes
+
+
+@pytest.mark.parametrize("char", ["\uff11", "\xa0", "\u0663"], ids=["fullwidth", "nbsp", "arabic"])
+def test_load_names_a_non_ascii_row_as_the_line_by_line_oracle_does(tmp_path, char):
+    # a non-ASCII character is a defect wherever it falls, so every chunk
+    # before the first defect is ASCII and its bytes are its characters; the
+    # defect's chunk is decoded, and its row named as text at its own line
+    rng = random.Random(ord(char))
+    n_nodes, n_edges = 2000, 9000
+    lines = _graph_lines(rng, n_nodes, n_edges, 1900, 10**5)
+    first = 1 + n_nodes
+    assert len(_chunk_first_rows(lines[first:], 0, n_edges)) >= 1
+    for trial in range(4):
+        rows = lines[first:]
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(rows))
+            fields = rows[i].split("\t")
+            f = rng.randrange(len(fields))
+            at = rng.randint(0, len(fields[f]))
+            fields[f] = fields[f][:at] + char + fields[f][at + rng.randint(0, 1):]
+            rows[i] = "\t".join(fields)
+        path = _write_with_checksum(tmp_path / f"g{trial}.kg", lines[:first] + rows)
+        with pytest.raises(GraphFormatError) as expected:
+            line_by_line_graph_rows(path, rows, 1 + first, n_edges, n_nodes)
+        with pytest.raises(GraphFormatError) as err:
+            load_graph(path)
+        assert str(err.value) == str(expected.value), f"trial {trial}"
+
+
+@pytest.mark.parametrize("table", ["edge", "frequency"])
+def test_load_names_a_defect_several_chunks_in_at_its_own_line(tmp_path, table):
+    # every chunk before the defect's passes whole; the defect is named at
+    # its own file line, and one in the chunk after it would not be reached
+    rng = random.Random(71)
+    n_nodes = n_edges = 12000
+    lines = _graph_lines(rng, n_nodes, n_edges, n_nodes, 10**12)
+    first = 1 + n_nodes
+    lo, hi = (first, first + n_edges) if table == "edge" else (first + n_edges, len(lines))
+    openers = _chunk_first_rows(lines[lo:hi], 0, hi - lo)
+    assert len(openers) >= 3
+    lineno = lo + 1 + openers[-2] + 5
+    for at, count in ((lineno, "0"), (hi, "-1")):
+        lines[at - 1] = lines[at - 1].rsplit("\t", 1)[0] + "\t" + count
+    what = "edge count" if table == "edge" else "frequency"
+    path = _write_with_checksum(tmp_path / "g.kg", lines)
+    message = f"{path}:{lineno}: {what} must be at least 1, got {lines[lineno - 1]!r}"
+    with pytest.raises(GraphFormatError, match=re.escape(message) + "$"):
+        load_graph(path)
 
 
 def test_load_matches_line_by_line_node_oracle(tmp_path):
