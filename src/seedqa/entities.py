@@ -87,13 +87,17 @@ class Lexicon:
     def _index(self, surface_map: dict[str, str]) -> None:
         """Keep ``surface_map`` (normalized surface -> canonical entry,
         each entry mapping to itself) and the views derived from it."""
-        self.entries: frozenset[str] = frozenset(surface_map.values())
         self._surface_map = surface_map
         by_first: dict[str, set[int]] = {}
         for surface in surface_map:
             by_first.setdefault(surface[0], set()).add(len(surface))
         # first character -> lengths of the surfaces starting with it, longest first
         self._lengths = {c: sorted(ls, reverse=True) for c, ls in by_first.items()}
+
+    @property
+    def entries(self) -> frozenset[str]:
+        """The canonical entries, computed from the surface map per read."""
+        return frozenset(self._surface_map.values())
 
     def __call__(self, text: str) -> set[str]:
         # the module function is looked up per call, so a wrap of it sees this call

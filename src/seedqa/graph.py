@@ -13,8 +13,14 @@ even negative weight, and rare ones are promoted.
 
 The graph is stored as flat integer tables: every edge once, as the key
 ``source_index * m + target_index`` in one ascending table, a raw count
-beside each key, and one idf value per node.  Nodes are indexed in name
-order, so index order breaks weight ties by name.  A source's ranking,
+beside each key, and one idf value per node.  A table takes 4 bytes per
+entry (``array("i")``) when every value it can hold fits, and 8
+(``array("q")``) only when one does not: the keys, at most ``m * m - 1``,
+fit up to 46,340 nodes; the builder's counts, at most the number of
+instances read, fit up to 2^31 - 1 instances; the loader's counts start
+narrow and are widened once, at the first count above 2^31 - 1, so a file
+still holds counts up to 2^63 - 1.  Nodes are indexed in name order, so
+index order breaks weight ties by name.  A source's ranking,
 its target indices sorted by descending weight and then target index, is
 computed the first time the miner asks for it and cached as one dict
 from target index to 1-based rank, in rank order: the miner reads its
@@ -63,8 +69,16 @@ _NUMBER_BYTES = b"0123456789-"
 _CHUNK_CHARS = 1 << 16
 # a file's UTF-8 is checked this many bytes at a time
 _UTF8_BLOCK = 1 << 16
-# the largest count an array("q") table holds
+# the largest count a graph file holds: the largest an array("q") table holds
 _MAX_COUNT = (1 << 63) - 1
+# the largest value an array("i") table holds, 2^31 - 1 where int is 4 bytes
+_INT_MAX = (1 << 8 * array("i").itemsize - 1) - 1
+
+
+def _typecode(largest: int) -> str:
+    """The typecode of a table whose values are at most ``largest``: "i"
+    when that fits in one, else "q"."""
+    return "i" if largest <= _INT_MAX else "q"
 
 
 class GraphFormatError(ValueError):
@@ -78,7 +92,9 @@ class KnowledgeGraph:
     ``source_index * m + target_index``.  The constructor takes every edge
     once, in ascending key order, as ``_edges``, with its raw count at the
     same position of ``_counts``, and keeps both tables as given.  The
-    builder and the loader check the tables; the constructor trusts them.
+    builder and the loader check the tables, and make each an
+    ``array("i")`` when its values fit and an ``array("q")`` when they do
+    not; the constructor trusts them.
     Weights are computed per source, when it is first ranked; the
     rankings take their targets and ranks from one tuple of the ints 0..m.
     """
@@ -179,7 +195,9 @@ def build_graph(train: Iterable[AnnotatedInstance]) -> KnowledgeGraph:
     indices to the row of every question-side source, and is freed.  Each
     row is sorted and counted on its own, in source index order, and freed,
     so the edge keys come out ascending with no global table, sort or
-    lookup pass.
+    lookup pass.  The key table is ``array("i")`` when ``m * m - 1`` fits
+    in one, and the count table when the number of instances does, since
+    each instance adds at most 1 to an edge.
     """
     names: dict[str, str] = {}
     name = names.setdefault
@@ -196,7 +214,7 @@ def build_graph(train: Iterable[AnnotatedInstance]) -> KnowledgeGraph:
         targets = [index[tgt] for tgt in r]
         for src in qo:
             rows[index[src]] += targets
-    edges, counts = array("q"), array("q")
+    edges, counts = array(_typecode(m * m - 1)), array(_typecode(len(sides)))
     for i in range(m):
         row, rows[i] = rows[i], None
         if row:
@@ -279,7 +297,8 @@ def load_graph(path: str) -> KnowledgeGraph:
     and the body is hashed in place, so no decoded copy of the whole file is
     held; only the node lines are decoded.  One reader parses the row tables
     from the bytes a chunk of whole rows at a time, into tables sized once
-    from the header, and decodes and reads only a chunk that fails a check
+    from the header, each ``array("i")`` where its values fit (see
+    ``_read_rows``), and decodes and reads only a chunk that fails a check
     again, row by row.  Weights are derived from the stored counts when a
     source is first read.
     """
@@ -402,14 +421,31 @@ def _read_rows(path: str, data: bytes, start: int, stop: int, first_line: int, k
     bytes ``data[start:stop]``, the first on file line ``first_line``: each
     row's key (``src·m + tgt``, or the node index), strictly ascending, and
     the counts in key order.  Both tables are allocated once, at
-    ``n_rows``, and filled a chunk of whole rows at a time.  The first bad
+    ``n_rows``, and filled a chunk of whole rows at a time.  The keys, at
+    most ``m * m - 1`` or ``m - 1``, are ``array("i")`` when that fits in
+    one.  The counts are only known as they are read: their table starts
+    as ``array("i")`` and is copied once into an ``array("q")``, with the
+    rows read before it, at the first count above 2^31 - 1.  The first bad
     row raises GraphFormatError."""
     width = 3 if kind == "edge" else 2
-    keys, counts = array("q", [0]) * n_rows, array("q", [0]) * n_rows
+    largest_key = n_nodes * n_nodes - 1 if width == 3 else n_nodes - 1
+    keys, counts = array(_typecode(largest_key), [0]) * n_rows, array("i", [0]) * n_rows
     done, pos = 0, start
     while pos < stop:
         end = stop if stop - pos <= _CHUNK_CHARS else data.index(b"\n", pos + _CHUNK_CHARS) + 1
-        done, reason = _read_chunk(data[pos:end], width, kind, n_nodes, keys, counts, done)
+        new, column, reason = _read_chunk(data[pos:end], width, kind, n_nodes,
+                                          keys[done - 1] if done else -1)
+        keys[done : done + len(new)] = array(keys.typecode, new)
+        try:
+            counts[done : done + len(new)] = array(counts.typecode, column)
+        except OverflowError:
+            # a count above array("i")'s range: widen the table, once
+            wide = array("q", [0]) * n_rows
+            wide[:done] = array("q", counts[:done])
+            counts = wide
+            counts[done : done + len(new)] = array("q", column)
+        done += len(new)
+        del new, column  # so the next chunk's lists do not sit beside these
         if reason is not None:
             raise GraphFormatError(f"{path}:{first_line + done}: {reason}")
         pos = end
@@ -417,15 +453,12 @@ def _read_rows(path: str, data: bytes, start: int, stop: int, first_line: int, k
 
 
 def _read_chunk(chunk: bytes, width: int, kind: str, n_nodes: int,
-                keys: array, counts: array, done: int) -> tuple[int, str | None]:
-    """Write the key and count of each row in ``chunk``, whole rows of
-    UTF-8 bytes, into ``keys`` and ``counts`` from position ``done``; each
-    key must be above the one before it.  The bytes are parsed at once; only
-    when they fail a check are they decoded and read row by row, up to the
-    first bad row.  Returns the position after the rows written, and the
-    first bad row's defect or None."""
-    reason = None
-    last = keys[done - 1] if done else -1
+                last: int) -> tuple[list[int], list[int], str | None]:
+    """The key and count of each row in ``chunk``, whole rows of UTF-8
+    bytes, as two lists; each key must be above the one before it, the
+    first above ``last``.  The bytes are parsed at once; only when they fail
+    a check are they decoded and read row by row, up to the first bad row.
+    Returns the rows read, and the first bad row's defect or None."""
     try:
         # each row must keep exactly its tabs, so a short row cannot hide
         # behind a long one
@@ -455,13 +488,10 @@ def _read_chunk(chunk: bytes, width: int, kind: str, n_nodes: int,
             try:
                 last, count = _row_values(row, width, kind, n_nodes, last)
             except ValueError as exc:
-                reason = str(exc)
-                break
+                return new, column, str(exc)
             new.append(last)
             column.append(count)
-    keys[done : done + len(new)] = array("q", new)
-    counts[done : done + len(new)] = array("q", column)
-    return done + len(new), reason
+    return new, column, None
 
 
 def _int_past_limit(field: str) -> int:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -151,6 +152,27 @@ def test_load_lexicon_accepts_repeats_that_agree(tmp_path):
     assert lex.entries == {"高血压", "aspirin"}
     # ASPIRIN normalizes to its own entry, so it is not listed as an alias
     assert lex._surface_map == {"高血压": "高血压", "aspirin": "aspirin", "htn": "高血压"}
+
+
+def test_a_loaded_lexicon_keeps_each_entry_once(tmp_path):
+    # the surface map holds every entry; ``entries`` is computed from it on
+    # each read, so no set of the entries is kept beside it.  A kept
+    # frozenset added about 105 bytes a term: 290 in all, against 185 here
+    rng = random.Random(7)
+    terms: set[str] = set()
+    while len(terms) < 5000:
+        terms.add("".join(chr(0x4E00 + rng.randrange(3000)) for _ in range(rng.randint(2, 6))))
+    path = tmp_path / "lex.txt"
+    path.write_text("".join(f"{term}\n" for term in sorted(terms)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        lex = load_lexicon(str(path))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 240 * len(terms), kept / len(terms)
+    assert lex.entries == terms and lex.entries is not lex.entries
+    assert lex._surface_map == {term: term for term in terms}
 
 
 def test_load_lexicon_refuses_a_byte_order_mark(tmp_path):

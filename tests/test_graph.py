@@ -414,7 +414,8 @@ def test_build_graph_matches_global_counter_builder():
             f"trial {trial}")
         for name in ("_edges", "_counts"):
             table = getattr(got, name)
-            assert table.typecode == "q", f"trial {trial}: {name}"
+            # every key, below m * m, and every count, at most len(train), fits in 4 bytes
+            assert table.typecode == "i", f"trial {trial}: {name}"
             assert table == getattr(want, name), f"trial {trial}: {name}"
     # the largest corpus, built last, holds every case the row-at-a-time
     # count must get right
@@ -1040,6 +1041,117 @@ def test_load_names_a_defect_several_chunks_in_at_its_own_line(tmp_path, table):
     message = f"{path}:{lineno}: {what} must be at least 1, got {lines[lineno - 1]!r}"
     with pytest.raises(GraphFormatError, match=re.escape(message) + "$"):
         load_graph(path)
+
+
+def _with_count(row: str, count: int) -> str:
+    return row.rsplit("\t", 1)[0] + f"\t{count}"
+
+
+@pytest.mark.parametrize("where", ["first chunk", "fourth chunk", "row by row"])
+def test_load_widens_the_count_table_once_at_the_first_count_past_4_bytes(
+        tmp_path, monkeypatch, where):
+    # the count table starts as array("i"): a count of 2^31 - 1 keeps it,
+    # and one of 2^31 copies it once, with every row read before it, into an
+    # array("q"), whether its chunk parses at once or is read row by row
+    # (a field such as 007 sends a chunk there)
+    rng = random.Random(83)
+    n_nodes, n_edges = 400, 21000
+    lines = _graph_lines(rng, n_nodes, n_edges, n_nodes, 99)
+    first = 1 + n_nodes
+    lines[first + 3] = _with_count(lines[first + 3], 2**31 - 1)
+    openers = _chunk_first_rows(lines, first, first + n_edges)
+    assert len(openers) >= 3
+    if where == "row by row":
+        lines[openers[1] + 4] = "0" + lines[openers[1] + 4]
+        openers = _chunk_first_rows(lines, first, first + n_edges)
+    at = {"first chunk": first + 7, "fourth chunk": openers[2] + 7,
+          "row by row": openers[1] + 7}[where]
+    assert first + 7 < openers[0] and openers[1] + 7 < openers[2]
+    row_values, calls = graph_module._row_values, []
+    monkeypatch.setattr(graph_module, "_row_values",
+                        lambda *args: calls.append(args) or row_values(*args))
+    for count, code in ((2**31 - 1, "i"), (2**31, "q")):
+        lines[at] = _with_count(lines[at], count)
+        if code == "q":
+            # past the widening, a count up to 2^63 - 1 still loads
+            lines[at + 2] = _with_count(lines[at + 2], 2**63 - 1)
+            lines[-1] = _with_count(lines[-1], 2**40)
+        path = _write_with_checksum(tmp_path / f"{code}.kg", lines)
+        calls.clear()
+        loaded = load_graph(path)
+        rows = [row.split("\t") for row in lines[first : first + n_edges]]
+        assert list(loaded._edges) == [int(s) * n_nodes + int(t) for s, t, _ in rows]
+        assert list(loaded._counts) == [int(c) for *_, c in rows]
+        assert (loaded._edges.typecode, loaded._counts.typecode) == ("i", code)
+        assert loaded._counts.__sizeof__() == array(code).__sizeof__() + loaded._counts.itemsize * n_edges
+        assert (len(calls) > 1000) == (where == "row by row")
+    assert loaded.analysis_freq[json.loads(lines[int(lines[-1].split("\t")[0]) + 1])] == 2**40
+
+
+@pytest.mark.parametrize("m, code", [(46340, "i"), (46341, "q")])
+def test_edge_keys_take_4_bytes_while_m_squared_fits(tmp_path, m, code):
+    # an edge key is at most m * m - 1, which fits in array("i") up to
+    # 46,340 nodes; the builder and the loader pick the same tables
+    names = [f"n{i:05d}" for i in range(m)]
+    g = build_graph([make_annotated("all", names, ()),
+                     make_annotated("last", names[-1:], names[-1:])])
+    assert g.m == m and list(g._edges) == [m * m - 1] and list(g._counts) == [1]
+    path = tmp_path / "g.kg"
+    save_graph(g, str(path))
+    loaded = load_graph(str(path))
+    for got in (g, loaded):
+        assert (got._edges.typecode, got._counts.typecode) == (code, "i")
+    assert loaded._edges == g._edges and loaded.raw_counts == g.raw_counts == {
+        (names[-1], names[-1]): 1}
+
+
+def test_built_and_loaded_tables_hold_the_wide_tables_values(tmp_path):
+    # narrow tables change no value: the builder's and the loader's equal
+    # the array("q") tables of the global-counter builder, entry for entry,
+    # and so do their raw counts and ranked rows
+    train = _zipf_corpus(random.Random(2525), 600, 800)
+    want = global_counter_build_graph(train)
+    built = build_graph(train)
+    path = tmp_path / "g.kg"
+    save_graph(built, str(path))
+    loaded = load_graph(str(path))
+    assert (want._edges.typecode, want._counts.typecode) == ("q", "q")
+    for g in (built, loaded):
+        assert (g._edges.typecode, g._counts.typecode) == ("i", "i")
+        assert list(g._edges) == list(want._edges) and list(g._counts) == list(want._counts)
+        assert g.raw_counts == want.raw_counts
+        assert all(ranked_row(g, node) == ranked_row(want, node) for node in want.nodes)
+
+
+def test_a_graph_keeps_under_12_bytes_per_edge(tmp_path):
+    # a built or loaded graph keeps its two tables at 4 bytes per entry
+    # when the graph's sizes fit; at 8 bytes each they alone took 16 bytes
+    # per edge.  Every node has over 100 edges, so the per-node tables
+    # weigh about 1 byte per edge.  The entity sets are longer than the
+    # interpreter's tuple free lists take, so no freed tuple is counted
+    rng = random.Random(89)
+    names = [f"n{i:03d}" for i in range(200)]
+    train = [make_annotated(f"s{i}", rng.sample(names, 25), rng.sample(names, 25))
+             for i in range(200)]
+    tracemalloc.start()
+    try:
+        built = build_graph(train)
+        built_kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    path = tmp_path / "g.kg"
+    save_graph(built, str(path))
+    tracemalloc.start()
+    try:
+        loaded = load_graph(str(path))
+        loaded_kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    edges = built.edge_count
+    assert min(hi - lo for lo, hi in map(built._row, range(built.m))) >= 100
+    assert built_kept < 12 * edges, built_kept / edges
+    assert loaded_kept < 12 * edges, loaded_kept / edges
+    assert loaded.raw_counts == built.raw_counts
 
 
 def test_load_matches_line_by_line_node_oracle(tmp_path):
