@@ -8,6 +8,11 @@ and replay fixtures key on content, not on call order.  The digest is
 ``corpus.sha256``, the graph checksum's hash too.  Replay runs never open
 a network connection, which is what makes the evaluation pipeline
 reproducible offline.  The client's errors are RuntimeErrors.
+
+The default transport is the standard library's ``urllib.request``,
+imported at the first live call: it reads proxies from the ``*_proxy``
+variables, trusts the system's CA store, decodes every reply as UTF-8 and
+follows no redirect.
 """
 
 from __future__ import annotations
@@ -128,6 +133,9 @@ class ClientConfig:
             raise ValueError("cached-live backend requires cache_dir")
         if self.backend == "replay" and not self.fixture_path:
             raise ValueError("replay backend requires fixture_path")
+        # the transport would open file: and data: URLs too
+        if not self.base_url.lower().startswith(("http://", "https://")):
+            raise ValueError("base_url must be an http:// or https:// URL")
 
 
 def _request_fields(request: CompletionRequest) -> dict:
@@ -153,10 +161,34 @@ def request_digest(request: CompletionRequest) -> str:
 
 
 def _default_transport(url: str, headers: dict, payload: dict, timeout: float) -> tuple[int, str]:
-    import requests
+    """POST ``payload`` as JSON and return the status and the body, decoded
+    as strict UTF-8, for every HTTP status.  A redirect is not followed: it
+    comes back as its 3xx status.  A body that is not UTF-8 raises
+    ``ApiStatusError``; timeouts and connection errors raise as they are."""
+    import urllib.request
+    from urllib.error import HTTPError
 
-    resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
-    return resp.status_code, resp.text
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        # the default handler would resend the POST as a GET, and send the
+        # Authorization header to whatever host Location names
+        def redirect_request(self, *args):
+            return None
+
+    data = json.dumps(payload, allow_nan=False).encode()
+    request = urllib.request.Request(url, data, headers)
+    opener = urllib.request.build_opener(NoRedirect)
+    try:
+        # by keyword: the write-site check in tests/test_corpus.py reads a
+        # positional argument to .open() as Path.open's mode
+        with opener.open(fullurl=request, timeout=timeout) as resp:
+            status, body = resp.status, resp.read()
+    except HTTPError as exc:  # every status outside 2xx
+        with exc:
+            status, body = exc.code, exc.read()
+    try:
+        return status, body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ApiStatusError(status, body.decode("utf-8", "backslashreplace")) from exc
 
 
 class _ReplayBackend:
@@ -288,9 +320,13 @@ class ChatClient:
         url = cfg.base_url.rstrip("/") + "/chat/completions"
         headers = {"Content-Type": "application/json"}
         # the key is read from the environment at call time and is never
-        # logged or persisted anywhere
+        # logged or persisted anywhere; a key the header cannot carry, such
+        # as one ending in the \r of a CRLF .env file, is refused here,
+        # since the HTTP client's error would quote it
         api_key = os.environ.get(cfg.api_key_env)
         if api_key:
+            if not (api_key.isascii() and api_key.isprintable()):
+                raise ValueError(f"the API key in ${cfg.api_key_env} is not printable ASCII")
             headers["Authorization"] = f"Bearer {api_key}"
         messages = []
         if request.system is not None:
@@ -307,6 +343,8 @@ class ChatClient:
                 self._sleep(cfg.backoff_base * (2 ** (attempt - 1)))
             try:
                 status, body = self._transport(url, headers, payload, cfg.timeout)
+            except ApiStatusError:
+                raise
             except Exception as exc:
                 last_error = f"transport failure: {exc}"
             else:

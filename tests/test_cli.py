@@ -719,7 +719,8 @@ def test_run_refuses_template_placeholder_before_writing_config(corpus, capsys,
 
 
 @pytest.mark.parametrize("flag, value", [("--timeout", "0"), ("--timeout", "nan"),
-                                         ("--backoff-base", "inf"), ("--temperature", "nan")])
+                                         ("--backoff-base", "inf"), ("--temperature", "nan"),
+                                         ("--base-url", "file:///etc")])
 def test_run_refuses_client_setting_before_writing_config(corpus, capsys, monkeypatch, flag,
                                                            value):
     # a live request would fail inside the HTTP library, be retried as a
@@ -1424,6 +1425,36 @@ def test_annotate_extraction_failure_exit_codes(corpus, tmp_path, monkeypatch, c
     assert "error: annotation failed for instance 'te0'" in err
     assert "Traceback" not in err
     assert not out_path.exists()
+
+
+def test_a_key_the_header_cannot_carry_reaches_no_log_or_output(corpus, tmp_path, monkeypatch,
+                                                                caplog, capsys):
+    # the key is refused before any attempt and is not a transport failure:
+    # run records the refusal for every instance and exits 0, and annotate
+    # exits 1, as for any other extraction failure
+    import seedqa.client as client_mod
+
+    sent = []
+    monkeypatch.setattr(client_mod, "_default_transport", lambda *args: sent.append(args))
+    monkeypatch.setenv("SEEDQA_API_KEY", "sk-SECRET123\r")
+    live = ["--backend", "live", "--base-url", "http://127.0.0.1:9", "--max-attempts", "2",
+            "--backoff-base", "0"]
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    with caplog.at_level(logging.DEBUG):
+        assert main(["run", "--dataset", corpus["test"], "--out-dir", str(out_dir), *live]) == 0
+        assert main(["annotate", "--dataset", corpus["test"], "--extractor", "llm",
+                     "--out", str(tmp_path / "never.jsonl"), *live]) == 1
+    assert sent == []
+    records = (out_dir / "records.jsonl").read_text(encoding="utf-8")
+    refusal = "the API key in $SEEDQA_API_KEY is not printable ASCII"
+    assert all(json.loads(line)["error"] == f"ValueError: {refusal}"
+               for line in records.splitlines())
+    err = capsys.readouterr().err
+    assert refusal in err
+    written = [path.read_text(encoding="utf-8") for path in out_dir.iterdir()]
+    assert not [text for text in [*written, caplog.text, err] if "SECRET123" in text]
+    assert not (tmp_path / "never.jsonl").exists()
 
 
 def test_version_flag():

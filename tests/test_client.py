@@ -323,6 +323,21 @@ def test_api_key_never_logged(monkeypatch, caplog):
     assert "sk-super-secret" not in caplog.text
 
 
+@pytest.mark.parametrize("key", ["sk-SECRET123\r", "sk-SECRET123\n", "sk-\tSECRET123",
+                                 "sk-SECRET123\u00e9", "sk-SECRET123\u2028"])
+def test_a_key_the_header_cannot_carry_is_refused_before_any_attempt(monkeypatch, caplog, key):
+    # the HTTP client's own error quotes the header value, and the run
+    # stores that error in records.jsonl
+    monkeypatch.setenv("SEEDQA_API_KEY", key)
+    client, calls, sleeps = live_client([(200, ok_body())])
+    with caplog.at_level(logging.DEBUG), pytest.raises(ValueError) as err:
+        client.complete(REQ)
+    assert str(err.value) == "the API key in $SEEDQA_API_KEY is not printable ASCII"
+    assert not isinstance(err.value, TransportError)
+    assert calls == [] and sleeps == []
+    assert "SECRET123" not in caplog.text
+
+
 def test_custom_api_key_env(monkeypatch):
     monkeypatch.setenv("OTHER_KEY", "sk-other")
     client, calls, _ = live_client([(200, ok_body())], api_key_env="OTHER_KEY")
@@ -534,13 +549,20 @@ def test_config_validation():
     ("timeout", 0.0), ("timeout", -1.0), ("timeout", float("nan")), ("timeout", float("inf")),
     ("backoff_base", float("nan")), ("backoff_base", float("inf")),
     ("temperature", float("nan")), ("temperature", float("inf")),
-    ("temperature", float("-inf")),
+    ("temperature", float("-inf")), ("base_url", "file:///etc"), ("base_url", "ftp://x"),
 ])
 def test_config_refuses_settings_the_transport_or_sleep_cannot_take(setting, value):
     # each one failed only at request time, as a transport failure or an
-    # error from time.sleep
-    with pytest.raises(ValueError, match=f"^{setting} must be finite"):
+    # error from time.sleep; the standard library's opener would read a
+    # file: URL as the reply
+    refusal = "an http:// or https:// URL" if setting == "base_url" else "finite"
+    with pytest.raises(ValueError, match=f"^{setting} must be {refusal}"):
         ClientConfig(backend="live", **{setting: value})
+
+
+def test_config_takes_http_and_https_base_urls_in_any_case():
+    for url in ("http://127.0.0.1:8000/v1", "https://api.openai.com/v1", "HTTPS://X/v1"):
+        assert ClientConfig(backend="live", base_url=url).base_url == url
 
 
 # --- system message --------------------------------------------------------

@@ -151,7 +151,7 @@ def test_cli_import_leaves_unused_standard_modules_unloaded():
 import sys
 import seedqa.cli
 print(sorted({"importlib.resources", "random", "concurrent.futures", "requests", "hashlib",
-              "_hashlib"} & set(sys.modules)))
+              "_hashlib", "urllib.request", "http.client"} & set(sys.modules)))
 """
     assert run_python(script, options=("-S",)) == "[]\n"
 
