@@ -133,9 +133,12 @@ class ClientConfig:
             raise ValueError("cached-live backend requires cache_dir")
         if self.backend == "replay" and not self.fixture_path:
             raise ValueError("replay backend requires fixture_path")
-        # the transport would open file: and data: URLs too
-        if not self.base_url.lower().startswith(("http://", "https://")):
-            raise ValueError("base_url must be an http:// or https:// URL")
+        # the transport would open file: and data: URLs too, and fail every
+        # attempt on a URL that names no host, each retried as a transport error
+        scheme, _, rest = self.base_url.partition("://")
+        host = rest.split("/")[0].split("?")[0].split("#")[0].rpartition("@")[2].partition(":")[0]
+        if scheme.lower() not in ("http", "https") or not host:
+            raise ValueError("base_url must be an http:// or https:// URL that names a host")
 
 
 def _request_fields(request: CompletionRequest) -> dict:

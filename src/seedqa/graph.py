@@ -39,10 +39,10 @@ by index.  ``load_graph`` reads the file once, as bytes, hashes its body
 in place and decodes only the node lines; it rewrites line endings only
 in a file that holds a CR byte.  It parses the node table as one JSON
 array, checks that every node is canonical with one normalization pass
-over the table, and parses the row tables from the bytes a chunk of whole
-rows at a time, into tables sized once from the header.  It reads only a
-part that fails a check again, line by line (a chunk of rows decoded
-first), to name the first defect in file order.
+over the table, and parses each row table from the bytes, a chunk of
+whole rows at a time, into tables sized once from the header.  Only a
+part that fails a check is read again, line by line, and its first
+defect raises there, before any row of its chunk is stored.
 """
 
 from __future__ import annotations
@@ -64,11 +64,10 @@ _MAGIC = "seedqa-graph"
 _FORMAT_VERSION = 1
 # the bytes deleted from a well-formed row to leave only its tabs and line feed
 _NUMBER_BYTES = b"0123456789-"
-# row tables are parsed this many bytes (whole rows) at a time; a
-# well-formed table is ASCII, so that is as many characters
+# a file's UTF-8 is checked, and its row tables parsed (whole rows), this
+# many bytes at a time; a well-formed table is ASCII, so that is as many
+# characters
 _CHUNK_CHARS = 1 << 16
-# a file's UTF-8 is checked this many bytes at a time
-_UTF8_BLOCK = 1 << 16
 # the largest count a graph file holds: the largest an array("q") table holds
 _MAX_COUNT = (1 << 63) - 1
 # the largest value an array("i") table holds, 2^31 - 1 where int is 4 bytes
@@ -293,13 +292,13 @@ def load_graph(path: str) -> KnowledgeGraph:
 
     The file is read once, as bytes, and its line endings are read as text
     mode reads them (CRLF and a lone CR end a line); a file with no CR byte
-    is not copied to rewrite them.  Its UTF-8 is checked a block at a time
+    is not copied to rewrite them.  Its UTF-8 is checked a chunk at a time
     and the body is hashed in place, so no decoded copy of the whole file is
-    held; only the node lines are decoded.  One reader parses the row tables
+    held; only the node lines are decoded.  One loop parses each row table
     from the bytes a chunk of whole rows at a time, into tables sized once
-    from the header, each ``array("i")`` where its values fit (see
-    ``_read_rows``), and decodes and reads only a chunk that fails a check
-    again, row by row.  Weights are derived from the stored counts when a
+    from the header, each ``array("i")`` where its values fit, and decodes
+    and reads only a chunk that fails a check again, row by row (see
+    ``_read_rows``).  Weights are derived from the stored counts when a
     source is first read.
     """
     with open(path, "rb") as fh:
@@ -309,8 +308,8 @@ def load_graph(path: str) -> KnowledgeGraph:
     decode = codecs.getincrementaldecoder("utf-8")().decode
     try:
         with memoryview(data) as view:
-            for pos in range(0, len(view), _UTF8_BLOCK):
-                decode(view[pos : pos + _UTF8_BLOCK])
+            for pos in range(0, len(view), _CHUNK_CHARS):
+                decode(view[pos : pos + _CHUNK_CHARS])
         decode(b"", final=True)
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
@@ -337,7 +336,7 @@ def load_graph(path: str) -> KnowledgeGraph:
         raise GraphFormatError(f"{path}:1: header is not a JSON object")
     if header.get("magic") != _MAGIC:
         raise GraphFormatError(f"{path}:1: not a graph file (bad magic)")
-    if header.get("version") != _FORMAT_VERSION:
+    if type(header.get("version")) is not int or header["version"] != _FORMAT_VERSION:
         raise GraphFormatError(
             f"{path}:1: unsupported format version {header.get('version')!r}"
         )
@@ -425,16 +424,52 @@ def _read_rows(path: str, data: bytes, start: int, stop: int, first_line: int, k
     most ``m * m - 1`` or ``m - 1``, are ``array("i")`` when that fits in
     one.  The counts are only known as they are read: their table starts
     as ``array("i")`` and is copied once into an ``array("q")``, with the
-    rows read before it, at the first count above 2^31 - 1.  The first bad
-    row raises GraphFormatError."""
+    rows read before it, at the first count above 2^31 - 1.  A chunk that
+    fails a check is decoded and read again row by row, and its first bad
+    row raises GraphFormatError before any row of the chunk is stored."""
     width = 3 if kind == "edge" else 2
     largest_key = n_nodes * n_nodes - 1 if width == 3 else n_nodes - 1
     keys, counts = array(_typecode(largest_key), [0]) * n_rows, array("i", [0]) * n_rows
-    done, pos = 0, start
+    done, pos, last = 0, start, -1
     while pos < stop:
         end = stop if stop - pos <= _CHUNK_CHARS else data.index(b"\n", pos + _CHUNK_CHARS) + 1
-        new, column, reason = _read_chunk(data[pos:end], width, kind, n_nodes,
-                                          keys[done - 1] if done else -1)
+        chunk, pos = data[pos:end], end
+        try:
+            # each row must keep exactly its tabs, so a short row cannot hide
+            # behind a long one
+            if (chunk.translate(None, _NUMBER_BYTES)
+                    != (b"\t" * (width - 1) + b"\n") * chunk.count(b"\n")):
+                raise ValueError
+            # json also rejects fields such as 007
+            values = json.loads(b"[" + chunk[:-1].replace(b"\t", b",").replace(b"\n", b",") + b"]")
+            if width == 3:
+                sources, targets, column = values[::3], values[1::3], values[2::3]
+                del values  # the slices hold every value read from here on
+                if not (min(targets) >= 0 and max(targets) < n_nodes):
+                    raise ValueError
+                new = list(map(add, map(mul, sources, repeat(n_nodes)), targets))
+                del targets
+            else:
+                new = sources = values[::2]
+                column = values[1::2]
+                del values
+            # keys that ascend from ``last`` (at least -1) keep every source index
+            # in 0..sources[-1] once the targets are in range: check only the last
+            if not (sources[-1] < n_nodes and min(column) >= 1 and max(column) <= _MAX_COUNT
+                    and last < new[0] and all(map(lt, new, islice(new, 1, None)))):
+                raise ValueError
+            del sources
+            last = new[-1]
+        except ValueError:
+            new, column = [], []
+            for line, row in enumerate(chunk[:-1].decode("utf-8").split("\n"), first_line + done):
+                try:
+                    last, count = _row_values(row, width, kind, n_nodes, last)
+                except ValueError as exc:
+                    raise GraphFormatError(f"{path}:{line}: {exc}") from exc
+                new.append(last)
+                column.append(count)
+        del chunk  # so the table fill does not hold the chunk's bytes too
         keys[done : done + len(new)] = array(keys.typecode, new)
         try:
             counts[done : done + len(new)] = array(counts.typecode, column)
@@ -446,52 +481,7 @@ def _read_rows(path: str, data: bytes, start: int, stop: int, first_line: int, k
             counts[done : done + len(new)] = array("q", column)
         done += len(new)
         del new, column  # so the next chunk's lists do not sit beside these
-        if reason is not None:
-            raise GraphFormatError(f"{path}:{first_line + done}: {reason}")
-        pos = end
     return keys, counts
-
-
-def _read_chunk(chunk: bytes, width: int, kind: str, n_nodes: int,
-                last: int) -> tuple[list[int], list[int], str | None]:
-    """The key and count of each row in ``chunk``, whole rows of UTF-8
-    bytes, as two lists; each key must be above the one before it, the
-    first above ``last``.  The bytes are parsed at once; only when they fail
-    a check are they decoded and read row by row, up to the first bad row.
-    Returns the rows read, and the first bad row's defect or None."""
-    try:
-        # each row must keep exactly its tabs, so a short row cannot hide
-        # behind a long one
-        if (chunk.translate(None, _NUMBER_BYTES)
-                != (b"\t" * (width - 1) + b"\n") * chunk.count(b"\n")):
-            raise ValueError
-        # json also rejects fields such as 007
-        values = json.loads(b"[" + chunk[:-1].replace(b"\t", b",").replace(b"\n", b",") + b"]")
-        if width == 3:
-            sources, targets, column = values[::3], values[1::3], values[2::3]
-            del values  # the slices hold every value read from here on
-            if not (min(targets) >= 0 and max(targets) < n_nodes):
-                raise ValueError
-            new = list(map(add, map(mul, sources, repeat(n_nodes)), targets))
-        else:
-            new = sources = values[::2]
-            column = values[1::2]
-        # keys that ascend from ``last`` (at least -1) keep every source index
-        # at or above 0, and at or below the last row's once the targets are
-        # in range, so only the last source is checked
-        if not (sources[-1] < n_nodes and min(column) >= 1 and max(column) <= _MAX_COUNT
-                and last < new[0] and all(map(lt, new, islice(new, 1, None)))):
-            raise ValueError
-    except ValueError:
-        new, column = [], []
-        for row in chunk[:-1].decode("utf-8").split("\n"):
-            try:
-                last, count = _row_values(row, width, kind, n_nodes, last)
-            except ValueError as exc:
-                return new, column, str(exc)
-            new.append(last)
-            column.append(count)
-    return new, column, None
 
 
 def _int_past_limit(field: str) -> int:

@@ -92,7 +92,7 @@ def load_template(path: str) -> PromptTemplate:
         if not isinstance(data, dict):
             raise ValueError("template is not a JSON object")
         version = data.pop("version", None)
-        if version != _TEMPLATE_VERSION:
+        if type(version) is not int or version != _TEMPLATE_VERSION:
             raise ValueError(f"unsupported template version {version!r}")
         return PromptTemplate(**data)
     except (TypeError, ValueError) as exc:

@@ -720,7 +720,8 @@ def test_run_refuses_template_placeholder_before_writing_config(corpus, capsys,
 
 @pytest.mark.parametrize("flag, value", [("--timeout", "0"), ("--timeout", "nan"),
                                          ("--backoff-base", "inf"), ("--temperature", "nan"),
-                                         ("--base-url", "file:///etc")])
+                                         ("--base-url", "file:///etc"),
+                                         ("--base-url", "http:///v1")])
 def test_run_refuses_client_setting_before_writing_config(corpus, capsys, monkeypatch, flag,
                                                            value):
     # a live request would fail inside the HTTP library, be retried as a

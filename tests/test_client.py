@@ -550,18 +550,22 @@ def test_config_validation():
     ("backoff_base", float("nan")), ("backoff_base", float("inf")),
     ("temperature", float("nan")), ("temperature", float("inf")),
     ("temperature", float("-inf")), ("base_url", "file:///etc"), ("base_url", "ftp://x"),
+    ("base_url", "http://"), ("base_url", "http:///v1"), ("base_url", "http://:8080/v1"),
+    ("base_url", "HTTPS://user@/v1"), ("base_url", "http://?q=1"),
 ])
 def test_config_refuses_settings_the_transport_or_sleep_cannot_take(setting, value):
     # each one failed only at request time, as a transport failure or an
     # error from time.sleep; the standard library's opener would read a
-    # file: URL as the reply
-    refusal = "an http:// or https:// URL" if setting == "base_url" else "finite"
+    # file: URL as the reply, and fail on one with no host ("no host
+    # given", or a DNS error on the empty name)
+    refusal = "an http:// or https:// URL that names a host" if setting == "base_url" else "finite"
     with pytest.raises(ValueError, match=f"^{setting} must be {refusal}"):
         ClientConfig(backend="live", **{setting: value})
 
 
 def test_config_takes_http_and_https_base_urls_in_any_case():
-    for url in ("http://127.0.0.1:8000/v1", "https://api.openai.com/v1", "HTTPS://X/v1"):
+    for url in ("http://127.0.0.1:8000/v1", "https://api.openai.com/v1", "HTTPS://X/v1",
+                "http://[::1]:8000/v1", "https://user:pw@host/v1"):
         assert ClientConfig(backend="live", base_url=url).base_url == url
 
 

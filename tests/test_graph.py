@@ -316,6 +316,11 @@ def test_load_rejects_wrong_magic_and_version(tmp_path, toy_graph):
         load_graph(rewrite("seedqa-graph", "other-format"))
     with pytest.raises(GraphFormatError, match="version"):
         load_graph(rewrite('"version": 1', '"version": 99'))
+    # True == 1.0 == 1, so both used to load
+    for version in ("true", "1.0"):
+        reason = f":1: unsupported format version {json.loads(version)!r}$"
+        with pytest.raises(GraphFormatError, match=reason):
+            load_graph(rewrite('"version": 1', f'"version": {version}'))
 
 
 def test_load_rejects_non_graph_file(tmp_path):

@@ -307,18 +307,20 @@ def test_one_worker_commands_never_load_the_pool(replay_inputs, workers, loads_p
 
 
 def test_public_names_resolve_lazily():
-    # no name is bound before its first access; each then resolves to the
-    # object its defining module holds, and each module name to the module
+    # no name is bound before its first access; each module name then
+    # resolves to the module, imported by that access when nothing has
+    # imported it yet, and each other name to the object its defining
+    # module holds
     script = """
 import json, sys
 import seedqa
 names, modules = json.loads(sys.argv[1])
 assert not (set(names) | set(modules)) & set(vars(seedqa))
+for module in modules:
+    assert getattr(seedqa, module) is sys.modules["seedqa." + module], module
 for name in names:
     value = getattr(seedqa, name)
     assert getattr(sys.modules[value.__module__], name) is value, name
-for module in modules:
-    assert getattr(seedqa, module) is sys.modules["seedqa." + module], module
 print("ok")
 """
     assert run_python(script, json.dumps([sorted(PUBLIC_NAMES), sorted(MODULES)])) == "ok\n"

@@ -385,6 +385,12 @@ def test_template_version_check(tmp_path):
     path.write_text('{"version": 2}', encoding="utf-8")
     with pytest.raises(ValueError, match="version"):
         load_template(str(path))
+    # True == 1.0 == 1, so both used to load
+    for version in (True, 1.0):
+        path.write_text(json.dumps({**_PACKAGED_TEMPLATE, "version": version}), encoding="utf-8")
+        with pytest.raises(DatasetFormatError,
+                           match=re.escape(f"{path}: unsupported template version {version!r}")):
+            load_template(str(path))
 
 
 _PACKAGED_TEMPLATE = json.loads(Path(data_path("prompt_template.json")).read_text(encoding="utf-8"))
@@ -410,6 +416,7 @@ def test_template_defect_names_path(tmp_path, payload):
     ("Q: {question} {oops}", "question_block: unknown field {oops}; it takes only {question}"),
     ("Q: {0}", "question_block: unknown field {0}; it takes only {question}"),
     ("Q: {question", "question_block: expected '}' before end of string"),
+    ("{question:{x}}", "question_block: field {question} has a field in its format spec"),
 ))
 def test_template_placeholder_compose_cannot_fill_names_path(tmp_path, question_block, reason):
     # refused on load, not as a KeyError or IndexError inside compose
