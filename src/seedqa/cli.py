@@ -32,7 +32,7 @@ from . import __version__
 from .client import BACKENDS, ChatClient, ClientConfig, TransportError
 from .corpus import (
     DEFAULT_CONTEXT_TOKENS, DEFAULT_K, DEFAULT_RESERVED_RESPONSE_TOKENS, MODES, SHOTS, data_path,
-    load_dataset, lone_surrogate, split_sample, write_whole,
+    load_dataset, lone_surrogate, read_dataset, split_sample, write_whole,
 )
 
 log = logging.getLogger(__name__)
@@ -144,25 +144,31 @@ def _extractor_from(opts: dict[str, Any], client: ChatClient | None = None):
 # --- subcommands ----------------------------------------------------------
 
 def cmd_annotate(opts: dict[str, Any]) -> int:
+    """Annotate each dataset record as it is read and write it to ``--out``
+    as it is annotated, holding no list of records.  The extractor (and its
+    client) is loaded first and the output's temporary file is opened next,
+    before the first dataset line is read: when inputs are bad, the error
+    names the lexicon, then ``--out``, then the dataset line.  A bad line is
+    found after the records before it were annotated; the output is still
+    written whole or not at all."""
     from .entities import AnnotationError, annotate_stream, save_annotated
 
-    dataset = load_dataset(_need(opts, "dataset"))
-    out_path = _need(opts, "out")
+    dataset_path, out_path = _need(opts, "dataset"), _need(opts, "out")
     extractor = _extractor_from(opts)
+    seen: set[str] = set()
     annotated = annotate_stream(
-        dataset,
+        read_dataset(dataset_path, seen),
         extractor,
         include_analysis=not opts["no_analysis"],
         on_error=opts["on_error"],
         workers=opts["workers"],
     )
-    # each record is written as it is annotated; a failure leaves no output
     try:
         count = save_annotated(annotated, out_path)
     except AnnotationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc.cause, TransportError) else 1
-    log.info("annotated %d/%d instances -> %s", count, len(dataset), out_path)
+    log.info("annotated %d/%d instances -> %s", count, len(seen), out_path)
     return 0
 
 

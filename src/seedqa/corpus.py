@@ -315,15 +315,15 @@ def parse_record(rec: dict) -> Instance:
     )
 
 
-def load_dataset(path: str) -> Dataset:
-    """Read a line-delimited JSON dataset.
+def read_dataset(path: str, seen: set[str]) -> Iterator[Instance]:
+    """Parse the records of a line-delimited JSON dataset one at a time, as
+    ``read_lines`` yields them, adding each instance id to ``seen``.
 
     Each non-blank line is one record: ``{id, question, options, answer,
     analysis, metadata?}``.  Option labels and the answer are normalized to
-    uppercase A..E.  Malformed lines, and a line whose id an earlier line
-    holds, raise DatasetFormatError naming the line number and field.
+    uppercase A..E.  A malformed line, and an id already in ``seen``, raise
+    DatasetFormatError naming ``path:line`` and the field.
     """
-    seen: set[str] = set()
 
     def parse(rec: dict) -> Instance:
         inst = parse_record(rec)
@@ -332,7 +332,12 @@ def load_dataset(path: str) -> Dataset:
         seen.add(inst.id)
         return inst
 
-    return Dataset(tuple(read_jsonl(path, parse)))
+    return read_lines(path, json_object_line(parse))
+
+
+def load_dataset(path: str) -> Dataset:
+    """Every record of a dataset, read by ``read_dataset``."""
+    return Dataset(tuple(read_dataset(path, set())))
 
 
 def instance_to_record(inst: Instance) -> dict:

@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .client import ChatClient
 from .corpus import (
-    Dataset, DatasetFormatError, Instance, instance_to_record, json_field, json_object_line,
+    DatasetFormatError, Instance, instance_to_record, json_field, json_object_line,
     map_in_order, parse_record, qo_text, read_jsonl, read_lines, write_whole,
 )
 
@@ -316,19 +316,22 @@ class AnnotatedInstance:
 
 
 def annotate_stream(
-    dataset: Dataset,
+    dataset: Iterable[Instance],
     extractor: Extractor,
     include_analysis: bool = True,
     on_error: str = "raise",
     workers: int = 1,
 ) -> Iterator[AnnotatedInstance]:
-    """Annotate every instance, in dataset order, one at a time as the
-    result is asked for.
+    """Annotate every instance, in input order, one at a time as the
+    result is asked for.  ``dataset`` may be a lazy stream, such as
+    ``read_dataset``'s: an instance is taken from it only when it is
+    submitted, so at most ``workers`` are held at once, and an error the
+    stream raises comes out here after the instances before it.
 
     ``on_error`` is "raise" (abort on the first failing instance in input
     order, starting no instance after it beyond the ``workers`` already
     submitted) or "skip" (drop failing instances); both it and ``workers``
-    are checked at the call, before any instance is annotated.  Instances
+    are checked at the call, before any instance is taken.  Instances
     are annotated on a pool of ``workers`` threads, or at one worker in the
     calling thread with no pool; more than one only pays off with a
     network-backed extractor.

@@ -1402,6 +1402,161 @@ def test_annotate_streams_into_its_output(corpus, tmp_path, monkeypatch, capsys)
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_annotate_names_the_lexicon_when_lexicon_and_dataset_are_bad(corpus, capsys):
+    # the lexicon is loaded before the first dataset line is read
+    lexicon = corpus["dir"] / "bom_lexicon.txt"
+    lexicon.write_text("\ufeff高血压\n糖尿病\n", encoding="utf-8")
+    dataset = corpus["dir"] / "bad.jsonl"
+    dataset.write_text("{not json\n", encoding="utf-8")
+    out = corpus["dir"] / "o.jsonl"
+    capsys.readouterr()
+    assert main(["annotate", "--dataset", str(dataset), "--lexicon", str(lexicon),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {lexicon}:1: " in err
+    assert str(dataset) not in err and "Traceback" not in err
+    # with the lexicon mended, the dataset line is named
+    assert main(["annotate", "--dataset", str(dataset), "--lexicon", corpus["lexicon"],
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {dataset}:1: invalid JSON" in err and "Traceback" not in err
+    assert not out.exists()
+    assert not list(corpus["dir"].glob("*.tmp"))
+
+
+def test_annotate_names_the_out_path_when_out_dir_and_dataset_are_missing(corpus, capsys):
+    # the output's temporary file is opened before the first dataset line is read
+    dataset = corpus["dir"] / "absent.jsonl"
+    out = corpus["dir"] / "missing" / "o.jsonl"
+    capsys.readouterr()
+    assert main(["annotate", "--dataset", str(dataset), "--lexicon", corpus["lexicon"],
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{out}." in err
+    assert str(dataset) not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("old_output", [False, True])
+@pytest.mark.parametrize("defect", ["malformed", "repeated_id"])
+def test_annotate_refuses_a_bad_last_line_after_extracting_the_rest(corpus, capsys, monkeypatch,
+                                                                   defect, old_output):
+    # records are annotated as they are read, so the records before the bad
+    # line were extracted, but the output is still written whole or not at all
+    import seedqa.cli as cli_mod
+
+    lines = Path(corpus["train"]).read_text(encoding="utf-8").splitlines(keepends=True)
+    first_id = json.loads(lines[0])["id"]
+    last = "{not json\n" if defect == "malformed" else lines[0]
+    reason = "invalid JSON" if defect == "malformed" else f"duplicate instance id {first_id!r}"
+    dataset = corpus["dir"] / "bad_last.jsonl"
+    dataset.write_text("".join([*lines, last]), encoding="utf-8")
+    real_extractor_from = cli_mod._extractor_from
+    extracted = []
+
+    def counting_extractor_from(opts, client=None):
+        extractor = real_extractor_from(opts, client)
+        return lambda text: extracted.append(text) or extractor(text)
+
+    monkeypatch.setattr(cli_mod, "_extractor_from", counting_extractor_from)
+    out = corpus["dir"] / "o.jsonl"
+    if old_output:
+        out.write_bytes(b"old\n")
+    capsys.readouterr()
+    assert main(["annotate", "--dataset", str(dataset), "--lexicon", corpus["lexicon"],
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {dataset}:{len(lines) + 1}: {reason}" in err
+    assert "Traceback" not in err
+    assert len(extracted) == 2 * len(lines)  # both sides of every record before it
+    assert (out.read_bytes() if out.exists() else None) == (b"old\n" if old_output else None)
+    assert not list(corpus["dir"].glob("*.tmp"))
+
+
+@pytest.mark.concurrency
+@pytest.mark.parametrize("backend", ["replay", "cached-live"])
+def test_annotate_llm_starts_nothing_past_a_bad_line(corpus, tmp_path, monkeypatch, capsys,
+                                                     backend):
+    # with two workers, the records before the bad line have sent their
+    # requests (and cached-live has cached them); none after it starts
+    import seedqa.client as client_mod
+    from seedqa.corpus import qo_text
+
+    workers = 2
+    test = load_dataset(corpus["test"])
+    before, after = test[:3], test[3:]
+    dataset = tmp_path / "bad_middle.jsonl"
+    dataset.write_text("".join([
+        *(json.dumps(instance_to_record(inst), ensure_ascii=False) + "\n" for inst in before),
+        "{not json\n",
+        *(json.dumps(instance_to_record(inst), ensure_ascii=False) + "\n" for inst in after),
+    ]), encoding="utf-8")
+    out = tmp_path / "o.jsonl"
+    argv = _llm_annotate_argv(corpus, tmp_path, out)
+    argv[argv.index("--dataset") + 1] = str(dataset)
+    if backend == "cached-live":
+        body = json.dumps({"choices": [{"message": {"content": "发热、头痛"}}]},
+                          ensure_ascii=False)
+        monkeypatch.setattr(client_mod, "_default_transport", lambda *args: (200, body))
+        argv += ["--backend", "cached-live", "--cache-dir", str(tmp_path / "cache")]
+    sent = []
+    complete = client_mod.ChatClient.complete
+    monkeypatch.setattr(client_mod.ChatClient, "complete",
+                        lambda self, request: sent.append(request.prompt) or complete(self, request))
+    capsys.readouterr()
+    assert main([*argv, "--workers", str(workers)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {dataset}:{len(before) + 1}: invalid JSON" in err
+    assert "Traceback" not in err
+    started = [inst.id for inst in test
+               if any(f"text: {qo_text(inst)}\nentities:" in prompt for prompt in sent)]
+    assert started == [inst.id for inst in before][:len(started)]
+    assert len(started) > len(before) - workers
+    if backend == "cached-live":
+        assert len(list((tmp_path / "cache").glob("*.json"))) == len(sent)
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_annotate_skip_logs_the_records_written_out_of_those_read(corpus, tmp_path, caplog):
+    out = tmp_path / "o.jsonl"
+    with caplog.at_level(logging.INFO):
+        assert main([*_llm_annotate_argv(corpus, tmp_path, out, miss="te2"),
+                     "--on-error", "skip"]) == 0
+    assert [a.base.id for a in read_annotated((str(out),), set())] == ["te0", "te1", "te3"]
+    assert f"annotated 3/4 instances -> {out}" in caplog.text
+
+
+def _dataset_lines(count: int, analysis_chars: int) -> str:
+    """``count`` dataset records with analyses of ``analysis_chars`` CJK
+    characters."""
+    return "".join(
+        json.dumps({"id": f"m{i}", "question": "高血压伴头痛", "options": {"A": "发热", "B": "咳嗽"},
+                    "answer": "A", "analysis": "析" * analysis_chars}, ensure_ascii=False) + "\n"
+        for i in range(count))
+
+
+def test_annotate_memory_does_not_grow_with_the_dataset(corpus, tmp_path, caplog):
+    # annotate holds one dataset record at a time and keeps only the set of
+    # ids, so ten times the records raise its peak by far less than they
+    # take on disk
+    peaks, sizes = {}, {}
+    for count in (200, 2000):
+        dataset = tmp_path / f"d{count}.jsonl"
+        dataset.write_text(_dataset_lines(count, 1000), encoding="utf-8")
+        sizes[count] = dataset.stat().st_size
+        tracemalloc.start()
+        try:
+            with caplog.at_level(logging.INFO):
+                assert main(["annotate", "--dataset", str(dataset), "--lexicon",
+                             corpus["lexicon"], "--out", str(tmp_path / f"o{count}.jsonl"),
+                             "--no-analysis"]) == 0
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"annotated {count}/{count} instances" in caplog.text
+    assert peaks[2000] - peaks[200] < (sizes[2000] - sizes[200]) / 10, peaks
+
+
 @pytest.mark.parametrize("backend, code", (("replay", 1), ("live", 2)))
 def test_annotate_extraction_failure_exit_codes(corpus, tmp_path, monkeypatch, capsys,
                                                 backend, code):

@@ -22,6 +22,7 @@ from seedqa.corpus import (
     lone_surrogate,
     map_in_order,
     qo_text,
+    read_dataset,
     read_jsonl,
     read_lines,
     split_sample,
@@ -289,6 +290,20 @@ def test_load_rejects_duplicate_ids(tmp_path):
     # a Dataset built directly checks its ids too
     with pytest.raises(ValueError, match="duplicate instance id 'q1'"):
         Dataset((make_instance("q1"), make_instance("q1")))
+
+
+def test_read_dataset_reads_lazily_and_checks_ids_against_the_callers_set(tmp_path):
+    path = write_jsonl(tmp_path / "d.jsonl", [VALID | {"id": "other"}, VALID])
+    seen: set[str] = set()
+    records = read_dataset(path, seen)
+    assert seen == set()  # nothing is read before the first record is asked for
+    assert next(records).id == "other" and seen == {"other"}
+    assert [inst.id for inst in records] == ["q1"] and seen == {"other", "q1"}
+    assert tuple(read_dataset(path, set())) == load_dataset(path).instances
+    # an id that the caller's set already holds is refused at its line
+    with pytest.raises(DatasetFormatError,
+                       match=re.escape(f"{path}:2: duplicate instance id {VALID['id']!r}")):
+        list(read_dataset(path, {"q1"}))
 
 
 def test_load_rejects_empty_texts(tmp_path):

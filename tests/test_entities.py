@@ -616,6 +616,15 @@ def test_annotate_workers_match_sequential():
     assert seq == par
 
 
+@pytest.mark.concurrency
+@pytest.mark.parametrize("workers", [1, 4])
+def test_annotate_stream_takes_a_generator_of_instances(workers):
+    # the CLI passes the records as it reads them, with no Dataset
+    lex = Lexicon(["高血压", "贫血", "糖尿病", "缺铁性贫血"])
+    streamed = list(annotate_stream((inst for inst in make_dataset()), lex, workers=workers))
+    assert streamed == list(annotate_stream(make_dataset(), lex))
+
+
 def test_annotated_file_round_trip(tmp_path):
     lex = Lexicon(["高血压", "贫血", "糖尿病", "缺铁性贫血"])
     annotated = list(annotate_stream(make_dataset(), lex))
